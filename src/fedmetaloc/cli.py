@@ -8,7 +8,8 @@ Subcommands mirror the experiment phases::
     fedmetaloc theory-probe --config exp.json
     fedmetaloc report       --config exp.json
 
-Exit codes: 0 ok, 2 configuration error, 3 data error, 4 runtime error.
+Exit codes: 0 ok, 2 configuration error, 3 data error, 4 runtime error
+(a diverging run's ``DivergenceError`` among them).
 """
 
 from __future__ import annotations

@@ -7,3 +7,7 @@ class ConfigError(ValueError):
 
 class DataError(ValueError):
     """Unusable data: schema violations, empty datasets, degenerate ranges."""
+
+
+class DivergenceError(RuntimeError):
+    """A training loss became NaN or infinite."""

@@ -334,16 +334,16 @@ def write_round_log(path: Path, reports: Sequence[federation.RoundReport]) -> No
 
 
 def save_meta_checkpoint(path: Path, meta: MetaModel) -> None:
-    save_checkpoint(
-        path, {"meta": meta.params}, meta.config, extra={"round": meta.round, "eta": meta.eta}
-    )
+    params = nn.unflatten(meta.params, meta.config.part_sizes("meta"))
+    save_checkpoint(path, {"meta": params}, meta.config, extra={"round": meta.round, "eta": meta.eta})
 
 
 def load_meta_checkpoint(path: str | Path) -> MetaModel:
     config, parts, extra = load_checkpoint(path)
     if "meta" not in parts:
         raise DataError(f"checkpoint {path} holds no shared-part parameters")
-    return MetaModel(params=parts["meta"], config=config, eta=float(extra.get("eta", 0.001)),
+    params = nn.flatten(parts["meta"], config.part_sizes("meta"))
+    return MetaModel(params=params, config=config, eta=float(extra.get("eta", 0.001)),
                      round=int(extra.get("round", 0)))
 
 
@@ -517,11 +517,14 @@ def _aggregate_mode(
     return agg
 
 
-def _mode_mean_steps(agg: dict, target: str) -> float | None:
-    reached = [
-        r["steps_to_target"][target] for r in agg["records"] if r["steps_to_target"][target] is not None
-    ]
-    return float(np.mean(reached)) if reached else None
+def _mean_steps(steps: Sequence[int | None], budget: int) -> float:
+    """Mean steps to a target, counting a run that never reaches it as budget + 1."""
+    return float(np.mean([budget + 1 if s is None else s for s in steps]))
+
+
+def _mode_mean_steps(agg: dict, target: str, budget: int) -> float | None:
+    records = agg["records"]
+    return _mean_steps([r["steps_to_target"][target] for r in records], budget) if records else None
 
 
 def paired_step_summary(config: ExperimentConfig, target_m: float) -> dict:
@@ -542,10 +545,9 @@ def paired_step_summary(config: ExperimentConfig, target_m: float) -> dict:
                 metrics.steps_to_accuracy(
                     read_trace(run_dir(config, task_id, mode, seed), task_id, mode, seed), target_m
                 )
-                or mt.steps + 1
                 for task_id in test_ids
             ]
-            per_mode[mode] = float(np.mean(steps))
+            per_mode[mode] = _mean_steps(steps, mt.steps)
         per_seed.append(per_mode)
     return {
         "seeds": len(per_seed),
@@ -583,8 +585,8 @@ def cmd_report(config: ExperimentConfig) -> dict:
 
         improvement: dict = {"steps": {}, "accuracy": {}}
         for target in mt.targets_m:
-            mi = _mode_mean_steps(task_entry["MI"], str(target))
-            ri = _mode_mean_steps(task_entry["RI"], str(target))
+            mi = _mode_mean_steps(task_entry["MI"], str(target), mt.steps)
+            ri = _mode_mean_steps(task_entry["RI"], str(target), mt.steps)
             improvement["steps"][str(target)] = (
                 metrics.improvement_percent(mi, ri, "steps") if mi is not None and ri and ri > 0 else None
             )
@@ -620,7 +622,7 @@ def cmd_report(config: ExperimentConfig) -> dict:
 def run_theory_probe(
     task: LocalizationTask,
     model_config: ModelConfig,
-    theta_init: nn.ParamDict | None,
+    theta_init: np.ndarray | None,
     params: TheoryProbeParams,
 ) -> TheoryProbeReport:
     """Run the plain-SGD probes on one task: steps-to-epsilon under both
@@ -678,7 +680,7 @@ def _estimate_delta1(
         states.append(metrics.flatten_parts(model, PART_NAMES))
         _, g = model.composite_loss(xs, ys)
         grads.append(metrics.flatten_grads(g, PART_NAMES))
-        model.train_step(xs, ys, rates=rates, optimizer="sgd")
+        model.apply_gradients(g, rates=rates, optimizer="sgd")
     return metrics.estimate_smoothness(states, grads)
 
 

@@ -10,10 +10,19 @@ then aggregates the clients' query-set gradients:
 Aggregation always sums in ascending client-id order, so client scheduling can
 never change the result. Contribution factors rho_k are proportional to query
 set sizes and renormalized whenever the cohort changes.
+
+The shared part travels as one flat vector (the layout of :mod:`fedmetaloc.nn`):
+the server's ``theta``, each client's copy of it, the query gradients and the
+aggregate are all vectors of that one length.
+
+A loss that turns NaN or infinite stops the run with a :class:`DivergenceError`
+naming the round and client (meta-train) or the task, mode and seed
+(meta-test), before any trace of the run is written.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -21,23 +30,29 @@ import numpy as np
 
 from . import nn
 from .data import LocalizationTask
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, DivergenceError
 from .metrics import mde
 from .model import ClientModel, ModelConfig
 
 
 @dataclass
 class MetaModel:
-    """Server-held shared feature parameters plus the round counter."""
+    """Server-held shared feature parameters (one flat vector) plus the round counter."""
 
-    params: nn.ParamDict
+    params: np.ndarray
     config: ModelConfig
     eta: float
     round: int = 0
 
-    def broadcast(self) -> nn.ParamDict:
-        """Immutable snapshot for clients: always a fresh copy."""
-        return {k: v.copy() for k, v in self.params.items()}
+    def broadcast(self) -> np.ndarray:
+        """Read-only view of the shared vector; each client copies it into its own.
+
+        The server never writes a vector in place (every round makes a new
+        one), so the view stays this round's values.
+        """
+        view = self.params.view()
+        view.flags.writeable = False
+        return view
 
 
 @dataclass
@@ -70,7 +85,7 @@ class ClientUpdate:
     client_id: str
     grad_theta: nn.GradientBundle
     query_loss: float
-    theta_local: nn.ParamDict | None = None  # locally updated shared params
+    theta_local: np.ndarray  # locally updated shared params
 
 
 @dataclass
@@ -137,7 +152,7 @@ def server_init(
     root = np.random.SeedSequence(seed)
     theta_seed, clients_seed = root.spawn(2)
     theta_layers = nn.build_stack(config.part_sizes("meta"), theta_seed)
-    meta = MetaModel(params=nn.export_params(theta_layers), config=config, eta=eta)
+    meta = MetaModel(params=nn.bind(theta_layers), config=config, eta=eta)
 
     clients: list[ClientState] = []
     ordered = sorted(tasks, key=lambda t: t.task_id)
@@ -160,7 +175,7 @@ def server_init(
 
 
 def client_local_train(
-    state: ClientState, theta_broadcast: nn.ParamDict, local_steps: int | None = None
+    state: ClientState, theta_broadcast: np.ndarray, local_steps: int | None = None
 ) -> ClientUpdate:
     """Local phase of one round: adopt the broadcast, train, evaluate on the query set."""
     task = state.task
@@ -170,16 +185,22 @@ def client_local_train(
     state.model.set_part_params("meta", theta_broadcast)
     # the broadcast invalidates any optimizer moments accumulated for the
     # previous round's shared parameters; encoder/mapper states persist
-    state.model.opt_states["meta"] = None
+    meta_state = state.model.opt_states["meta"]
+    if meta_state is not None:
+        meta_state.reset()
     xs, ys = task.support.rssi, task.normalize_coords(task.support.coords)
-    for _ in range(steps):
+    for step in range(1, steps + 1):
         batch = state.next_batch()
-        state.model.train_step(xs[batch], ys[batch])
+        loss = state.model.train_step(xs[batch], ys[batch])
+        if not math.isfinite(loss):
+            raise DivergenceError(f"client {state.client_id}: local step {step} loss is {loss}")
     query_loss, grads = state.model.composite_loss(
         task.query.rssi, task.normalize_coords(task.query.coords)
     )
+    if not math.isfinite(query_loss):
+        raise DivergenceError(f"client {state.client_id}: query loss is {query_loss}")
     return ClientUpdate(
-        state.client_id, grads["meta"], query_loss, theta_local=state.model.part_params("meta")
+        state.client_id, grads["meta"], query_loss, theta_local=state.model.vectors["meta"].copy()
     )
 
 
@@ -202,25 +223,20 @@ def server_aggregate(
         raise ConfigError("cannot aggregate an empty round")
     if aggregation not in ("gradient", "average"):
         raise ConfigError(f"unknown aggregation {aggregation!r}")
-    acc = {k: np.zeros_like(v) for k, v in meta.params.items()}
+    acc = np.zeros_like(meta.params)
+    term = np.empty_like(meta.params)
     for update in sorted(updates, key=lambda u: u.client_id):
-        g = update.grad_theta.grads if aggregation == "gradient" else update.theta_local
-        if g is None:
-            raise ConfigError(f"client {update.client_id} sent no local parameters")
-        if set(g) != set(acc):
-            raise ConfigError(f"client {update.client_id} sent mismatched gradient keys")
-        for k in acc:
-            if g[k].shape != acc[k].shape:
-                raise ConfigError(
-                    f"client {update.client_id} gradient {k} has shape {g[k].shape}, "
-                    f"server expects {acc[k].shape}"
-                )
-            acc[k] += rho[update.client_id] * g[k]
+        vector = update.grad_theta.vector if aggregation == "gradient" else update.theta_local
+        if vector.shape != acc.shape:
+            raise ConfigError(
+                f"client {update.client_id} sent {vector.shape} values, server expects {acc.shape}"
+            )
+        np.multiply(vector, rho[update.client_id], out=term)
+        acc += term
     if aggregation == "gradient":
-        new_params = {k: meta.params[k] - meta.eta * acc[k] for k in meta.params}
-    else:
-        new_params = acc
-    return MetaModel(params=new_params, config=meta.config, eta=meta.eta, round=meta.round + 1)
+        acc *= meta.eta
+        np.subtract(meta.params, acc, out=acc)
+    return MetaModel(params=acc, config=meta.config, eta=meta.eta, round=meta.round + 1)
 
 
 def meta_train(
@@ -252,7 +268,10 @@ def meta_train(
     prev_loss: float | None = None
     for _ in range(rounds):
         broadcast = meta.broadcast()
-        updates = [client_local_train(by_id[cid], broadcast) for cid in execution_order]
+        try:
+            updates = [client_local_train(by_id[cid], broadcast) for cid in execution_order]
+        except DivergenceError as exc:
+            raise DivergenceError(f"round {meta.round + 1}, {exc}") from exc
         meta = server_aggregate(meta, updates, rho, aggregation=aggregation)
         losses = {u.client_id: u.query_loss for u in updates}
         mean_loss = float(np.mean(list(losses.values())))
@@ -272,7 +291,7 @@ def meta_train(
 def meta_test(
     task: LocalizationTask,
     config: ModelConfig,
-    theta_init: nn.ParamDict | None,
+    theta_init: np.ndarray | None,
     steps: int,
     seed: int,
     batch_size: int = 32,
@@ -282,8 +301,8 @@ def meta_test(
 ) -> tuple[ClientModel, AdaptationTrace, np.ndarray]:
     """Few-shot adaptation on a new task, recording the query learning curve.
 
-    ``theta_init=None`` is random initialization (RI); passing trained
-    parameters is meta initialization (MI). The encoder/mapper seed streams do
+    ``theta_init=None`` is random initialization (RI); passing the trained
+    shared vector is meta initialization (MI). The encoder/mapper seed streams do
     not depend on the mode, so RI/MI runs with the same seed are paired. By
     default every part is fine-tuned.
 
@@ -301,7 +320,7 @@ def meta_test(
     )
     mode = "RI" if theta_init is None else "MI"
     if theta_init is not None:
-        model.set_part_params("meta", {k: v.copy() for k, v in theta_init.items()})
+        model.set_part_params("meta", theta_init)
 
     trace = AdaptationTrace(task_id=task.task_id, init_mode=mode, seed=seed)
     xs, ys = task.support.rssi, task.normalize_coords(task.support.coords)
@@ -317,7 +336,9 @@ def meta_test(
     )
     for step in range(1, steps + 1):
         batch = sampler.next_batch()
-        model.train_step(xs[batch], ys[batch], rates=rates, parts=adapt_parts, optimizer=optimizer)
+        loss = model.train_step(xs[batch], ys[batch], rates=rates, parts=adapt_parts, optimizer=optimizer)
+        if not math.isfinite(loss):
+            raise DivergenceError(f"task {task.task_id}, {mode} seed {seed}: step {step} loss is {loss}")
         pred = task.denormalize_coords(model.full_forward(xq))
         trace.steps.append(
             TraceStep(step=step, support_loss=model.loss_value(xs, ys), query_mde=mde(pred, yq_true))

@@ -147,21 +147,13 @@ def knn_baseline(task: LocalizationTask, k: int) -> tuple[np.ndarray, float]:
 
 
 def flatten_parts(model: ClientModel, parts: Sequence[str]) -> np.ndarray:
-    chunks = []
-    for part in parts:
-        params = model.part_params(part)
-        for key in sorted(params):
-            chunks.append(params[key].ravel())
-    return np.concatenate(chunks)
+    """A new vector holding the parts' parameter vectors one after another."""
+    return np.concatenate([model.vectors[part] for part in parts])
 
 
 def flatten_grads(grads: Mapping[str, nn.GradientBundle], parts: Sequence[str]) -> np.ndarray:
-    chunks = []
-    for part in parts:
-        g = grads[part].grads
-        for key in sorted(g):
-            chunks.append(g[key].ravel())
-    return np.concatenate(chunks)
+    """A new vector holding the parts' gradient vectors one after another."""
+    return np.concatenate([grads[part].vector for part in parts])
 
 
 def theta_grad_sq_norm(model: ClientModel, x: np.ndarray, y: np.ndarray) -> float:
@@ -173,7 +165,7 @@ def theta_grad_sq_norm(model: ClientModel, x: np.ndarray, y: np.ndarray) -> floa
 def epsilon_accuracy_steps(
     task: LocalizationTask,
     config: ModelConfig,
-    theta_init: nn.ParamDict | None,
+    theta_init: np.ndarray | None,
     epsilon: float,
     max_steps: int,
     mu: float,
@@ -186,7 +178,8 @@ def epsilon_accuracy_steps(
     Tracks ``||grad_theta L(query)||^2`` after every step and returns the first
     step where it falls below ``epsilon`` (None when ``max_steps`` is exhausted),
     together with the full squared-norm trace. ``part_overrides`` lets callers
-    pin specific parts (e.g. an identity encoder for an exactly-linear probe).
+    pin specific parts (e.g. an identity encoder for an exactly-linear probe);
+    they are parameter dictionaries, copied in with :func:`nn.assign_params`.
     """
     if epsilon <= 0:
         raise ConfigError(f"epsilon must be > 0, got {epsilon}")
@@ -198,9 +191,9 @@ def epsilon_accuracy_steps(
         part_seeds={"encoder": alpha_seed, "decoder": dec_seed, "meta": theta_seed, "mapper": beta_seed},
     )
     if theta_init is not None:
-        model.set_part_params("meta", {k: v.copy() for k, v in theta_init.items()})
+        model.set_part_params("meta", theta_init)
     for part, params in (part_overrides or {}).items():
-        model.set_part_params(part, params)
+        nn.assign_params(model.parts[part], params)
     xs, ys = task.support.rssi, task.normalize_coords(task.support.coords)
     xq, yq = task.query.rssi, task.normalize_coords(task.query.coords)
     rates = {part: mu for part in PART_NAMES}
@@ -244,7 +237,7 @@ def linearization_probe(
     for mu in mu_list:
         model = ClientModel.build(config, m=task.m, seed=seed)
         for part, params in (part_overrides or {}).items():
-            model.set_part_params(part, params)
+            nn.assign_params(model.parts[part], params)
         omega0 = flatten_parts(model, parts)
         _, grads0 = model.composite_loss(xs, ys)
         g0 = flatten_grads(grads0, parts)

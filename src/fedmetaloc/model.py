@@ -12,11 +12,16 @@ mapper]`` plus an optional decoder head:
 The composite loss is prediction MSE plus ``lambda_recon`` times the
 reconstruction MSE; with ``lambda_recon = 0`` the decoder receives exactly
 zero gradient.
+
+Each part's parameters live in one flat vector (``ClientModel.vectors``, see
+:mod:`fedmetaloc.nn`), which the optimizers update in place. Parameter
+dictionaries appear only in checkpoints.
 """
 
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -107,11 +112,13 @@ class ModelConfig:
 
 
 class ClientModel:
-    """One client's four layer stacks plus per-part optimizer state."""
+    """One client's four layer stacks, their flat parameter vectors, and
+    per-part optimizer state."""
 
     def __init__(self, config: ModelConfig, parts: dict[str, list[nn.DenseLayer]]):
         self.config = config
         self.parts = parts
+        self.vectors = {part: nn.bind(layers) for part, layers in parts.items()}
         self.opt_states: dict[str, nn.AdamState | None] = {p: None for p in PART_NAMES}
         enc, dec, meta, mapper = (parts[p] for p in PART_NAMES)
         if enc[-1].out_size != meta[0].in_size or meta[-1].out_size != mapper[0].in_size:
@@ -155,11 +162,12 @@ class ClientModel:
     def m(self) -> int:
         return self.parts["encoder"][0].in_size
 
-    def part_params(self, part: str) -> nn.ParamDict:
-        return nn.export_params(self.parts[part])
-
-    def set_part_params(self, part: str, params: nn.ParamDict) -> None:
-        nn.assign_params(self.parts[part], params)
+    def set_part_params(self, part: str, vector: np.ndarray) -> None:
+        """Copy a flat parameter vector into the part."""
+        target = self.vectors[part]
+        if np.shape(vector) != target.shape:
+            raise ConfigError(f"{part} holds {target.size} parameters, got shape {np.shape(vector)}")
+        np.copyto(target, vector)
 
     def encode(self, x: np.ndarray) -> np.ndarray:
         return nn.forward(self.parts["encoder"], x)[0]
@@ -226,21 +234,30 @@ class ClientModel:
         optimizer: str | None = None,
     ) -> float:
         """One optimizer step on a batch; returns the pre-step loss."""
-        rates = dict(rates) if rates is not None else self.config.rates()
-        parts = tuple(parts) if parts is not None else PART_NAMES
-        optimizer = optimizer or self.config.optimizer
         loss, grads = self.composite_loss(x, y)
-        for part in parts:
-            params = nn.export_params(self.parts[part])
-            if optimizer == "adam":
-                if self.opt_states[part] is None:
-                    self.opt_states[part] = nn.init_adam_state(params)
-                new, state = nn.adam_step(params, grads[part], self.opt_states[part], rates[part])
-                self.opt_states[part] = state
-            else:
-                new = nn.sgd_step(params, grads[part], rates[part])
-            nn.assign_params(self.parts[part], new)
+        self.apply_gradients(grads, rates, parts, optimizer)
         return loss
+
+    def apply_gradients(
+        self,
+        grads: Mapping[str, nn.GradientBundle],
+        rates: Mapping[str, float] | None = None,
+        parts: Sequence[str] | None = None,
+        optimizer: str | None = None,
+    ) -> None:
+        """Update ``parts`` (all by default) in place from ``composite_loss`` gradients."""
+        rates = rates if rates is not None else self.config.rates()
+        parts = parts if parts is not None else PART_NAMES
+        optimizer = optimizer or self.config.optimizer
+        for part in parts:
+            vector, grad = self.vectors[part], grads[part].vector
+            if optimizer == "adam":
+                state = self.opt_states[part]
+                if state is None:
+                    state = self.opt_states[part] = nn.init_adam_state(vector.size)
+                nn.adam_step(vector, grad, state, rates[part])
+            else:
+                nn.sgd_step(vector, grad, rates[part])
 
 
 def save_checkpoint(
@@ -263,16 +280,47 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str | Path) -> tuple[ModelConfig, dict[str, nn.ParamDict], dict]:
+    """Read a checkpoint written by :func:`save_checkpoint`.
+
+    Anything malformed is a :class:`DataError`: a file that is not a whole
+    archive, a missing ``__config__`` or ``__extra__`` header, or a part whose
+    keys or shapes are not the stack its config describes.
+    """
     path = Path(path)
     if not path.exists():
         raise DataError(f"checkpoint not found: {path}")
-    with np.load(path, allow_pickle=False) as archive:
-        config = ModelConfig.from_dict(json.loads(str(archive["__config__"])))
-        extra = json.loads(str(archive["__extra__"]))
-        parts: dict[str, nn.ParamDict] = {}
-        for full_key in archive.files:
-            if full_key.startswith("__"):
-                continue
-            part, key = full_key.split("/", 1)
-            parts.setdefault(part, {})[key] = archive[full_key]
+    try:
+        with np.load(path, allow_pickle=False) as archive:
+            config = ModelConfig.from_dict(json.loads(str(archive["__config__"])))
+            extra = json.loads(str(archive["__extra__"]))
+            if not isinstance(extra, dict):
+                raise ValueError(f"__extra__ holds {type(extra).__name__}, not a JSON object")
+            parts: dict[str, nn.ParamDict] = {}
+            for full_key in archive.files:
+                if full_key.startswith("__"):
+                    continue
+                part, key = full_key.split("/", 1)
+                parts.setdefault(part, {})[key] = archive[full_key]
+    except (KeyError, ValueError, TypeError, OSError, EOFError, zipfile.BadZipFile) as exc:
+        raise DataError(f"malformed checkpoint {path}: {type(exc).__name__}: {exc}") from exc
+    for part, params in parts.items():
+        _check_part(path, part, params, config)
     return config, parts, extra
+
+
+def _check_part(path: Path, part: str, params: nn.ParamDict, config: ModelConfig) -> None:
+    if part not in PART_NAMES:
+        raise DataError(f"checkpoint {path} holds an unknown part {part!r}")
+    m = config.m
+    if m is None and part in ("encoder", "decoder"):
+        # the task width is not part of the config; read it off the stack's outer layer
+        edge = params.get("layer0.weights" if part == "encoder" else f"layer{len(params) // 2 - 1}.weights")
+        if edge is None or edge.ndim != 2:
+            raise DataError(f"checkpoint {path}: part {part!r} has no 2-D outer weights")
+        m = edge.shape[1] if part == "encoder" else edge.shape[0]
+    expected = nn.param_shapes(config.part_sizes(part, m))
+    actual = {key: tensor.shape for key, tensor in params.items()}
+    if actual != expected:
+        raise DataError(
+            f"checkpoint {path}: part {part!r} does not match its config: expected {expected}, got {actual}"
+        )

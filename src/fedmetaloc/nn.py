@@ -1,17 +1,29 @@
 """Dense-network substrate: layers, forward/backward passes, MSE loss, SGD and Adam.
 
-Everything here is functional with respect to parameters: optimizers return new
-parameter dictionaries instead of mutating their inputs, so concurrent client
-simulations can share nothing but immutable snapshots.
+Flat layout. A stack of layers (one model part) keeps all its parameters in
+one contiguous float64 vector, made by :func:`bind`. Each layer's ``weights``
+[out, in] and ``biases`` are reshaped views into that vector, which holds them
+in sorted-key order: ``layer0.biases``, ``layer0.weights``, ``layer1.biases``,
+... . The gradients :func:`backward` returns and Adam's two moments are flat
+vectors in the same layout.
+
+In-place contract. :func:`sgd_step` and :func:`adam_step` overwrite the
+parameter vector (and the moments) in place, so every layer view sees the new
+values without a copy. Write into a layer's arrays (``layer.biases[...] = b``);
+rebinding them to new arrays detaches the layer from its vector.
 
 Parameter dictionaries map ``"layer{i}.weights"`` / ``"layer{i}.biases"`` to
-float64 arrays; gradients mirror those keys exactly.
+arrays, listed layer by layer with the weights first. They are the exchange
+format at the boundary (checkpoints, fixed test parts): :func:`export_params`
+and :func:`unflatten` produce them, :func:`assign_params` and :func:`flatten`
+consume them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -94,6 +106,71 @@ def build_stack(
     return layers
 
 
+def stack_sizes(layers: Sequence[DenseLayer]) -> tuple[int, ...]:
+    """Widths ``(in, hidden..., out)`` of a stack, as :func:`build_stack` takes them."""
+    return (layers[0].in_size, *(layer.out_size for layer in layers))
+
+
+@lru_cache(maxsize=None)
+def _layout(sizes: tuple[int, ...]) -> tuple[tuple[str, int, int, tuple[int, ...]], ...]:
+    """``(key, start, stop, shape)`` of every parameter, in flat (sorted-key) order."""
+    shapes: dict[str, tuple[int, ...]] = {}
+    for i, (n_in, n_out) in enumerate(zip(sizes, sizes[1:])):
+        shapes[f"layer{i}.weights"] = (n_out, n_in)
+        shapes[f"layer{i}.biases"] = (n_out,)
+    layout = []
+    start = 0
+    for key in sorted(shapes):
+        stop = start + math.prod(shapes[key])
+        layout.append((key, start, stop, shapes[key]))
+        start = stop
+    return tuple(layout)
+
+
+def param_shapes(sizes: Sequence[int]) -> dict[str, tuple[int, ...]]:
+    """Shape of every parameter of a stack ``sizes[0] -> ... -> sizes[-1]``, in flat order."""
+    return {key: shape for key, _, _, shape in _layout(tuple(sizes))}
+
+
+def unflatten(vector: np.ndarray, sizes: Sequence[int]) -> ParamDict:
+    """Keyed views into a stack's flat vector, listed like :func:`export_params`."""
+    views = {key: vector[start:stop].reshape(shape) for key, start, stop, shape in _layout(tuple(sizes))}
+    return {
+        f"layer{i}.{role}": views[f"layer{i}.{role}"]
+        for i in range(len(sizes) - 1)
+        for role in ("weights", "biases")
+    }
+
+
+def flatten(params: ParamDict, sizes: Sequence[int]) -> np.ndarray:
+    """Copy a parameter dictionary into a new flat vector, validating every key and shape."""
+    layout = _layout(tuple(sizes))
+    if set(params) != set(param_shapes(sizes)):
+        raise ConfigError(f"parameter keys {sorted(params)} do not match stack of {len(sizes) - 1} layers")
+    vector = np.empty(layout[-1][2])
+    for key, start, stop, shape in layout:
+        tensor = np.asarray(params[key], dtype=np.float64)
+        if tensor.shape != shape:
+            raise ConfigError(f"{key} expects shape {shape}, got {tensor.shape}")
+        vector[start:stop] = tensor.ravel()
+    return vector
+
+
+def bind(layers: Sequence[DenseLayer]) -> np.ndarray:
+    """Move a stack's parameters into one new flat vector; the layers become views into it."""
+    sizes = stack_sizes(layers)
+    current = {}
+    for i, layer in enumerate(layers):
+        current[f"layer{i}.weights"] = layer.weights
+        current[f"layer{i}.biases"] = layer.biases
+    vector = flatten(current, sizes)
+    views = unflatten(vector, sizes)
+    for i, layer in enumerate(layers):
+        layer.weights = views[f"layer{i}.weights"]
+        layer.biases = views[f"layer{i}.biases"]
+    return vector
+
+
 def export_params(layers: Sequence[DenseLayer]) -> ParamDict:
     """Copy the stack's parameters into a fresh dictionary."""
     out: ParamDict = {}
@@ -104,7 +181,7 @@ def export_params(layers: Sequence[DenseLayer]) -> ParamDict:
 
 
 def assign_params(layers: Sequence[DenseLayer], params: ParamDict) -> None:
-    """Copy ``params`` into the stack, validating every shape."""
+    """Copy ``params`` into the stack's own arrays, validating every shape."""
     expected = {f"layer{i}.{role}" for i in range(len(layers)) for role in ("weights", "biases")}
     if set(params) != expected:
         raise ConfigError(f"parameter keys {sorted(params)} do not match stack of {len(layers)} layers")
@@ -116,16 +193,17 @@ def assign_params(layers: Sequence[DenseLayer], params: ParamDict) -> None:
                 f"layer {i} expects weights {layer.weights.shape} and biases {layer.biases.shape}, "
                 f"got {w.shape} and {b.shape}"
             )
-        layer.weights = w.copy()
-        layer.biases = b.copy()
+        layer.weights[...] = w
+        layer.biases[...] = b
 
 
 @dataclass
 class GradientBundle:
-    """Per-parameter gradients keyed like the ParamDict they differentiate."""
+    """One stack's gradients: a flat vector in the parameter layout, and keyed
+    views into it listed in the order :func:`backward` computed them."""
 
+    vector: np.ndarray
     grads: ParamDict
-    sample_count: int = 1
 
     def norm(self) -> float:
         """Euclidean norm over all entries, treated as one flat vector."""
@@ -176,8 +254,9 @@ def forward(layers: Sequence[DenseLayer], x: np.ndarray) -> tuple[np.ndarray, Fo
 def backward(cache: ForwardCache, upstream_grad: np.ndarray) -> tuple[GradientBundle, np.ndarray]:
     """Backpropagate ``dL/dy`` through the cached pass.
 
-    Returns gradients for every weight and bias plus the gradient with respect
-    to the stack input, which lets callers chain several stacks together.
+    Returns gradients for every weight and bias, written straight into one
+    flat vector, plus the gradient with respect to the stack input, which lets
+    callers chain several stacks together.
     """
     da = np.asarray(upstream_grad, dtype=np.float64)
     if cache.squeeze and da.ndim == 1:
@@ -189,16 +268,22 @@ def backward(cache: ForwardCache, upstream_grad: np.ndarray) -> tuple[GradientBu
             f"upstream gradient shape {da.shape} does not match cached pass "
             f"({batch} samples, {last.out_size} outputs); stale cache?"
         )
+    layout = _layout(stack_sizes(cache.layers))
+    vector = np.empty(layout[-1][2])
+    views = {key: vector[start:stop].reshape(shape) for key, start, stop, shape in layout}
     grads: ParamDict = {}
     for i in range(len(cache.layers) - 1, -1, -1):
         layer = cache.layers[i]
         z = cache.preacts[i]
         dz = da * (z > 0.0) if layer.activation == RELU else da
-        grads[f"layer{i}.weights"] = dz.T @ cache.inputs[i]
-        grads[f"layer{i}.biases"] = dz.sum(axis=0)
+        gw, gb = views[f"layer{i}.weights"], views[f"layer{i}.biases"]
+        np.matmul(dz.T, cache.inputs[i], out=gw)
+        dz.sum(axis=0, out=gb)
+        grads[f"layer{i}.weights"] = gw
+        grads[f"layer{i}.biases"] = gb
         da = dz @ layer.weights
     dx = da[0] if cache.squeeze else da
-    return GradientBundle(grads=grads, sample_count=batch), dx
+    return GradientBundle(vector=vector, grads=grads), dx
 
 
 def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
@@ -213,62 +298,77 @@ def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     return loss, grad
 
 
-def _grad_dict(grads: GradientBundle | ParamDict) -> ParamDict:
-    return grads.grads if isinstance(grads, GradientBundle) else grads
-
-
-def _check_shapes(params: ParamDict, grads: ParamDict) -> None:
-    if set(params) != set(grads):
-        raise ConfigError(f"gradient keys {sorted(grads)} do not match parameter keys {sorted(params)}")
-    for k in params:
-        if params[k].shape != grads[k].shape:
-            raise ConfigError(f"shape mismatch at {k}: {params[k].shape} vs {grads[k].shape}")
-
-
-def sgd_step(params: ParamDict, grads: GradientBundle | ParamDict, mu: float) -> ParamDict:
-    """Plain gradient step ``p' = p - mu * g``."""
+def _check_step(params: np.ndarray, grads: np.ndarray, mu: float) -> None:
     if mu <= 0:
         raise ConfigError(f"learning rate must be > 0, got {mu}")
-    g = _grad_dict(grads)
-    _check_shapes(params, g)
-    return {k: params[k] - mu * g[k] for k in params}
+    if params.shape != grads.shape:
+        raise ConfigError(f"gradient shape {grads.shape} does not match parameter shape {params.shape}")
+
+
+def sgd_step(params: np.ndarray, grads: np.ndarray, mu: float) -> None:
+    """Plain gradient step ``p <- p - mu * g``, in place on the flat vector."""
+    _check_step(params, grads, mu)
+    params -= mu * grads
 
 
 @dataclass
 class AdamState:
-    """First/second moment estimates plus the bias-correction step counter."""
+    """First/second moment estimates (flat, like the parameters) plus the
+    bias-correction step counter."""
 
-    first_moment: ParamDict
-    second_moment: ParamDict
+    first_moment: np.ndarray
+    second_moment: np.ndarray
     step_count: int = 0
     beta1: float = ADAM_BETA1
     beta2: float = ADAM_BETA2
     eps: float = ADAM_EPS
 
-
-def init_adam_state(params: ParamDict) -> AdamState:
-    zeros = {k: np.zeros_like(v) for k, v in params.items()}
-    return AdamState(
-        first_moment=zeros,
-        second_moment={k: np.zeros_like(v) for k, v in params.items()},
-    )
+    def reset(self) -> None:
+        """Back to the initial state, reusing the moment vectors."""
+        self.first_moment.fill(0.0)
+        self.second_moment.fill(0.0)
+        self.step_count = 0
 
 
-def adam_step(
-    params: ParamDict,
-    grads: GradientBundle | ParamDict,
-    state: AdamState,
-    mu: float,
-) -> tuple[ParamDict, AdamState]:
-    """Bias-corrected Adam update; returns new parameters and advanced state."""
-    if mu <= 0:
-        raise ConfigError(f"learning rate must be > 0, got {mu}")
-    g = _grad_dict(grads)
-    _check_shapes(params, g)
-    t = state.step_count + 1
-    m = {k: state.beta1 * state.first_moment[k] + (1 - state.beta1) * g[k] for k in params}
-    v = {k: state.beta2 * state.second_moment[k] + (1 - state.beta2) * g[k] * g[k] for k in params}
-    bc1 = 1 - state.beta1**t
-    bc2 = 1 - state.beta2**t
-    new = {k: params[k] - mu * (m[k] / bc1) / (np.sqrt(v[k] / bc2) + state.eps) for k in params}
-    return new, AdamState(m, v, t, state.beta1, state.beta2, state.eps)
+def init_adam_state(size: int) -> AdamState:
+    return AdamState(first_moment=np.zeros(size), second_moment=np.zeros(size))
+
+
+# The fused Adam update runs block by block, so that a block's parameters,
+# gradient, moments and the two work vectors (6 x 256 KB) stay in a core's L2
+# cache through all 14 passes, and no step allocates a temporary. The work
+# vectors are shared by every model in the process; no model keeps scratch.
+_ADAM_BLOCK = 32768
+_work = np.empty((2, _ADAM_BLOCK))
+
+
+def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, mu: float) -> None:
+    """Bias-corrected Adam update, in place on the flat parameters and moments.
+
+    Each ufunc repeats one operation of ``m = b1 m + (1 - b1) g``,
+    ``v = b2 v + ((1 - b2) g) g`` and ``p = p - mu (m / bc1) / (sqrt(v / bc2) + eps)``
+    in that order, so the result is bitwise that of the textbook expressions.
+    """
+    _check_step(params, grads, mu)
+    state.step_count += 1
+    t = state.step_count
+    b1, b2 = state.beta1, state.beta2
+    bc1, bc2 = 1 - b1**t, 1 - b2**t
+    for start in range(0, params.size, _ADAM_BLOCK):
+        block = slice(start, start + _ADAM_BLOCK)
+        g, m, v = grads[block], state.first_moment[block], state.second_moment[block]
+        a, b = _work[0, : g.size], _work[1, : g.size]
+        np.multiply(g, 1 - b1, out=a)
+        m *= b1
+        m += a
+        np.multiply(g, 1 - b2, out=a)
+        a *= g
+        v *= b2
+        v += a
+        np.divide(m, bc1, out=a)
+        a *= mu
+        np.divide(v, bc2, out=b)
+        np.sqrt(b, out=b)
+        b += state.eps
+        a /= b
+        params[block] -= a

@@ -63,7 +63,29 @@ def randomize_biases(model, rng: np.random.Generator, scale: float = 0.1) -> Non
     """
     for layers in model.parts.values():
         for layer in layers:
-            layer.biases = layer.biases + rng.normal(scale=scale, size=layer.biases.shape)
+            layer.biases += rng.normal(scale=scale, size=layer.biases.shape)
+
+
+def reference_sgd_step(params: dict, grads: dict, mu: float) -> dict:
+    """Plain SGD on parameter dictionaries, one new array per key: ``p - mu * g``."""
+    return {k: params[k] - mu * grads[k] for k in params}
+
+
+def reference_adam_state(params: dict) -> dict:
+    zeros = {k: np.zeros_like(v) for k, v in params.items()}
+    return {"m": zeros, "v": {k: np.zeros_like(v) for k, v in params.items()}, "t": 0}
+
+
+def reference_adam_step(params: dict, grads: dict, state: dict, mu: float) -> tuple[dict, dict]:
+    """Bias-corrected Adam on parameter dictionaries, written out per key in
+    the textbook expression order; returns new parameters and new state."""
+    t = state["t"] + 1
+    m = {k: 0.9 * state["m"][k] + (1 - 0.9) * grads[k] for k in params}
+    v = {k: 0.999 * state["v"][k] + (1 - 0.999) * grads[k] * grads[k] for k in params}
+    bc1 = 1 - 0.9**t
+    bc2 = 1 - 0.999**t
+    new = {k: params[k] - mu * (m[k] / bc1) / (np.sqrt(v[k] / bc2) + 1e-8) for k in params}
+    return new, {"m": m, "v": v, "t": t}
 
 
 def tiny_model_config(**overrides) -> ModelConfig:

@@ -2,10 +2,12 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fedmetaloc import cli, experiments
 from fedmetaloc.errors import ConfigError
+from fedmetaloc.model import ModelConfig, load_checkpoint, save_checkpoint
 
 
 def small_config(tmp_path: Path, **overrides) -> Path:
@@ -243,6 +245,22 @@ class TestMetaTestCommand:
             "mean_steps": {"MI": 4.5, "RI": 2.5},
         }
 
+    def test_report_counts_unreached_runs_as_budget_plus_one(self, tmp_path):
+        from fedmetaloc.federation import AdaptationTrace, TraceStep
+
+        config, _ = self.run_pipeline(tmp_path)
+        # budget 6; MI first reaches 8.0 m at step 2 for both seeds, RI at
+        # step 4 (seed 0) and never (seed 1), which counts as 7
+        first_hit = {(0, "MI"): 2, (1, "MI"): 2, (0, "RI"): 4, (1, "RI"): None}
+        for (seed, mode), hit in first_hit.items():
+            trace = AdaptationTrace(task_id="T02", init_mode=mode, seed=seed)
+            trace.steps = [
+                TraceStep(s, 1.0, 5.0 if hit is not None and s >= hit else 9.0) for s in range(1, 7)
+            ]
+            experiments.write_trace(experiments.run_dir(config, "T02", mode, seed), trace, [0.0])
+        report = experiments.cmd_report(config)
+        assert report["tasks"]["T02"]["improvement"]["steps"]["8.0"] == 100.0 * (5.5 - 2.0) / 5.5
+
     def test_report_command_rebuilds_identically(self, tmp_path):
         config, report = self.run_pipeline(tmp_path)
         rebuilt = experiments.cmd_report(config)
@@ -301,3 +319,84 @@ class TestCliEntryPoint:
     def test_overlap_is_a_config_error(self, tmp_path, capsys):
         path = small_config(tmp_path, train_tasks=["T00", "T02"], test_tasks=["T02"])
         assert cli.run(["preprocess", "--config", str(path)]) == 2
+
+
+class TestMalformedCheckpoint:
+    def trained(self, tmp_path) -> tuple[Path, Path]:
+        path = small_config(tmp_path)
+        assert cli.run(["preprocess", "--config", str(path)]) == 0
+        assert cli.run(["meta-train", "--config", str(path)]) == 0
+        return path, experiments.load_experiment_config(path).checkpoint_path
+
+    def meta_test_exit(self, path: Path, checkpoint: Path) -> int:
+        return cli.run(["meta-test", "--config", str(path), "--checkpoint", str(checkpoint)])
+
+    @pytest.mark.parametrize("missing", ["__config__", "__extra__"])
+    def test_missing_header_is_a_data_error(self, tmp_path, capsys, missing):
+        path, checkpoint = self.trained(tmp_path)
+        with np.load(checkpoint) as archive:
+            kept = {k: archive[k] for k in archive.files if k != missing}
+        bad = tmp_path / "bad.npz"
+        np.savez(bad, **kept)
+        assert self.meta_test_exit(path, bad) == 3
+        assert missing in capsys.readouterr().err
+
+    def test_extra_header_that_is_not_an_object_is_a_data_error(self, tmp_path, capsys):
+        path, checkpoint = self.trained(tmp_path)
+        with np.load(checkpoint) as archive:
+            kept = {k: archive[k] for k in archive.files}
+        kept["__extra__"] = np.str_("[]")
+        bad = tmp_path / "bad.npz"
+        np.savez(bad, **kept)
+        assert self.meta_test_exit(path, bad) == 3
+        assert "__extra__ holds list" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", ["truncated", "not_a_zip"])
+    def test_truncated_or_foreign_file_is_a_data_error(self, tmp_path, capsys, content):
+        path, checkpoint = self.trained(tmp_path)
+        data = checkpoint.read_bytes()
+        bad = tmp_path / "bad.npz"
+        bad.write_bytes(data[: len(data) // 2] if content == "truncated" else b"round,loss\n1,0.5\n")
+        assert self.meta_test_exit(path, bad) == 3
+        assert "malformed checkpoint" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fault", ["shape", "key"])
+    def test_part_that_does_not_fit_its_config_is_a_data_error(self, tmp_path, capsys, fault):
+        path, checkpoint = self.trained(tmp_path)
+        config, parts, extra = load_checkpoint(checkpoint)
+        meta = dict(parts["meta"])
+        if fault == "shape":
+            meta["layer0.weights"] = meta["layer0.weights"][:, :-1]
+        else:
+            del meta["layer1.biases"]
+        bad = tmp_path / "bad.npz"
+        save_checkpoint(bad, {"meta": meta}, config, extra)
+        assert self.meta_test_exit(path, bad) == 3
+        assert "does not match its config" in capsys.readouterr().err
+
+
+HUGE_RATES = {"mu_encoder": 1e300, "mu_meta": 1e300, "mu_mapper": 1e300}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestDivergence:
+    def test_meta_train_overflow_exits_4_and_writes_no_round_log(self, tmp_path, capsys):
+        model = {**json.loads(small_config(tmp_path).read_text())["model"], **HUGE_RATES}
+        path = small_config(tmp_path, model=model)
+        assert cli.run(["preprocess", "--config", str(path)]) == 0
+        assert cli.run(["meta-train", "--config", str(path)]) == 4
+        err = capsys.readouterr().err
+        assert "DivergenceError: round 1, client T00: local step 2 loss is" in err
+        assert not (experiments.load_experiment_config(path).train_dir / "round_log.csv").exists()
+
+    def test_meta_test_overflow_exits_4_and_writes_no_trace(self, tmp_path, capsys):
+        path = small_config(tmp_path)
+        assert cli.run(["preprocess", "--config", str(path)]) == 0
+        assert cli.run(["meta-train", "--config", str(path)]) == 0
+        config = experiments.load_experiment_config(path)
+        trained, parts, extra = load_checkpoint(config.checkpoint_path)
+        diverging = ModelConfig.from_dict({**trained.to_dict(), **HUGE_RATES})
+        save_checkpoint(config.checkpoint_path, parts, diverging, extra)
+        assert cli.run(["meta-test", "--config", str(path)]) == 4
+        assert "DivergenceError: task T02, MI seed 0: step 2 loss is" in capsys.readouterr().err
+        assert not list(config.test_dir.rglob("trace.csv"))

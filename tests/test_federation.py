@@ -15,7 +15,13 @@ from fedmetaloc.federation import (
 )
 from fedmetaloc.model import PART_NAMES, ClientModel
 
-from helpers import synth_task, tiny_model_config
+from helpers import (
+    reference_adam_state,
+    reference_adam_step,
+    reference_sgd_step,
+    synth_task,
+    tiny_model_config,
+)
 
 
 def small_cohort(n_tasks: int, samples: int = 50, **cfg_overrides):
@@ -25,11 +31,11 @@ def small_cohort(n_tasks: int, samples: int = 50, **cfg_overrides):
 
 
 def snapshot(model: ClientModel) -> dict:
-    return {part: model.part_params(part) for part in PART_NAMES}
+    return {part: model.vectors[part].copy() for part in PART_NAMES}
 
 
-def params_equal(a: dict, b: dict) -> bool:
-    return set(a) == set(b) and all(np.array_equal(a[k], b[k]) for k in a)
+def params_equal(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and np.array_equal(a, b)
 
 
 class TestServerInit:
@@ -59,7 +65,7 @@ class TestServerInit:
         tasks, cfg = small_cohort(3)
         meta, clients = server_init(tasks, cfg, eta=0.01, seed=1)
         for client in clients:
-            assert params_equal(client.model.part_params("meta"), meta.params)
+            assert params_equal(client.model.vectors["meta"], meta.params)
 
     def test_empty_cohort_rejected(self):
         with pytest.raises(ConfigError):
@@ -88,7 +94,7 @@ class TestClientLocalTrain:
         _, grads = client.model.composite_loss(
             task.query.rssi, task.normalize_coords(task.query.coords)
         )
-        assert params_equal(update.grad_theta.grads, grads["meta"].grads)
+        assert params_equal(update.grad_theta.vector, grads["meta"].vector)
 
     def test_single_sgd_step_matches_hand_computed_update(self):
         tasks, cfg = small_cohort(1, samples=20, optimizer="sgd")
@@ -105,13 +111,16 @@ class TestClientLocalTrain:
         xs, ys = task.support.rssi, task.normalize_coords(task.support.coords)
         _, grads = oracle.composite_loss(xs, ys)
         expected = {
-            part: nn.sgd_step(oracle.part_params(part), grads[part], cfg.rates()[part])
+            part: reference_sgd_step(
+                nn.export_params(oracle.parts[part]), grads[part].grads, cfg.rates()[part]
+            )
             for part in PART_NAMES
         }
 
         client_local_train(client, meta.broadcast(), local_steps=1)
         for part in PART_NAMES:
-            assert params_equal(client.model.part_params(part), expected[part]), part
+            sizes = nn.stack_sizes(client.model.parts[part])
+            assert params_equal(client.model.vectors[part], nn.flatten(expected[part], sizes)), part
 
     def test_five_steps_nonincreasing_support_loss_on_easy_tasks(self):
         cfg = tiny_model_config(d=4, lambda_recon=0.0)
@@ -135,7 +144,7 @@ class TestServerAggregate:
             client_local_train(c, meta.broadcast(), local_steps=0) for c in clients
         ]
         for u in updates:
-            u.grad_theta.grads = {k: np.zeros_like(v) for k, v in u.grad_theta.grads.items()}
+            u.grad_theta.vector[:] = 0.0
         new = server_aggregate(meta, updates, {c.client_id: c.rho for c in clients})
         assert params_equal(new.params, meta.params)
         assert new.round == meta.round + 1
@@ -146,24 +155,26 @@ class TestServerAggregate:
         assert clients[0].task.query.n_samples == clients[1].task.query.n_samples
         updates = [client_local_train(c, meta.broadcast(), local_steps=0) for c in clients]
         new = server_aggregate(meta, updates, {c.client_id: 0.5 for c in clients})
-        g1, g2 = (u.grad_theta.grads for u in updates)
-        for key in meta.params:
-            expected = meta.params[key] - 0.5 * (0.5 * g1[key] + 0.5 * g2[key]) * 1.0
-            np.testing.assert_allclose(new.params[key], expected, rtol=1e-12)
+        g1, g2 = (u.grad_theta.vector for u in updates)
+        expected = meta.params - 0.5 * (0.5 * g1 + 0.5 * g2) * 1.0
+        np.testing.assert_allclose(new.params, expected, rtol=1e-12)
 
     def test_single_client_round_is_a_plain_gradient_step(self):
         tasks, cfg = small_cohort(1)
         meta, clients = server_init(tasks, cfg, eta=0.05, seed=7)
         update = client_local_train(clients[0], meta.broadcast(), local_steps=0)
         new = server_aggregate(meta, [update], {clients[0].client_id: 1.0})
-        plain = nn.sgd_step(meta.params, update.grad_theta, 0.05)
-        assert params_equal(new.params, plain)
+        sizes = cfg.part_sizes("meta")
+        plain = reference_sgd_step(nn.unflatten(meta.params, sizes), update.grad_theta.grads, 0.05)
+        assert params_equal(new.params, nn.flatten(plain, sizes))
 
     def test_shape_mismatch_rejected(self):
         tasks, cfg = small_cohort(1)
         meta, clients = server_init(tasks, cfg, eta=0.05, seed=8)
         update = client_local_train(clients[0], meta.broadcast(), local_steps=0)
-        update.grad_theta.grads = {"layer0.weights": np.zeros((1, 1))}
+        update.grad_theta = nn.GradientBundle(
+            vector=np.zeros(1), grads={"layer0.weights": np.zeros((1, 1))}
+        )
         with pytest.raises(ConfigError):
             server_aggregate(meta, [update], {clients[0].client_id: 1.0})
 
@@ -174,9 +185,8 @@ class TestServerAggregate:
         new = server_aggregate(
             meta, updates, {c.client_id: 0.5 for c in clients}, aggregation="average"
         )
-        for key in meta.params:
-            expected = 0.5 * updates[0].theta_local[key] + 0.5 * updates[1].theta_local[key]
-            np.testing.assert_allclose(new.params[key], expected, rtol=0, atol=0)
+        expected = 0.5 * updates[0].theta_local + 0.5 * updates[1].theta_local
+        np.testing.assert_allclose(new.params, expected, rtol=0, atol=0)
         assert new.round == meta.round + 1
 
     def test_single_client_average_is_its_local_theta(self):
@@ -184,7 +194,7 @@ class TestServerAggregate:
         meta, clients = server_init(tasks, cfg, eta=0.05, seed=10)
         update = client_local_train(clients[0], meta.broadcast(), local_steps=3)
         new = server_aggregate(meta, [update], {clients[0].client_id: 1.0}, aggregation="average")
-        assert all(np.array_equal(new.params[k], update.theta_local[k]) for k in new.params)
+        assert np.array_equal(new.params, update.theta_local)
 
 
 class TestMetaTrain:
@@ -235,13 +245,14 @@ class TestMetaTrain:
         tasks, cfg = small_cohort(1)
         meta, clients = server_init(tasks, cfg, eta=0.01, seed=12)
         stolen = meta.broadcast()
-        for arr in stolen.values():
-            arr[:] = 1e9
-        assert not any(np.any(v == 1e9) for v in meta.params.values())
+        with pytest.raises(ValueError):
+            stolen[:] = 1e9
+        assert not np.any(meta.params == 1e9)
         client_local_train(clients[0], meta.broadcast(), local_steps=1)
         # local training must never write through to the server's parameters
-        assert not params_equal(clients[0].model.part_params("meta"), meta.params)
-        assert np.isfinite(next(iter(meta.params.values()))).all()
+        assert not np.shares_memory(clients[0].model.vectors["meta"], meta.params)
+        assert not params_equal(clients[0].model.vectors["meta"], meta.params)
+        assert np.isfinite(meta.params).all()
 
     def test_reduces_to_centralized_training_for_single_client(self):
         # one client, one local SGD step, no reconstruction: the protocol is a
@@ -262,6 +273,7 @@ class TestMetaTrain:
         meta_ref, clients_ref = server_init([task], cfg, eta=eta, seed=13, local_steps=1, batch_size=64)
         model = clients_ref[0].model
         theta = meta_ref.broadcast()
+        sizes = cfg.part_sizes("meta")
         xs, ys = task.support.rssi, task.normalize_coords(task.support.coords)
         xq, yq = task.query.rssi, task.normalize_coords(task.query.coords)
         ref_losses = []
@@ -270,33 +282,82 @@ class TestMetaTrain:
             model.train_step(xs, ys)
             loss, grads = model.composite_loss(xq, yq)
             ref_losses.append(loss)
-            theta = nn.sgd_step(theta, grads["meta"], eta)
+            stepped = reference_sgd_step(nn.unflatten(theta, sizes), grads["meta"].grads, eta)
+            theta = nn.flatten(stepped, sizes)
 
         fed_losses = [r.mean_query_loss for r in reports]
         np.testing.assert_allclose(fed_losses, ref_losses, rtol=0, atol=1e-10)
-        for key in theta:
-            np.testing.assert_allclose(final.params[key], theta[key], rtol=0, atol=1e-10)
+        np.testing.assert_allclose(final.params, theta, rtol=0, atol=1e-10)
+
+
+class TestMetaTrainReferenceLoop:
+    @pytest.mark.parametrize("aggregation", ["gradient", "average"])
+    def test_bitwise_equal_to_dict_reference_loop(self, aggregation):
+        # the protocol written out with parameter dictionaries and the
+        # reference Adam: adopt theta, restart its moments, local steps,
+        # query gradient, then a weighted sum in client-id order
+        tasks, cfg = small_cohort(3, samples=40)
+        eta, rounds, local_steps = 0.05, 3, 2
+        meta, clients = server_init(tasks, cfg, eta=eta, seed=15, local_steps=local_steps, batch_size=16)
+        final, reports = meta_train(meta, clients, rounds=rounds, aggregation=aggregation)
+
+        meta_ref, clients_ref = server_init(
+            tasks, cfg, eta=eta, seed=15, local_steps=local_steps, batch_size=16
+        )
+        sizes = cfg.part_sizes("meta")
+        rates = cfg.rates()
+        theta = nn.unflatten(meta_ref.params.copy(), sizes)
+        params = {c.client_id: {p: nn.export_params(c.model.parts[p]) for p in PART_NAMES} for c in clients_ref}
+        states = {cid: {p: reference_adam_state(v) for p, v in ps.items()} for cid, ps in params.items()}
+        for r in range(rounds):
+            acc = {k: np.zeros_like(v) for k, v in theta.items()}
+            losses = {}
+            for client in clients_ref:
+                cid, task, model = client.client_id, client.task, client.model
+                params[cid]["meta"] = {k: v.copy() for k, v in theta.items()}
+                states[cid]["meta"] = reference_adam_state(theta)
+                xs, ys = task.support.rssi, task.normalize_coords(task.support.coords)
+                for _ in range(local_steps):
+                    batch = client.next_batch()
+                    for part in PART_NAMES:
+                        nn.assign_params(model.parts[part], params[cid][part])
+                    _, grads = model.composite_loss(xs[batch], ys[batch])
+                    for part in PART_NAMES:
+                        params[cid][part], states[cid][part] = reference_adam_step(
+                            params[cid][part], grads[part].grads, states[cid][part], rates[part]
+                        )
+                for part in PART_NAMES:
+                    nn.assign_params(model.parts[part], params[cid][part])
+                losses[cid], grads = model.composite_loss(
+                    task.query.rssi, task.normalize_coords(task.query.coords)
+                )
+                sent = grads["meta"].grads if aggregation == "gradient" else params[cid]["meta"]
+                for k in acc:
+                    acc[k] += client.rho * sent[k]
+            theta = {k: theta[k] - eta * acc[k] for k in theta} if aggregation == "gradient" else acc
+            assert reports[r].client_losses == losses
+        assert np.array_equal(final.params, nn.flatten(theta, sizes))
 
 
 class TestMetaTest:
     def test_zero_steps_returns_initial_composition(self):
         task = synth_task(num_aps=5, samples=30, seed=30)
         cfg = tiny_model_config(d=4)
-        theta = nn.export_params(nn.build_stack(cfg.part_sizes("meta"), seed=55))
+        theta = nn.bind(nn.build_stack(cfg.part_sizes("meta"), seed=55))
         model, trace, errors = meta_test(task, cfg, theta, steps=0, seed=3)
         assert trace.steps == []
-        assert params_equal(model.part_params("meta"), theta)
+        assert params_equal(model.vectors["meta"], theta)
         assert errors.shape == (task.query.n_samples,)
 
     def test_ri_and_mi_share_alpha_beta_init_for_the_same_seed(self):
         task = synth_task(num_aps=5, samples=30, seed=31)
         cfg = tiny_model_config(d=4)
-        theta = nn.export_params(nn.build_stack(cfg.part_sizes("meta"), seed=56))
+        theta = nn.bind(nn.build_stack(cfg.part_sizes("meta"), seed=56))
         model_ri, _, _ = meta_test(task, cfg, None, steps=0, seed=9)
         model_mi, _, _ = meta_test(task, cfg, theta, steps=0, seed=9)
-        assert params_equal(model_ri.part_params("encoder"), model_mi.part_params("encoder"))
-        assert params_equal(model_ri.part_params("mapper"), model_mi.part_params("mapper"))
-        assert not params_equal(model_ri.part_params("meta"), model_mi.part_params("meta"))
+        assert params_equal(model_ri.vectors["encoder"], model_mi.vectors["encoder"])
+        assert params_equal(model_ri.vectors["mapper"], model_mi.vectors["mapper"])
+        assert not params_equal(model_ri.vectors["meta"], model_mi.vectors["meta"])
 
     def test_trace_is_contiguous_and_deterministic(self):
         task = synth_task(num_aps=5, samples=40, seed=32)

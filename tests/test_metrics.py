@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedmetaloc import nn
 from fedmetaloc.errors import ConfigError, DataError
 from fedmetaloc.metrics import (
     accuracy_speed_from_steps,
@@ -243,7 +244,7 @@ class TestEpsilonAccuracySteps:
     def test_huge_epsilon_reaches_in_one_step(self):
         task, cfg, overrides, theta0 = linear_probe_setup(seed=0)
         steps, trace = epsilon_accuracy_steps(
-            task, cfg, theta0, epsilon=1e12, max_steps=10, mu=0.1,
+            task, cfg, nn.flatten(theta0, cfg.part_sizes("meta")), epsilon=1e12, max_steps=10, mu=0.1,
             adapt_parts=("meta",), part_overrides=overrides,
         )
         assert steps == 1 and len(trace) == 1
@@ -251,7 +252,7 @@ class TestEpsilonAccuracySteps:
     def test_unreachable_epsilon_returns_none(self):
         task, cfg, overrides, theta0 = linear_probe_setup(seed=1)
         steps, trace = epsilon_accuracy_steps(
-            task, cfg, theta0, epsilon=1e-300, max_steps=15, mu=0.1,
+            task, cfg, nn.flatten(theta0, cfg.part_sizes("meta")), epsilon=1e-300, max_steps=15, mu=0.1,
             adapt_parts=("meta",), part_overrides=overrides,
         )
         assert steps is None and len(trace) == 15
@@ -277,7 +278,7 @@ class TestEpsilonAccuracySteps:
             eps = float(np.sqrt(oracle_sq[k - 1] * oracle_sq[k]))
             oracle_steps = next(t + 1 for t, sq in enumerate(oracle_sq) if sq < eps)
             steps, _ = epsilon_accuracy_steps(
-                task, cfg, theta0, epsilon=eps, max_steps=80, mu=mu,
+                task, cfg, nn.flatten(theta0, cfg.part_sizes("meta")), epsilon=eps, max_steps=80, mu=mu,
                 adapt_parts=("meta",), part_overrides=overrides,
             )
             assert steps is not None and abs(steps - oracle_steps) <= 1
@@ -286,7 +287,7 @@ class TestEpsilonAccuracySteps:
         task, cfg, overrides, theta0 = linear_probe_setup(m=4, out=2, seed=3)
         mu = 0.15
         _, trace = epsilon_accuracy_steps(
-            task, cfg, theta0, epsilon=1e-300, max_steps=12, mu=mu,
+            task, cfg, nn.flatten(theta0, cfg.part_sizes("meta")), epsilon=1e-300, max_steps=12, mu=mu,
             adapt_parts=("meta",), part_overrides=overrides,
         )
         h_s, c_s = augmented_least_squares(

@@ -5,11 +5,16 @@ from fedmetaloc import nn
 from fedmetaloc.errors import ConfigError, DataError
 from fedmetaloc.model import PART_NAMES, ClientModel, ModelConfig, load_checkpoint, save_checkpoint
 
-from helpers import central_difference, naive_stack_forward, randomize_biases, rel_err, tiny_model_config
-
-
-def zero_params(layers):
-    return {k: np.zeros_like(v) for k, v in nn.export_params(layers).items()}
+from helpers import (
+    central_difference,
+    naive_stack_forward,
+    randomize_biases,
+    reference_adam_state,
+    reference_adam_step,
+    reference_sgd_step,
+    rel_err,
+    tiny_model_config,
+)
 
 
 def identity_params(size: int) -> dict:
@@ -67,14 +72,13 @@ class TestShapes:
 class TestEncodeDecode:
     def test_zero_encoder_maps_everything_to_zero(self):
         model = ClientModel.build(tiny_model_config(), m=5, seed=0)
-        for part in ("encoder",):
-            model.set_part_params(part, zero_params(model.parts[part]))
+        model.set_part_params("encoder", np.zeros_like(model.vectors["encoder"]))
         assert np.all(model.encode(np.random.default_rng(1).uniform(size=5)) == 0)
 
     def test_identity_single_layer_encoder_is_identity(self):
         cfg = tiny_model_config(d=4, encoder_hidden=(), decoder_hidden=())
         model = ClientModel.build(cfg, m=4, seed=0)
-        model.set_part_params("encoder", identity_params(4))
+        nn.assign_params(model.parts["encoder"], identity_params(4))
         x = np.random.default_rng(2).uniform(size=4)
         assert np.array_equal(model.encode(x), x)
 
@@ -90,7 +94,7 @@ class TestEncodeDecode:
         for key in zero_bias:
             if key.endswith("biases"):
                 zero_bias[key] = np.zeros_like(zero_bias[key])
-        model.set_part_params("decoder", zero_bias)
+        nn.assign_params(model.parts["decoder"], zero_bias)
         out = model.decode(np.zeros(4))
         # relu(0)=0 through the hidden layer, then a zero-bias linear output
         assert np.all(out == 0)
@@ -101,16 +105,15 @@ class TestEncodeDecode:
         cfg = tiny_model_config()
         model = ClientModel.build(cfg, m=5, seed=5)
         stack = [*model.parts["encoder"], *model.parts["decoder"]]
-        params = nn.export_params(stack)
-        state = nn.init_adam_state(params)
+        vector = nn.bind(stack)
+        state = nn.init_adam_state(vector.size)
         losses = []
         for _ in range(200):
-            nn.assign_params(stack, params)
             recon, cache = nn.forward(stack, x)
             loss, grad = nn.mse_loss(recon, x)
             losses.append(loss)
             bundle, _ = nn.backward(cache, grad)
-            params, state = nn.adam_step(params, bundle, state, 0.005)
+            nn.adam_step(vector, bundle.vector, state, 0.005)
         blocks = np.array(losses).reshape(4, 50).mean(axis=1)
         assert (np.diff(blocks) < 0).all()
         assert losses[-1] < 0.5 * losses[0]
@@ -120,7 +123,7 @@ class TestFullForward:
     def test_all_zero_parameters_give_zero_output(self):
         model = ClientModel.build(tiny_model_config(), m=5, seed=0)
         for part in PART_NAMES:
-            model.set_part_params(part, zero_params(model.parts[part]))
+            model.set_part_params(part, np.zeros_like(model.vectors[part]))
         assert np.all(model.full_forward(np.random.default_rng(0).uniform(size=5)) == 0)
 
     def test_composition_equals_staged_calls_bitwise(self):
@@ -145,8 +148,8 @@ class TestCompositeLoss:
     def test_perfect_prediction_and_reconstruction_give_zero(self):
         cfg = tiny_model_config(d=4, encoder_hidden=(), decoder_hidden=(), lambda_recon=0.5)
         model = ClientModel.build(cfg, m=4, seed=0)
-        model.set_part_params("encoder", identity_params(4))
-        model.set_part_params("decoder", identity_params(4))
+        nn.assign_params(model.parts["encoder"], identity_params(4))
+        nn.assign_params(model.parts["decoder"], identity_params(4))
         x = np.random.default_rng(1).uniform(size=(6, 4))
         y = np.vstack([model.full_forward(row) for row in x])
         loss, _ = model.composite_loss(x, y)
@@ -195,19 +198,80 @@ class TestCompositeLoss:
 class TestThetaSwap:
     def test_replace_and_restore_is_bit_identical(self):
         model = ClientModel.build(tiny_model_config(), m=5, seed=4)
-        original = model.part_params("meta")
-        other = nn.export_params(nn.build_stack([4, 6, 3], seed=99))
+        original = model.vectors["meta"].copy()
+        other = nn.bind(nn.build_stack([4, 6, 3], seed=99))
         model.set_part_params("meta", other)
-        assert not np.array_equal(model.part_params("meta")["layer0.weights"], original["layer0.weights"])
+        assert not np.array_equal(model.vectors["meta"], original)
         model.set_part_params("meta", original)
-        restored = model.part_params("meta")
-        assert all(np.array_equal(restored[k], original[k]) for k in original)
+        assert np.array_equal(model.vectors["meta"], original)
 
     def test_broadcast_copy_semantics(self):
         model = ClientModel.build(tiny_model_config(), m=5, seed=4)
-        shared = model.part_params("meta")
+        shared = nn.export_params(model.parts["meta"])
         shared["layer0.weights"][:] = 123.0
-        assert not np.any(model.part_params("meta")["layer0.weights"] == 123.0)
+        assert not np.any(model.parts["meta"][0].weights == 123.0)
+        incoming = np.full_like(model.vectors["meta"], 5.0)
+        model.set_part_params("meta", incoming)
+        incoming[:] = 123.0
+        assert not np.any(model.vectors["meta"] == 123.0)
+
+    def test_wrong_length_rejected(self):
+        model = ClientModel.build(tiny_model_config(), m=5, seed=4)
+        with pytest.raises(ConfigError):
+            model.set_part_params("meta", np.zeros(model.vectors["meta"].size + 1))
+
+
+def assert_layers_view_vectors(model: ClientModel) -> None:
+    for part, layers in model.parts.items():
+        for layer in layers:
+            assert np.shares_memory(layer.weights, model.vectors[part]), part
+            assert np.shares_memory(layer.biases, model.vectors[part]), part
+
+
+class TestFlatParameters:
+    def test_layers_are_views_after_build_step_set_and_load(self, tmp_path):
+        cfg = tiny_model_config()
+        model = ClientModel.build(cfg, m=5, seed=6)
+        assert_layers_view_vectors(model)
+        rng = np.random.default_rng(6)
+        x, y = rng.uniform(size=(8, 5)), rng.normal(size=(8, 2))
+        model.train_step(x, y)
+        assert_layers_view_vectors(model)
+        model.set_part_params("meta", np.ones_like(model.vectors["meta"]))
+        assert_layers_view_vectors(model)
+        assert all((layer.weights == 1.0).all() for layer in model.parts["meta"])
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(path, {"meta": nn.unflatten(model.vectors["meta"], cfg.part_sizes("meta"))}, cfg)
+        _, parts, _ = load_checkpoint(path)
+        model.set_part_params("meta", nn.flatten(parts["meta"], cfg.part_sizes("meta")))
+        assert_layers_view_vectors(model)
+
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    @pytest.mark.parametrize("parts", [PART_NAMES, ("encoder", "mapper")])
+    def test_train_step_matches_reference_dict_optimizer_bitwise(self, optimizer, parts):
+        cfg = tiny_model_config(optimizer=optimizer)
+        model = ClientModel.build(cfg, m=5, seed=8)
+        reference = ClientModel.build(cfg, m=5, seed=8)
+        ref_params = {part: nn.export_params(reference.parts[part]) for part in PART_NAMES}
+        ref_states = {part: reference_adam_state(ref_params[part]) for part in PART_NAMES}
+        rates = cfg.rates()
+        rng = np.random.default_rng(8)
+        for _ in range(24):
+            x, y = rng.uniform(size=(6, 5)), rng.normal(size=(6, 2))
+            loss = model.train_step(x, y, parts=parts)
+            ref_loss, grads = reference.composite_loss(x, y)
+            assert loss == ref_loss
+            for part in parts:
+                if optimizer == "adam":
+                    ref_params[part], ref_states[part] = reference_adam_step(
+                        ref_params[part], grads[part].grads, ref_states[part], rates[part]
+                    )
+                else:
+                    ref_params[part] = reference_sgd_step(ref_params[part], grads[part].grads, rates[part])
+                nn.assign_params(reference.parts[part], ref_params[part])
+        for part in PART_NAMES:
+            sizes = nn.stack_sizes(model.parts[part])
+            assert np.array_equal(model.vectors[part], nn.flatten(ref_params[part], sizes)), part
 
 
 class TestCheckpoint:
@@ -215,7 +279,7 @@ class TestCheckpoint:
         cfg = tiny_model_config()
         model = ClientModel.build(cfg, m=5, seed=6)
         path = tmp_path / "ckpt.npz"
-        parts = {part: model.part_params(part) for part in PART_NAMES}
+        parts = {part: nn.export_params(model.parts[part]) for part in PART_NAMES}
         save_checkpoint(path, parts, cfg, extra={"round": 12, "eta": 0.001})
         loaded_cfg, loaded_parts, extra = load_checkpoint(path)
         assert loaded_cfg == cfg

@@ -6,7 +6,13 @@ from hypothesis import strategies as st
 from fedmetaloc import nn
 from fedmetaloc.errors import ConfigError
 
-from helpers import central_difference, naive_stack_forward, rel_err
+from helpers import (
+    central_difference,
+    naive_stack_forward,
+    reference_adam_state,
+    reference_adam_step,
+    rel_err,
+)
 
 
 def identity_layer(size: int) -> nn.DenseLayer:
@@ -132,34 +138,38 @@ class TestMseLoss:
 
 class TestSgd:
     def test_zero_gradient_leaves_params_unchanged(self):
-        params = {"layer0.weights": np.ones((2, 2)), "layer0.biases": np.zeros(2)}
-        grads = {k: np.zeros_like(v) for k, v in params.items()}
-        new = nn.sgd_step(params, grads, 0.1)
-        assert all(np.array_equal(new[k], params[k]) for k in params)
+        params = np.array([1.0, 1.0, 1.0, 1.0, 0.0, 0.0])
+        before = params.copy()
+        nn.sgd_step(params, np.zeros_like(params), 0.1)
+        assert np.array_equal(params, before)
 
     def test_single_scalar_step(self):
-        new = nn.sgd_step({"w": np.array([[1.0]])}, {"w": np.array([[0.5]])}, 0.1)
-        assert new["w"][0, 0] == pytest.approx(0.95)
+        params = np.array([1.0])
+        nn.sgd_step(params, np.array([0.5]), 0.1)
+        assert params[0] == pytest.approx(0.95)
 
     def test_two_steps_equal_one_double_step(self):
-        params = {"w": np.array([1.0, -2.0])}
-        g = {"w": np.array([0.3, 0.7])}
-        twice = nn.sgd_step(nn.sgd_step(params, g, 0.05), g, 0.05)
-        once = nn.sgd_step(params, {"w": 2 * g["w"]}, 0.05)
-        assert np.allclose(twice["w"], once["w"], rtol=1e-12)
+        twice = np.array([1.0, -2.0])
+        once = twice.copy()
+        g = np.array([0.3, 0.7])
+        nn.sgd_step(twice, g, 0.05)
+        nn.sgd_step(twice, g, 0.05)
+        nn.sgd_step(once, 2 * g, 0.05)
+        assert np.allclose(twice, once, rtol=1e-12)
 
     @given(st.floats(min_value=0.1, max_value=10.0, allow_nan=False))
     @settings(max_examples=30, deadline=None)
     def test_linear_in_gradient_scale(self, a):
-        params = {"w": np.array([0.5, 1.5, -0.3])}
-        g = {"w": np.array([0.2, -0.4, 0.9])}
-        left = nn.sgd_step(params, {"w": a * g["w"]}, 0.01)
-        right = nn.sgd_step(params, g, a * 0.01)
-        assert np.allclose(left["w"], right["w"], rtol=1e-12)
+        left = np.array([0.5, 1.5, -0.3])
+        right = left.copy()
+        g = np.array([0.2, -0.4, 0.9])
+        nn.sgd_step(left, a * g, 0.01)
+        nn.sgd_step(right, g, a * 0.01)
+        assert np.allclose(left, right, rtol=1e-12)
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(ConfigError):
-            nn.sgd_step({"w": np.zeros(2)}, {"w": np.zeros(3)}, 0.1)
+            nn.sgd_step(np.zeros(2), np.zeros(3), 0.1)
 
 
 def scalar_adam_reference(w0: float, grad_fn, mu: float, steps: int) -> float:
@@ -178,38 +188,64 @@ def scalar_adam_reference(w0: float, grad_fn, mu: float, steps: int) -> float:
 
 class TestAdam:
     def test_first_step_magnitude(self):
-        params = {"w": np.array([0.0])}
-        state = nn.init_adam_state(params)
-        new, state = nn.adam_step(params, {"w": np.array([1.0])}, state, 0.001)
-        assert new["w"][0] == pytest.approx(-0.001 / (1 + 1e-8), rel=1e-12)
+        params = np.array([0.0])
+        state = nn.init_adam_state(1)
+        nn.adam_step(params, np.array([1.0]), state, 0.001)
+        assert params[0] == pytest.approx(-0.001 / (1 + 1e-8), rel=1e-12)
         assert state.step_count == 1
 
     def test_zero_gradient_with_zero_moments_is_identity(self):
-        params = {"w": np.array([3.0, -1.0])}
-        state = nn.init_adam_state(params)
-        new, _ = nn.adam_step(params, {"w": np.zeros(2)}, state, 0.01)
-        assert np.array_equal(new["w"], params["w"])
+        params = np.array([3.0, -1.0])
+        state = nn.init_adam_state(2)
+        nn.adam_step(params, np.zeros(2), state, 0.01)
+        assert np.array_equal(params, [3.0, -1.0])
 
     def test_ten_steps_on_quadratic_decrease_objective(self):
-        params = {"w": np.array([1.0])}
-        state = nn.init_adam_state(params)
-        values = [params["w"][0] ** 2]
+        params = np.array([1.0])
+        state = nn.init_adam_state(1)
+        values = [params[0] ** 2]
         for _ in range(10):
-            params, state = nn.adam_step(params, {"w": 2 * params["w"]}, state, 0.05)
-            values.append(params["w"][0] ** 2)
+            nn.adam_step(params, 2 * params, state, 0.05)
+            values.append(params[0] ** 2)
         assert all(b < a for a, b in zip(values, values[1:]))
         reference = scalar_adam_reference(1.0, lambda w: 2 * w, 0.05, 10)
-        assert params["w"][0] == pytest.approx(reference, rel=1e-12)
+        assert params[0] == pytest.approx(reference, rel=1e-12)
 
     def test_moments_start_at_zero_and_step_count_increments(self):
-        params = {"w": np.array([1.0])}
-        state = nn.init_adam_state(params)
+        params = np.array([1.0])
+        state = nn.init_adam_state(1)
         assert state.step_count == 0
-        assert np.all(state.first_moment["w"] == 0)
-        assert np.all(state.second_moment["w"] == 0)
+        assert np.all(state.first_moment == 0)
+        assert np.all(state.second_moment == 0)
         for expected in (1, 2, 3):
-            _, state = nn.adam_step(params, {"w": np.array([0.1])}, state, 0.01)
+            nn.adam_step(params, np.array([0.1]), state, 0.01)
             assert state.step_count == expected
+
+    def test_reset_restores_the_initial_state_in_place(self):
+        params = np.array([1.0, 2.0])
+        state = nn.init_adam_state(2)
+        moments = (state.first_moment, state.second_moment)
+        nn.adam_step(params, np.array([0.1, -0.2]), state, 0.01)
+        state.reset()
+        assert state.step_count == 0
+        assert state.first_moment is moments[0] and state.second_moment is moments[1]
+        assert not state.first_moment.any() and not state.second_moment.any()
+
+    @pytest.mark.parametrize("sizes", [[4, 7, 3], [3, 5, 4, 2], [6, 2]])
+    def test_matches_reference_dict_adam_bitwise_for_25_steps(self, sizes):
+        layers = nn.build_stack(sizes, seed=3)
+        reference = nn.export_params(layers)
+        ref_state = reference_adam_state(reference)
+        vector = nn.bind(layers)
+        state = nn.init_adam_state(vector.size)
+        rng = np.random.default_rng(4)
+        for _ in range(25):
+            grads = {k: rng.normal(size=v.shape) for k, v in reference.items()}
+            nn.adam_step(vector, nn.flatten(grads, sizes), state, 0.01)
+            reference, ref_state = reference_adam_step(reference, grads, ref_state, 0.01)
+        assert np.array_equal(vector, nn.flatten(reference, sizes))
+        assert np.array_equal(state.first_moment, nn.flatten(ref_state["m"], sizes))
+        assert np.array_equal(state.second_moment, nn.flatten(ref_state["v"], sizes))
 
 
 class TestStackBuilding:
@@ -233,3 +269,45 @@ class TestStackBuilding:
         bad = nn.export_params(nn.build_stack([3, 5, 2], seed=1))
         with pytest.raises(ConfigError):
             nn.assign_params(layers, bad)
+
+
+class TestFlatLayout:
+    def test_bind_makes_every_layer_a_view_in_sorted_key_order(self):
+        layers = nn.build_stack([3, 4, 2], seed=1)
+        exported = nn.export_params(layers)
+        vector = nn.bind(layers)
+        for layer in layers:
+            assert np.shares_memory(layer.weights, vector)
+            assert np.shares_memory(layer.biases, vector)
+        expected = np.concatenate([exported[k].ravel() for k in sorted(exported)])
+        assert np.array_equal(vector, expected)
+        vector[:] = 0.0
+        assert all(not layer.weights.any() and not layer.biases.any() for layer in layers)
+
+    def test_unflatten_lists_keys_like_export_params(self):
+        layers = nn.build_stack([3, 4, 2], seed=1)
+        vector = nn.bind(layers)
+        views = nn.unflatten(vector, [3, 4, 2])
+        exported = nn.export_params(layers)
+        assert list(views) == list(exported)
+        assert all(np.array_equal(views[k], exported[k]) for k in exported)
+        assert vector.size == 3 * 4 + 4 + 4 * 2 + 2
+
+    def test_flatten_rejects_wrong_keys_and_shapes(self):
+        params = nn.export_params(nn.build_stack([3, 4, 2], seed=1))
+        with pytest.raises(ConfigError):
+            nn.flatten(params, [3, 5, 2])
+        with pytest.raises(ConfigError):
+            nn.flatten({k: v for k, v in params.items() if k != "layer1.biases"}, [3, 4, 2])
+
+    def test_backward_writes_one_flat_gradient_vector(self):
+        layers = nn.build_stack([4, 6, 3], seed=2)
+        vector = nn.bind(layers)
+        x = np.random.default_rng(2).normal(size=(5, 4))
+        y, cache = nn.forward(layers, x)
+        bundle, _ = nn.backward(cache, y)
+        assert bundle.vector.shape == vector.shape
+        assert list(bundle.grads) == ["layer1.weights", "layer1.biases", "layer0.weights", "layer0.biases"]
+        for key, view in bundle.grads.items():
+            assert np.shares_memory(view, bundle.vector)
+        assert np.array_equal(bundle.vector, nn.flatten(bundle.grads, [4, 6, 3]))
