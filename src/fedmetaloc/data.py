@@ -19,6 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError
+from .fileio import read_csv, write_csv, write_json
 
 
 @dataclass
@@ -434,25 +435,13 @@ def synth_environment(spec: SyntheticEnvSpec) -> FingerprintDataset:
     return FingerprintDataset(rssi=rssi, coords=locs, ap_names=ap_names)
 
 
-def _format_float(v: float) -> str:
-    return repr(float(v))
-
-
 def _write_split_csv(path: Path, split: FingerprintDataset) -> None:
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([*split.ap_names, *split.coord_names])
-        for i in range(split.n_samples):
-            writer.writerow(
-                [_format_float(v) for v in split.rssi[i]]
-                + [_format_float(v) for v in split.coords[i]]
-            )
+    write_csv(path, [*split.ap_names, *split.coord_names], np.hstack([split.rssi, split.coords]))
 
 
 def save_task_bundle(task: LocalizationTask, directory: str | Path, extra: dict | None = None) -> Path:
     """Write the canonical bundle: support.csv, query.csv, meta.json."""
     directory = Path(directory) / task.task_id
-    directory.mkdir(parents=True, exist_ok=True)
     _write_split_csv(directory / "support.csv", task.support)
     _write_split_csv(directory / "query.csv", task.query)
     meta = {
@@ -468,40 +457,41 @@ def save_task_bundle(task: LocalizationTask, directory: str | Path, extra: dict 
     }
     if extra:
         meta["extra"] = extra
-    (directory / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    write_json(directory / "meta.json", meta)
     return directory
 
 
 def _read_split_csv(path: Path, m: int, coord_names: list[str]) -> FingerprintDataset:
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [[float(v) for v in row] for row in reader if row]
-    if not rows:
+    header, values = read_csv(path)
+    if len(values) == 0:
         raise DataError(f"{path}: no data rows")
-    arr = np.array(rows)
     return FingerprintDataset(
-        rssi=arr[:, :m],
-        coords=arr[:, m:],
+        rssi=values[:, :m],
+        coords=values[:, m:],
         ap_names=header[:m],
         coord_names=coord_names,
     )
 
 
 def load_task_bundle(directory: str | Path) -> LocalizationTask:
+    """Read a bundle written by :func:`save_task_bundle`; anything malformed is a :class:`DataError`."""
     directory = Path(directory)
     meta_path = directory / "meta.json"
     if not meta_path.exists():
         raise DataError(f"not a task bundle (no meta.json): {directory}")
-    meta = json.loads(meta_path.read_text())
-    m = int(meta["m"])
-    coord_names = list(meta["coord_names"])
-    support = _read_split_csv(directory / "support.csv", m, coord_names)
-    query = _read_split_csv(directory / "query.csv", m, coord_names)
+    try:
+        meta = json.loads(meta_path.read_text())
+        task_id = meta["task_id"]
+        m = int(meta["m"])
+        coord_names = list(meta["coord_names"])
+        label_center = np.array(meta["label_center"], dtype=np.float64)
+        label_scale = np.array(meta["label_scale"], dtype=np.float64)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"malformed {meta_path}: {type(exc).__name__}: {exc}") from exc
     return LocalizationTask(
-        task_id=meta["task_id"],
-        support=support,
-        query=query,
-        label_center=np.array(meta["label_center"], dtype=np.float64),
-        label_scale=np.array(meta["label_scale"], dtype=np.float64),
+        task_id=task_id,
+        support=_read_split_csv(directory / "support.csv", m, coord_names),
+        query=_read_split_csv(directory / "query.csv", m, coord_names),
+        label_center=label_center,
+        label_scale=label_scale,
     )

@@ -5,12 +5,11 @@ datasets and/or synthetic environments), the task partition and train/test
 membership, preprocessing, model and federation hyperparameters, and the
 meta-test protocol. Every command is reproducible from (config, seed) alone;
 outputs land under ``out/{experiment}/{phase}/...`` and files are always
-rewritten whole, never appended.
+rewritten whole and atomically (:mod:`fedmetaloc.fileio`), never appended.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
@@ -36,6 +35,7 @@ from .data import (
 )
 from .errors import ConfigError, DataError
 from .federation import AdaptationTrace, MetaModel, TraceStep, meta_test
+from .fileio import read_csv, write_csv, write_json
 from .metrics import TheoryProbeReport, cdf_curve
 from .model import ModelConfig, load_checkpoint, save_checkpoint
 from .preprocess import PreprocessConfig, meta_signal_dim, preprocess_dataset
@@ -285,10 +285,7 @@ def cmd_preprocess(config: ExperimentConfig) -> list[str]:
         "train": config.train_tasks or [t for t in task_ids if t not in set(config.test_tasks)],
         "test": config.test_tasks,
     }
-    config.experiment_dir.mkdir(parents=True, exist_ok=True)
-    (config.experiment_dir / "tasks_index.json").write_text(
-        json.dumps(index, indent=2, sort_keys=True) + "\n"
-    )
+    write_json(config.experiment_dir / "tasks_index.json", index)
     return task_ids
 
 
@@ -316,21 +313,14 @@ def resolved_model_config(config: ExperimentConfig, train_tasks: Sequence[Locali
 # ---------------------------------------------------------------------------
 
 
-def _format_float(v: float) -> str:
-    return repr(float(v))
-
-
 def write_round_log(path: Path, reports: Sequence[federation.RoundReport]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     client_ids = sorted(reports[0].client_losses) if reports else []
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["round", "mean_query_loss", *client_ids])
-        for r in reports:
-            writer.writerow(
-                [r.round, _format_float(r.mean_query_loss)]
-                + [_format_float(r.client_losses[c]) for c in client_ids]
-            )
+    write_csv(
+        path,
+        ["round", "mean_query_loss", *client_ids],
+        [[r.mean_query_loss, *(r.client_losses[c] for c in client_ids)] for r in reports],
+        index=[r.round for r in reports],
+    )
 
 
 def save_meta_checkpoint(path: Path, meta: MetaModel) -> None:
@@ -397,32 +387,35 @@ def run_dir(config: ExperimentConfig, task_id: str, mode: str, seed: int) -> Pat
 
 
 def write_trace(directory: Path, trace: AdaptationTrace, per_sample: np.ndarray) -> None:
-    directory.mkdir(parents=True, exist_ok=True)
-    with (directory / "trace.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "support_loss", "query_mde"])
-        for s in trace.steps:
-            writer.writerow([s.step, _format_float(s.support_loss), _format_float(s.query_mde)])
-    with (directory / "errors_final.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["error"])
-        for e in per_sample:
-            writer.writerow([_format_float(e)])
+    write_csv(
+        directory / "trace.csv",
+        ["step", "support_loss", "query_mde"],
+        [[s.support_loss, s.query_mde] for s in trace.steps],
+        index=[s.step for s in trace.steps],
+    )
+    write_csv(directory / "errors_final.csv", ["error"], np.reshape(per_sample, (-1, 1)))
+
+
+def _csv_columns(path: Path, names: Sequence[str]) -> list[list[float]]:
+    """The named columns of a CSV written by ``write_csv``, as lists of floats."""
+    header, values = read_csv(path)
+    missing = [name for name in names if name not in header]
+    if missing:
+        raise DataError(f"{path}: missing columns {missing}")
+    return [values[:, header.index(name)].tolist() for name in names]
 
 
 def read_trace(directory: Path, task_id: str, mode: str, seed: int) -> AdaptationTrace:
+    steps, support_loss, query_mde = _csv_columns(
+        directory / "trace.csv", ["step", "support_loss", "query_mde"]
+    )
     trace = AdaptationTrace(task_id=task_id, init_mode=mode, seed=seed)
-    with (directory / "trace.csv").open(newline="") as fh:
-        for row in csv.DictReader(fh):
-            trace.steps.append(
-                TraceStep(int(row["step"]), float(row["support_loss"]), float(row["query_mde"]))
-            )
+    trace.steps = [TraceStep(int(n), s, q) for n, s, q in zip(steps, support_loss, query_mde)]
     return trace
 
 
 def read_final_errors(directory: Path) -> list[float]:
-    with (directory / "errors_final.csv").open(newline="") as fh:
-        return [float(row["error"]) for row in csv.DictReader(fh)]
+    return _csv_columns(directory / "errors_final.csv", ["error"])[0]
 
 
 def _run_one_test(args) -> None:
@@ -562,7 +555,6 @@ def cmd_report(config: ExperimentConfig) -> dict:
     index = _load_index(config)
     mt = config.meta_test
     report: dict = {"batch_size": mt.batch_size, "tasks": {}}
-    config.report_dir.mkdir(parents=True, exist_ok=True)
     for task_id in index["test"]:
         task_entry: dict = {}
         for mode in ("MI", "RI"):
@@ -576,12 +568,11 @@ def cmd_report(config: ExperimentConfig) -> dict:
                 errors.extend(read_final_errors(directory))
             task_entry[mode] = _aggregate_mode(traces, mt)
             if errors:
-                curve = cdf_curve(errors)
-                with (config.report_dir / f"{task_id}_{mode}_cdf.csv").open("w", newline="") as fh:
-                    writer = csv.writer(fh)
-                    writer.writerow(["error", "cumulative_fraction"])
-                    for err, frac in curve:
-                        writer.writerow([_format_float(err), _format_float(frac)])
+                write_csv(
+                    config.report_dir / f"{task_id}_{mode}_cdf.csv",
+                    ["error", "cumulative_fraction"],
+                    cdf_curve(errors),
+                )
 
         improvement: dict = {"steps": {}, "accuracy": {}}
         for target in mt.targets_m:
@@ -610,7 +601,7 @@ def cmd_report(config: ExperimentConfig) -> dict:
         task_entry["improvement"] = improvement
         report["tasks"][task_id] = task_entry
 
-    (config.report_dir / "metrics.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    write_json(config.report_dir / "metrics.json", report)
     return report
 
 
@@ -697,8 +688,6 @@ def cmd_theory_probe(config: ExperimentConfig) -> dict:
         theta = meta.params
         model_config = meta.config
     report = run_theory_probe(task, model_config, theta, config.theory_probe)
-    out = config.experiment_dir / "theory"
-    out.mkdir(parents=True, exist_ok=True)
     payload = {"task": task.task_id, **report.to_dict()}
-    (out / "probe_report.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_json(config.experiment_dir / "theory" / "probe_report.json", payload)
     return payload

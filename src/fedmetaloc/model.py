@@ -30,6 +30,7 @@ import numpy as np
 
 from . import nn
 from .errors import ConfigError, DataError
+from .fileio import atomic_write
 
 PART_NAMES = ("encoder", "decoder", "meta", "mapper")
 
@@ -267,15 +268,13 @@ def save_checkpoint(
     extra: Mapping | None = None,
 ) -> None:
     """Flat binary map {part -> layer -> tensor} with a config header; bit-exact."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     payload: dict[str, np.ndarray] = {}
     for part, params in parts.items():
         for key, tensor in params.items():
             payload[f"{part}/{key}"] = np.asarray(tensor, dtype=np.float64)
     payload["__config__"] = np.str_(json.dumps(config.to_dict(), sort_keys=True))
     payload["__extra__"] = np.str_(json.dumps(dict(extra or {}), sort_keys=True))
-    with path.open("wb") as fh:
+    with atomic_write(path, binary=True) as fh:
         np.savez(fh, **payload)
 
 

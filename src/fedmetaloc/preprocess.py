@@ -82,18 +82,24 @@ def select_aps(
     return dataset.select_aps(kept), kept
 
 
-def impute_missing(dataset: FingerprintDataset, cfg: PreprocessConfig) -> FingerprintDataset:
-    """Replace every sentinel entry by the dataset-wide observed minimum minus the offset."""
+def impute_missing(
+    dataset: FingerprintDataset, cfg: PreprocessConfig
+) -> tuple[FingerprintDataset, float | None]:
+    """Replace every sentinel entry by the dataset-wide observed minimum minus the offset.
+
+    Returns the imputed dataset and the fill value, or the dataset itself and
+    ``None`` when it holds no sentinel.
+    """
     mask = dataset.rssi == cfg.sentinel
     if not mask.any():
-        return dataset
+        return dataset, None
     observed = dataset.rssi[~mask]
     if observed.size == 0:
         raise DataError("no observed RSSI values anywhere; cannot impute")
     fill = float(observed.min()) - cfg.impute_offset
     rssi = dataset.rssi.copy()
     rssi[mask] = fill
-    return dataset.with_rssi(rssi)
+    return dataset.with_rssi(rssi), fill
 
 
 def powed_transform(dataset: FingerprintDataset, cfg: PreprocessConfig) -> FingerprintDataset:
@@ -129,11 +135,7 @@ def preprocess_dataset(
     selected, kept = select_aps(dataset, cfg)
     dropped = [name for i, name in enumerate(dataset.ap_names) if i not in set(kept)]
     n_sentinel = int(np.sum(selected.rssi == cfg.sentinel))
-    imputed = impute_missing(selected, cfg)
-    fill = None
-    if n_sentinel:
-        observed = selected.rssi[selected.rssi != cfg.sentinel]
-        fill = float(observed.min()) - cfg.impute_offset
+    imputed, fill = impute_missing(selected, cfg)
     lo = float(imputed.rssi.min())
     hi = float(imputed.rssi.max())
     transformed = powed_transform(imputed, cfg)

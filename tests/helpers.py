@@ -3,6 +3,9 @@ deliberately independent of the vectorized code paths they check."""
 
 from __future__ import annotations
 
+import csv
+from pathlib import Path
+
 import numpy as np
 
 from fedmetaloc import nn
@@ -86,6 +89,17 @@ def reference_adam_step(params: dict, grads: dict, state: dict, mu: float) -> tu
     bc2 = 1 - 0.999**t
     new = {k: params[k] - mu * (m[k] / bc1) / (np.sqrt(v[k] / bc2) + 1e-8) for k in params}
     return new, {"m": m, "v": v, "t": t}
+
+
+def reference_write_split_csv(path: Path, split: FingerprintDataset) -> None:
+    """The bundle CSV writer as first written: ``csv.writer`` rows of ``repr(float(v))``."""
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([*split.ap_names, *split.coord_names])
+        for i in range(split.n_samples):
+            writer.writerow(
+                [repr(float(v)) for v in split.rssi[i]] + [repr(float(v)) for v in split.coords[i]]
+            )
 
 
 def tiny_model_config(**overrides) -> ModelConfig:

@@ -375,6 +375,56 @@ class TestMalformedCheckpoint:
         assert "does not match its config" in capsys.readouterr().err
 
 
+def _rewrite_support_line(index: int, edit):
+    """A fault that replaces line ``index`` of support.csv (0 is the header) by ``edit(line)``."""
+
+    def corrupt(bundle: Path) -> None:
+        path = bundle / "support.csv"
+        lines = path.read_bytes().decode().split("\r\n")
+        lines[index] = edit(lines[index])
+        path.write_bytes("\r\n".join(lines).encode())
+
+    return corrupt
+
+
+def _keep_header_only(bundle: Path) -> None:
+    path = bundle / "support.csv"
+    path.write_bytes(path.read_bytes().split(b"\n")[0] + b"\n")
+
+
+def _drop_m(bundle: Path) -> None:
+    meta = json.loads((bundle / "meta.json").read_text())
+    del meta["m"]
+    (bundle / "meta.json").write_text(json.dumps(meta))
+
+
+BUNDLE_FAULTS = {
+    "non_numeric_cell": (_rewrite_support_line(1, lambda line: "n/a" + line[line.index(","):]), "support.csv"),
+    "ragged_row": (_rewrite_support_line(1, lambda line: line.rsplit(",", 1)[0]), "support.csv"),
+    "short_header": (_rewrite_support_line(0, lambda line: line.rsplit(",", 1)[0]), "header columns but"),
+    "missing_support": (lambda b: (b / "support.csv").unlink(), "support.csv"),
+    "missing_query": (lambda b: (b / "query.csv").unlink(), "query.csv"),
+    "empty_file": (lambda b: (b / "query.csv").write_text(""), "query.csv: empty file"),
+    "header_only": (_keep_header_only, "support.csv: no data rows"),
+    "meta_not_json": (lambda b: (b / "meta.json").write_text("{not json"), "JSONDecodeError"),
+    "meta_without_m": (_drop_m, "KeyError: 'm'"),
+}
+
+
+@pytest.mark.filterwarnings("error::UserWarning")
+class TestMalformedBundle:
+    @pytest.mark.parametrize("fault", sorted(BUNDLE_FAULTS))
+    def test_meta_train_exits_3(self, tmp_path, capsys, fault):
+        path = small_config(tmp_path)
+        assert cli.run(["preprocess", "--config", str(path)]) == 0
+        corrupt, message = BUNDLE_FAULTS[fault]
+        corrupt(experiments.load_experiment_config(path).tasks_dir / "T00")
+        assert cli.run(["meta-train", "--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:")
+        assert message in err
+
+
 HUGE_RATES = {"mu_encoder": 1e300, "mu_meta": 1e300, "mu_mapper": 1e300}
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from fedmetaloc.data import (
     FingerprintDataset,
+    LocalizationTask,
     SchemaConfig,
     SyntheticEnvSpec,
     load_csv,
@@ -19,7 +20,7 @@ from fedmetaloc.data import (
 )
 from fedmetaloc.errors import ConfigError, DataError
 
-from helpers import synth_task
+from helpers import reference_write_split_csv, synth_task
 
 UJI_SCHEMA = SchemaConfig(
     coord_columns=("LONGITUDE", "LATITUDE"),
@@ -326,3 +327,39 @@ class TestTasksAndBundles:
     def test_missing_bundle_rejected(self, tmp_path):
         with pytest.raises(DataError):
             load_task_bundle(tmp_path / "nope")
+
+
+EDGE_VALUES = [-0.0, 5e-324, -5e-324, 1e-05, 1e16, 0.1 + 0.2, 100.0, -87.25, -1e-300, 1.7976931348623157e308]
+
+
+def edge_value_task() -> LocalizationTask:
+    """Edge floats plus doubles spread over the whole exponent range, as a 10 x 6 task."""
+    rng = np.random.default_rng(0)
+    spread = rng.standard_normal(50) * 10.0 ** rng.integers(-300, 300, size=50)
+    values = np.concatenate([EDGE_VALUES, spread]).reshape(10, 6)
+
+    def split(rows: slice) -> FingerprintDataset:
+        block = values[rows]
+        return FingerprintDataset(
+            rssi=block[:, :4], coords=block[:, 4:], ap_names=[f"AP{i}" for i in range(4)]
+        )
+
+    return LocalizationTask("EDGE", split(slice(0, 6)), split(slice(6, 10)), np.zeros(2), np.ones(2))
+
+
+class TestBundleCsv:
+    def test_bytes_equal_the_reference_writer(self, tmp_path):
+        task = edge_value_task()
+        bundle = save_task_bundle(task, tmp_path)
+        for name, split in (("support.csv", task.support), ("query.csv", task.query)):
+            reference_write_split_csv(tmp_path / name, split)
+            assert (bundle / name).read_bytes() == (tmp_path / name).read_bytes()
+        assert (bundle / "support.csv").read_bytes().startswith(b"AP0,AP1,AP2,AP3,x,y\r\n-0.0,5e-324,")
+
+    def test_read_back_is_bitwise_equal(self, tmp_path):
+        task = edge_value_task()
+        loaded = load_task_bundle(save_task_bundle(task, tmp_path))
+        for ours, theirs in ((loaded.support, task.support), (loaded.query, task.query)):
+            assert np.array_equal(ours.rssi.view(np.uint64), theirs.rssi.view(np.uint64))
+            assert np.array_equal(ours.coords.view(np.uint64), theirs.coords.view(np.uint64))
+            assert ours.ap_names == theirs.ap_names

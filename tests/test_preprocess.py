@@ -69,13 +69,15 @@ class TestSelectAps:
 class TestImputeMissing:
     def test_sentinels_become_min_minus_offset(self):
         ds = dataset_from([[-80.0, SENTINEL], [SENTINEL, -60.0]])
-        out = impute_missing(ds, PreprocessConfig(impute_offset=1.0))
+        out, fill = impute_missing(ds, PreprocessConfig(impute_offset=1.0))
         assert np.array_equal(out.rssi, [[-80.0, -81.0], [-81.0, -60.0]])
+        assert fill == -81.0
 
     def test_no_sentinels_leaves_dataset_unchanged(self):
         ds = dataset_from([[-80.0, -70.0], [-65.0, -60.0]])
-        out = impute_missing(ds, PreprocessConfig())
+        out, fill = impute_missing(ds, PreprocessConfig())
         assert out is ds
+        assert fill is None
 
     def test_no_observed_values_is_an_error(self):
         ds = dataset_from([[SENTINEL], [SENTINEL]])
@@ -93,8 +95,8 @@ class TestImputeMissing:
             rssi[0, 0] = -50.0
         ds = dataset_from(rssi)
         cfg = PreprocessConfig()
-        once = impute_missing(ds, cfg)
-        twice = impute_missing(once, cfg)
+        once, _ = impute_missing(ds, cfg)
+        twice, _ = impute_missing(once, cfg)
         assert not (once.rssi == SENTINEL).any()
         assert np.array_equal(once.rssi, twice.rssi)
 
