@@ -16,7 +16,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -148,6 +148,16 @@ class ExperimentConfig:
         return self.train_dir / "meta_final.npz"
 
 
+def _split_opts(entry: Mapping) -> dict:
+    """An environment entry's own support/query split options, for ``make_task``."""
+    opts = {}
+    if "support_ratio" in entry:
+        opts["ratio"] = float(entry["support_ratio"])
+    if "support_region" in entry:
+        opts["support_region"] = tuple(entry["support_region"])
+    return opts
+
+
 def _resolve_out_dir(raw: str | None, base: Path) -> Path:
     if raw:
         path = Path(raw)
@@ -171,11 +181,9 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
     for i, entry in enumerate(raw.get("synthetic_envs", [])):
         entry = dict(entry)
         env_id = entry.pop("id", f"SYN{i:02d}")
-        opts = {}
-        if "support_ratio" in entry:
-            opts["ratio"] = float(entry.pop("support_ratio"))
-        if "support_region" in entry:
-            opts["support_region"] = tuple(entry.pop("support_region"))
+        opts = _split_opts(entry)
+        entry.pop("support_ratio", None)
+        entry.pop("support_region", None)
         if "area" in entry:
             entry["area"] = tuple(entry["area"])
         try:
@@ -232,22 +240,13 @@ def _collect_environments(
     config: ExperimentConfig,
 ) -> list[tuple[str, FingerprintDataset, dict]]:
     envs: list[tuple[str, FingerprintDataset, dict]] = []
-
-    def split_opts(entry: dict) -> dict:
-        opts = {}
-        if "support_ratio" in entry:
-            opts["ratio"] = float(entry["support_ratio"])
-        if "support_region" in entry:
-            opts["support_region"] = tuple(entry["support_region"])
-        return opts
-
     for entry in config.datasets:
         dataset = load_csv(entry["csv"], SchemaConfig.from_json(entry["schema"]))
         partition = entry.get("partition", config.partition)
         if partition and partition != "none":
-            envs.extend((tid, ds, split_opts(entry)) for tid, ds in partition_tasks(dataset, partition))
+            envs.extend((tid, ds, _split_opts(entry)) for tid, ds in partition_tasks(dataset, partition))
         else:
-            envs.append((entry.get("id", Path(entry["csv"]).stem), dataset, split_opts(entry)))
+            envs.append((entry.get("id", Path(entry["csv"]).stem), dataset, _split_opts(entry)))
     for env_id, spec, opts in config.synthetic_envs:
         envs.append((env_id, synth_environment(spec), opts))
     seen = set()

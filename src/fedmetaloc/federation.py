@@ -56,28 +56,39 @@ class MetaModel:
 
 
 @dataclass
+class BatchStream:
+    """Mini-batch indices into ``n`` samples from a private shuffled-epoch stream.
+
+    Each epoch is one permutation drawn from ``rng``, cut into consecutive
+    batches; a remainder too short for a batch is dropped. A batch size of at
+    least ``n`` gives every index in order and draws nothing.
+    """
+
+    n: int
+    batch_size: int
+    rng: np.random.Generator
+    _order: np.ndarray | None = None
+    _cursor: int = 0
+
+    def next(self) -> np.ndarray:
+        if self.batch_size >= self.n:
+            return np.arange(self.n)
+        if self._order is None or self._cursor + self.batch_size > self.n:
+            self._order = self.rng.permutation(self.n)
+            self._cursor = 0
+        batch = self._order[self._cursor : self._cursor + self.batch_size]
+        self._cursor += self.batch_size
+        return batch
+
+
+@dataclass
 class ClientState:
     client_id: str
     task: LocalizationTask
     model: ClientModel
     local_steps: int
-    batch_size: int
-    batch_rng: np.random.Generator | None = None
+    batches: BatchStream
     rho: float = 0.0
-    _order: np.ndarray | None = None
-    _cursor: int = 0
-
-    def next_batch(self) -> np.ndarray:
-        """Next mini-batch indices from a private shuffled-epoch stream."""
-        n = self.task.support.n_samples
-        if self.batch_size >= n:
-            return np.arange(n)
-        if self._order is None or self._cursor + self.batch_size > n:
-            self._order = self.batch_rng.permutation(n)
-            self._cursor = 0
-        batch = self._order[self._cursor : self._cursor + self.batch_size]
-        self._cursor += self.batch_size
-        return batch
 
 
 @dataclass
@@ -166,8 +177,7 @@ def server_init(
             task=task,
             model=model,
             local_steps=local_steps,
-            batch_size=batch_size,
-            batch_rng=np.random.default_rng(batch_seed),
+            batches=BatchStream(task.support.n_samples, batch_size, np.random.default_rng(batch_seed)),
         )
         clients.append(state)
     _recompute_contributions(clients)
@@ -190,12 +200,13 @@ def client_local_train(
         meta_state.reset()
     xs, ys = task.support.rssi, task.normalize_coords(task.support.coords)
     for step in range(1, steps + 1):
-        batch = state.next_batch()
+        batch = state.batches.next()
         loss = state.model.train_step(xs[batch], ys[batch])
         if not math.isfinite(loss):
             raise DivergenceError(f"client {state.client_id}: local step {step} loss is {loss}")
+    # the round reads the query loss and the shared part's gradient only
     query_loss, grads = state.model.composite_loss(
-        task.query.rssi, task.normalize_coords(task.query.coords)
+        task.query.rssi, task.normalize_coords(task.query.coords), ("meta",)
     )
     if not math.isfinite(query_loss):
         raise DivergenceError(f"client {state.client_id}: query loss is {query_loss}")
@@ -326,16 +337,9 @@ def meta_test(
     xs, ys = task.support.rssi, task.normalize_coords(task.support.coords)
     xq = task.query.rssi
     yq_true = task.query.coords
-    sampler = ClientState(
-        client_id=task.task_id,
-        task=task,
-        model=model,
-        local_steps=steps,
-        batch_size=batch_size,
-        batch_rng=np.random.default_rng(batch_seed),
-    )
+    batches = BatchStream(task.support.n_samples, batch_size, np.random.default_rng(batch_seed))
     for step in range(1, steps + 1):
-        batch = sampler.next_batch()
+        batch = batches.next()
         loss = model.train_step(xs[batch], ys[batch], rates=rates, parts=adapt_parts, optimizer=optimizer)
         if not math.isfinite(loss):
             raise DivergenceError(f"task {task.task_id}, {mode} seed {seed}: step {step} loss is {loss}")

@@ -9,7 +9,11 @@ Adaptation speed comes in two flavors:
 
 The probes near the bottom study plain-SGD fine-tuning trajectories: steps to
 reach a squared-gradient-norm threshold, and how far an actual trajectory
-drifts from its first-order linearization.
+drifts from its first-order linearization. A probe step runs the backward
+passes of the parts it trains (all four by default), and the threshold's
+``||grad_theta L(query)||^2`` runs the prediction path alone: three forwards
+and two backwards, no decoder, whose reconstruction term does not depend on
+the shared part theta.
 """
 
 from __future__ import annotations
@@ -157,9 +161,14 @@ def flatten_grads(grads: Mapping[str, nn.GradientBundle], parts: Sequence[str]) 
 
 
 def theta_grad_sq_norm(model: ClientModel, x: np.ndarray, y: np.ndarray) -> float:
-    """Squared gradient norm of the query loss with respect to the shared part."""
-    _, grads = model.composite_loss(x, y)
-    return grads["meta"].norm() ** 2
+    """Squared gradient norm of the query loss with respect to the shared part.
+
+    Runs :meth:`ClientModel.shared_gradient`: the prediction path only (three
+    forwards, two backwards), since the reconstruction term does not depend
+    on the shared part. Bitwise equal to
+    ``composite_loss(x, y)[1]["meta"].norm() ** 2``.
+    """
+    return model.shared_gradient(x, y).norm() ** 2
 
 
 def epsilon_accuracy_steps(
@@ -239,7 +248,7 @@ def linearization_probe(
         for part, params in (part_overrides or {}).items():
             nn.assign_params(model.parts[part], params)
         omega0 = flatten_parts(model, parts)
-        _, grads0 = model.composite_loss(xs, ys)
+        _, grads0 = model.composite_loss(xs, ys, parts)
         g0 = flatten_grads(grads0, parts)
         rates = {part: mu for part in PART_NAMES}
         for _ in range(n_steps):

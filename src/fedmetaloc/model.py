@@ -13,6 +13,25 @@ The composite loss is prediction MSE plus ``lambda_recon`` times the
 reconstruction MSE; with ``lambda_recon = 0`` the decoder receives exactly
 zero gradient.
 
+Each entry point runs only the stack passes its result needs (a forward or
+backward pass per part):
+
+* ``composite_loss(x, y, parts)``: all four forwards, for the full loss, and
+  only the backward passes the gradients of ``parts`` depend on (two,
+  mapper and meta, for the shared part alone),
+* ``shared_gradient(x, y)``: three forwards (encoder, meta, mapper) and two
+  backwards (mapper, meta). The reconstruction term does not depend on the
+  shared part, so the gradient of the composite loss with respect to it is
+  that of the prediction loss, and the decoder, the largest stack, never runs,
+* ``loss_value(x, y)``: ``full_forward`` and a second encoder forward for
+  the reconstruction term, then the decoder forward: five forwards, or four
+  when ``lambda_recon`` is 0,
+* ``full_forward(x)``: three forwards.
+
+Skipping a pass changes no bit of what is returned: every gradient and loss
+is computed by the same operations, in the same order, as when all four
+gradients are requested.
+
 Each part's parameters live in one flat vector (``ClientModel.vectors``, see
 :mod:`fedmetaloc.nn`), which the optimizers update in place. Parameter
 dictionaries appear only in checkpoints.
@@ -184,37 +203,60 @@ class ClientModel:
         )[0]
 
     def composite_loss(
-        self, x: np.ndarray, y: np.ndarray
+        self, x: np.ndarray, y: np.ndarray, parts: Sequence[str] = PART_NAMES
     ) -> tuple[float, dict[str, nn.GradientBundle]]:
-        """Loss and gradients over all four parts for one batch.
+        """Loss over one batch and the gradients of exactly ``parts``.
 
-        ``loss = MSE(prediction, y) + lambda_recon * MSE(reconstruction, x)``.
+        ``loss = MSE(prediction, y) + lambda_recon * MSE(reconstruction, x)``,
+        always in full. Passes: the four stack forwards, then only the
+        backward passes a requested gradient depends on: mapper for
+        ``mapper``, ``meta`` or ``encoder``; meta for ``meta`` or
+        ``encoder``; decoder for ``decoder`` or ``encoder``; encoder for
+        ``encoder`` alone.
+        """
+        lam = self.config.lambda_recon
+        latent, enc_cache, pred_loss, grads, dlatent_pred = self._prediction_path(x, y, parts)
+        recon, dec_cache = nn.forward(self.parts["decoder"], latent)
+        recon_loss, drecon = nn.mse_loss(recon, x)
+        loss = pred_loss + lam * recon_loss
+        if "decoder" in parts or "encoder" in parts:
+            grads["decoder"], dlatent_recon = nn.backward(dec_cache, lam * drecon)
+        if "encoder" in parts:
+            grads["encoder"], _ = nn.backward(enc_cache, dlatent_pred + dlatent_recon)
+        return loss, {part: grads[part] for part in parts}
+
+    def shared_gradient(self, x: np.ndarray, y: np.ndarray) -> nn.GradientBundle:
+        """Gradient of the composite loss with respect to the shared part.
+
+        The reconstruction term does not depend on the shared part, so this
+        is the prediction loss's gradient: three forwards (encoder, meta,
+        mapper) and two backwards (mapper, meta), no decoder pass. Bitwise
+        equal to ``composite_loss(x, y)[1]["meta"]``.
+        """
+        return self._prediction_path(x, y, ("meta",))[3]["meta"]
+
+    def _prediction_path(self, x: np.ndarray, y: np.ndarray, parts: Sequence[str]) -> tuple:
+        """Encoder, meta and mapper forwards and the prediction MSE, then the
+        mapper and meta backwards when a gradient in ``parts`` needs them.
+
+        Returns ``(latent, encoder cache, prediction loss, {part: gradient},
+        d prediction loss / d latent or None)``.
         """
         x = np.asarray(x, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
         if x.ndim != 2 or x.shape[0] == 0:
-            raise DataError("composite_loss needs a nonempty 2-D batch")
-        lam = self.config.lambda_recon
-
+            raise DataError("the model loss needs a nonempty 2-D batch")
         latent, enc_cache = nn.forward(self.parts["encoder"], x)
         feats, meta_cache = nn.forward(self.parts["meta"], latent)
         pred, map_cache = nn.forward(self.parts["mapper"], feats)
-        recon, dec_cache = nn.forward(self.parts["decoder"], latent)
-
         pred_loss, dpred = nn.mse_loss(pred, y)
-        recon_loss, drecon = nn.mse_loss(recon, x)
-        loss = pred_loss + lam * recon_loss
-
-        map_grads, dfeats = nn.backward(map_cache, dpred)
-        meta_grads, dlatent_pred = nn.backward(meta_cache, dfeats)
-        dec_grads, dlatent_recon = nn.backward(dec_cache, lam * drecon)
-        enc_grads, _ = nn.backward(enc_cache, dlatent_pred + dlatent_recon)
-        return loss, {
-            "encoder": enc_grads,
-            "decoder": dec_grads,
-            "meta": meta_grads,
-            "mapper": map_grads,
-        }
+        grads: dict[str, nn.GradientBundle] = {}
+        dlatent = None
+        if {"mapper", "meta", "encoder"} & set(parts):
+            grads["mapper"], dfeats = nn.backward(map_cache, dpred)
+            if {"meta", "encoder"} & set(parts):
+                grads["meta"], dlatent = nn.backward(meta_cache, dfeats)
+        return latent, enc_cache, pred_loss, grads, dlatent
 
     def loss_value(self, x: np.ndarray, y: np.ndarray) -> float:
         """Composite loss without gradients (evaluation only)."""
@@ -234,8 +276,10 @@ class ClientModel:
         parts: Sequence[str] | None = None,
         optimizer: str | None = None,
     ) -> float:
-        """One optimizer step on a batch; returns the pre-step loss."""
-        loss, grads = self.composite_loss(x, y)
+        """One optimizer step on ``parts`` (all by default); returns the
+        pre-step loss. Only the gradients of ``parts`` are computed."""
+        parts = parts if parts is not None else PART_NAMES
+        loss, grads = self.composite_loss(x, y, parts)
         self.apply_gradients(grads, rates, parts, optimizer)
         return loss
 

@@ -102,6 +102,39 @@ def reference_write_split_csv(path: Path, split: FingerprintDataset) -> None:
             )
 
 
+def count_passes(monkeypatch) -> dict:
+    """Count stack forwards and backwards by patching them where the model
+    looks them up; the counted calls run unchanged."""
+    counts = {"forward": 0, "backward": 0}
+    for name in counts:
+        original = getattr(nn, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(nn, name, counted)
+    return counts
+
+
+def reference_batches(n: int, batch_size: int, rng: np.random.Generator, count: int) -> list[np.ndarray]:
+    """``count`` batches from the shuffled-epoch sampler as first written
+    (``ClientState.next_batch``): a new permutation whenever the rest of the
+    epoch is shorter than a batch, and every index in order when a batch
+    covers the whole set."""
+    out, order, cursor = [], None, 0
+    for _ in range(count):
+        if batch_size >= n:
+            out.append(np.arange(n))
+            continue
+        if order is None or cursor + batch_size > n:
+            order = rng.permutation(n)
+            cursor = 0
+        out.append(order[cursor : cursor + batch_size])
+        cursor += batch_size
+    return out
+
+
 def tiny_model_config(**overrides) -> ModelConfig:
     base = dict(
         d=4,

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from fedmetaloc import nn
 from fedmetaloc.errors import ConfigError
 from fedmetaloc.federation import (
+    BatchStream,
     client_local_train,
     contribution_factors,
     meta_test,
@@ -16,8 +17,10 @@ from fedmetaloc.federation import (
 from fedmetaloc.model import PART_NAMES, ClientModel
 
 from helpers import (
+    count_passes,
     reference_adam_state,
     reference_adam_step,
+    reference_batches,
     reference_sgd_step,
     synth_task,
     tiny_model_config,
@@ -96,6 +99,16 @@ class TestClientLocalTrain:
         )
         assert params_equal(update.grad_theta.vector, grads["meta"].vector)
 
+    def test_query_evaluation_backpropagates_into_the_shared_part_only(self, monkeypatch):
+        tasks, cfg = small_cohort(1)
+        meta, clients = server_init(tasks, cfg, eta=0.01, seed=2)
+        client, task = clients[0], tasks[0]
+        full_loss, _ = client.model.composite_loss(task.query.rssi, task.normalize_coords(task.query.coords))
+        counts = count_passes(monkeypatch)
+        update = client_local_train(client, meta.broadcast(), local_steps=0)
+        assert counts == {"forward": 4, "backward": 2}
+        assert update.query_loss == full_loss
+
     def test_single_sgd_step_matches_hand_computed_update(self):
         tasks, cfg = small_cohort(1, samples=20, optimizer="sgd")
         meta, clients = server_init(tasks, cfg, eta=0.01, seed=4, batch_size=64)
@@ -134,6 +147,25 @@ class TestClientLocalTrain:
             client_local_train(client, meta.broadcast(), local_steps=5)
             final.append(client.model.loss_value(xs, ys))
         assert np.mean(final) <= np.mean(initial)
+
+
+class TestBatchStream:
+    @pytest.mark.parametrize("batch_size", [32, 100, 150])
+    def test_three_epochs_match_the_reference_sampler(self, batch_size):
+        n = 100
+        epochs = 3
+        count = epochs * (n // batch_size) if batch_size < n else epochs
+        stream = BatchStream(n, batch_size, np.random.default_rng(21))
+        drawn = [stream.next() for _ in range(count)]
+        expected = reference_batches(n, batch_size, np.random.default_rng(21), count)
+        assert len(drawn) == len(expected) == count
+        for got, want in zip(drawn, expected):
+            assert np.array_equal(got, want)
+        # the generator ends where the reference leaves it, so later epochs match too
+        after_stream = stream.rng.bit_generator.state
+        rng = np.random.default_rng(21)
+        reference_batches(n, batch_size, rng, count)
+        assert after_stream == rng.bit_generator.state
 
 
 class TestServerAggregate:
@@ -318,7 +350,7 @@ class TestMetaTrainReferenceLoop:
                 states[cid]["meta"] = reference_adam_state(theta)
                 xs, ys = task.support.rssi, task.normalize_coords(task.support.coords)
                 for _ in range(local_steps):
-                    batch = client.next_batch()
+                    batch = client.batches.next()
                     for part in PART_NAMES:
                         nn.assign_params(model.parts[part], params[cid][part])
                     _, grads = model.composite_loss(xs[batch], ys[batch])

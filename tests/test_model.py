@@ -1,12 +1,15 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
-from fedmetaloc import nn
+from fedmetaloc import metrics, nn
 from fedmetaloc.errors import ConfigError, DataError
 from fedmetaloc.model import PART_NAMES, ClientModel, ModelConfig, load_checkpoint, save_checkpoint
 
 from helpers import (
     central_difference,
+    count_passes,
     naive_stack_forward,
     randomize_biases,
     reference_adam_state,
@@ -193,6 +196,67 @@ class TestCompositeLoss:
         model = ClientModel.build(tiny_model_config(), m=5, seed=0)
         with pytest.raises(DataError):
             model.composite_loss(np.zeros((0, 5)), np.zeros((0, 2)))
+
+
+def bits(vector: np.ndarray) -> bytes:
+    return np.ascontiguousarray(vector, dtype=np.float64).tobytes()
+
+
+ALL_SUBSETS = [parts for k in range(1, 5) for parts in combinations(PART_NAMES, k)]
+
+
+class TestPartSelectiveGradients:
+    def batch(self, lam: float, seed: int = 12):
+        model = ClientModel.build(tiny_model_config(lambda_recon=lam), m=5, seed=seed)
+        rng = np.random.default_rng(seed)
+        randomize_biases(model, rng)
+        return model, rng.uniform(size=(9, 5)), rng.normal(size=(9, 2))
+
+    @pytest.mark.parametrize("lam", [0.0, 0.3])
+    def test_every_subset_returns_the_full_loss_and_bitwise_gradients(self, lam):
+        assert len(ALL_SUBSETS) == 15
+        model, x, y = self.batch(lam)
+        full_loss, full = model.composite_loss(x, y)
+        for parts in ALL_SUBSETS:
+            loss, grads = model.composite_loss(x, y, parts)
+            assert loss == full_loss, parts
+            assert list(grads) == list(parts)
+            for part in parts:
+                assert bits(grads[part].vector) == bits(full[part].vector), (parts, part)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.3])
+    def test_shared_gradient_is_the_full_calls_meta_gradient_bitwise(self, lam):
+        model, x, y = self.batch(lam)
+        full = model.composite_loss(x, y)[1]["meta"]
+        assert bits(model.shared_gradient(x, y).vector) == bits(full.vector)
+        assert metrics.theta_grad_sq_norm(model, x, y) == full.norm() ** 2
+
+    @pytest.mark.parametrize("lam", [0.0, 0.3])
+    def test_loss_value_equals_the_gradient_free_composite_loss_bitwise(self, lam):
+        model, x, y = self.batch(lam)
+        assert model.loss_value(x, y) == model.composite_loss(x, y, ())[0]
+
+    def test_shared_gradient_skips_the_decoder(self, monkeypatch):
+        model, x, y = self.batch(0.3)
+        counts = count_passes(monkeypatch)
+        metrics.theta_grad_sq_norm(model, x, y)
+        assert counts == {"forward": 3, "backward": 2}
+
+    @pytest.mark.parametrize(
+        "parts, forwards, backwards",
+        [(PART_NAMES, 4, 4), (("meta",), 4, 2), (("mapper",), 4, 1), (("decoder",), 4, 1), ((), 4, 0)],
+    )
+    def test_composite_loss_runs_only_the_needed_backwards(self, monkeypatch, parts, forwards, backwards):
+        model, x, y = self.batch(0.3)
+        counts = count_passes(monkeypatch)
+        model.composite_loss(x, y, parts)
+        assert counts == {"forward": forwards, "backward": backwards}
+
+    def test_train_step_on_the_decoder_runs_one_backward(self, monkeypatch):
+        model, x, y = self.batch(0.3)
+        counts = count_passes(monkeypatch)
+        model.train_step(x, y, parts=("decoder",))
+        assert counts == {"forward": 4, "backward": 1}
 
 
 class TestThetaSwap:
