@@ -37,7 +37,7 @@ from .errors import ConfigError, DataError
 from .federation import AdaptationTrace, MetaModel, TraceStep, meta_test
 from .fileio import read_csv, write_csv, write_json
 from .metrics import TheoryProbeReport, cdf_curve
-from .model import ModelConfig, load_checkpoint, save_checkpoint
+from .model import OPTIMIZERS, ModelConfig, load_checkpoint, save_checkpoint
 from .preprocess import PreprocessConfig, meta_signal_dim, preprocess_dataset
 
 OUT_ROOT_ENV = "FEDMETALOC_OUT"
@@ -60,7 +60,7 @@ class FederationParams:
             raise ConfigError("rounds and local_steps must be >= 0")
         if self.eta <= 0 or self.batch_size < 1:
             raise ConfigError("eta must be > 0 and batch_size >= 1")
-        if self.aggregation not in ("gradient", "average"):
+        if self.aggregation not in federation.AGGREGATIONS:
             raise ConfigError(f"aggregation must be 'gradient' or 'average', got {self.aggregation!r}")
 
 
@@ -78,6 +78,8 @@ class MetaTestParams:
             raise ConfigError("meta-test steps must be >= 0 and batch_size >= 1")
         if any(n < 1 for n in self.step_checkpoints):
             raise ConfigError("step checkpoints must be >= 1")
+        if self.optimizer not in OPTIMIZERS:
+            raise ConfigError(f"meta-test optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
 
 
 @dataclass(frozen=True)
@@ -498,9 +500,9 @@ def _aggregate_mode(
         agg["im_accuracy"][str(target)] = speed
         agg["not_reached"][str(target)] = sum(1 for s in steps if s is None) + (len(traces) - len(nonempty))
     for n_star in mt.step_checkpoints:
-        usable = [t for t in traces if len(t.steps) >= n_star]
+        usable = [t.query_mdes() for t in traces if len(t.steps) >= n_star]
         agg["im_steps"][str(n_star)] = (
-            float(np.mean([metrics.adaptation_speed_steps(t, n_star, mt.batch_size) for t in usable]))
+            float(np.mean([metrics.adaptation_speed_steps(s, n_star, mt.batch_size) for s in usable]))
             if usable
             else None
         )
@@ -533,12 +535,8 @@ def paired_step_summary(config: ExperimentConfig, target_m: float) -> dict:
     for seed in mt.seeds:
         per_mode = {}
         for mode in ("MI", "RI"):
-            steps = [
-                metrics.steps_to_accuracy(
-                    read_trace(run_dir(config, task_id, mode, seed), task_id, mode, seed), target_m
-                )
-                for task_id in test_ids
-            ]
+            traces = (read_trace(run_dir(config, tid, mode, seed), tid, mode, seed) for tid in test_ids)
+            steps = [metrics.steps_to_accuracy(t.query_mdes(), target_m) for t in traces]
             per_mode[mode] = _mean_steps(steps, mt.steps)
         per_seed.append(per_mode)
     return {

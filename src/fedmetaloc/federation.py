@@ -3,16 +3,20 @@
 Each communication round broadcasts the shared feature parameters, lets every
 client take its local optimizer steps on its support set (encoder and mapper
 resume from the previous round, the shared part restarts from the broadcast),
-then aggregates the clients' query-set gradients:
+then aggregates one vector per client: its query-set gradient of the shared
+part (``aggregation="gradient"``), applied as
 
     theta <- theta - eta * sum_k rho_k * grad_k
+
+or its locally updated shared part (``"average"``, FedAvg), averaged with
+the same weights.
 
 Aggregation always sums in ascending client-id order, so client scheduling can
 never change the result. Contribution factors rho_k are proportional to query
 set sizes and renormalized whenever the cohort changes.
 
 The shared part travels as one flat vector (the layout of :mod:`fedmetaloc.nn`):
-the server's ``theta``, each client's copy of it, the query gradients and the
+the server's ``theta``, each client's copy of it, the client updates and the
 aggregate are all vectors of that one length.
 
 A loss that turns NaN or infinite stops the run with a :class:`DivergenceError`
@@ -91,12 +95,17 @@ class ClientState:
     rho: float = 0.0
 
 
+AGGREGATIONS = ("gradient", "average")
+
+
 @dataclass
 class ClientUpdate:
+    """A client's round result: ``vector`` is its query gradient of the shared
+    part (``"gradient"`` aggregation) or its locally updated copy (``"average"``)."""
+
     client_id: str
-    grad_theta: nn.GradientBundle
+    vector: np.ndarray
     query_loss: float
-    theta_local: np.ndarray  # locally updated shared params
 
 
 @dataclass
@@ -185,9 +194,11 @@ def server_init(
 
 
 def client_local_train(
-    state: ClientState, theta_broadcast: np.ndarray, local_steps: int | None = None
+    state: ClientState, theta_broadcast: np.ndarray, local_steps: int | None = None, aggregation: str = "gradient"
 ) -> ClientUpdate:
     """Local phase of one round: adopt the broadcast, train, evaluate on the query set."""
+    if aggregation not in AGGREGATIONS:
+        raise ConfigError(f"unknown aggregation {aggregation!r}")
     task = state.task
     if task.support.n_samples == 0 or task.query.n_samples == 0:
         raise DataError(f"client {state.client_id}: empty support or query set")
@@ -204,15 +215,16 @@ def client_local_train(
         loss = state.model.train_step(xs[batch], ys[batch])
         if not math.isfinite(loss):
             raise DivergenceError(f"client {state.client_id}: local step {step} loss is {loss}")
-    # the round reads the query loss and the shared part's gradient only
+    # the round reads the query loss and the vector it aggregates; averaging
+    # needs no backward pass, the gradient mode the shared part's only
+    gradient = aggregation == "gradient"
     query_loss, grads = state.model.composite_loss(
-        task.query.rssi, task.normalize_coords(task.query.coords), ("meta",)
+        task.query.rssi, task.normalize_coords(task.query.coords), ("meta",) if gradient else ()
     )
     if not math.isfinite(query_loss):
         raise DivergenceError(f"client {state.client_id}: query loss is {query_loss}")
-    return ClientUpdate(
-        state.client_id, grads["meta"], query_loss, theta_local=state.model.vectors["meta"].copy()
-    )
+    vector = grads["meta"] if gradient else state.model.vectors["meta"].copy()
+    return ClientUpdate(state.client_id, vector, query_loss)
 
 
 def server_aggregate(
@@ -223,26 +235,25 @@ def server_aggregate(
 ) -> MetaModel:
     """One outer update; summation always runs in ascending client-id order.
 
-    ``aggregation="gradient"`` (default) applies the weighted query-gradient
-    step ``theta - eta * sum_k rho_k grad_k``. ``aggregation="average"``
-    instead keeps the contribution-weighted average of the locally updated
-    shared parameters, which accumulates the clients' local optimizer progress
-    round over round; useful at small round budgets where the gradient step
-    alone barely moves the shared part.
+    ``aggregation="gradient"`` (default): the update vectors are query
+    gradients, and the server steps ``theta - eta * sum_k rho_k v_k``.
+    ``aggregation="average"``: they are locally updated shared parts, and the
+    server keeps their weighted average, which accumulates the clients' local
+    optimizer progress round over round; useful at small round budgets where
+    the gradient step alone barely moves the shared part.
     """
     if not updates:
         raise ConfigError("cannot aggregate an empty round")
-    if aggregation not in ("gradient", "average"):
+    if aggregation not in AGGREGATIONS:
         raise ConfigError(f"unknown aggregation {aggregation!r}")
     acc = np.zeros_like(meta.params)
     term = np.empty_like(meta.params)
     for update in sorted(updates, key=lambda u: u.client_id):
-        vector = update.grad_theta.vector if aggregation == "gradient" else update.theta_local
-        if vector.shape != acc.shape:
+        if update.vector.shape != acc.shape:
             raise ConfigError(
-                f"client {update.client_id} sent {vector.shape} values, server expects {acc.shape}"
+                f"client {update.client_id} sent {update.vector.shape} values, server expects {acc.shape}"
             )
-        np.multiply(vector, rho[update.client_id], out=term)
+        np.multiply(update.vector, rho[update.client_id], out=term)
         acc += term
     if aggregation == "gradient":
         acc *= meta.eta
@@ -280,7 +291,9 @@ def meta_train(
     for _ in range(rounds):
         broadcast = meta.broadcast()
         try:
-            updates = [client_local_train(by_id[cid], broadcast) for cid in execution_order]
+            updates = [
+                client_local_train(by_id[cid], broadcast, aggregation=aggregation) for cid in execution_order
+            ]
         except DivergenceError as exc:
             raise DivergenceError(f"round {meta.round + 1}, {exc}") from exc
         meta = server_aggregate(meta, updates, rho, aggregation=aggregation)
@@ -306,16 +319,14 @@ def meta_test(
     steps: int,
     seed: int,
     batch_size: int = 32,
-    rates: Mapping[str, float] | None = None,
     optimizer: str | None = None,
-    adapt_parts: Sequence[str] | None = None,
 ) -> tuple[ClientModel, AdaptationTrace, np.ndarray]:
     """Few-shot adaptation on a new task, recording the query learning curve.
 
     ``theta_init=None`` is random initialization (RI); passing the trained
     shared vector is meta initialization (MI). The encoder/mapper seed streams do
-    not depend on the mode, so RI/MI runs with the same seed are paired. By
-    default every part is fine-tuned.
+    not depend on the mode, so RI/MI runs with the same seed are paired. Every
+    part is fine-tuned.
 
     Returns the adapted model, the per-step trace, and the final per-sample
     query distance errors (native units).
@@ -340,7 +351,7 @@ def meta_test(
     batches = BatchStream(task.support.n_samples, batch_size, np.random.default_rng(batch_seed))
     for step in range(1, steps + 1):
         batch = batches.next()
-        loss = model.train_step(xs[batch], ys[batch], rates=rates, parts=adapt_parts, optimizer=optimizer)
+        loss = model.train_step(xs[batch], ys[batch], optimizer=optimizer)
         if not math.isfinite(loss):
             raise DivergenceError(f"task {task.task_id}, {mode} seed {seed}: step {step} loss is {loss}")
         pred = task.denormalize_coords(model.full_forward(xq))

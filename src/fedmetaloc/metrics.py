@@ -11,13 +11,15 @@ The probes near the bottom study plain-SGD fine-tuning trajectories: steps to
 reach a squared-gradient-norm threshold, and how far an actual trajectory
 drifts from its first-order linearization. A probe step runs the backward
 passes of the parts it trains (all four by default), and the threshold's
-``||grad_theta L(query)||^2`` runs the prediction path alone: three forwards
+``||nabla_theta L(query)||^2`` runs the prediction path alone: three forwards
 and two backwards, no decoder, whose reconstruction term does not depend on
-the shared part theta.
+the shared part theta. Parameters, gradients and the probes' fixed parts
+(``theta_init``, ``part_overrides``) are flat part vectors (:mod:`fedmetaloc.nn`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -40,15 +42,10 @@ def mde(pred: np.ndarray, truth: np.ndarray) -> float:
     return float(np.mean(np.linalg.norm(pred - truth, axis=1)))
 
 
-def _mde_series(trace) -> list[float]:
-    if hasattr(trace, "query_mdes"):
-        return list(trace.query_mdes())
-    return [float(v) for v in trace]
-
-
-def steps_to_accuracy(trace, target: float) -> int | None:
-    """Earliest step whose query MDE is <= target, or None if never reached."""
-    for step, value in enumerate(_mde_series(trace), start=1):
+def steps_to_accuracy(series: Sequence[float], target: float) -> int | None:
+    """Earliest step of a per-step query MDE series that is <= target, or None
+    if never reached."""
+    for step, value in enumerate(series, start=1):
         if value <= target:
             return step
     return None
@@ -69,21 +66,20 @@ def step_speed_from_mde(mde_value: float, batch_size: int) -> float:
 
 
 def adaptation_speed_accuracy(
-    traces, target: float, batch_size: int
+    traces: Sequence[float] | Sequence[Sequence[float]], target: float, batch_size: int
 ) -> tuple[float, list[int | None]]:
-    """Mean accuracy-based speed over one or more traces.
+    """Mean accuracy-based speed over one per-step query MDE series or a list of them.
 
-    Traces that never reach the target contribute 0 and surface as ``None`` in
-    the returned per-trace step list.
+    Series that never reach the target contribute 0 and surface as ``None`` in
+    the returned per-series step list.
     """
-    if hasattr(traces, "query_mdes") or (traces and isinstance(traces[0], (int, float))):
+    if traces and isinstance(traces[0], (int, float)):
         traces = [traces]
     if not traces:
         raise ConfigError("need at least one trace")
     steps: list[int | None] = []
     speeds = []
-    for trace in traces:
-        series = _mde_series(trace)
+    for series in traces:
         if not series:
             raise ConfigError("empty adaptation trace")
         n = steps_to_accuracy(series, target)
@@ -92,9 +88,8 @@ def adaptation_speed_accuracy(
     return float(np.mean(speeds)), steps
 
 
-def adaptation_speed_steps(trace, n_star: int, batch_size: int) -> float:
-    """Step-based speed: query MDE at step ``n*`` divided by the batch size."""
-    series = _mde_series(trace)
+def adaptation_speed_steps(series: Sequence[float], n_star: int, batch_size: int) -> float:
+    """Step-based speed: the series' query MDE at step ``n*`` divided by the batch size."""
     if len(series) < n_star:
         raise ConfigError(f"trace has {len(series)} steps, cannot evaluate step {n_star}")
     if n_star < 1:
@@ -155,9 +150,9 @@ def flatten_parts(model: ClientModel, parts: Sequence[str]) -> np.ndarray:
     return np.concatenate([model.vectors[part] for part in parts])
 
 
-def flatten_grads(grads: Mapping[str, nn.GradientBundle], parts: Sequence[str]) -> np.ndarray:
+def flatten_grads(grads: Mapping[str, np.ndarray], parts: Sequence[str]) -> np.ndarray:
     """A new vector holding the parts' gradient vectors one after another."""
-    return np.concatenate([grads[part].vector for part in parts])
+    return np.concatenate([grads[part] for part in parts])
 
 
 def theta_grad_sq_norm(model: ClientModel, x: np.ndarray, y: np.ndarray) -> float:
@@ -165,10 +160,18 @@ def theta_grad_sq_norm(model: ClientModel, x: np.ndarray, y: np.ndarray) -> floa
 
     Runs :meth:`ClientModel.shared_gradient`: the prediction path only (three
     forwards, two backwards), since the reconstruction term does not depend
-    on the shared part. Bitwise equal to
-    ``composite_loss(x, y)[1]["meta"].norm() ** 2``.
+    on the shared part.
     """
-    return model.shared_gradient(x, y).norm() ** 2
+    sizes = nn.stack_sizes(model.parts["meta"])
+    blocks = nn.unflatten(model.shared_gradient(x, y), sizes)
+    # The sum runs per layer block in the order nn.backward fills them (last
+    # layer first, weights before biases), then goes through sqrt and back:
+    # the grad_sq traces in probe_report.json depend on this exact order.
+    total = 0.0
+    for i in range(len(sizes) - 2, -1, -1):
+        for block in (blocks[f"layer{i}.weights"], blocks[f"layer{i}.biases"]):
+            total += float(np.sum(block * block))
+    return math.sqrt(total) ** 2
 
 
 def epsilon_accuracy_steps(
@@ -180,15 +183,15 @@ def epsilon_accuracy_steps(
     mu: float,
     seed: int = 0,
     adapt_parts: Sequence[str] | None = None,
-    part_overrides: Mapping[str, nn.ParamDict] | None = None,
+    part_overrides: Mapping[str, np.ndarray] | None = None,
 ) -> tuple[int | None, list[float]]:
     """Full-batch SGD fine-tuning until the query gradient norm drops below epsilon.
 
-    Tracks ``||grad_theta L(query)||^2`` after every step and returns the first
+    Tracks ``||nabla_theta L(query)||^2`` after every step and returns the first
     step where it falls below ``epsilon`` (None when ``max_steps`` is exhausted),
     together with the full squared-norm trace. ``part_overrides`` lets callers
     pin specific parts (e.g. an identity encoder for an exactly-linear probe);
-    they are parameter dictionaries, copied in with :func:`nn.assign_params`.
+    they are flat part vectors, copied in with :meth:`ClientModel.set_part_params`.
     """
     if epsilon <= 0:
         raise ConfigError(f"epsilon must be > 0, got {epsilon}")
@@ -201,8 +204,8 @@ def epsilon_accuracy_steps(
     )
     if theta_init is not None:
         model.set_part_params("meta", theta_init)
-    for part, params in (part_overrides or {}).items():
-        nn.assign_params(model.parts[part], params)
+    for part, vector in (part_overrides or {}).items():
+        model.set_part_params(part, vector)
     xs, ys = task.support.rssi, task.normalize_coords(task.support.coords)
     xq, yq = task.query.rssi, task.normalize_coords(task.query.coords)
     rates = {part: mu for part in PART_NAMES}
@@ -225,7 +228,7 @@ def linearization_probe(
     n_steps: int,
     seed: int = 0,
     parts: Sequence[str] | None = None,
-    part_overrides: Mapping[str, nn.ParamDict] | None = None,
+    part_overrides: Mapping[str, np.ndarray] | None = None,
 ) -> dict[float, float]:
     """Drift of the actual SGD trajectory from its first-order linearization.
 
@@ -234,8 +237,9 @@ def linearization_probe(
 
         ``|| Omega_n - (Omega_0 - mu * n * grad L(Omega_0)) || / || Omega_0 ||``
 
-    over the trained parts (all four by default). One step is exact by
-    construction, and the residual shrinks with mu.
+    over the trained parts (all four by default), with ``part_overrides`` as in
+    :func:`epsilon_accuracy_steps`. One step is exact by construction, and the
+    residual shrinks with mu.
     """
     if n_steps < 1:
         raise ConfigError(f"need at least one step, got {n_steps}")
@@ -245,8 +249,8 @@ def linearization_probe(
     residuals: dict[float, float] = {}
     for mu in mu_list:
         model = ClientModel.build(config, m=task.m, seed=seed)
-        for part, params in (part_overrides or {}).items():
-            nn.assign_params(model.parts[part], params)
+        for part, vector in (part_overrides or {}).items():
+            model.set_part_params(part, vector)
         omega0 = flatten_parts(model, parts)
         _, grads0 = model.composite_loss(xs, ys, parts)
         g0 = flatten_grads(grads0, parts)

@@ -33,8 +33,9 @@ is computed by the same operations, in the same order, as when all four
 gradients are requested.
 
 Each part's parameters live in one flat vector (``ClientModel.vectors``, see
-:mod:`fedmetaloc.nn`), which the optimizers update in place. Parameter
-dictionaries appear only in checkpoints.
+:mod:`fedmetaloc.nn`), which the optimizers update in place, and each
+gradient is a flat vector in the same layout: ``composite_loss`` returns
+``{part: vector}``. Parameter dictionaries appear only in checkpoints.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ from .errors import ConfigError, DataError
 from .fileio import atomic_write
 
 PART_NAMES = ("encoder", "decoder", "meta", "mapper")
+OPTIMIZERS = ("adam", "sgd")
 
 
 @dataclass(frozen=True)
@@ -90,8 +92,8 @@ class ModelConfig:
                 raise ConfigError(f"{name} must be > 0, got {mu}")
         if self.lambda_recon < 0:
             raise ConfigError(f"lambda_recon must be >= 0, got {self.lambda_recon}")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ConfigError(f"optimizer must be 'adam' or 'sgd', got {self.optimizer!r}")
+        if self.optimizer not in OPTIMIZERS:
+            raise ConfigError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
         if self.encoder_init not in ("he", "prefix_projection"):
             raise ConfigError(f"encoder_init must be 'he' or 'prefix_projection', got {self.encoder_init!r}")
         if self.encoder_init == "prefix_projection" and self.encoder_hidden:
@@ -204,7 +206,7 @@ class ClientModel:
 
     def composite_loss(
         self, x: np.ndarray, y: np.ndarray, parts: Sequence[str] = PART_NAMES
-    ) -> tuple[float, dict[str, nn.GradientBundle]]:
+    ) -> tuple[float, dict[str, np.ndarray]]:
         """Loss over one batch and the gradients of exactly ``parts``.
 
         ``loss = MSE(prediction, y) + lambda_recon * MSE(reconstruction, x)``,
@@ -225,7 +227,7 @@ class ClientModel:
             grads["encoder"], _ = nn.backward(enc_cache, dlatent_pred + dlatent_recon)
         return loss, {part: grads[part] for part in parts}
 
-    def shared_gradient(self, x: np.ndarray, y: np.ndarray) -> nn.GradientBundle:
+    def shared_gradient(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Gradient of the composite loss with respect to the shared part.
 
         The reconstruction term does not depend on the shared part, so this
@@ -250,7 +252,7 @@ class ClientModel:
         feats, meta_cache = nn.forward(self.parts["meta"], latent)
         pred, map_cache = nn.forward(self.parts["mapper"], feats)
         pred_loss, dpred = nn.mse_loss(pred, y)
-        grads: dict[str, nn.GradientBundle] = {}
+        grads: dict[str, np.ndarray] = {}
         dlatent = None
         if {"mapper", "meta", "encoder"} & set(parts):
             grads["mapper"], dfeats = nn.backward(map_cache, dpred)
@@ -285,7 +287,7 @@ class ClientModel:
 
     def apply_gradients(
         self,
-        grads: Mapping[str, nn.GradientBundle],
+        grads: Mapping[str, np.ndarray],
         rates: Mapping[str, float] | None = None,
         parts: Sequence[str] | None = None,
         optimizer: str | None = None,
@@ -294,8 +296,10 @@ class ClientModel:
         rates = rates if rates is not None else self.config.rates()
         parts = parts if parts is not None else PART_NAMES
         optimizer = optimizer or self.config.optimizer
+        if optimizer not in OPTIMIZERS:
+            raise ConfigError(f"optimizer must be one of {OPTIMIZERS}, got {optimizer!r}")
         for part in parts:
-            vector, grad = self.vectors[part], grads[part].vector
+            vector, grad = self.vectors[part], grads[part]
             if optimizer == "adam":
                 state = self.opt_states[part]
                 if state is None:

@@ -4,8 +4,9 @@ Flat layout. A stack of layers (one model part) keeps all its parameters in
 one contiguous float64 vector, made by :func:`bind`. Each layer's ``weights``
 [out, in] and ``biases`` are reshaped views into that vector, which holds them
 in sorted-key order: ``layer0.biases``, ``layer0.weights``, ``layer1.biases``,
-... . The gradients :func:`backward` returns and Adam's two moments are flat
-vectors in the same layout.
+... . The gradient :func:`backward` returns and Adam's two moments are flat
+vectors in the same layout, and so is everything the model, federation and
+metrics layers pass between them: gradients, client updates, probe overrides.
 
 In-place contract. :func:`sgd_step` and :func:`adam_step` overwrite the
 parameter vector (and the moments) in place, so every layer view sees the new
@@ -14,8 +15,8 @@ rebinding them to new arrays detaches the layer from its vector.
 
 Parameter dictionaries map ``"layer{i}.weights"`` / ``"layer{i}.biases"`` to
 arrays, listed layer by layer with the weights first. They are the exchange
-format at the boundary (checkpoints, fixed test parts): :func:`export_params`
-and :func:`unflatten` produce them, :func:`assign_params` and :func:`flatten`
+format of checkpoints and of per-key test oracles: :func:`export_params` and
+:func:`unflatten` produce them, :func:`assign_params` and :func:`flatten`
 consume them.
 """
 
@@ -198,22 +199,6 @@ def assign_params(layers: Sequence[DenseLayer], params: ParamDict) -> None:
 
 
 @dataclass
-class GradientBundle:
-    """One stack's gradients: a flat vector in the parameter layout, and keyed
-    views into it listed in the order :func:`backward` computed them."""
-
-    vector: np.ndarray
-    grads: ParamDict
-
-    def norm(self) -> float:
-        """Euclidean norm over all entries, treated as one flat vector."""
-        total = 0.0
-        for v in self.grads.values():
-            total += float(np.sum(v * v))
-        return math.sqrt(total)
-
-
-@dataclass
 class ForwardCache:
     """Activation trace from one forward pass, consumed by :func:`backward`."""
 
@@ -251,12 +236,13 @@ def forward(layers: Sequence[DenseLayer], x: np.ndarray) -> tuple[np.ndarray, Fo
     return y, cache
 
 
-def backward(cache: ForwardCache, upstream_grad: np.ndarray) -> tuple[GradientBundle, np.ndarray]:
+def backward(cache: ForwardCache, upstream_grad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Backpropagate ``dL/dy`` through the cached pass.
 
-    Returns gradients for every weight and bias, written straight into one
-    flat vector, plus the gradient with respect to the stack input, which lets
-    callers chain several stacks together.
+    Returns the gradient of every weight and bias as one flat vector in the
+    parameter layout, filled last layer first, weights before biases, plus the
+    gradient with respect to the stack input, which lets callers chain several
+    stacks together.
     """
     da = np.asarray(upstream_grad, dtype=np.float64)
     if cache.squeeze and da.ndim == 1:
@@ -271,19 +257,15 @@ def backward(cache: ForwardCache, upstream_grad: np.ndarray) -> tuple[GradientBu
     layout = _layout(stack_sizes(cache.layers))
     vector = np.empty(layout[-1][2])
     views = {key: vector[start:stop].reshape(shape) for key, start, stop, shape in layout}
-    grads: ParamDict = {}
     for i in range(len(cache.layers) - 1, -1, -1):
         layer = cache.layers[i]
         z = cache.preacts[i]
         dz = da * (z > 0.0) if layer.activation == RELU else da
-        gw, gb = views[f"layer{i}.weights"], views[f"layer{i}.biases"]
-        np.matmul(dz.T, cache.inputs[i], out=gw)
-        dz.sum(axis=0, out=gb)
-        grads[f"layer{i}.weights"] = gw
-        grads[f"layer{i}.biases"] = gb
+        np.matmul(dz.T, cache.inputs[i], out=views[f"layer{i}.weights"])
+        dz.sum(axis=0, out=views[f"layer{i}.biases"])
         da = dz @ layer.weights
     dx = da[0] if cache.squeeze else da
-    return GradientBundle(vector=vector, grads=grads), dx
+    return vector, dx
 
 
 def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:

@@ -4,6 +4,7 @@ deliberately independent of the vectorized code paths they check."""
 from __future__ import annotations
 
 import csv
+import math
 from pathlib import Path
 
 import numpy as np
@@ -72,6 +73,18 @@ def randomize_biases(model, rng: np.random.Generator, scale: float = 0.1) -> Non
 def reference_sgd_step(params: dict, grads: dict, mu: float) -> dict:
     """Plain SGD on parameter dictionaries, one new array per key: ``p - mu * g``."""
     return {k: params[k] - mu * grads[k] for k in params}
+
+
+def reference_grad_sq_norm(grad: np.ndarray, sizes) -> float:
+    """``||grad||^2`` as a per-key sum, in the order the backward pass fills
+    the keys (last layer first, weights before biases), taken through
+    ``sqrt`` and squared back."""
+    params = nn.unflatten(grad, sizes)
+    total = 0.0
+    for i in reversed(range(len(sizes) - 1)):
+        for key in (f"layer{i}.weights", f"layer{i}.biases"):
+            total += float(np.sum(params[key] * params[key]))
+    return math.sqrt(total) ** 2
 
 
 def reference_adam_state(params: dict) -> dict:
@@ -167,8 +180,9 @@ def synth_task(
     return make_task(task_id or f"T{seed}", processed, ratio, split_seed)
 
 
-def identity_part(size: int) -> dict:
-    return {"layer0.weights": np.eye(size), "layer0.biases": np.zeros(size)}
+def identity_part(size: int) -> np.ndarray:
+    """Flat vector of a single-layer ``size -> size`` identity stack."""
+    return nn.flatten({"layer0.weights": np.eye(size), "layer0.biases": np.zeros(size)}, [size, size])
 
 
 def linear_probe_setup(
@@ -185,6 +199,7 @@ def linear_probe_setup(
     ``x @ W.T + b`` over the shared part's single layer, so least-squares
     closed forms apply. Labels follow one shared linear ground truth (plus
     optional noise), so support and query losses share their minimizer.
+    The fixed parts (``overrides``) and ``theta0`` are flat part vectors.
     """
     rng = np.random.default_rng(seed)
     truth_w = rng.normal(size=(out, m))
@@ -210,7 +225,7 @@ def linear_probe_setup(
         optimizer="sgd",
     )
     overrides = {"encoder": identity_part(m), "mapper": identity_part(out)}
-    theta0 = nn.export_params(nn.build_stack([m, out], seed=seed + 1))
+    theta0 = nn.bind(nn.build_stack([m, out], seed=seed + 1))
     return task, cfg, overrides, theta0
 
 
@@ -225,8 +240,10 @@ def augmented_least_squares(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, n
     return 2.0 * xt.T @ xt / (n * p), 2.0 * xt.T @ y / (n * p)
 
 
-def augmented_theta(theta: dict) -> np.ndarray:
-    return np.vstack([theta["layer0.weights"].T, theta["layer0.biases"][None, :]])
+def augmented_theta(theta: np.ndarray, sizes) -> np.ndarray:
+    """``[[W.T], [b]]`` of a single-layer shared part given as a flat vector."""
+    params = nn.unflatten(theta, sizes)
+    return np.vstack([params["layer0.weights"].T, params["layer0.biases"][None, :]])
 
 
 def linear_sgd_closed_form(h_s, c_s, wt0, mu: float, step: int) -> np.ndarray:

@@ -159,7 +159,7 @@ def test_criterion_2_gradient_correctness():
                     live[f"layer{i}.biases"] = layer.biases
                 fd = central_difference(lambda: model.composite_loss(x, y)[0], live, h=1e-5)
                 for key in live:
-                    err = rel_err(grads[part].grads[key], fd[key])
+                    err = rel_err(nn.unflatten(grads[part], nn.stack_sizes(model.parts[part]))[key], fd[key])
                     assert err <= 1e-4, (seed, part, key, err)
 
 
@@ -216,7 +216,7 @@ def test_criterion_4_aggregation_equivalences():
         update = client_local_train(clients[0], meta.broadcast(), local_steps=0)
         aggregated = server_aggregate(meta, [update], {clients[0].client_id: 1.0})
         sizes = cfg.part_sizes("meta")
-        plain = reference_sgd_step(nn.unflatten(meta.params, sizes), update.grad_theta.grads, 0.05)
+        plain = reference_sgd_step(nn.unflatten(meta.params, sizes), nn.unflatten(update.vector, sizes), 0.05)
         assert np.array_equal(aggregated.params, nn.flatten(plain, sizes))
 
         # (b) permuting client execution order leaves theta^R bit-identical
@@ -277,7 +277,7 @@ def test_criterion_5_meta_init_beats_random_init(cohort_run):
                     trace = experiments.read_trace(
                         experiments.run_dir(config, task_id, mode, seed), task_id, mode, seed
                     )
-                    steps.append(steps_to_accuracy(trace, COHORT_TARGET_M) or budget + 1)
+                    steps.append(steps_to_accuracy(trace.query_mdes(), COHORT_TARGET_M) or budget + 1)
                 per_mode[mode] = float(np.mean(steps))
             wins += per_mode["MI"] < per_mode["RI"]
             reductions.append((per_mode["RI"] - per_mode["MI"]) / per_mode["RI"])
@@ -305,7 +305,7 @@ def test_criterion_6_linearization_probe():
         h_s, c_s = augmented_least_squares(
             task.support.rssi, task.normalize_coords(task.support.coords)
         )
-        wt0 = augmented_theta(theta0)
+        wt0 = augmented_theta(theta0, cfg.part_sizes("meta"))
         for mu in mu_list:
             wt_n = linear_sgd_closed_form(h_s, c_s, wt0, mu, n_steps)
             linearized = wt0 - mu * n_steps * (h_s @ wt0 - c_s)

@@ -320,6 +320,11 @@ class TestCliEntryPoint:
         path = small_config(tmp_path, train_tasks=["T00", "T02"], test_tasks=["T02"])
         assert cli.run(["preprocess", "--config", str(path)]) == 2
 
+    def test_unknown_meta_test_optimizer_is_a_config_error(self, tmp_path, capsys):
+        path = small_config(tmp_path, meta_test={"steps": 6, "seeds": [0], "optimizer": "rmsprop"})
+        assert cli.run(["meta-test", "--config", str(path)]) == 2
+        assert "rmsprop" in capsys.readouterr().err
+
 
 class TestMalformedCheckpoint:
     def trained(self, tmp_path) -> tuple[Path, Path]:

@@ -41,6 +41,10 @@ def params_equal(a: np.ndarray, b: np.ndarray) -> bool:
     return a.shape == b.shape and np.array_equal(a, b)
 
 
+def bits(vector: np.ndarray) -> bytes:
+    return np.ascontiguousarray(vector, dtype=np.float64).tobytes()
+
+
 class TestServerInit:
     def test_thirteen_floor_cohort(self):
         tasks = [
@@ -97,7 +101,7 @@ class TestClientLocalTrain:
         _, grads = client.model.composite_loss(
             task.query.rssi, task.normalize_coords(task.query.coords)
         )
-        assert params_equal(update.grad_theta.vector, grads["meta"].vector)
+        assert params_equal(update.vector, grads["meta"])
 
     def test_query_evaluation_backpropagates_into_the_shared_part_only(self, monkeypatch):
         tasks, cfg = small_cohort(1)
@@ -108,6 +112,36 @@ class TestClientLocalTrain:
         update = client_local_train(client, meta.broadcast(), local_steps=0)
         assert counts == {"forward": 4, "backward": 2}
         assert update.query_loss == full_loss
+
+    @pytest.mark.parametrize("aggregation, backwards", [("average", 20), ("gradient", 22)])
+    def test_five_steps_run_the_query_backward_only_for_gradient_aggregation(
+        self, monkeypatch, aggregation, backwards
+    ):
+        tasks, cfg = small_cohort(1)
+        meta, clients = server_init(tasks, cfg, eta=0.01, seed=2)
+        counts = count_passes(monkeypatch)
+        client_local_train(clients[0], meta.broadcast(), local_steps=5, aggregation=aggregation)
+        assert counts["backward"] == backwards
+
+    @pytest.mark.parametrize("aggregation", ["gradient", "average"])
+    def test_update_vector_is_the_query_gradient_or_the_local_theta(self, aggregation):
+        tasks, cfg = small_cohort(1)
+        meta, clients = server_init(tasks, cfg, eta=0.01, seed=3)
+        client, task = clients[0], tasks[0]
+        update = client_local_train(client, meta.broadcast(), local_steps=3, aggregation=aggregation)
+        loss, grads = client.model.composite_loss(task.query.rssi, task.normalize_coords(task.query.coords))
+        assert update.query_loss == loss
+        if aggregation == "gradient":
+            assert bits(update.vector) == bits(grads["meta"])
+        else:
+            assert bits(update.vector) == bits(client.model.vectors["meta"])
+            assert not np.shares_memory(update.vector, client.model.vectors["meta"])
+
+    def test_unknown_aggregation_rejected(self):
+        tasks, cfg = small_cohort(1)
+        meta, clients = server_init(tasks, cfg, eta=0.01, seed=2)
+        with pytest.raises(ConfigError):
+            client_local_train(clients[0], meta.broadcast(), local_steps=0, aggregation="median")
 
     def test_single_sgd_step_matches_hand_computed_update(self):
         tasks, cfg = small_cohort(1, samples=20, optimizer="sgd")
@@ -125,7 +159,9 @@ class TestClientLocalTrain:
         _, grads = oracle.composite_loss(xs, ys)
         expected = {
             part: reference_sgd_step(
-                nn.export_params(oracle.parts[part]), grads[part].grads, cfg.rates()[part]
+                nn.export_params(oracle.parts[part]),
+                nn.unflatten(grads[part], nn.stack_sizes(oracle.parts[part])),
+                cfg.rates()[part],
             )
             for part in PART_NAMES
         }
@@ -176,7 +212,7 @@ class TestServerAggregate:
             client_local_train(c, meta.broadcast(), local_steps=0) for c in clients
         ]
         for u in updates:
-            u.grad_theta.vector[:] = 0.0
+            u.vector[:] = 0.0
         new = server_aggregate(meta, updates, {c.client_id: c.rho for c in clients})
         assert params_equal(new.params, meta.params)
         assert new.round == meta.round + 1
@@ -187,7 +223,7 @@ class TestServerAggregate:
         assert clients[0].task.query.n_samples == clients[1].task.query.n_samples
         updates = [client_local_train(c, meta.broadcast(), local_steps=0) for c in clients]
         new = server_aggregate(meta, updates, {c.client_id: 0.5 for c in clients})
-        g1, g2 = (u.grad_theta.vector for u in updates)
+        g1, g2 = (u.vector for u in updates)
         expected = meta.params - 0.5 * (0.5 * g1 + 0.5 * g2) * 1.0
         np.testing.assert_allclose(new.params, expected, rtol=1e-12)
 
@@ -197,36 +233,36 @@ class TestServerAggregate:
         update = client_local_train(clients[0], meta.broadcast(), local_steps=0)
         new = server_aggregate(meta, [update], {clients[0].client_id: 1.0})
         sizes = cfg.part_sizes("meta")
-        plain = reference_sgd_step(nn.unflatten(meta.params, sizes), update.grad_theta.grads, 0.05)
+        plain = reference_sgd_step(nn.unflatten(meta.params, sizes), nn.unflatten(update.vector, sizes), 0.05)
         assert params_equal(new.params, nn.flatten(plain, sizes))
 
     def test_shape_mismatch_rejected(self):
         tasks, cfg = small_cohort(1)
         meta, clients = server_init(tasks, cfg, eta=0.05, seed=8)
         update = client_local_train(clients[0], meta.broadcast(), local_steps=0)
-        update.grad_theta = nn.GradientBundle(
-            vector=np.zeros(1), grads={"layer0.weights": np.zeros((1, 1))}
-        )
+        update.vector = np.zeros(1)
         with pytest.raises(ConfigError):
             server_aggregate(meta, [update], {clients[0].client_id: 1.0})
 
     def test_average_aggregation_keeps_weighted_local_parameters(self):
         tasks, cfg = small_cohort(2, samples=40)
         meta, clients = server_init(tasks, cfg, eta=0.05, seed=9)
-        updates = [client_local_train(c, meta.broadcast(), local_steps=2) for c in clients]
+        updates = [
+            client_local_train(c, meta.broadcast(), local_steps=2, aggregation="average") for c in clients
+        ]
         new = server_aggregate(
             meta, updates, {c.client_id: 0.5 for c in clients}, aggregation="average"
         )
-        expected = 0.5 * updates[0].theta_local + 0.5 * updates[1].theta_local
+        expected = 0.5 * updates[0].vector + 0.5 * updates[1].vector
         np.testing.assert_allclose(new.params, expected, rtol=0, atol=0)
         assert new.round == meta.round + 1
 
     def test_single_client_average_is_its_local_theta(self):
         tasks, cfg = small_cohort(1)
         meta, clients = server_init(tasks, cfg, eta=0.05, seed=10)
-        update = client_local_train(clients[0], meta.broadcast(), local_steps=3)
+        update = client_local_train(clients[0], meta.broadcast(), local_steps=3, aggregation="average")
         new = server_aggregate(meta, [update], {clients[0].client_id: 1.0}, aggregation="average")
-        assert np.array_equal(new.params, update.theta_local)
+        assert np.array_equal(new.params, update.vector)
 
 
 class TestMetaTrain:
@@ -314,7 +350,7 @@ class TestMetaTrain:
             model.train_step(xs, ys)
             loss, grads = model.composite_loss(xq, yq)
             ref_losses.append(loss)
-            stepped = reference_sgd_step(nn.unflatten(theta, sizes), grads["meta"].grads, eta)
+            stepped = reference_sgd_step(nn.unflatten(theta, sizes), nn.unflatten(grads["meta"], sizes), eta)
             theta = nn.flatten(stepped, sizes)
 
         fed_losses = [r.mean_query_loss for r in reports]
@@ -355,15 +391,16 @@ class TestMetaTrainReferenceLoop:
                         nn.assign_params(model.parts[part], params[cid][part])
                     _, grads = model.composite_loss(xs[batch], ys[batch])
                     for part in PART_NAMES:
+                        keyed = nn.unflatten(grads[part], nn.stack_sizes(model.parts[part]))
                         params[cid][part], states[cid][part] = reference_adam_step(
-                            params[cid][part], grads[part].grads, states[cid][part], rates[part]
+                            params[cid][part], keyed, states[cid][part], rates[part]
                         )
                 for part in PART_NAMES:
                     nn.assign_params(model.parts[part], params[cid][part])
                 losses[cid], grads = model.composite_loss(
                     task.query.rssi, task.normalize_coords(task.query.coords)
                 )
-                sent = grads["meta"].grads if aggregation == "gradient" else params[cid]["meta"]
+                sent = params[cid]["meta"] if aggregation == "average" else nn.unflatten(grads["meta"], sizes)
                 for k in acc:
                     acc[k] += client.rho * sent[k]
             theta = {k: theta[k] - eta * acc[k] for k in theta} if aggregation == "gradient" else acc

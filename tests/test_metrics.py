@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedmetaloc import nn
 from fedmetaloc.errors import ConfigError, DataError
 from fedmetaloc.metrics import (
     accuracy_speed_from_steps,
@@ -244,7 +243,7 @@ class TestEpsilonAccuracySteps:
     def test_huge_epsilon_reaches_in_one_step(self):
         task, cfg, overrides, theta0 = linear_probe_setup(seed=0)
         steps, trace = epsilon_accuracy_steps(
-            task, cfg, nn.flatten(theta0, cfg.part_sizes("meta")), epsilon=1e12, max_steps=10, mu=0.1,
+            task, cfg, theta0, epsilon=1e12, max_steps=10, mu=0.1,
             adapt_parts=("meta",), part_overrides=overrides,
         )
         assert steps == 1 and len(trace) == 1
@@ -252,10 +251,20 @@ class TestEpsilonAccuracySteps:
     def test_unreachable_epsilon_returns_none(self):
         task, cfg, overrides, theta0 = linear_probe_setup(seed=1)
         steps, trace = epsilon_accuracy_steps(
-            task, cfg, nn.flatten(theta0, cfg.part_sizes("meta")), epsilon=1e-300, max_steps=15, mu=0.1,
+            task, cfg, theta0, epsilon=1e-300, max_steps=15, mu=0.1,
             adapt_parts=("meta",), part_overrides=overrides,
         )
         assert steps is None and len(trace) == 15
+
+    def test_wrong_size_override_rejected(self):
+        task, cfg, overrides, theta0 = linear_probe_setup(seed=1)
+        with pytest.raises(ConfigError):
+            epsilon_accuracy_steps(
+                task, cfg, theta0, epsilon=1.0, max_steps=1, mu=0.1,
+                part_overrides={**overrides, "mapper": np.zeros(overrides["mapper"].size + 1)},
+            )
+        with pytest.raises(ConfigError):
+            linearization_probe(task, cfg, [0.1], n_steps=1, part_overrides={"meta": theta0[:-1]})
 
     def test_matches_closed_form_gradient_decay_oracle(self):
         task, cfg, overrides, theta0 = linear_probe_setup(m=3, out=2, n_support=24, n_query=16, seed=2)
@@ -266,7 +275,7 @@ class TestEpsilonAccuracySteps:
         h_q, c_q = augmented_least_squares(
             task.query.rssi, task.normalize_coords(task.query.coords)
         )
-        wt0 = augmented_theta(theta0)
+        wt0 = augmented_theta(theta0, cfg.part_sizes("meta"))
         oracle_sq = []
         for step in range(1, 61):
             wt = linear_sgd_closed_form(h_s, c_s, wt0, mu, step)
@@ -278,7 +287,7 @@ class TestEpsilonAccuracySteps:
             eps = float(np.sqrt(oracle_sq[k - 1] * oracle_sq[k]))
             oracle_steps = next(t + 1 for t, sq in enumerate(oracle_sq) if sq < eps)
             steps, _ = epsilon_accuracy_steps(
-                task, cfg, nn.flatten(theta0, cfg.part_sizes("meta")), epsilon=eps, max_steps=80, mu=mu,
+                task, cfg, theta0, epsilon=eps, max_steps=80, mu=mu,
                 adapt_parts=("meta",), part_overrides=overrides,
             )
             assert steps is not None and abs(steps - oracle_steps) <= 1
@@ -287,7 +296,7 @@ class TestEpsilonAccuracySteps:
         task, cfg, overrides, theta0 = linear_probe_setup(m=4, out=2, seed=3)
         mu = 0.15
         _, trace = epsilon_accuracy_steps(
-            task, cfg, nn.flatten(theta0, cfg.part_sizes("meta")), epsilon=1e-300, max_steps=12, mu=mu,
+            task, cfg, theta0, epsilon=1e-300, max_steps=12, mu=mu,
             adapt_parts=("meta",), part_overrides=overrides,
         )
         h_s, c_s = augmented_least_squares(
@@ -296,7 +305,7 @@ class TestEpsilonAccuracySteps:
         h_q, c_q = augmented_least_squares(
             task.query.rssi, task.normalize_coords(task.query.coords)
         )
-        wt0 = augmented_theta(theta0)
+        wt0 = augmented_theta(theta0, cfg.part_sizes("meta"))
         for step, actual in enumerate(trace, start=1):
             wt = linear_sgd_closed_form(h_s, c_s, wt0, mu, step)
             gq = h_q @ wt - c_q
@@ -323,7 +332,7 @@ class TestLemma1Probe:
         h_s, c_s = augmented_least_squares(
             task.support.rssi, task.normalize_coords(task.support.coords)
         )
-        wt0 = augmented_theta(theta0)
+        wt0 = augmented_theta(theta0, cfg.part_sizes("meta"))
         for mu in mu_list:
             wt_n = linear_sgd_closed_form(h_s, c_s, wt0, mu, n_steps)
             linearized = wt0 - mu * n_steps * (h_s @ wt0 - c_s)

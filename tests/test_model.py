@@ -14,6 +14,7 @@ from helpers import (
     randomize_biases,
     reference_adam_state,
     reference_adam_step,
+    reference_grad_sq_norm,
     reference_sgd_step,
     rel_err,
     tiny_model_config,
@@ -115,8 +116,8 @@ class TestEncodeDecode:
             recon, cache = nn.forward(stack, x)
             loss, grad = nn.mse_loss(recon, x)
             losses.append(loss)
-            bundle, _ = nn.backward(cache, grad)
-            nn.adam_step(vector, bundle.vector, state, 0.005)
+            g, _ = nn.backward(cache, grad)
+            nn.adam_step(vector, g, state, 0.005)
         blocks = np.array(losses).reshape(4, 50).mean(axis=1)
         assert (np.diff(blocks) < 0).all()
         assert losses[-1] < 0.5 * losses[0]
@@ -172,7 +173,7 @@ class TestCompositeLoss:
         model = ClientModel.build(tiny_model_config(lambda_recon=0.0), m=5, seed=3)
         rng = np.random.default_rng(3)
         _, grads = model.composite_loss(rng.uniform(size=(4, 5)), rng.normal(size=(4, 2)))
-        assert all(np.all(g == 0) for g in grads["decoder"].grads.values())
+        assert np.all(grads["decoder"] == 0)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_gradients_match_finite_differences_for_every_part(self, seed):
@@ -189,8 +190,9 @@ class TestCompositeLoss:
                 live[f"layer{i}.weights"] = layer.weights
                 live[f"layer{i}.biases"] = layer.biases
             fd = central_difference(lambda: model.composite_loss(x, y)[0], live, h=1e-5)
+            keyed = nn.unflatten(grads[part], nn.stack_sizes(model.parts[part]))
             for key in live:
-                assert rel_err(grads[part].grads[key], fd[key]) <= 1e-4, (part, key)
+                assert rel_err(keyed[key], fd[key]) <= 1e-4, (part, key)
 
     def test_empty_batch_rejected(self):
         model = ClientModel.build(tiny_model_config(), m=5, seed=0)
@@ -222,14 +224,25 @@ class TestPartSelectiveGradients:
             assert loss == full_loss, parts
             assert list(grads) == list(parts)
             for part in parts:
-                assert bits(grads[part].vector) == bits(full[part].vector), (parts, part)
+                assert bits(grads[part]) == bits(full[part]), (parts, part)
 
     @pytest.mark.parametrize("lam", [0.0, 0.3])
     def test_shared_gradient_is_the_full_calls_meta_gradient_bitwise(self, lam):
         model, x, y = self.batch(lam)
         full = model.composite_loss(x, y)[1]["meta"]
-        assert bits(model.shared_gradient(x, y).vector) == bits(full.vector)
-        assert metrics.theta_grad_sq_norm(model, x, y) == full.norm() ** 2
+        assert bits(model.shared_gradient(x, y)) == bits(full)
+        sizes = nn.stack_sizes(model.parts["meta"])
+        assert metrics.theta_grad_sq_norm(model, x, y) == reference_grad_sq_norm(full, sizes)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_theta_grad_sq_norm_equals_the_per_key_oracle_at_cohort_widths(self, seed):
+        cfg = ModelConfig(encoder_hidden=(64,), decoder_hidden=(64,))  # meta part 50 -> 256 -> 128 -> 64 -> 32
+        model = ClientModel.build(cfg, m=20, seed=seed)
+        rng = np.random.default_rng(seed)
+        randomize_biases(model, rng)
+        x, y = rng.uniform(size=(45, 20)), rng.normal(size=(45, 2))
+        oracle = reference_grad_sq_norm(model.shared_gradient(x, y), cfg.part_sizes("meta"))
+        assert metrics.theta_grad_sq_norm(model, x, y) == oracle
 
     @pytest.mark.parametrize("lam", [0.0, 0.3])
     def test_loss_value_equals_the_gradient_free_composite_loss_bitwise(self, lam):
@@ -251,6 +264,13 @@ class TestPartSelectiveGradients:
         counts = count_passes(monkeypatch)
         model.composite_loss(x, y, parts)
         assert counts == {"forward": forwards, "backward": backwards}
+
+    def test_unknown_optimizer_rejected_before_any_update(self):
+        model, x, y = self.batch(0.3)
+        before = {part: vector.copy() for part, vector in model.vectors.items()}
+        with pytest.raises(ConfigError):
+            model.train_step(x, y, optimizer="rmsprop")
+        assert all(np.array_equal(model.vectors[part], before[part]) for part in PART_NAMES)
 
     def test_train_step_on_the_decoder_runs_one_backward(self, monkeypatch):
         model, x, y = self.batch(0.3)
@@ -326,12 +346,13 @@ class TestFlatParameters:
             ref_loss, grads = reference.composite_loss(x, y)
             assert loss == ref_loss
             for part in parts:
+                keyed = nn.unflatten(grads[part], nn.stack_sizes(reference.parts[part]))
                 if optimizer == "adam":
                     ref_params[part], ref_states[part] = reference_adam_step(
-                        ref_params[part], grads[part].grads, ref_states[part], rates[part]
+                        ref_params[part], keyed, ref_states[part], rates[part]
                     )
                 else:
-                    ref_params[part] = reference_sgd_step(ref_params[part], grads[part].grads, rates[part])
+                    ref_params[part] = reference_sgd_step(ref_params[part], keyed, rates[part])
                 nn.assign_params(reference.parts[part], ref_params[part])
         for part in PART_NAMES:
             sizes = nn.stack_sizes(model.parts[part])

@@ -60,16 +60,17 @@ class TestBackward:
         # y = w*x + b with w=2, b=0, x=1; loss = y^2/2 so dL/dy = y = 2
         layer = nn.DenseLayer(np.array([[2.0]]), np.zeros(1), nn.IDENTITY)
         y, cache = nn.forward([layer], np.array([1.0]))
-        bundle, dx = nn.backward(cache, np.array([y[0]]))
-        assert bundle.grads["layer0.weights"][0, 0] == pytest.approx(2.0)
-        assert bundle.grads["layer0.biases"][0] == pytest.approx(2.0)
+        grad, dx = nn.backward(cache, np.array([y[0]]))
+        grads = nn.unflatten(grad, [1, 1])
+        assert grads["layer0.weights"][0, 0] == pytest.approx(2.0)
+        assert grads["layer0.biases"][0] == pytest.approx(2.0)
         assert dx[0] == pytest.approx(4.0)
 
     def test_zero_upstream_gives_zero_gradients(self):
         layers = nn.build_stack([3, 5, 2], seed=0)
         _, cache = nn.forward(layers, np.random.default_rng(1).normal(size=3))
-        bundle, dx = nn.backward(cache, np.zeros(2))
-        assert all(np.all(g == 0) for g in bundle.grads.values())
+        grad, dx = nn.backward(cache, np.zeros(2))
+        assert np.all(grad == 0)
         assert np.all(dx == 0)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -85,7 +86,8 @@ class TestBackward:
 
         y, cache = nn.forward(layers, x)
         _, grad_out = nn.mse_loss(y, target)
-        bundle, _ = nn.backward(cache, grad_out)
+        grad, _ = nn.backward(cache, grad_out)
+        grads = nn.unflatten(grad, [4, 6, 5, 3])
 
         live = {}
         for i, layer in enumerate(layers):
@@ -93,7 +95,7 @@ class TestBackward:
             live[f"layer{i}.biases"] = layer.biases
         fd = central_difference(loss_value, live, h=1e-5)
         for key in live:
-            assert rel_err(bundle.grads[key], fd[key]) <= 1e-4
+            assert rel_err(grads[key], fd[key]) <= 1e-4
 
     def test_stale_cache_rejected(self):
         layers = nn.build_stack([3, 2], seed=0)
@@ -305,9 +307,9 @@ class TestFlatLayout:
         vector = nn.bind(layers)
         x = np.random.default_rng(2).normal(size=(5, 4))
         y, cache = nn.forward(layers, x)
-        bundle, _ = nn.backward(cache, y)
-        assert bundle.vector.shape == vector.shape
-        assert list(bundle.grads) == ["layer1.weights", "layer1.biases", "layer0.weights", "layer0.biases"]
-        for key, view in bundle.grads.items():
-            assert np.shares_memory(view, bundle.vector)
-        assert np.array_equal(bundle.vector, nn.flatten(bundle.grads, [4, 6, 3]))
+        grad, _ = nn.backward(cache, y)
+        assert grad.shape == vector.shape
+        # the identity output layer's gradient sits at its keys in the parameter layout
+        grads = nn.unflatten(grad, [4, 6, 3])
+        assert np.array_equal(grads["layer1.weights"], y.T @ cache.inputs[1])
+        assert np.array_equal(grads["layer1.biases"], y.sum(axis=0))
