@@ -89,10 +89,11 @@ class FingerprintDataset:
 
 @dataclass(frozen=True)
 class SchemaConfig:
-    """Column conventions of one CSV source (kept in a JSON sidecar, not code)."""
+    """Column conventions of one CSV source, kept in a JSON sidecar whose keys
+    are these fields; ``experiments`` parses it with the config. The value
+    that marks a missing AP is ``PreprocessConfig.sentinel``, not the schema's."""
 
     coord_columns: tuple[str, ...]
-    sentinel: float = 100.0
     ap_prefix: str | None = None
     ap_columns: tuple[str, ...] | None = None
     building_col: str | None = None
@@ -103,21 +104,6 @@ class SchemaConfig:
             raise ConfigError("schema needs either an AP column prefix or an explicit column list")
         if len(self.coord_columns) < 1:
             raise ConfigError("schema needs at least one coordinate column")
-
-    @classmethod
-    def from_json(cls, path: str | Path) -> "SchemaConfig":
-        raw = json.loads(Path(path).read_text())
-        try:
-            return cls(
-                coord_columns=tuple(raw["coord_columns"]),
-                sentinel=float(raw.get("sentinel", 100.0)),
-                ap_prefix=raw.get("ap_prefix"),
-                ap_columns=tuple(raw["ap_columns"]) if raw.get("ap_columns") else None,
-                building_col=raw.get("building_col"),
-                floor_col=raw.get("floor_col"),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"schema file {path} is missing key {exc}") from exc
 
 
 def load_csv(path: str | Path, schema: SchemaConfig) -> FingerprintDataset:

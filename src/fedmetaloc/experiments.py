@@ -3,9 +3,11 @@
 One JSON config file describes an experiment end to end: data sources (CSV
 datasets and/or synthetic environments), the task partition and train/test
 membership, preprocessing, model and federation hyperparameters, and the
-meta-test protocol. Every command is reproducible from (config, seed) alone;
-outputs land under ``out/{experiment}/{phase}/...`` and files are always
-rewritten whole and atomically (:mod:`fedmetaloc.fileio`), never appended.
+meta-test protocol. One parser, ``_section``, builds each of its JSON objects
+(and each schema sidecar) at load, so a malformed config fails before any
+phase writes a file. Every command is reproducible from (config, seed) alone;
+outputs land under ``out/{experiment}/{phase}/...``, always rewritten whole
+and atomically (:mod:`fedmetaloc.fileio`), never appended.
 """
 
 from __future__ import annotations
@@ -13,10 +15,12 @@ from __future__ import annotations
 import json
 import math
 import os
+import types
+import typing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, is_dataclass, replace
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -60,6 +64,8 @@ class FederationParams:
             raise ConfigError("rounds and local_steps must be >= 0")
         if self.eta <= 0 or self.batch_size < 1:
             raise ConfigError("eta must be > 0 and batch_size >= 1")
+        if self.checkpoint_every < 0 or self.early_stop_patience < 1 or self.early_stop_tol < 0:
+            raise ConfigError("checkpoint_every and early_stop_tol must be >= 0, early_stop_patience >= 1")
         if self.aggregation not in federation.AGGREGATIONS:
             raise ConfigError(f"aggregation must be 'gradient' or 'average', got {self.aggregation!r}")
 
@@ -91,13 +97,38 @@ class TheoryProbeParams:
     linearization_steps: int = 5
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        if self.epsilon <= 0 or self.mu <= 0 or any(mu <= 0 for mu in self.linearization_mu_list):
+            raise ConfigError("epsilon, mu and every linearization mu must be > 0")
+        if self.max_steps < 0 or self.linearization_steps < 1:
+            raise ConfigError("max_steps must be >= 0 and linearization_steps >= 1")
+
+
+@dataclass(frozen=True)
+class TaskOptions:
+    """Keys of any ``datasets`` or ``synthetic_envs`` entry: its task id (unused
+    when a partition names the tasks) and its own split over the config's."""
+
+    id: str
+    support_ratio: float | None = None
+    support_region: tuple[float, float, float, float] | None = None
+
+
+@dataclass(frozen=True)
+class DatasetSource:
+    """A ``datasets`` entry's CSV, parsed schema sidecar and partition (None: the config's)."""
+
+    csv: Path
+    schema: SchemaConfig
+    partition: str | None = None
+
 
 @dataclass
 class ExperimentConfig:
     name: str
     out_dir: Path
-    datasets: list[dict] = field(default_factory=list)
-    synthetic_envs: list[tuple[str, SyntheticEnvSpec, dict]] = field(default_factory=list)
+    datasets: list[tuple[DatasetSource, TaskOptions]] = field(default_factory=list)
+    synthetic_envs: list[tuple[SyntheticEnvSpec, TaskOptions]] = field(default_factory=list)
     partition: str = "none"
     train_tasks: list[str] = field(default_factory=list)
     test_tasks: list[str] = field(default_factory=list)
@@ -111,18 +142,12 @@ class ExperimentConfig:
     theory_probe: TheoryProbeParams = field(default_factory=TheoryProbeParams)
     workers: int = 1
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         overlap = set(self.train_tasks) & set(self.test_tasks)
         if overlap:
             raise ConfigError(f"train and test task lists overlap: {sorted(overlap)}")
         if not self.datasets and not self.synthetic_envs:
-            raise ConfigError("config names no data source (datasets or synthetic_envs)")
-        for entry in self.datasets:
-            for key in ("csv", "schema"):
-                if key not in entry:
-                    raise ConfigError(f"dataset entry missing {key!r}: {entry}")
-                if not Path(entry[key]).exists():
-                    raise ConfigError(f"referenced file does not exist: {entry[key]}")
+            raise ConfigError("no data source: set datasets or synthetic_envs")
 
     # -- path conventions -------------------------------------------------
     @property
@@ -150,87 +175,88 @@ class ExperimentConfig:
         return self.train_dir / "meta_final.npz"
 
 
-def _split_opts(entry: Mapping) -> dict:
-    """An environment entry's own support/query split options, for ``make_task``."""
-    opts = {}
-    if "support_ratio" in entry:
-        opts["ratio"] = float(entry["support_ratio"])
-    if "support_region" in entry:
-        opts["support_region"] = tuple(entry["support_region"])
-    return opts
+_SCALARS = {bool: (bool,), int: (int,), float: (int, float), str: (str,), dict: (dict,)}
 
 
-def _resolve_out_dir(raw: str | None, base: Path) -> Path:
-    if raw:
-        path = Path(raw)
-    else:
-        path = Path(os.environ.get(OUT_ROOT_ENV, "out"))
-    return path if path.is_absolute() else base / path
+def _typed(value, hint, where: str):
+    """``value`` checked against the field type ``hint``: a section is built by
+    :func:`_section`, a JSON list becomes a tuple (or list), ``X | None`` admits
+    null, and a bool is no number. Paths and entries are the caller's."""
+    if is_dataclass(hint):
+        return _section(hint, value, where)
+    if isinstance(hint, types.UnionType):
+        if value is None:
+            return None
+        (hint,) = [arg for arg in typing.get_args(hint) if arg is not type(None)]
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (tuple, list):
+        fixed = origin is tuple and Ellipsis not in args
+        if not isinstance(value, list) or (fixed and len(value) != len(args)):
+            raise ConfigError(f"{where} must be a list{f' of {len(args)}' if fixed else ''}, got {value!r}")
+        return origin(_typed(item, args[0], f"{where}[{i}]") for i, item in enumerate(value))
+    allowed = _SCALARS.get(hint)
+    if allowed and (not isinstance(value, allowed) or (isinstance(value, bool) and hint is not bool)):
+        raise ConfigError(f"{where} must be {'an object' if hint is dict else hint.__name__}, got {value!r}")
+    return value
+
+
+def _section(cls, raw, where: str, **built):
+    """The config dataclass ``cls`` from the JSON object ``raw``: every config
+    object is built here. Each key must name a field and hold its JSON type
+    (``built``: fields the caller built from their keys); ``__post_init__``
+    checks the ranges, and every error names ``where``."""
+    hints = typing.get_type_hints(cls)
+    unknown = sorted(set(_typed(raw, dict, where)) - set(hints))
+    if unknown:
+        raise ConfigError(f"{where}: unknown key(s) {unknown}")
+    kwargs = {k: _typed(v, hints[k], f"{where}.{k}") for k, v in raw.items() if k not in built}
+    try:
+        return cls(**kwargs, **built)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _entry(raw: dict, where: str, cls, default_id: str, **built) -> tuple:
+    """A ``datasets`` or ``synthetic_envs`` entry: ``cls`` from its own keys,
+    and its :class:`TaskOptions`."""
+    own = {k: v for k, v in raw.items() if k in TaskOptions.__dataclass_fields__}
+    opts = _section(TaskOptions, {"id": default_id, **own}, where)
+    rest = {k: v for k, v in raw.items() if k not in own}
+    return _section(cls, rest, f"{where} ({opts.id})", **built), opts
+
+
+def _read_json(path: Path, where: str):
+    try:
+        return json.loads(path.read_text())
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{where}: cannot read {path} as JSON: {exc}") from exc
+
+
+def _dataset(raw: dict, where: str, base: Path) -> tuple[DatasetSource, TaskOptions]:
+    csv, schema = (base / _typed(raw.get(key), str, f"{where}.{key}") for key in ("csv", "schema"))
+    if not csv.exists():
+        raise ConfigError(f"{where}.csv: file does not exist: {csv}")
+    schema = _section(SchemaConfig, _read_json(schema, f"{where}.schema"), f"{where}.schema")
+    return _entry(raw, where, DatasetSource, csv.stem, csv=csv, schema=schema)
 
 
 def load_experiment_config(path: str | Path) -> ExperimentConfig:
-    """Parse and validate one experiment JSON file."""
+    """Parse and check one experiment JSON file and the schema sidecars it
+    names, through :func:`_section`: an unknown key, a wrong JSON type or an
+    out-of-range value is a :class:`ConfigError` here, before any phase runs."""
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
-    try:
-        raw = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-
+    raw = _typed(_read_json(path, "config"), dict, "config")
     base = path.parent.resolve()
-    synth = []
-    for i, entry in enumerate(raw.get("synthetic_envs", [])):
-        entry = dict(entry)
-        env_id = entry.pop("id", f"SYN{i:02d}")
-        opts = _split_opts(entry)
-        entry.pop("support_ratio", None)
-        entry.pop("support_region", None)
-        if "area" in entry:
-            entry["area"] = tuple(entry["area"])
-        try:
-            synth.append((env_id, SyntheticEnvSpec(**entry), opts))
-        except TypeError as exc:
-            raise ConfigError(f"bad synthetic env entry {env_id!r}: {exc}") from exc
-    datasets = []
-    for entry in raw.get("datasets", []):
-        entry = dict(entry)
-        for key in ("csv", "schema"):
-            if key in entry and not Path(entry[key]).is_absolute():
-                entry[key] = str(base / entry[key])
-        datasets.append(entry)
-
-    def sub(cls, key, **extra):
-        opts = dict(raw.get(key, {}))
-        for tup_key in ("targets_m", "step_checkpoints", "seeds", "linearization_mu_list"):
-            if tup_key in opts:
-                opts[tup_key] = tuple(opts[tup_key])
-        opts.update(extra)
-        try:
-            return cls(**opts)
-        except TypeError as exc:
-            raise ConfigError(f"bad {key} section: {exc}") from exc
-
-    config = ExperimentConfig(
-        name=raw.get("name", path.stem),
-        out_dir=_resolve_out_dir(raw.get("out_dir"), base),
-        datasets=datasets,
-        synthetic_envs=synth,
-        partition=raw.get("partition", "none"),
-        train_tasks=list(raw.get("train_tasks", [])),
-        test_tasks=list(raw.get("test_tasks", [])),
-        support_ratio=float(raw.get("support_ratio", 0.7)),
-        split_seed=int(raw.get("split_seed", 0)),
-        d_from_median=bool(raw.get("d_from_median", False)),
-        preprocess=sub(PreprocessConfig, "preprocess"),
-        model=sub(ModelConfig, "model"),
-        federation=sub(FederationParams, "federation"),
-        meta_test=sub(MetaTestParams, "meta_test"),
-        theory_probe=sub(TheoryProbeParams, "theory_probe"),
-        workers=int(raw.get("workers", 1)),
+    entries = {k: _typed(raw.get(k, []), list[dict], f"config.{k}") for k in ("datasets", "synthetic_envs")}
+    out_dir = _typed(raw.get("out_dir"), str | None, "config.out_dir") or os.environ.get(OUT_ROOT_ENV, "out")
+    return _section(
+        ExperimentConfig, {"name": path.stem, **raw}, "config", out_dir=base / out_dir,
+        datasets=[_dataset(e, f"config.datasets[{i}]", base) for i, e in enumerate(entries["datasets"])],
+        synthetic_envs=[
+            _entry(e, f"config.synthetic_envs[{i}]", SyntheticEnvSpec, f"SYN{i:02d}")
+            for i, e in enumerate(entries["synthetic_envs"])
+        ],
     )
-    config.validate()
-    return config
 
 
 # ---------------------------------------------------------------------------
@@ -238,19 +264,17 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
-def _collect_environments(
-    config: ExperimentConfig,
-) -> list[tuple[str, FingerprintDataset, dict]]:
-    envs: list[tuple[str, FingerprintDataset, dict]] = []
-    for entry in config.datasets:
-        dataset = load_csv(entry["csv"], SchemaConfig.from_json(entry["schema"]))
-        partition = entry.get("partition", config.partition)
+def _collect_environments(config: ExperimentConfig) -> list[tuple[str, FingerprintDataset, TaskOptions]]:
+    envs: list[tuple[str, FingerprintDataset, TaskOptions]] = []
+    for source, opts in config.datasets:
+        dataset = load_csv(source.csv, source.schema)
+        partition = config.partition if source.partition is None else source.partition
         if partition and partition != "none":
-            envs.extend((tid, ds, _split_opts(entry)) for tid, ds in partition_tasks(dataset, partition))
+            envs.extend((tid, ds, opts) for tid, ds in partition_tasks(dataset, partition))
         else:
-            envs.append((entry.get("id", Path(entry["csv"]).stem), dataset, _split_opts(entry)))
-    for env_id, spec, opts in config.synthetic_envs:
-        envs.append((env_id, synth_environment(spec), opts))
+            envs.append((opts.id, dataset, opts))
+    for spec, opts in config.synthetic_envs:
+        envs.append((opts.id, synth_environment(spec), opts))
     seen = set()
     for env_id, _, _ in envs:
         if env_id in seen:
@@ -267,13 +291,8 @@ def cmd_preprocess(config: ExperimentConfig) -> list[str]:
     task_ids = []
     for (env_id, dataset, opts), split_seed in zip(sorted(envs, key=lambda e: e[0]), split_seeds):
         processed, report = preprocess_dataset(dataset, config.preprocess)
-        task = make_task(
-            env_id,
-            processed,
-            opts.get("ratio", config.support_ratio),
-            int(split_seed),
-            support_region=opts.get("support_region"),
-        )
+        ratio = config.support_ratio if opts.support_ratio is None else opts.support_ratio
+        task = make_task(env_id, processed, ratio, int(split_seed), support_region=opts.support_region)
         save_task_bundle(task, config.tasks_dir, extra={"preprocess": report.to_dict()})
         task_ids.append(env_id)
 
@@ -306,7 +325,7 @@ def resolved_model_config(config: ExperimentConfig, train_tasks: Sequence[Locali
     if not config.d_from_median:
         return config.model
     d = meta_signal_dim([t.m for t in train_tasks])
-    return ModelConfig.from_dict({**config.model.to_dict(), "d": d})
+    return replace(config.model, d=d)
 
 
 # ---------------------------------------------------------------------------

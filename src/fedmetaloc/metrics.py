@@ -255,7 +255,9 @@ def linearization_probe(
         _, grads0 = model.composite_loss(xs, ys, parts)
         g0 = flatten_grads(grads0, parts)
         rates = {part: mu for part in PART_NAMES}
-        for _ in range(n_steps):
+        # step 1 applies the gradients g0 was read from: one evaluation per state
+        model.apply_gradients(grads0, rates=rates, parts=parts, optimizer="sgd")
+        for _ in range(n_steps - 1):
             model.train_step(xs, ys, rates=rates, parts=parts, optimizer="sgd")
         omega_n = flatten_parts(model, parts)
         linearized = omega0 - (mu * n_steps) * g0

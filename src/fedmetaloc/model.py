@@ -124,14 +124,6 @@ class ModelConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, raw: Mapping) -> "ModelConfig":
-        kwargs = dict(raw)
-        for key in ("encoder_hidden", "decoder_hidden", "meta_hidden", "mapper_hidden"):
-            if key in kwargs and kwargs[key] is not None:
-                kwargs[key] = tuple(kwargs[key])
-        return cls(**kwargs)
-
 
 class ClientModel:
     """One client's four layer stacks, their flat parameter vectors, and
@@ -338,7 +330,7 @@ def load_checkpoint(path: str | Path) -> tuple[ModelConfig, dict[str, nn.ParamDi
         raise DataError(f"checkpoint not found: {path}")
     try:
         with np.load(path, allow_pickle=False) as archive:
-            config = ModelConfig.from_dict(json.loads(str(archive["__config__"])))
+            config = ModelConfig(**json.loads(str(archive["__config__"])))
             extra = json.loads(str(archive["__extra__"]))
             if not isinstance(extra, dict):
                 raise ValueError(f"__extra__ holds {type(extra).__name__}, not a JSON object")

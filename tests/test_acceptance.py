@@ -365,7 +365,6 @@ def test_criterion_8_uji_directional_check():
 
         schema = SchemaConfig(
             coord_columns=("LONGITUDE", "LATITUDE"),
-            sentinel=100.0,
             ap_prefix="WAP",
             building_col="BUILDINGID",
             floor_col="FLOOR",

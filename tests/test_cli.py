@@ -6,8 +6,12 @@ import numpy as np
 import pytest
 
 from fedmetaloc import cli, experiments
+from fedmetaloc.data import SchemaConfig
 from fedmetaloc.errors import ConfigError
 from fedmetaloc.model import ModelConfig, load_checkpoint, save_checkpoint
+
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 
 
 def small_config(tmp_path: Path, **overrides) -> Path:
@@ -48,6 +52,17 @@ def small_config(tmp_path: Path, **overrides) -> Path:
     return path
 
 
+def with_dataset(tmp_path: Path, schema_text: str, **entry) -> Path:
+    """``small_config`` plus one CSV dataset (two APs, 20 rows) with the given schema file text."""
+    rows = [f"{-40 - i},{-70 + i},{i % 5}.0,{i // 5}.0" for i in range(20)]
+    (tmp_path / "d0.csv").write_text("\n".join(["A,B,X,Y", *rows]) + "\n")
+    (tmp_path / "d0_schema.json").write_text(schema_text)
+    return small_config(tmp_path, datasets=[{"csv": "d0.csv", "schema": "d0_schema.json", "id": "D0", **entry}])
+
+
+SCHEMA = '{"coord_columns": ["X", "Y"], "ap_columns": ["A", "B"]}'
+
+
 def tree_digest(root: Path) -> dict[str, str]:
     return {
         str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
@@ -60,7 +75,7 @@ class TestConfigLoading:
     def test_loads_and_resolves(self, tmp_path):
         config = experiments.load_experiment_config(small_config(tmp_path))
         assert config.name == "smoke"
-        assert [e[0] for e in config.synthetic_envs] == ["T00", "T01", "T02"]
+        assert [opts.id for _, opts in config.synthetic_envs] == ["T00", "T01", "T02"]
         assert config.model.d == 4
 
     def test_overlapping_task_lists_rejected(self, tmp_path):
@@ -89,6 +104,30 @@ class TestConfigLoading:
         )
         with pytest.raises(ConfigError, match="T00"):
             experiments.load_experiment_config(path)
+
+    @pytest.mark.parametrize(
+        "section, values",
+        [
+            ("theory_probe", {"linearization_steps": 0}),
+            ("theory_probe", {"max_steps": -1}),
+            ("theory_probe", {"epsilon": 0.0}),
+            ("theory_probe", {"mu": -0.01}),
+            ("theory_probe", {"linearization_mu_list": [0.01, 0.0]}),
+            ("federation", {"checkpoint_every": -1}),
+            ("federation", {"early_stop_patience": 0}),
+            ("federation", {"early_stop_tol": -1e-5}),
+        ],
+    )
+    def test_out_of_range_value_is_a_config_error(self, tmp_path, section, values):
+        with pytest.raises(ConfigError, match=section):
+            experiments.load_experiment_config(small_config(tmp_path, **{section: values}))
+
+    def test_dataset_with_schema_loads(self, tmp_path):
+        config = experiments.load_experiment_config(with_dataset(tmp_path, SCHEMA, support_ratio=0.5))
+        source, opts = config.datasets[0]
+        assert source.csv == tmp_path / "d0.csv" and source.partition is None
+        assert source.schema == SchemaConfig(coord_columns=("X", "Y"), ap_columns=("A", "B"))
+        assert opts == experiments.TaskOptions(id="D0", support_ratio=0.5)
 
     def test_out_root_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv(experiments.OUT_ROOT_ENV, str(tmp_path / "from_env"))
@@ -279,7 +318,6 @@ class TestMetaTestCommand:
     def test_worker_pool_matches_sequential(self, tmp_path):
         config, report = self.run_pipeline(tmp_path)
         parallel_cfg = experiments.load_experiment_config(small_config(tmp_path, workers=2))
-        parallel_cfg.validate()
         report_parallel = experiments.cmd_meta_test(parallel_cfg)
         assert report_parallel == report
 
@@ -324,6 +362,84 @@ class TestCliEntryPoint:
         path = small_config(tmp_path, meta_test={"steps": 6, "seeds": [0], "optimizer": "rmsprop"})
         assert cli.run(["meta-test", "--config", str(path)]) == 2
         assert "rmsprop" in capsys.readouterr().err
+
+
+class TestMalformedConfig:
+    """Each config is malformed in one place: ``preprocess`` exits 2 at load,
+    writes nothing, and names the key or section."""
+
+    @pytest.mark.parametrize(
+        "case, named",
+        [
+            ("misspelt_top_level_key", "meta-test"),
+            ("unknown_dataset_key", "partiton"),
+            ("root_is_a_list", "config"),
+            ("section_is_a_string", "federation"),
+            ("area_is_a_number", "area"),
+            ("seeds_is_a_number", "seeds"),
+            ("bool_as_string", "d_from_median"),
+            ("schema_not_json", "datasets[0].schema"),
+            ("unknown_schema_key", "coordinates"),
+        ],
+    )
+    def test_exits_2_and_names_the_key(self, tmp_path, capsys, case, named):
+        if case == "misspelt_top_level_key":
+            path = small_config(tmp_path, **{"meta-test": {"steps": 1}})
+        elif case == "unknown_dataset_key":
+            path = with_dataset(tmp_path, SCHEMA, partiton="building")
+        elif case == "root_is_a_list":
+            path = small_config(tmp_path)
+            path.write_text(json.dumps([json.loads(path.read_text())]))
+        elif case == "section_is_a_string":
+            path = small_config(tmp_path, federation="fast")
+        elif case == "area_is_a_number":
+            path = small_config(tmp_path)
+            raw = json.loads(path.read_text())
+            raw["synthetic_envs"][1]["area"] = 5
+            path.write_text(json.dumps(raw))
+        elif case == "seeds_is_a_number":
+            path = small_config(tmp_path, meta_test={"steps": 6, "seeds": 3})
+        elif case == "bool_as_string":
+            path = small_config(tmp_path, d_from_median="false")
+        elif case == "schema_not_json":
+            path = with_dataset(tmp_path, "coord_columns: X, Y")
+        else:
+            path = with_dataset(tmp_path, SCHEMA.replace("}", ', "coordinates": 2}'))
+        assert cli.run(["preprocess", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and named in err
+        assert not (tmp_path / "out").exists()
+
+
+class TestShippedConfigsLoad:
+    """The strict parser accepts every config the repository ships or generates."""
+
+    def test_synthetic_cohort(self):
+        config = experiments.load_experiment_config(CONFIGS / "synthetic_cohort.json")
+        assert [opts.id for _, opts in config.synthetic_envs] == [f"S{i:02d}" for i in range(10)]
+
+    def test_uji_multi_floor_and_its_schema(self, tmp_path):
+        # as scripts/run_uji_experiment.py does, with a one-row stand-in for the CSV
+        raw = json.loads((CONFIGS / "uji_multi_floor.json").read_text())
+        csv = tmp_path / "trainingData.csv"
+        csv.write_text("WAP001,LONGITUDE,LATITUDE,FLOOR,BUILDINGID\n-50,1.0,2.0,0,0\n")
+        raw["datasets"][0]["csv"] = str(csv)
+        raw["datasets"][0]["schema"] = str(CONFIGS / "uji_schema.json")
+        path = tmp_path / "uji.json"
+        path.write_text(json.dumps(raw))
+        source, _ = experiments.load_experiment_config(path).datasets[0]
+        assert source.partition == "building_floor"
+        assert source.schema == SchemaConfig(
+            coord_columns=("LONGITUDE", "LATITUDE"), ap_prefix="WAP", building_col="BUILDINGID", floor_col="FLOOR"
+        )
+
+    @pytest.mark.parametrize("scale", ["full", "tiny"])
+    def test_benchmark_config(self, tmp_path, monkeypatch, scale):
+        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+        import cohort
+
+        config = experiments.load_experiment_config(cohort.write_config(tmp_path, 0, scale))
+        assert config.federation.rounds == cohort.SCALES[scale]["rounds"]
 
 
 class TestMalformedCheckpoint:
@@ -450,7 +566,7 @@ class TestDivergence:
         assert cli.run(["meta-train", "--config", str(path)]) == 0
         config = experiments.load_experiment_config(path)
         trained, parts, extra = load_checkpoint(config.checkpoint_path)
-        diverging = ModelConfig.from_dict({**trained.to_dict(), **HUGE_RATES})
+        diverging = ModelConfig(**{**trained.to_dict(), **HUGE_RATES})
         save_checkpoint(config.checkpoint_path, parts, diverging, extra)
         assert cli.run(["meta-test", "--config", str(path)]) == 4
         assert "DivergenceError: task T02, MI seed 0: step 2 loss is" in capsys.readouterr().err

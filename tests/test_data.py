@@ -1,3 +1,4 @@
+import json
 import math
 from pathlib import Path
 
@@ -19,12 +20,12 @@ from fedmetaloc.data import (
     synth_environment,
 )
 from fedmetaloc.errors import ConfigError, DataError
+from fedmetaloc.experiments import load_experiment_config
 
 from helpers import reference_write_split_csv, synth_task
 
 UJI_SCHEMA = SchemaConfig(
     coord_columns=("LONGITUDE", "LATITUDE"),
-    sentinel=100.0,
     ap_prefix="WAP",
     building_col="BUILDINGID",
     floor_col="FLOOR",
@@ -92,14 +93,13 @@ class TestLoadCsv:
             load_csv(path, UJI_SCHEMA)
 
     def test_schema_from_json(self, tmp_path):
-        schema_path = tmp_path / "schema.json"
-        schema_path.write_text(
-            '{"coord_columns": ["X", "Y"], "sentinel": -200, "ap_columns": ["A", "B"]}'
-        )
-        schema = SchemaConfig.from_json(schema_path)
-        assert schema.coord_columns == ("X", "Y")
-        assert schema.sentinel == -200
-        assert schema.ap_columns == ("A", "B")
+        (tmp_path / "schema.json").write_text('{"coord_columns": ["X", "Y"], "ap_columns": ["A", "B"]}')
+        write_csv(tmp_path / "data.csv", ["A", "B", "X", "Y"], [[-50.0, -60.0, 1.0, 2.0]])
+        entry = {"csv": "data.csv", "schema": "schema.json"}
+        (tmp_path / "exp.json").write_text(json.dumps({"datasets": [entry]}))
+        source, _ = load_experiment_config(tmp_path / "exp.json").datasets[0]
+        assert source.schema.coord_columns == ("X", "Y")
+        assert source.schema.ap_columns == ("A", "B")
 
 
 def grouped_dataset(floors_per_building: list[int], rows_per_group: int = 3) -> FingerprintDataset:

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedmetaloc.errors import ConfigError, DataError
+from fedmetaloc.model import PART_NAMES, ClientModel
 from fedmetaloc.metrics import (
     accuracy_speed_from_steps,
     adaptation_speed_accuracy,
@@ -12,6 +13,8 @@ from fedmetaloc.metrics import (
     epsilon_accuracy_steps,
     estimate_smoothness,
     improvement_percent,
+    flatten_grads,
+    flatten_parts,
     knn_baseline,
     linearization_probe,
     mde,
@@ -21,9 +24,11 @@ from fedmetaloc.metrics import (
 from helpers import (
     augmented_least_squares,
     augmented_theta,
+    count_passes,
     linear_probe_setup,
     linear_sgd_closed_form,
     synth_task,
+    tiny_model_config,
 )
 
 coords_strategy = st.lists(
@@ -338,6 +343,29 @@ class TestLemma1Probe:
             linearized = wt0 - mu * n_steps * (h_s @ wt0 - c_s)
             oracle = float(np.linalg.norm(wt_n - linearized) / np.linalg.norm(wt0))
             assert residuals[mu] == pytest.approx(oracle, abs=1e-8)
+
+    def test_one_composite_evaluation_per_state(self, monkeypatch):
+        # step 1 applies the gradients the linearization reads at Omega_0, so
+        # n steps evaluate the composite loss n times per mu, not n + 1
+        task = synth_task(num_aps=5, samples=40, seed=1)
+        cfg = tiny_model_config(d=4, optimizer="sgd")
+        mu_list, n_steps = [1e-2, 1e-3], 4
+        xs, ys = task.support.rssi, task.normalize_coords(task.support.coords)
+        expected = {}
+        for mu in mu_list:  # the probe as first written: g0, then n train steps
+            model = ClientModel.build(cfg, m=task.m, seed=0)
+            omega0 = flatten_parts(model, PART_NAMES)
+            g0 = flatten_grads(model.composite_loss(xs, ys)[1], PART_NAMES)
+            for _ in range(n_steps):
+                model.train_step(xs, ys, rates={part: mu for part in PART_NAMES}, optimizer="sgd")
+            linearized = omega0 - (mu * n_steps) * g0
+            expected[mu] = float(np.linalg.norm(flatten_parts(model, PART_NAMES) - linearized) / np.linalg.norm(omega0))
+        counts = count_passes(monkeypatch)
+        ClientModel.build(cfg, m=task.m, seed=0).composite_loss(xs, ys)
+        per_evaluation = dict(counts)
+        counts.update(forward=0, backward=0)
+        assert linearization_probe(task, cfg, mu_list, n_steps) == expected
+        assert counts == {k: v * n_steps * len(mu_list) for k, v in per_evaluation.items()}
 
     def test_residual_shrinks_with_learning_rate(self):
         for seed in range(3):

@@ -51,7 +51,7 @@ class TestConfig:
 
     def test_round_trips_through_dict(self):
         cfg = tiny_model_config()
-        assert ModelConfig.from_dict(cfg.to_dict()) == cfg
+        assert ModelConfig(**cfg.to_dict()) == cfg
 
 
 class TestShapes:
