@@ -5,11 +5,15 @@ samples, columns are access points) with per-row location labels and optional
 building/floor group labels. Tasks are per-environment support/query splits of
 such datasets; the synthetic generator stands in for public datasets in tests
 and desk-scale experiments.
+
+CSVs are parsed by :func:`fileio.read_csv`. Every source marks an AP that a
+sample did not detect with one value, the preprocessing ``sentinel``
+(:data:`DEFAULT_SENTINEL` unless configured), which the caller passes to the
+synthetic generator.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -19,7 +23,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .fileio import read_csv, write_csv, write_json
+from .fileio import column_indices, read_csv, write_csv, write_json
+
+DEFAULT_SENTINEL = 100.0  # RSSI value of an AP a sample did not detect
 
 
 @dataclass
@@ -107,60 +113,30 @@ class SchemaConfig:
 
 
 def load_csv(path: str | Path, schema: SchemaConfig) -> FingerprintDataset:
-    """Parse a fingerprint CSV, preserving the sentinel for later imputation."""
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"dataset file not found: {path}")
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        col_index = {name: i for i, name in enumerate(header)}
-
-        if schema.ap_columns:
-            ap_names = list(schema.ap_columns)
-        else:
-            ap_names = [h for h in header if h.startswith(schema.ap_prefix)]
-        missing = [c for c in [*ap_names, *schema.coord_columns] if c not in col_index]
-        for opt in (schema.building_col, schema.floor_col):
-            if opt is not None and opt not in col_index:
-                missing.append(opt)
-        if missing:
-            raise DataError(f"{path}: missing columns {missing[:5]}{'...' if len(missing) > 5 else ''}")
-        if not ap_names:
-            raise DataError(f"{path}: no AP columns match prefix {schema.ap_prefix!r}")
-
-        ap_idx = [col_index[c] for c in ap_names]
-        coord_idx = [col_index[c] for c in schema.coord_columns]
-        b_idx = col_index[schema.building_col] if schema.building_col else None
-        f_idx = col_index[schema.floor_col] if schema.floor_col else None
-
-        rssi_rows, coord_rows, buildings, floors = [], [], [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                rssi_rows.append([float(row[i]) for i in ap_idx])
-                coord_rows.append([float(row[i]) for i in coord_idx])
-                if b_idx is not None:
-                    buildings.append(int(float(row[b_idx])))
-                if f_idx is not None:
-                    floors.append(int(float(row[f_idx])))
-            except (ValueError, IndexError) as exc:
-                raise DataError(f"{path}: unparseable row at line {lineno}: {exc}") from exc
-
-    if not rssi_rows:
+    """The schema's columns of a fingerprint CSV, every cell of which must be a
+    number; missing-AP markers are kept for preprocessing to impute, and group
+    labels are truncated toward zero."""
+    header, values = read_csv(path)
+    header = [name.strip() for name in header]
+    ap_names = list(schema.ap_columns or (name for name in header if name.startswith(schema.ap_prefix)))
+    group_names = [name for name in (schema.building_col, schema.floor_col) if name is not None]
+    cols = column_indices(path, header, [*ap_names, *schema.coord_columns, *group_names])
+    if not ap_names:
+        raise DataError(f"{path}: no AP columns match prefix {schema.ap_prefix!r}")
+    if len(values) == 0:
         raise DataError(f"{path}: no data rows")
+    m, p = len(ap_names), len(schema.coord_columns)
+    labels = values[:, cols[m + p :]]
+    if not (np.abs(labels) < 2.0**63).all():  # NaN fails this too
+        raise DataError(f"{path}: a {' or '.join(group_names)} label is NaN or outside int64")
+    groups = dict(zip(group_names, labels.astype(np.int64).T))
     return FingerprintDataset(
-        rssi=np.array(rssi_rows),
-        coords=np.array(coord_rows),
+        rssi=values[:, cols[:m]],
+        coords=values[:, cols[m : m + p]],
         ap_names=ap_names,
         coord_names=list(schema.coord_columns),
-        building=np.array(buildings, dtype=np.int64) if buildings else None,
-        floor=np.array(floors, dtype=np.int64) if floors else None,
+        building=groups.get(schema.building_col),
+        floor=groups.get(schema.floor_col),
     )
 
 
@@ -337,7 +313,6 @@ class SyntheticEnvSpec:
     num_walls: int = 0
     wall_loss_db: float = 8.0
     sensitivity_dbm: float | None = None
-    sentinel: float = 100.0
 
     def __post_init__(self) -> None:
         if self.num_aps < 1:
@@ -381,7 +356,7 @@ def _segment_crossings(starts: np.ndarray, ends: np.ndarray, walls: np.ndarray) 
     return ((d1 < 0) & (d2 < 0)).sum(axis=2)
 
 
-def synth_environment(spec: SyntheticEnvSpec) -> FingerprintDataset:
+def synth_environment(spec: SyntheticEnvSpec, sentinel: float = DEFAULT_SENTINEL) -> FingerprintDataset:
     """Generate a deterministic environment: APs and samples uniform in the area.
 
     With ``num_walls > 0`` a multi-wall term subtracts ``wall_loss_db`` per
@@ -415,8 +390,8 @@ def synth_environment(spec: SyntheticEnvSpec) -> FingerprintDataset:
     if spec.noise_sigma > 0:
         rssi = rssi + rng.normal(0.0, spec.noise_sigma, size=rssi.shape)
     if spec.sensitivity_dbm is not None:
-        # below the receiver floor an AP is simply not detected
-        rssi = np.where(rssi < spec.sensitivity_dbm, spec.sentinel, rssi)
+        # below the receiver floor an AP is not detected: it reads the missing-AP marker
+        rssi = np.where(rssi < spec.sensitivity_dbm, sentinel, rssi)
     ap_names = [f"AP{i:03d}" for i in range(spec.num_aps)]
     return FingerprintDataset(rssi=rssi, coords=locs, ap_names=ap_names)
 

@@ -39,7 +39,7 @@ from .data import (
 )
 from .errors import ConfigError, DataError
 from .federation import AdaptationTrace, MetaModel, TraceStep, meta_test
-from .fileio import read_csv, write_csv, write_json
+from .fileio import column_indices, read_csv, write_csv, write_json
 from .metrics import TheoryProbeReport, cdf_curve
 from .model import OPTIMIZERS, ModelConfig, load_checkpoint, save_checkpoint
 from .preprocess import PreprocessConfig, meta_signal_dim, preprocess_dataset
@@ -274,7 +274,7 @@ def _collect_environments(config: ExperimentConfig) -> list[tuple[str, Fingerpri
         else:
             envs.append((opts.id, dataset, opts))
     for spec, opts in config.synthetic_envs:
-        envs.append((opts.id, synth_environment(spec), opts))
+        envs.append((opts.id, synth_environment(spec, config.preprocess.sentinel), opts))
     seen = set()
     for env_id, _, _ in envs:
         if env_id in seen:
@@ -419,10 +419,7 @@ def write_trace(directory: Path, trace: AdaptationTrace, per_sample: np.ndarray)
 def _csv_columns(path: Path, names: Sequence[str]) -> list[list[float]]:
     """The named columns of a CSV written by ``write_csv``, as lists of floats."""
     header, values = read_csv(path)
-    missing = [name for name in names if name not in header]
-    if missing:
-        raise DataError(f"{path}: missing columns {missing}")
-    return [values[:, header.index(name)].tolist() for name in names]
+    return [values[:, col].tolist() for col in column_indices(path, header, names)]
 
 
 def read_trace(directory: Path, task_id: str, mode: str, seed: int) -> AdaptationTrace:

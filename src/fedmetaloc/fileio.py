@@ -6,9 +6,10 @@ the target in one ``os.replace``. An interrupted or failed write leaves the
 previous file, or none, never a partial one. Files are not fsynced.
 
 Numeric CSV files (task bundles, round logs, traces, final errors, CDF
-curves) are written by :func:`write_csv` and read by :func:`read_csv`. A
-float is written as the shortest ``repr`` that reads back to the same
-float64, and lines end in CRLF, as ``csv.writer`` ends them.
+curves) are written by :func:`write_csv` and read, like fingerprint datasets,
+by :func:`read_csv`, the program's one CSV parser. A float is written as the
+shortest ``repr`` that reads back to the same float64, and lines end in CRLF,
+as ``csv.writer`` ends them.
 """
 
 from __future__ import annotations
@@ -71,11 +72,16 @@ def write_csv(
         fh.writelines(line + "\r\n" for line in lines)
 
 
+_ROWS = dict(delimiter=",", quotechar='"', comments=None, ndmin=2)  # np.loadtxt's reading of data lines
+
+
 def read_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
     """The header and the float rows (``[rows, columns]``, possibly no rows) of a CSV file.
 
-    A missing or empty file, a cell that is not a number and a row whose
-    width differs from the header's are :class:`DataError`.
+    Cells may be quoted and padded with spaces; blank lines are skipped. A
+    missing or empty file, a cell that is not a number and a row whose width
+    differs from the header's are :class:`DataError`, which names the first
+    line at fault (the header is line 1).
     """
     path = Path(path)
     try:
@@ -84,15 +90,37 @@ def read_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
             start = fh.tell()
             if header and any(line.strip() for line in iter(fh.readline, "")):
                 fh.seek(start)
-                values = np.loadtxt(fh, delimiter=",", ndmin=2)
+                values = np.loadtxt(fh, **_ROWS)
             else:
                 values = np.empty((0, len(header)))
     except FileNotFoundError:
         raise DataError(f"missing file: {path}") from None
     except ValueError as exc:  # a cell that is not a number, a ragged row, undecodable text
-        raise DataError(f"{path}: {exc}") from exc
+        raise DataError(f"{path}: {_first_bad_line(path) or f'line 1: {exc}'}") from exc
     if not header:
         raise DataError(f"{path}: empty file")
     if values.shape[1] != len(header):
-        raise DataError(f"{path}: {len(header)} header columns but {values.shape[1]} per row")
+        raise DataError(f"{path}: {_first_bad_line(path)}")
     return header, values
+
+
+def _first_bad_line(path: Path) -> str | None:
+    """Where and why the first data line that is not a row of numbers as wide as the header fails."""
+    with path.open(newline="", errors="replace") as fh:
+        width = len(next(csv.reader([fh.readline()]), []))
+        for lineno, line in enumerate(fh, start=2):
+            try:  # a blank line, which the parser skips, passes as a full row
+                cells = np.loadtxt([line], **_ROWS).shape[1] if line.rstrip("\r\n") else width
+            except ValueError as exc:  # numpy numbers the one line it parsed row 0
+                return f"line {lineno}: {str(exc).replace(' at row 0,', ' at')}"
+            if cells != width:
+                return f"line {lineno}: {width} header columns but {cells} in this row"
+
+
+def column_indices(path: str | Path, header: Sequence[str], names: Sequence[str]) -> list[int]:
+    """Where each of ``names`` is in ``header``; one it lacks is a :class:`DataError` naming ``path``."""
+    index = {name: i for i, name in enumerate(header)}
+    missing = [name for name in names if name not in index]
+    if missing:
+        raise DataError(f"{path}: missing columns {missing[:5]}{'...' if len(missing) > 5 else ''}")
+    return [index[name] for name in names]

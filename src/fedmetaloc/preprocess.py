@@ -13,19 +13,19 @@ Min and max are taken over the task's own dataset, never across tasks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .data import FingerprintDataset
+from .data import DEFAULT_SENTINEL, FingerprintDataset
 from .errors import ConfigError, DataError
 
 
 @dataclass(frozen=True)
 class PreprocessConfig:
     tau: float = 0.0
-    sentinel: float = 100.0
+    sentinel: float = DEFAULT_SENTINEL
     impute_offset: float = 1.0
     beta_pow: float = math.e
 
@@ -50,16 +50,7 @@ class PreprocessReport:
     beta_pow: float
 
     def to_dict(self) -> dict:
-        return {
-            "kept_indices": self.kept_indices,
-            "dropped_ap_names": self.dropped_ap_names,
-            "sentinel_count_replaced": self.sentinel_count_replaced,
-            "impute_fill": self.impute_fill,
-            "min_rssi": self.min_rssi,
-            "max_rssi": self.max_rssi,
-            "tau": self.tau,
-            "beta_pow": self.beta_pow,
-        }
+        return asdict(self)
 
 
 def select_aps(
@@ -70,16 +61,18 @@ def select_aps(
     Returns the reduced dataset plus the kept column indices into the original
     AP ordering; kept columns preserve their relative order.
     """
-    if dataset.n_samples == 0:
+    kept = _kept_columns(dataset.rssi == cfg.sentinel, cfg)
+    return dataset.select_aps(kept), kept
+
+
+def _kept_columns(missing: np.ndarray, cfg: PreprocessConfig) -> list[int]:
+    if missing.shape[0] == 0:
         raise DataError("cannot select APs on an empty dataset")
-    missing_frac = np.mean(dataset.rssi == cfg.sentinel, axis=0)
-    keep = missing_frac < 1.0
-    if cfg.tau > 0.0:
-        keep &= missing_frac <= 1.0 - cfg.tau
-    kept = [i for i in range(dataset.n_aps) if keep[i]]
+    missing_frac = np.mean(missing, axis=0)
+    kept = np.flatnonzero((missing_frac < 1.0) & (missing_frac <= 1.0 - cfg.tau)).tolist()
     if not kept:
         raise DataError("AP selection dropped every column; signal space is empty")
-    return dataset.select_aps(kept), kept
+    return kept
 
 
 def impute_missing(
@@ -90,16 +83,19 @@ def impute_missing(
     Returns the imputed dataset and the fill value, or the dataset itself and
     ``None`` when it holds no sentinel.
     """
-    mask = dataset.rssi == cfg.sentinel
-    if not mask.any():
+    return _impute(dataset, dataset.rssi == cfg.sentinel, cfg)
+
+
+def _impute(
+    dataset: FingerprintDataset, missing: np.ndarray, cfg: PreprocessConfig
+) -> tuple[FingerprintDataset, float | None]:
+    if not missing.any():
         return dataset, None
-    observed = dataset.rssi[~mask]
+    observed = dataset.rssi[~missing]
     if observed.size == 0:
         raise DataError("no observed RSSI values anywhere; cannot impute")
     fill = float(observed.min()) - cfg.impute_offset
-    rssi = dataset.rssi.copy()
-    rssi[mask] = fill
-    return dataset.with_rssi(rssi), fill
+    return dataset.with_rssi(np.where(missing, fill, dataset.rssi)), fill
 
 
 def powed_transform(dataset: FingerprintDataset, cfg: PreprocessConfig) -> FingerprintDataset:
@@ -132,17 +128,19 @@ def preprocess_dataset(
     dataset: FingerprintDataset, cfg: PreprocessConfig
 ) -> tuple[FingerprintDataset, PreprocessReport]:
     """Full pipeline: select -> impute -> powed, with a report of what happened."""
-    selected, kept = select_aps(dataset, cfg)
-    dropped = [name for i, name in enumerate(dataset.ap_names) if i not in set(kept)]
-    n_sentinel = int(np.sum(selected.rssi == cfg.sentinel))
-    imputed, fill = impute_missing(selected, cfg)
+    missing = dataset.rssi == cfg.sentinel
+    kept = _kept_columns(missing, cfg)
+    kept_set = set(kept)
+    dropped = [name for i, name in enumerate(dataset.ap_names) if i not in kept_set]
+    missing = missing[:, kept]
+    imputed, fill = _impute(dataset.select_aps(kept), missing, cfg)
     lo = float(imputed.rssi.min())
     hi = float(imputed.rssi.max())
     transformed = powed_transform(imputed, cfg)
     report = PreprocessReport(
         kept_indices=kept,
         dropped_ap_names=dropped,
-        sentinel_count_replaced=n_sentinel,
+        sentinel_count_replaced=int(missing.sum()),
         impute_fill=fill,
         min_rssi=lo,
         max_rssi=hi,

@@ -13,6 +13,7 @@ from fedmetaloc import nn
 from fedmetaloc.data import (
     FingerprintDataset,
     LocalizationTask,
+    SchemaConfig,
     SyntheticEnvSpec,
     make_task,
     synth_environment,
@@ -113,6 +114,41 @@ def reference_write_split_csv(path: Path, split: FingerprintDataset) -> None:
             writer.writerow(
                 [repr(float(v)) for v in split.rssi[i]] + [repr(float(v)) for v in split.coords[i]]
             )
+
+
+def reference_load_csv(path: Path, schema: SchemaConfig) -> FingerprintDataset:
+    """The fingerprint CSV reader as first written: ``csv.reader`` rows, one
+    ``float()`` per selected cell and ``int(float())`` per group label."""
+    with path.open(newline="") as fh:
+        reader = csv.reader(fh)
+        header = [h.strip() for h in next(reader)]
+        col_index = {name: i for i, name in enumerate(header)}
+        if schema.ap_columns:
+            ap_names = list(schema.ap_columns)
+        else:
+            ap_names = [h for h in header if h.startswith(schema.ap_prefix)]
+        ap_idx = [col_index[c] for c in ap_names]
+        coord_idx = [col_index[c] for c in schema.coord_columns]
+        b_idx = col_index[schema.building_col] if schema.building_col else None
+        f_idx = col_index[schema.floor_col] if schema.floor_col else None
+        rssi_rows, coord_rows, buildings, floors = [], [], [], []
+        for row in reader:
+            if not row:
+                continue
+            rssi_rows.append([float(row[i]) for i in ap_idx])
+            coord_rows.append([float(row[i]) for i in coord_idx])
+            if b_idx is not None:
+                buildings.append(int(float(row[b_idx])))
+            if f_idx is not None:
+                floors.append(int(float(row[f_idx])))
+    return FingerprintDataset(
+        rssi=np.array(rssi_rows),
+        coords=np.array(coord_rows),
+        ap_names=ap_names,
+        coord_names=list(schema.coord_columns),
+        building=np.array(buildings, dtype=np.int64) if buildings else None,
+        floor=np.array(floors, dtype=np.int64) if floors else None,
+    )
 
 
 def count_passes(monkeypatch) -> dict:

@@ -10,6 +10,8 @@ from fedmetaloc.data import SchemaConfig
 from fedmetaloc.errors import ConfigError
 from fedmetaloc.model import ModelConfig, load_checkpoint, save_checkpoint
 
+from helpers import reference_load_csv
+
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
 
@@ -183,6 +185,59 @@ class TestPreprocessCommand:
         assert (task.support.coords[:, 0] <= 20.0).all()
         assert task.support.n_samples < 30
         assert task.support.n_samples + task.query.n_samples == 60
+
+    def test_synthetic_envs_write_the_preprocess_marker(self, tmp_path):
+        # the 318 cells below the sensitivity floor are imputed whatever the marker
+        env = {"id": "T00", "num_aps": 20, "samples": 50, "seed": 0, "sensitivity_dbm": -70.0}
+        digests = []
+        for sentinel in (100.0, -110.0):
+            root = tmp_path / str(sentinel)
+            root.mkdir()
+            path = small_config(
+                root, synthetic_envs=[env], train_tasks=["T00"], test_tasks=[], preprocess={"sentinel": sentinel}
+            )
+            assert cli.run(["preprocess", "--config", str(path)]) == 0
+            tasks_dir = experiments.load_experiment_config(path).tasks_dir
+            report = json.loads((tasks_dir / "T00" / "meta.json").read_text())["extra"]["preprocess"]
+            assert report["sentinel_count_replaced"] == 318
+            assert report["min_rssi"] > -71.0
+            digests.append(tree_digest(tasks_dir))
+        assert digests[0] == digests[1]
+
+
+def write_uji_csv(path: Path, rows: int = 160, aps: int = 30) -> Path:
+    """A UJIIndoorLoc-shaped CSV: mostly-undetected WAP columns, then
+    LONGITUDE, LATITUDE, FLOOR and BUILDINGID over two buildings of two floors."""
+    rng = np.random.default_rng(0)
+    rssi = np.where(rng.random((rows, aps)) < 0.7, 100, rng.integers(-100, -30, size=(rows, aps)))
+    lon = rng.uniform(-7691.3384, -7300.8190, rows)
+    lat = rng.uniform(4864745.7450, 4865017.3647, rows)
+    header = [*(f"WAP{i:03d}" for i in range(1, aps + 1)), "LONGITUDE", "LATITUDE", "FLOOR", "BUILDINGID"]
+    lines = [
+        ",".join([*map(str, rssi[i].tolist()), f"{lon[i]:.10f}", f"{lat[i]:.10f}", str(i % 2), str(i // 2 % 2)])
+        for i in range(rows)
+    ]
+    path.write_text("\n".join([",".join(header), *lines]) + "\n")
+    return path
+
+
+class TestDatasetPreprocess:
+    def test_uji_shaped_csv_bundles_match_the_reference_reader(self, tmp_path, monkeypatch):
+        csv = write_uji_csv(tmp_path / "trainingData.csv")
+        entry = {"csv": str(csv), "schema": str(CONFIGS / "uji_schema.json"), "partition": "building_floor"}
+        digests = []
+        for name in ("load_csv", "reference"):
+            root = tmp_path / name
+            root.mkdir()
+            path = small_config(root, datasets=[entry], synthetic_envs=[], train_tasks=[], test_tasks=[])
+            if name == "reference":
+                monkeypatch.setattr(experiments, "load_csv", reference_load_csv)
+            assert cli.run(["preprocess", "--config", str(path)]) == 0
+            digests.append(tree_digest(experiments.load_experiment_config(path).experiment_dir))
+        assert sorted({Path(key).parent.name for key in digests[0] if key.startswith("tasks/")}) == [
+            "B0_F0", "B0_F1", "B1_F0", "B1_F1"
+        ]
+        assert digests[0] == digests[1]
 
 
 class TestModelResolution:
@@ -380,6 +435,7 @@ class TestMalformedConfig:
             ("bool_as_string", "d_from_median"),
             ("schema_not_json", "datasets[0].schema"),
             ("unknown_schema_key", "coordinates"),
+            ("synthetic_env_sentinel", "sentinel"),
         ],
     )
     def test_exits_2_and_names_the_key(self, tmp_path, capsys, case, named):
@@ -396,6 +452,11 @@ class TestMalformedConfig:
             path = small_config(tmp_path)
             raw = json.loads(path.read_text())
             raw["synthetic_envs"][1]["area"] = 5
+            path.write_text(json.dumps(raw))
+        elif case == "synthetic_env_sentinel":
+            path = small_config(tmp_path)
+            raw = json.loads(path.read_text())
+            raw["synthetic_envs"][0]["sentinel"] = -110.0
             path.write_text(json.dumps(raw))
         elif case == "seeds_is_a_number":
             path = small_config(tmp_path, meta_test={"steps": 6, "seeds": 3})

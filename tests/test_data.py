@@ -22,7 +22,7 @@ from fedmetaloc.data import (
 from fedmetaloc.errors import ConfigError, DataError
 from fedmetaloc.experiments import load_experiment_config
 
-from helpers import reference_write_split_csv, synth_task
+from helpers import reference_load_csv, reference_write_split_csv, synth_task
 
 UJI_SCHEMA = SchemaConfig(
     coord_columns=("LONGITUDE", "LATITUDE"),
@@ -100,6 +100,71 @@ class TestLoadCsv:
         source, _ = load_experiment_config(tmp_path / "exp.json").datasets[0]
         assert source.schema.coord_columns == ("X", "Y")
         assert source.schema.ap_columns == ("A", "B")
+
+
+def reference_table() -> list[list[str]]:
+    """Header and cell texts of a UJI-shaped table: edge floats, 1e308 and NaN
+    in the RSSI cells, an unselected numeric SPACEID column, and fractional
+    FLOOR labels."""
+    rng = np.random.default_rng(0)
+    spread = rng.standard_normal(24) * 10.0 ** rng.integers(-300, 300, size=24)
+    rssi = np.concatenate([EDGE_VALUES, [1e308, float("nan")], spread]).reshape(6, 6).tolist()
+    coords = rng.uniform(-7700.0, 4865000.0, size=(6, 2)).tolist()
+    floors = ["0", "1.5", "-0.5", "3.0", "2.9999", "4"]
+    buildings = ["0", "1", "2", "0.0", "1e0", "2"]
+    header = [*(f"WAP{i:03d}" for i in range(1, 7)), "SPACEID", "LONGITUDE", "LATITUDE", "FLOOR", "BUILDINGID"]
+    return [header] + [
+        [*map(repr, r), str(100 + i), *map(repr, c), f, b]
+        for i, (r, c, f, b) in enumerate(zip(rssi, coords, floors, buildings))
+    ]
+
+
+CSV_LAYOUTS = {  # how each cell is written, and what ends each line
+    "plain": (str, "\n"),
+    "crlf": (str, "\r\n"),
+    "blank_lines": (str, "\n\n"),
+    "padded_cells": (lambda cell: f" {cell} ", "\n"),
+    "quoted_cells": (lambda cell: f'"{cell}"', "\r\n"),
+}
+
+
+class TestLoadCsvMatchesReference:
+    """``load_csv`` against the per-cell reader it replaced, on the inputs both accept."""
+
+    @pytest.mark.parametrize("layout", sorted(CSV_LAYOUTS))
+    def test_bitwise_equal_to_reference_reader(self, tmp_path, layout):
+        cell, newline = CSV_LAYOUTS[layout]
+        path = tmp_path / "uji.csv"
+        path.write_bytes("".join(",".join(map(cell, row)) + newline for row in reference_table()).encode())
+        ours, theirs = load_csv(path, UJI_SCHEMA), reference_load_csv(path, UJI_SCHEMA)
+        assert ours.rssi.shape == (6, 6) and np.isnan(ours.rssi).sum() == 1
+        assert np.array_equal(ours.rssi.view(np.uint64), theirs.rssi.view(np.uint64))
+        assert np.array_equal(ours.coords.view(np.uint64), theirs.coords.view(np.uint64))
+        assert ours.ap_names == theirs.ap_names and ours.coord_names == theirs.coord_names
+        assert ours.building.dtype == theirs.building.dtype == np.int64
+        assert np.array_equal(ours.building, theirs.building)
+        assert np.array_equal(ours.floor, theirs.floor)
+        assert list(ours.floor) == [0, 1, 0, 3, 2, 4]
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (["-50,1,1.0,2.0,nan,0"], "FLOOR"),
+            (["-50,1,1.0,2.0,1e19,0"], "FLOOR"),
+            (["-50,1,1.0,2.0,0,B1"], "line 2"),
+            (["-50,1,1.0,2.0,0,0", "-50,1,1.0,2.0"], "line 3"),
+            # these two loaded before: the reader parsed only the schema's columns
+            (["-50,lobby,1.0,2.0,0,0"], "line 2"),
+            (["-50,1,1.0,2.0,0,0", "-50,1,1.0,2.0,0,0,7"], "line 3"),
+        ],
+        ids=["nan_label", "label_outside_int64", "non_numeric_label", "short_row",
+             "non_numeric_unselected_cell", "row_wider_than_header"],
+    )
+    def test_malformed_rows_are_data_errors(self, tmp_path, rows, message):
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join(["WAP001,SPACEID,LONGITUDE,LATITUDE,FLOOR,BUILDINGID", *rows]) + "\n")
+        with pytest.raises(DataError, match=message):
+            load_csv(path, UJI_SCHEMA)
 
 
 def grouped_dataset(floors_per_building: list[int], rows_per_group: int = 3) -> FingerprintDataset:
@@ -282,9 +347,9 @@ class TestSyntheticEnvironment:
             num_aps=6, samples=80, seed=2, noise_sigma=0.0,
             area=(80.0, 50.0), sensitivity_dbm=-70.0,
         )
-        ds = synth_environment(spec)
-        detected = ds.rssi[ds.rssi != 100.0]
-        assert (ds.rssi == 100.0).any()
+        ds = synth_environment(spec, sentinel=-110.0)
+        detected = ds.rssi[ds.rssi != -110.0]
+        assert (ds.rssi == -110.0).any()
         assert (detected >= -70.0).all()
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fedmetaloc.errors import DataError
 from fedmetaloc.fileio import atomic_write, read_csv, write_csv
 
 FLOATS = [-0.0, 5e-324, 1e-05, 1e16, 0.1 + 0.2, 100.0, -87.25]
@@ -27,6 +28,28 @@ class TestWriteCsv:
         assert np.array_equal(back.view(np.uint64), values.view(np.uint64))
         header, back = read_csv(tmp_path / "none.csv")
         assert header == ["a", "b"] and back.shape == (0, 2)
+
+
+class TestReadCsvErrors:
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b"a,b\r\n1,2\r\n\r\nx,3\r\n", "line 4: could not convert string 'x'"),
+            (b"a,b\n1,2\n3\n", "line 3: 2 header columns but 1 in this row"),
+            (b"a,b,c\n1,2\n3,4\n", "line 2: 3 header columns but 2 in this row"),
+            (b"a,b\n1,2\n3,4,5\n", "line 3: 2 header columns but 3 in this row"),
+            (b"a,b\n1,2\n   \n3,4\n", "line 3: "),
+            (b"a,b\n1,2\n#3,4\n", "line 3: "),
+            (b"a,b\n1,2\n\xff,3\n", "line 3: "),
+            (b"a\xff,b\n1,2\n", "line 1: "),
+        ],
+        ids=["bad_cell_after_blank_line", "short_row", "every_row_narrow", "wide_row",
+             "whitespace_line", "comment_line", "undecodable_cell", "undecodable_header"],
+    )
+    def test_names_the_first_line_at_fault(self, tmp_path, content, message):
+        (tmp_path / "bad.csv").write_bytes(content)
+        with pytest.raises(DataError, match=f"bad.csv: {message}"):
+            read_csv(tmp_path / "bad.csv")
 
 
 class TestAtomicWrite:
