@@ -38,8 +38,6 @@ from .federation import (
     server_init,
 )
 from .metrics import (
-    adaptation_speed_accuracy,
-    adaptation_speed_steps,
     cdf_curve,
     epsilon_accuracy_steps,
     improvement_percent,

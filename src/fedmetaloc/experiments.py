@@ -38,13 +38,14 @@ from .data import (
     synth_environment,
 )
 from .errors import ConfigError, DataError
-from .federation import AdaptationTrace, MetaModel, TraceStep, meta_test
+from .federation import AdaptationTrace, MetaModel, meta_test
 from .fileio import column_indices, read_csv, write_csv, write_json
-from .metrics import TheoryProbeReport, cdf_curve
+from .metrics import cdf_curve
 from .model import OPTIMIZERS, ModelConfig, load_checkpoint, save_checkpoint
 from .preprocess import PreprocessConfig, meta_signal_dim, preprocess_dataset
 
 OUT_ROOT_ENV = "FEDMETALOC_OUT"
+MODES = ("MI", "RI")
 
 
 @dataclass(frozen=True)
@@ -181,7 +182,8 @@ _SCALARS = {bool: (bool,), int: (int,), float: (int, float), str: (str,), dict: 
 def _typed(value, hint, where: str):
     """``value`` checked against the field type ``hint``: a section is built by
     :func:`_section`, a JSON list becomes a tuple (or list), ``X | None`` admits
-    null, and a bool is no number. Paths and entries are the caller's."""
+    null, an integer in a float field becomes a float, and a bool is no number.
+    Paths and entries are the caller's."""
     if is_dataclass(hint):
         return _section(hint, value, where)
     if isinstance(hint, types.UnionType):
@@ -197,7 +199,7 @@ def _typed(value, hint, where: str):
     allowed = _SCALARS.get(hint)
     if allowed and (not isinstance(value, allowed) or (isinstance(value, bool) and hint is not bool)):
         raise ConfigError(f"{where} must be {'an object' if hint is dict else hint.__name__}, got {value!r}")
-    return value
+    return float(value) if hint is float else value
 
 
 def _section(cls, raw, where: str, **built):
@@ -410,8 +412,8 @@ def write_trace(directory: Path, trace: AdaptationTrace, per_sample: np.ndarray)
     write_csv(
         directory / "trace.csv",
         ["step", "support_loss", "query_mde"],
-        [[s.support_loss, s.query_mde] for s in trace.steps],
-        index=[s.step for s in trace.steps],
+        list(zip(trace.support_loss, trace.query_mde)),
+        index=range(1, len(trace.query_mde) + 1),
     )
     write_csv(directory / "errors_final.csv", ["error"], np.reshape(per_sample, (-1, 1)))
 
@@ -422,13 +424,8 @@ def _csv_columns(path: Path, names: Sequence[str]) -> list[list[float]]:
     return [values[:, col].tolist() for col in column_indices(path, header, names)]
 
 
-def read_trace(directory: Path, task_id: str, mode: str, seed: int) -> AdaptationTrace:
-    steps, support_loss, query_mde = _csv_columns(
-        directory / "trace.csv", ["step", "support_loss", "query_mde"]
-    )
-    trace = AdaptationTrace(task_id=task_id, init_mode=mode, seed=seed)
-    trace.steps = [TraceStep(int(n), s, q) for n, s, q in zip(steps, support_loss, query_mde)]
-    return trace
+def read_trace(directory: Path) -> AdaptationTrace:
+    return AdaptationTrace(*_csv_columns(directory / "trace.csv", ["support_loss", "query_mde"]))
 
 
 def read_final_errors(directory: Path) -> list[float]:
@@ -470,7 +467,7 @@ def cmd_meta_test(config: ExperimentConfig, checkpoint: str | Path | None = None
         (config, model_config, meta.params, task, mode, seed)
         for task in tasks
         for seed in mt.seeds
-        for mode in ("MI", "RI")
+        for mode in MODES
     ]
     if config.workers > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
@@ -486,45 +483,18 @@ def cmd_meta_test(config: ExperimentConfig, checkpoint: str | Path | None = None
 # ---------------------------------------------------------------------------
 
 
-def _aggregate_mode(
-    traces: list[AdaptationTrace], mt: MetaTestParams
-) -> dict:
-    records = []
-    for trace in traces:
-        series = trace.query_mdes()
-        rec = {
-            "seed": trace.seed,
-            "mde_final": series[-1] if series else None,
-            "steps_to_target": {},
-            "mde_at_step": {},
-        }
-        for target in mt.targets_m:
-            rec["steps_to_target"][str(target)] = metrics.steps_to_accuracy(series, target)
-        for n_star in mt.step_checkpoints:
-            rec["mde_at_step"][str(n_star)] = series[n_star - 1] if len(series) >= n_star else None
-        records.append(rec)
+def _run_record(seed: int, series: Sequence[float], mt: MetaTestParams) -> dict:
+    """What the report keeps of one run's query MDE series."""
+    return {
+        "seed": seed,
+        "mde_final": series[-1] if series else None,
+        "steps_to_target": {str(t): metrics.steps_to_accuracy(series, t) for t in mt.targets_m},
+        "mde_at_step": {str(n): series[n - 1] if len(series) >= n else None for n in mt.step_checkpoints},
+    }
 
-    agg: dict = {"records": records, "im_accuracy": {}, "im_steps": {}, "not_reached": {}}
-    nonempty = [t for t in traces if t.steps]
-    for target in mt.targets_m:
-        if nonempty:
-            speed, steps = metrics.adaptation_speed_accuracy(
-                [t.query_mdes() for t in nonempty], target, mt.batch_size
-            )
-        else:
-            speed, steps = 0.0, []
-        agg["im_accuracy"][str(target)] = speed
-        agg["not_reached"][str(target)] = sum(1 for s in steps if s is None) + (len(traces) - len(nonempty))
-    for n_star in mt.step_checkpoints:
-        usable = [t.query_mdes() for t in traces if len(t.steps) >= n_star]
-        agg["im_steps"][str(n_star)] = (
-            float(np.mean([metrics.adaptation_speed_steps(s, n_star, mt.batch_size) for s in usable]))
-            if usable
-            else None
-        )
-    finals = [r["mde_final"] for r in records if r["mde_final"] is not None]
-    agg["mde_final_mean"] = float(np.mean(finals)) if finals else None
-    return agg
+
+def _mean(values: Sequence[float]) -> float | None:
+    return float(np.mean(values)) if values else None
 
 
 def _mean_steps(steps: Sequence[int | None], budget: int) -> float:
@@ -532,9 +502,26 @@ def _mean_steps(steps: Sequence[int | None], budget: int) -> float:
     return float(np.mean([budget + 1 if s is None else s for s in steps]))
 
 
-def _mode_mean_steps(agg: dict, target: str, budget: int) -> float | None:
-    records = agg["records"]
-    return _mean_steps([r["steps_to_target"][target] for r in records], budget) if records else None
+def _at_step(records: Sequence[dict], n_star: str) -> list[float]:
+    """The records' query MDEs at step ``n_star``, of the runs that got there."""
+    return [r["mde_at_step"][n_star] for r in records if r["mde_at_step"][n_star] is not None]
+
+
+def _aggregate_mode(records: list[dict], mt: MetaTestParams) -> dict:
+    """One mode's speeds over its run records. A run that never reaches a
+    target has accuracy-based speed 0 and counts in ``not_reached``."""
+    agg: dict = {"records": records, "im_accuracy": {}, "im_steps": {}, "not_reached": {}}
+    for target in map(str, mt.targets_m):
+        steps = [r["steps_to_target"][target] for r in records]
+        speeds = [0.0 if n is None else metrics.accuracy_speed_from_steps(n, mt.batch_size) for n in steps]
+        agg["im_accuracy"][target] = float(np.mean(speeds)) if speeds else 0.0
+        agg["not_reached"][target] = steps.count(None)
+    for n_star in map(str, mt.step_checkpoints):
+        agg["im_steps"][n_star] = _mean(
+            [metrics.step_speed_from_mde(v, mt.batch_size) for v in _at_step(records, n_star)]
+        )
+    agg["mde_final_mean"] = _mean([r["mde_final"] for r in records if r["mde_final"] is not None])
+    return agg
 
 
 def paired_step_summary(config: ExperimentConfig, target_m: float) -> dict:
@@ -550,36 +537,40 @@ def paired_step_summary(config: ExperimentConfig, target_m: float) -> dict:
     per_seed = []
     for seed in mt.seeds:
         per_mode = {}
-        for mode in ("MI", "RI"):
-            traces = (read_trace(run_dir(config, tid, mode, seed), tid, mode, seed) for tid in test_ids)
-            steps = [metrics.steps_to_accuracy(t.query_mdes(), target_m) for t in traces]
+        for mode in MODES:
+            traces = (read_trace(run_dir(config, tid, mode, seed)) for tid in test_ids)
+            steps = [metrics.steps_to_accuracy(t.query_mde, target_m) for t in traces]
             per_mode[mode] = _mean_steps(steps, mt.steps)
         per_seed.append(per_mode)
     return {
         "seeds": len(per_seed),
         "wins": sum(p["MI"] < p["RI"] for p in per_seed),
         "median_reduction": float(np.median([(p["RI"] - p["MI"]) / p["RI"] for p in per_seed])),
-        "mean_steps": {mode: float(np.mean([p[mode] for p in per_seed])) for mode in ("MI", "RI")},
+        "mean_steps": {mode: float(np.mean([p[mode] for p in per_seed])) for mode in MODES},
     }
 
 
 def cmd_report(config: ExperimentConfig) -> dict:
-    """Rebuild the metrics report and CDF curves from trace files on disk."""
+    """Rebuild the metrics report and CDF curves from trace files on disk.
+
+    Each run's record is read off its trace once; every speed, count, mean
+    and improvement is computed from the records.
+    """
     index = _load_index(config)
     mt = config.meta_test
     report: dict = {"batch_size": mt.batch_size, "tasks": {}}
     for task_id in index["test"]:
         task_entry: dict = {}
-        for mode in ("MI", "RI"):
-            traces = []
+        for mode in MODES:
+            records = []
             errors: list[float] = []
             for seed in mt.seeds:
                 directory = run_dir(config, task_id, mode, seed)
                 if not (directory / "trace.csv").exists():
                     raise DataError(f"missing trace for {task_id}/{mode}/{seed}; run meta-test first")
-                traces.append(read_trace(directory, task_id, mode, seed))
+                records.append(_run_record(seed, read_trace(directory).query_mde, mt))
                 errors.extend(read_final_errors(directory))
-            task_entry[mode] = _aggregate_mode(traces, mt)
+            task_entry[mode] = _aggregate_mode(records, mt)
             if errors:
                 write_csv(
                     config.report_dir / f"{task_id}_{mode}_cdf.csv",
@@ -587,30 +578,21 @@ def cmd_report(config: ExperimentConfig) -> dict:
                     cdf_curve(errors),
                 )
 
+        by_mode = [task_entry[mode]["records"] for mode in MODES]
         improvement: dict = {"steps": {}, "accuracy": {}}
-        for target in mt.targets_m:
-            mi = _mode_mean_steps(task_entry["MI"], str(target), mt.steps)
-            ri = _mode_mean_steps(task_entry["RI"], str(target), mt.steps)
-            improvement["steps"][str(target)] = (
-                metrics.improvement_percent(mi, ri, "steps") if mi is not None and ri and ri > 0 else None
+        for target in map(str, mt.targets_m):
+            mean_steps = [
+                _mean_steps([r["steps_to_target"][target] for r in records], mt.steps)
+                for records in by_mode
+                if records
+            ]
+            # each mode holds one record per seed, and a mean of steps is >= 1
+            improvement["steps"][target] = metrics.improvement_percent(*mean_steps) if mean_steps else None
+        for n_star in map(str, mt.step_checkpoints):
+            mi, ri = (_mean(_at_step(records, n_star)) for records in by_mode)
+            improvement["accuracy"][n_star] = (
+                metrics.improvement_percent(mi, ri) if mi is not None and ri is not None and ri > 0 else None
             )
-        for n_star in mt.step_checkpoints:
-            mi_vals = [
-                r["mde_at_step"][str(n_star)]
-                for r in task_entry["MI"]["records"]
-                if r["mde_at_step"][str(n_star)] is not None
-            ]
-            ri_vals = [
-                r["mde_at_step"][str(n_star)]
-                for r in task_entry["RI"]["records"]
-                if r["mde_at_step"][str(n_star)] is not None
-            ]
-            if mi_vals and ri_vals and np.mean(ri_vals) > 0:
-                improvement["accuracy"][str(n_star)] = metrics.improvement_percent(
-                    float(np.mean(mi_vals)), float(np.mean(ri_vals)), "accuracy"
-                )
-            else:
-                improvement["accuracy"][str(n_star)] = None
         task_entry["improvement"] = improvement
         report["tasks"][task_id] = task_entry
 
@@ -628,47 +610,34 @@ def run_theory_probe(
     model_config: ModelConfig,
     theta_init: np.ndarray | None,
     params: TheoryProbeParams,
-) -> TheoryProbeReport:
-    """Run the plain-SGD probes on one task: steps-to-epsilon under both
-    initializations, linearization residuals, and empirical constants."""
-    steps_ri, trace_ri = metrics.epsilon_accuracy_steps(
-        task, model_config, None, params.epsilon, params.max_steps, params.mu, seed=params.seed
-    )
-    if theta_init is not None:
-        steps_mi, trace_mi = metrics.epsilon_accuracy_steps(
-            task, model_config, theta_init, params.epsilon, params.max_steps, params.mu, seed=params.seed
+) -> dict:
+    """Run the plain-SGD probes on one task: steps-to-epsilon under random and
+    meta initialization (the latter skipped without ``theta_init``),
+    linearization residuals, and empirical constants. Returns the
+    ``probe_report.json`` payload, less the task id."""
+    delta1_hat = _estimate_delta1(task, model_config, params)
+    report: dict = {"epsilon": params.epsilon, "mu": params.mu, "delta1_hat": delta1_hat}
+    all_sq: list[float] = []
+    for arm, theta in (("random_init", None), ("meta_init", theta_init)):
+        if arm == "meta_init" and theta is None:
+            steps, trace = None, []
+        else:
+            steps, trace = metrics.epsilon_accuracy_steps(
+                task, model_config, theta, params.epsilon, params.max_steps, params.mu, seed=params.seed
+            )
+        ends = (math.sqrt(trace[0]), math.sqrt(trace[-1])) if trace else (0.0, 0.0)
+        report[f"steps_{arm}"] = steps
+        report[f"grad_sq_trace_{arm}"] = trace
+        report[f"step_bound_sq_{arm}"] = metrics.evaluate_step_bound(
+            params.epsilon, params.mu, delta1_hat, *ends
         )
-    else:
-        steps_mi, trace_mi = None, []
+        all_sq += trace
+    report["zeta_hat"] = math.sqrt(max(all_sq)) if all_sq else 0.0
     residuals = metrics.linearization_probe(
         task, model_config, params.linearization_mu_list, params.linearization_steps, seed=params.seed
     )
-    all_sq = [*trace_ri, *trace_mi]
-    zeta_hat = math.sqrt(max(all_sq)) if all_sq else 0.0
-    delta1_hat = _estimate_delta1(task, model_config, params)
-    bound_ri = metrics.evaluate_step_bound(
-        params.epsilon, params.mu, delta1_hat,
-        math.sqrt(trace_ri[0]) if trace_ri else 0.0,
-        math.sqrt(trace_ri[-1]) if trace_ri else 0.0,
-    )
-    bound_mi = metrics.evaluate_step_bound(
-        params.epsilon, params.mu, delta1_hat,
-        math.sqrt(trace_mi[0]) if trace_mi else 0.0,
-        math.sqrt(trace_mi[-1]) if trace_mi else 0.0,
-    )
-    return TheoryProbeReport(
-        epsilon=params.epsilon,
-        mu=params.mu,
-        steps_random_init=steps_ri,
-        steps_meta_init=steps_mi,
-        grad_sq_trace_random_init=trace_ri,
-        grad_sq_trace_meta_init=trace_mi,
-        linearization_residuals=residuals,
-        zeta_hat=zeta_hat,
-        delta1_hat=delta1_hat,
-        step_bound_sq_random_init=bound_ri,
-        step_bound_sq_meta_init=bound_mi,
-    )
+    report["linearization_residuals"] = {repr(mu): r for mu, r in residuals.items()}
+    return report
 
 
 def _estimate_delta1(
@@ -700,7 +669,6 @@ def cmd_theory_probe(config: ExperimentConfig) -> dict:
         meta = load_meta_checkpoint(config.checkpoint_path)
         theta = meta.params
         model_config = meta.config
-    report = run_theory_probe(task, model_config, theta, config.theory_probe)
-    payload = {"task": task.task_id, **report.to_dict()}
+    payload = {"task": task.task_id, **run_theory_probe(task, model_config, theta, config.theory_probe)}
     write_json(config.experiment_dir / "theory" / "probe_report.json", payload)
     return payload

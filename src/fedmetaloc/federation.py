@@ -109,28 +109,12 @@ class ClientUpdate:
 
 
 @dataclass
-class TraceStep:
-    step: int
-    support_loss: float
-    query_mde: float
-
-
-@dataclass
 class AdaptationTrace:
-    """Per-gradient-step learning curve of one fine-tuning run."""
+    """Per-gradient-step learning curve of one fine-tuning run: after step
+    ``i + 1``, the full-support loss and the query MDE (native units)."""
 
-    task_id: str
-    init_mode: str  # "MI" or "RI"
-    seed: int
-    steps: list[TraceStep] = field(default_factory=list)
-
-    def mde_at(self, step: int) -> float:
-        if not 1 <= step <= len(self.steps):
-            raise ConfigError(f"trace has {len(self.steps)} steps, asked for step {step}")
-        return self.steps[step - 1].query_mde
-
-    def query_mdes(self) -> list[float]:
-        return [s.query_mde for s in self.steps]
+    support_loss: list[float] = field(default_factory=list)
+    query_mde: list[float] = field(default_factory=list)
 
 
 @dataclass
@@ -324,40 +308,38 @@ def meta_test(
     """Few-shot adaptation on a new task, recording the query learning curve.
 
     ``theta_init=None`` is random initialization (RI); passing the trained
-    shared vector is meta initialization (MI). The encoder/mapper seed streams do
-    not depend on the mode, so RI/MI runs with the same seed are paired. Every
-    part is fine-tuned.
+    shared vector is meta initialization (MI). The model is built by
+    :meth:`ClientModel.build_paired` and the batches drawn from the seed's
+    next child, so RI/MI runs with the same seed are paired. Every part is
+    fine-tuned.
 
-    Returns the adapted model, the per-step trace, and the final per-sample
-    query distance errors (native units).
+    Returns the adapted model, the per-step trace, and the per-sample query
+    distance errors (native units) of the last step's prediction, or of the
+    initial model's when ``steps`` is 0.
     """
     task.support.validate_model_ready()
     task.query.validate_model_ready()
     root = np.random.SeedSequence(seed)
-    alpha_seed, beta_seed, theta_seed, dec_seed, batch_seed = root.spawn(5)
-    model = ClientModel.build(
-        config,
-        m=task.m,
-        part_seeds={"encoder": alpha_seed, "decoder": dec_seed, "meta": theta_seed, "mapper": beta_seed},
-    )
+    model = ClientModel.build_paired(config, task.m, root)
     mode = "RI" if theta_init is None else "MI"
     if theta_init is not None:
         model.set_part_params("meta", theta_init)
 
-    trace = AdaptationTrace(task_id=task.task_id, init_mode=mode, seed=seed)
+    trace = AdaptationTrace()
     xs, ys = task.support.rssi, task.normalize_coords(task.support.coords)
     xq = task.query.rssi
     yq_true = task.query.coords
-    batches = BatchStream(task.support.n_samples, batch_size, np.random.default_rng(batch_seed))
+    batches = BatchStream(task.support.n_samples, batch_size, np.random.default_rng(root.spawn(1)[0]))
+    pred = None
     for step in range(1, steps + 1):
         batch = batches.next()
         loss = model.train_step(xs[batch], ys[batch], optimizer=optimizer)
         if not math.isfinite(loss):
             raise DivergenceError(f"task {task.task_id}, {mode} seed {seed}: step {step} loss is {loss}")
         pred = task.denormalize_coords(model.full_forward(xq))
-        trace.steps.append(
-            TraceStep(step=step, support_loss=model.loss_value(xs, ys), query_mde=mde(pred, yq_true))
-        )
-    final_pred = task.denormalize_coords(model.full_forward(xq))
-    per_sample = np.linalg.norm(final_pred - yq_true, axis=1)
+        trace.support_loss.append(model.loss_value(xs, ys))
+        trace.query_mde.append(mde(pred, yq_true))
+    if pred is None:
+        pred = task.denormalize_coords(model.full_forward(xq))
+    per_sample = np.linalg.norm(pred - yq_true, axis=1)
     return model, trace, per_sample

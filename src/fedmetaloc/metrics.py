@@ -20,7 +20,6 @@ the shared part theta. Parameters, gradients and the probes' fixed parts
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -65,47 +64,10 @@ def step_speed_from_mde(mde_value: float, batch_size: int) -> float:
     return mde_value / batch_size
 
 
-def adaptation_speed_accuracy(
-    traces: Sequence[float] | Sequence[Sequence[float]], target: float, batch_size: int
-) -> tuple[float, list[int | None]]:
-    """Mean accuracy-based speed over one per-step query MDE series or a list of them.
-
-    Series that never reach the target contribute 0 and surface as ``None`` in
-    the returned per-series step list.
-    """
-    if traces and isinstance(traces[0], (int, float)):
-        traces = [traces]
-    if not traces:
-        raise ConfigError("need at least one trace")
-    steps: list[int | None] = []
-    speeds = []
-    for series in traces:
-        if not series:
-            raise ConfigError("empty adaptation trace")
-        n = steps_to_accuracy(series, target)
-        steps.append(n)
-        speeds.append(0.0 if n is None else accuracy_speed_from_steps(n, batch_size))
-    return float(np.mean(speeds)), steps
-
-
-def adaptation_speed_steps(series: Sequence[float], n_star: int, batch_size: int) -> float:
-    """Step-based speed: the series' query MDE at step ``n*`` divided by the batch size."""
-    if len(series) < n_star:
-        raise ConfigError(f"trace has {len(series)} steps, cannot evaluate step {n_star}")
-    if n_star < 1:
-        raise ConfigError(f"step checkpoint must be >= 1, got {n_star}")
-    return step_speed_from_mde(series[n_star - 1], batch_size)
-
-
-def improvement_percent(mi_value: float, ri_value: float, kind: str) -> float:
-    """Relative improvement of meta init over random init, in percent.
-
-    ``kind='steps'`` compares step counts to a target accuracy;
-    ``kind='accuracy'`` compares MDEs at a fixed step budget. Both reduce to
-    ``100 * (ri - mi) / ri``; the flag documents which quantity is fed in.
-    """
-    if kind not in ("steps", "accuracy"):
-        raise ConfigError(f"kind must be 'steps' or 'accuracy', got {kind!r}")
+def improvement_percent(mi_value: float, ri_value: float) -> float:
+    """Relative improvement of meta init over random init, in percent:
+    ``100 * (ri - mi) / ri``, for step counts to a target accuracy and for
+    MDEs at a fixed step budget alike."""
     if ri_value <= 0:
         raise ConfigError(f"baseline value must be > 0, got {ri_value}")
     return 100.0 * (ri_value - mi_value) / ri_value
@@ -195,13 +157,7 @@ def epsilon_accuracy_steps(
     """
     if epsilon <= 0:
         raise ConfigError(f"epsilon must be > 0, got {epsilon}")
-    root = np.random.SeedSequence(seed)
-    alpha_seed, beta_seed, theta_seed, dec_seed = root.spawn(4)
-    model = ClientModel.build(
-        config,
-        m=task.m,
-        part_seeds={"encoder": alpha_seed, "decoder": dec_seed, "meta": theta_seed, "mapper": beta_seed},
-    )
+    model = ClientModel.build_paired(config, task.m, np.random.SeedSequence(seed))
     if theta_init is not None:
         model.set_part_params("meta", theta_init)
     for part, vector in (part_overrides or {}).items():
@@ -277,38 +233,6 @@ def estimate_smoothness(
         if denom > 0:
             best = max(best, float(np.linalg.norm(ga - gb)) / denom)
     return best
-
-
-@dataclass
-class TheoryProbeReport:
-    """Empirical convergence probe results for one task."""
-
-    epsilon: float
-    mu: float
-    steps_random_init: int | None
-    steps_meta_init: int | None
-    grad_sq_trace_random_init: list[float]
-    grad_sq_trace_meta_init: list[float]
-    linearization_residuals: dict[float, float]
-    zeta_hat: float
-    delta1_hat: float
-    step_bound_sq_random_init: float | None = None
-    step_bound_sq_meta_init: float | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "mu": self.mu,
-            "steps_random_init": self.steps_random_init,
-            "steps_meta_init": self.steps_meta_init,
-            "grad_sq_trace_random_init": self.grad_sq_trace_random_init,
-            "grad_sq_trace_meta_init": self.grad_sq_trace_meta_init,
-            "linearization_residuals": {repr(k): v for k, v in self.linearization_residuals.items()},
-            "zeta_hat": self.zeta_hat,
-            "delta1_hat": self.delta1_hat,
-            "step_bound_sq_random_init": self.step_bound_sq_random_init,
-            "step_bound_sq_meta_init": self.step_bound_sq_meta_init,
-        }
 
 
 def evaluate_step_bound(

@@ -149,16 +149,25 @@ class ClientModel:
         config: ModelConfig,
         m: int | None = None,
         seed: int | np.random.SeedSequence = 0,
-        part_seeds: Mapping[str, np.random.SeedSequence] | None = None,
     ) -> "ClientModel":
-        """Seeded construction; each part draws from its own seed stream."""
-        if part_seeds is None:
-            ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-            part_seeds = dict(zip(PART_NAMES, ss.spawn(len(PART_NAMES))))
-        parts = {
-            part: nn.build_stack(config.part_sizes(part, m), part_seeds[part])
-            for part in PART_NAMES
-        }
+        """Seeded construction; each part draws from its own child of ``seed``,
+        spawned in ``PART_NAMES`` order."""
+        ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+        return cls._from_seeds(config, m, dict(zip(PART_NAMES, ss.spawn(len(PART_NAMES)))))
+
+    @classmethod
+    def build_paired(cls, config: ModelConfig, m: int, root: np.random.SeedSequence) -> "ClientModel":
+        """Construction for paired runs: ``root``'s next four children seed the
+        encoder, mapper, shared part and decoder, in that order. Meta-test and
+        the convergence probe build this way, so a random-init and a meta-init
+        run of one seed start from the same encoder, mapper and decoder."""
+        return cls._from_seeds(config, m, dict(zip(("encoder", "mapper", "meta", "decoder"), root.spawn(4))))
+
+    @classmethod
+    def _from_seeds(
+        cls, config: ModelConfig, m: int | None, seeds: Mapping[str, np.random.SeedSequence]
+    ) -> "ClientModel":
+        parts = {part: nn.build_stack(config.part_sizes(part, m), seeds[part]) for part in PART_NAMES}
         if config.encoder_init == "prefix_projection":
             # deterministic adapter start: the latent is the fingerprint of the
             # first d AP columns, identical for every client of a cohort that

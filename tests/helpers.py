@@ -4,6 +4,7 @@ deliberately independent of the vectorized code paths they check."""
 from __future__ import annotations
 
 import csv
+import json
 import math
 from pathlib import Path
 
@@ -288,3 +289,43 @@ def linear_sgd_closed_form(h_s, c_s, wt0, mu: float, step: int) -> np.ndarray:
     evals, q = np.linalg.eigh(h_s)
     d0 = q.T @ (wt0 - w_star)
     return w_star + q @ (((1.0 - mu * evals) ** step)[:, None] * d0)
+
+
+def small_config(tmp_path: Path, **overrides) -> Path:
+    """A three-task synthetic experiment (two train tasks, test task T02) with
+    the given top-level keys replaced, written to ``tmp_path / "exp.json"``."""
+    raw = {
+        "name": "smoke",
+        "out_dir": str(tmp_path / "out"),
+        "synthetic_envs": [
+            {"id": "T00", "num_aps": 5, "samples": 60, "seed": 0, "noise_sigma": 1.0},
+            {"id": "T01", "num_aps": 6, "samples": 60, "seed": 1, "noise_sigma": 1.0},
+            {"id": "T02", "num_aps": 5, "samples": 60, "seed": 2, "noise_sigma": 1.0},
+        ],
+        "train_tasks": ["T00", "T01"],
+        "test_tasks": ["T02"],
+        "support_ratio": 0.7,
+        "model": {
+            "d": 4,
+            "n": 3,
+            "p": 2,
+            "encoder_hidden": [6],
+            "decoder_hidden": [6],
+            "meta_hidden": [8],
+            "mapper_hidden": [4],
+            "lambda_recon": 0.1,
+        },
+        "federation": {"rounds": 2, "local_steps": 2, "eta": 0.01, "batch_size": 16, "seed": 3},
+        "meta_test": {
+            "steps": 6,
+            "targets_m": [8.0],
+            "step_checkpoints": [3, 6],
+            "seeds": [0, 1],
+            "batch_size": 16,
+        },
+        "theory_probe": {"epsilon": 1e-4, "mu": 0.05, "max_steps": 30, "linearization_steps": 3},
+    }
+    raw.update(overrides)
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(raw, indent=2))
+    return path

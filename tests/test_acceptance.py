@@ -118,22 +118,22 @@ def test_criterion_1_reference_table_arithmetic():
     with criterion(1, "adaptation-speed metrics reproduce the reference result table"):
         # the worked examples pinned by the criterion
         assert accuracy_speed_from_steps(100, BATCH) == pytest.approx(0.3125e-3)
-        assert improvement_percent(100, 310, "steps") == pytest.approx(67.74, abs=0.005)
-        assert improvement_percent(7.5, 27.4, "accuracy") == pytest.approx(72.63, abs=0.005)
+        assert improvement_percent(100, 310) == pytest.approx(67.74, abs=0.005)
+        assert improvement_percent(7.5, 27.4) == pytest.approx(72.63, abs=0.005)
 
         for label, n_mi, n_ri, mi_str, ri_str, pct_str, errata in ACCURACY_ROWS:
             check_entry(accuracy_speed_from_steps(n_mi, BATCH) * 1e3, mi_str,
                         errata.get("mi", False), f"{label} MI")
             check_entry(accuracy_speed_from_steps(n_ri, BATCH) * 1e3, ri_str,
                         errata.get("ri", False), f"{label} RI")
-            check_entry(improvement_percent(n_mi, n_ri, "steps"), pct_str,
+            check_entry(improvement_percent(n_mi, n_ri), pct_str,
                         errata.get("pct", False), f"{label} %")
         for label, mde_mi, mde_ri, mi_str, ri_str, pct_str, errata in STEP_ROWS:
             check_entry(step_speed_from_mde(mde_mi, BATCH), mi_str,
                         errata.get("mi", False), f"{label} MI")
             check_entry(step_speed_from_mde(mde_ri, BATCH), ri_str,
                         errata.get("ri", False), f"{label} RI")
-            check_entry(improvement_percent(mde_mi, mde_ri, "accuracy"), pct_str,
+            check_entry(improvement_percent(mde_mi, mde_ri), pct_str,
                         errata.get("pct", False), f"{label} %")
 
 
@@ -274,10 +274,8 @@ def test_criterion_5_meta_init_beats_random_init(cohort_run):
             for mode in ("MI", "RI"):
                 steps = []
                 for task_id in config.test_tasks:
-                    trace = experiments.read_trace(
-                        experiments.run_dir(config, task_id, mode, seed), task_id, mode, seed
-                    )
-                    steps.append(steps_to_accuracy(trace.query_mdes(), COHORT_TARGET_M) or budget + 1)
+                    trace = experiments.read_trace(experiments.run_dir(config, task_id, mode, seed))
+                    steps.append(steps_to_accuracy(trace.query_mde, COHORT_TARGET_M) or budget + 1)
                 per_mode[mode] = float(np.mean(steps))
             wins += per_mode["MI"] < per_mode["RI"]
             reductions.append((per_mode["RI"] - per_mode["MI"]) / per_mode["RI"])
@@ -386,7 +384,7 @@ def test_criterion_8_uji_directional_check():
         task = tasks["B0_F3"]
         _, trace_mi, _ = meta_test(task, cfg, meta.params, steps=100, seed=0, batch_size=32)
         _, trace_ri, _ = meta_test(task, cfg, None, steps=100, seed=0, batch_size=32)
-        mi_at_100 = trace_mi.mde_at(100)
-        ri_at_100 = trace_ri.mde_at(100)
+        mi_at_100 = trace_mi.query_mde[99]
+        ri_at_100 = trace_ri.query_mde[99]
         print(f"\n  B0_F3 at step 100: MI {mi_at_100:.2f} m vs RI {ri_at_100:.2f} m")
         assert mi_at_100 <= 0.8 * ri_at_100

@@ -8,50 +8,14 @@ import pytest
 from fedmetaloc import cli, experiments
 from fedmetaloc.data import SchemaConfig
 from fedmetaloc.errors import ConfigError
+from fedmetaloc.federation import AdaptationTrace
+from fedmetaloc.fileio import write_json
 from fedmetaloc.model import ModelConfig, load_checkpoint, save_checkpoint
 
-from helpers import reference_load_csv
+from helpers import reference_load_csv, small_config
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
-
-
-def small_config(tmp_path: Path, **overrides) -> Path:
-    raw = {
-        "name": "smoke",
-        "out_dir": str(tmp_path / "out"),
-        "synthetic_envs": [
-            {"id": "T00", "num_aps": 5, "samples": 60, "seed": 0, "noise_sigma": 1.0},
-            {"id": "T01", "num_aps": 6, "samples": 60, "seed": 1, "noise_sigma": 1.0},
-            {"id": "T02", "num_aps": 5, "samples": 60, "seed": 2, "noise_sigma": 1.0},
-        ],
-        "train_tasks": ["T00", "T01"],
-        "test_tasks": ["T02"],
-        "support_ratio": 0.7,
-        "model": {
-            "d": 4,
-            "n": 3,
-            "p": 2,
-            "encoder_hidden": [6],
-            "decoder_hidden": [6],
-            "meta_hidden": [8],
-            "mapper_hidden": [4],
-            "lambda_recon": 0.1,
-        },
-        "federation": {"rounds": 2, "local_steps": 2, "eta": 0.01, "batch_size": 16, "seed": 3},
-        "meta_test": {
-            "steps": 6,
-            "targets_m": [8.0],
-            "step_checkpoints": [3, 6],
-            "seeds": [0, 1],
-            "batch_size": 16,
-        },
-        "theory_probe": {"epsilon": 1e-4, "mu": 0.05, "max_steps": 30, "linearization_steps": 3},
-    }
-    raw.update(overrides)
-    path = tmp_path / "exp.json"
-    path.write_text(json.dumps(raw, indent=2))
-    return path
 
 
 def with_dataset(tmp_path: Path, schema_text: str, **entry) -> Path:
@@ -130,6 +94,18 @@ class TestConfigLoading:
         assert source.csv == tmp_path / "d0.csv" and source.partition is None
         assert source.schema == SchemaConfig(coord_columns=("X", "Y"), ap_columns=("A", "B"))
         assert opts == experiments.TaskOptions(id="D0", support_ratio=0.5)
+
+    def test_an_integer_in_a_float_field_is_a_float(self, tmp_path):
+        config = experiments.load_experiment_config(
+            small_config(tmp_path, federation={"eta": 1}, meta_test={"targets_m": [8, 2.5]})
+        )
+        assert config.federation.eta == 1.0 and type(config.federation.eta) is float
+        assert config.meta_test.targets_m == (8.0, 2.5)
+        assert [type(t) for t in config.meta_test.targets_m] == [float, float]
+
+    def test_a_bool_in_a_float_field_is_a_config_error(self, tmp_path):
+        with pytest.raises(ConfigError, match="eta"):
+            experiments.load_experiment_config(small_config(tmp_path, federation={"eta": True}))
 
     def test_out_root_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv(experiments.OUT_ROOT_ENV, str(tmp_path / "from_env"))
@@ -283,6 +259,84 @@ class TestMetaTrainCommand:
             experiments.cmd_meta_train(config)
 
 
+def hit_series(hit: int | None, length: int) -> list[float]:
+    """A query MDE series at 9.0 m that drops to 5.0 m from step ``hit`` (never for None)."""
+    return [5.0 if hit is not None and s >= hit else 9.0 for s in range(1, length + 1)]
+
+
+def write_hand_trace(config, mode: str, seed: int, query_mde: list[float]) -> None:
+    """A hand-written trace for test task T02, with one final error of 0."""
+    trace = AdaptationTrace(support_loss=[1.0] * len(query_mde), query_mde=query_mde)
+    experiments.write_trace(experiments.run_dir(config, "T02", mode, seed), trace, [0.0])
+
+
+class TestReportFromHandWrittenTraces:
+    """``cmd_report`` over trace files written here: no preprocess or training runs."""
+
+    def report(self, tmp_path, series: dict, **meta_test) -> dict:
+        """The T02 entry of the report over ``series[(mode, seed)]``, a run's query MDE series."""
+        seeds = sorted({seed for _, seed in series})
+        mt = {"steps": 400, "targets_m": [5.0], "step_checkpoints": [50], "seeds": seeds, "batch_size": 32}
+        config = experiments.load_experiment_config(small_config(tmp_path, meta_test={**mt, **meta_test}))
+        write_json(config.experiment_dir / "tasks_index.json", {"all": ["T02"], "train": [], "test": ["T02"]})
+        for (mode, seed), query_mde in series.items():
+            write_hand_trace(config, mode, seed, query_mde)
+        return experiments.cmd_report(config)["tasks"]["T02"]
+
+    @staticmethod
+    def reaching(step: int, length: int = 400) -> list[float]:
+        # strictly decreasing series crossing 5.0 exactly at ``step``
+        return [3.0 + (10.0 if s < step else 0.0) + (length - s) * 1e-3 for s in range(1, length + 1)]
+
+    def test_reference_accuracy_speed_values(self, tmp_path):
+        entry = self.report(tmp_path, {("MI", 0): self.reaching(100), ("RI", 0): self.reaching(310)})
+        assert [r["steps_to_target"]["5.0"] for r in entry["MI"]["records"]] == [100]
+        assert entry["MI"]["im_accuracy"]["5.0"] == pytest.approx(0.31e-3, abs=0.005e-3)
+        assert entry["RI"]["im_accuracy"]["5.0"] == pytest.approx(0.10e-3, abs=0.005e-3)
+        assert entry["improvement"]["steps"]["5.0"] == pytest.approx(67.74, abs=0.005)
+
+    def test_best_case_single_step(self, tmp_path):
+        entry = self.report(tmp_path, {("MI", 0): [4.0, 4.0], ("RI", 0): [4.0, 4.0]}, batch_size=1)
+        assert entry["MI"]["im_accuracy"]["5.0"] == 1.0
+
+    def test_accuracy_speed_is_the_mean_over_seeds(self, tmp_path):
+        series = {("MI", 0): self.reaching(100), ("MI", 1): self.reaching(50)}
+        series.update({("RI", seed): self.reaching(200) for seed in (0, 1)})
+        entry = self.report(tmp_path, series)
+        assert [r["steps_to_target"]["5.0"] for r in entry["MI"]["records"]] == [100, 50]
+        assert entry["MI"]["im_accuracy"]["5.0"] == pytest.approx((1 / 3200 + 1 / 1600) / 2)
+
+    def test_never_reached_has_speed_zero_and_counts_as_not_reached(self, tmp_path):
+        series = {("MI", 0): [9.0, 8.0], ("MI", 1): self.reaching(100)}
+        series.update({("RI", 0): [9.0, 8.0], ("RI", 1): [9.0]})
+        entry = self.report(tmp_path, series)
+        assert entry["RI"]["im_accuracy"]["5.0"] == 0.0 and entry["RI"]["not_reached"]["5.0"] == 2
+        assert entry["MI"]["im_accuracy"]["5.0"] == pytest.approx((0.0 + 1 / 3200) / 2)
+        assert entry["MI"]["not_reached"]["5.0"] == 1
+        assert [r["steps_to_target"]["5.0"] for r in entry["MI"]["records"]] == [None, 100]
+
+    def test_step_based_speed_is_mde_at_the_checkpoint_over_the_batch_size(self, tmp_path):
+        series = [0.0] * 49 + [7.5] + [0.0] * 49 + [17.6]
+        entry = self.report(tmp_path, {("MI", 0): series, ("RI", 0): series}, step_checkpoints=[50, 100, 101])
+        assert entry["MI"]["im_steps"]["50"] == pytest.approx(0.23, abs=0.005)
+        assert entry["MI"]["im_steps"]["100"] == pytest.approx(0.55, abs=0.005)
+        assert entry["MI"]["records"][0]["mde_at_step"] == {"50": 7.5, "100": 17.6, "101": None}
+        # no run reaches step 101: no speed and no improvement there
+        assert entry["MI"]["im_steps"]["101"] is None
+        assert entry["improvement"]["accuracy"] == {"50": 0.0, "100": 0.0, "101": None}
+
+    def test_an_integer_target_writes_the_same_report_as_its_float(self, tmp_path):
+        series = {("MI", 0): self.reaching(100), ("RI", 0): self.reaching(310)}
+        written = []
+        for target in (8, 8.0):
+            root = tmp_path / str(target)
+            root.mkdir()
+            self.report(root, series, targets_m=[target])
+            written.append((root / "out" / "smoke" / "report" / "metrics.json").read_bytes())
+        assert written[0] == written[1]
+        assert b'"8.0"' in written[0]
+
+
 class TestMetaTestCommand:
     def run_pipeline(self, tmp_path, **overrides):
         config = experiments.load_experiment_config(small_config(tmp_path, **overrides))
@@ -320,17 +374,11 @@ class TestMetaTestCommand:
         assert entry["im_steps"]["1"] is None
 
     def test_paired_step_summary_counts_unreached_as_budget_plus_one(self, tmp_path):
-        from fedmetaloc.federation import AdaptationTrace, TraceStep
-
         config, _ = self.run_pipeline(tmp_path)
         # MI/RI first reach 8.0 m at: seed 0 -> 2 / 4, seed 1 -> never (7) / 1
         first_hit = {(0, "MI"): 2, (0, "RI"): 4, (1, "MI"): None, (1, "RI"): 1}
         for (seed, mode), hit in first_hit.items():
-            trace = AdaptationTrace(task_id="T02", init_mode=mode, seed=seed)
-            trace.steps = [
-                TraceStep(s, 1.0, 5.0 if hit is not None and s >= hit else 9.0) for s in range(1, 7)
-            ]
-            experiments.write_trace(experiments.run_dir(config, "T02", mode, seed), trace, [0.0])
+            write_hand_trace(config, mode, seed, hit_series(hit, 6))
         summary = experiments.paired_step_summary(config, 8.0)
         assert summary == {
             "seeds": 2,
@@ -340,18 +388,12 @@ class TestMetaTestCommand:
         }
 
     def test_report_counts_unreached_runs_as_budget_plus_one(self, tmp_path):
-        from fedmetaloc.federation import AdaptationTrace, TraceStep
-
         config, _ = self.run_pipeline(tmp_path)
         # budget 6; MI first reaches 8.0 m at step 2 for both seeds, RI at
         # step 4 (seed 0) and never (seed 1), which counts as 7
         first_hit = {(0, "MI"): 2, (1, "MI"): 2, (0, "RI"): 4, (1, "RI"): None}
         for (seed, mode), hit in first_hit.items():
-            trace = AdaptationTrace(task_id="T02", init_mode=mode, seed=seed)
-            trace.steps = [
-                TraceStep(s, 1.0, 5.0 if hit is not None and s >= hit else 9.0) for s in range(1, 7)
-            ]
-            experiments.write_trace(experiments.run_dir(config, "T02", mode, seed), trace, [0.0])
+            write_hand_trace(config, mode, seed, hit_series(hit, 6))
         report = experiments.cmd_report(config)
         assert report["tasks"]["T02"]["improvement"]["steps"]["8.0"] == 100.0 * (5.5 - 2.0) / 5.5
 

@@ -414,9 +414,11 @@ class TestMetaTest:
         cfg = tiny_model_config(d=4)
         theta = nn.bind(nn.build_stack(cfg.part_sizes("meta"), seed=55))
         model, trace, errors = meta_test(task, cfg, theta, steps=0, seed=3)
-        assert trace.steps == []
+        assert trace.support_loss == [] and trace.query_mde == []
         assert params_equal(model.vectors["meta"], theta)
         assert errors.shape == (task.query.n_samples,)
+        pred = task.denormalize_coords(model.full_forward(task.query.rssi))
+        assert np.array_equal(errors, np.linalg.norm(pred - task.query.coords, axis=1))
 
     def test_ri_and_mi_share_alpha_beta_init_for_the_same_seed(self):
         task = synth_task(num_aps=5, samples=30, seed=31)
@@ -433,13 +435,13 @@ class TestMetaTest:
         cfg = tiny_model_config(d=4)
         _, trace_a, err_a = meta_test(task, cfg, None, steps=6, seed=1)
         _, trace_b, err_b = meta_test(task, cfg, None, steps=6, seed=1)
-        assert [s.step for s in trace_a.steps] == list(range(1, 7))
-        assert trace_a.query_mdes() == trace_b.query_mdes()
+        assert len(trace_a.support_loss) == len(trace_a.query_mde) == 6
+        assert trace_a == trace_b
         assert np.array_equal(err_a, err_b)
 
-    def test_mde_at_bounds_checked(self):
+    def test_final_errors_are_those_of_the_adapted_model(self):
         task = synth_task(num_aps=5, samples=40, seed=33)
-        _, trace, _ = meta_test(task, tiny_model_config(d=4), None, steps=3, seed=1)
-        assert trace.mde_at(3) == trace.steps[-1].query_mde
-        with pytest.raises(ConfigError):
-            trace.mde_at(4)
+        model, trace, errors = meta_test(task, tiny_model_config(d=4), None, steps=3, seed=1)
+        pred = task.denormalize_coords(model.full_forward(task.query.rssi))
+        assert np.array_equal(errors, np.linalg.norm(pred - task.query.coords, axis=1))
+        assert float(np.mean(errors)) == trace.query_mde[-1]

@@ -7,8 +7,6 @@ from fedmetaloc.errors import ConfigError, DataError
 from fedmetaloc.model import PART_NAMES, ClientModel
 from fedmetaloc.metrics import (
     accuracy_speed_from_steps,
-    adaptation_speed_accuracy,
-    adaptation_speed_steps,
     cdf_curve,
     epsilon_accuracy_steps,
     estimate_smoothness,
@@ -18,6 +16,7 @@ from fedmetaloc.metrics import (
     knn_baseline,
     linearization_probe,
     mde,
+    step_speed_from_mde,
     steps_to_accuracy,
 )
 
@@ -77,65 +76,19 @@ class TestMde:
         assert mde(a, c) <= mde(a, b) + mde(b, c) + 1e-9
 
 
-class TestAdaptationSpeed:
-    def trace(self, reach_at: int, length: int = 400, floor: float = 3.0) -> list[float]:
-        # strictly decreasing series crossing 5.0 exactly at step reach_at
-        return [floor + (10.0 if s < reach_at else 0.0) + (length - s) * 1e-3 for s in range(1, length + 1)]
-
-    def test_reference_accuracy_speed_values(self):
-        fast, steps = adaptation_speed_accuracy(self.trace(100), 5.0, 32)
-        slow, _ = adaptation_speed_accuracy(self.trace(310), 5.0, 32)
-        assert steps == [100]
-        assert fast == pytest.approx(0.31e-3, abs=0.005e-3)
-        assert slow == pytest.approx(0.10e-3, abs=0.005e-3)
-
-    def test_best_case_single_step(self):
-        speed, steps = adaptation_speed_accuracy([4.0, 4.0], 5.0, 1)
-        assert speed == 1.0 and steps == [1]
-
-    def test_never_reached_returns_zero_and_flags(self):
-        speed, steps = adaptation_speed_accuracy([9.0, 8.0], 5.0, 32)
-        assert speed == 0.0 and steps == [None]
-
-    def test_expectation_over_seeds(self):
-        speed, steps = adaptation_speed_accuracy([self.trace(100), self.trace(50)], 5.0, 32)
-        assert steps == [100, 50]
-        assert speed == pytest.approx((1 / 3200 + 1 / 1600) / 2)
-
-    def test_empty_trace_rejected(self):
-        with pytest.raises(ConfigError):
-            adaptation_speed_accuracy([], 5.0, 32)
-
-    def test_step_based_reference_values(self):
-        series = [0.0] * 49 + [7.5] + [0.0] * 49 + [17.6]
-        assert adaptation_speed_steps(series, 50, 32) == pytest.approx(0.23, abs=0.005)
-        assert adaptation_speed_steps(series, 100, 32) == pytest.approx(0.55, abs=0.005)
-
-    def test_zero_mde_gives_zero_speed(self):
-        assert adaptation_speed_steps([0.0], 1, 32) == 0.0
-
-    def test_short_trace_rejected(self):
-        with pytest.raises(ConfigError):
-            adaptation_speed_steps([1.0, 2.0], 3, 32)
-
-
 class TestImprovementPercent:
     def test_step_kind_reference_value(self):
-        assert improvement_percent(100, 310, "steps") == pytest.approx(67.74, abs=0.005)
+        assert improvement_percent(100, 310) == pytest.approx(67.74, abs=0.005)
 
     def test_accuracy_kind_reference_value(self):
-        assert improvement_percent(7.5, 27.4, "accuracy") == pytest.approx(72.63, abs=0.005)
+        assert improvement_percent(7.5, 27.4) == pytest.approx(72.63, abs=0.005)
 
     def test_equal_values_give_zero(self):
-        assert improvement_percent(4.2, 4.2, "steps") == 0.0
+        assert improvement_percent(4.2, 4.2) == 0.0
 
     def test_zero_baseline_rejected(self):
         with pytest.raises(ConfigError):
-            improvement_percent(1.0, 0.0, "accuracy")
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ConfigError):
-            improvement_percent(1.0, 2.0, "ratio")
+            improvement_percent(1.0, 0.0)
 
 
 class TestCdf:
@@ -389,3 +342,4 @@ class TestEstimators:
         with pytest.raises(ConfigError):
             accuracy_speed_from_steps(0, 32)
         assert steps_to_accuracy([7.0, 4.0], 5.0) == 2
+        assert step_speed_from_mde(0.0, 32) == 0.0

@@ -72,6 +72,17 @@ class TestShapes:
         with pytest.raises(ConfigError):
             model.encode(np.zeros(9))
 
+    def test_paired_build_seeds_encoder_mapper_meta_decoder_in_that_order(self):
+        cfg = tiny_model_config()
+        root = np.random.SeedSequence(11)
+        model = ClientModel.build_paired(cfg, 7, root)
+        children = np.random.SeedSequence(11).spawn(4)
+        for part, child in zip(("encoder", "mapper", "meta", "decoder"), children):
+            expected = nn.bind(nn.build_stack(cfg.part_sizes(part, 7), child))
+            assert np.array_equal(model.vectors[part], expected)
+        # the root's next child, the one meta-test draws its batches from, is its fifth
+        assert root.spawn(1)[0].spawn_key == (4,)
+
 
 class TestEncodeDecode:
     def test_zero_encoder_maps_everything_to_zero(self):
