@@ -85,6 +85,8 @@ class MetaTestParams:
             raise ConfigError("meta-test steps must be >= 0 and batch_size >= 1")
         if any(n < 1 for n in self.step_checkpoints):
             raise ConfigError("step checkpoints must be >= 1")
+        if not self.seeds:
+            raise ConfigError("meta_test.seeds is empty: meta-test needs at least one seed")
         if self.optimizer not in OPTIMIZERS:
             raise ConfigError(f"meta-test optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
 

@@ -28,9 +28,19 @@ backward pass per part):
   when ``lambda_recon`` is 0,
 * ``full_forward(x)``: three forwards.
 
-Skipping a pass changes no bit of what is returned: every gradient and loss
-is computed by the same operations, in the same order, as when all four
-gradients are requested.
+A backward pass computes the gradient with respect to its stack's input only
+when the next backward consumes it: never for the encoder, and for the
+mapper, meta and decoder only when a gradient further down the chain is
+requested. Skipping a pass changes no bit of what is returned: every
+gradient and loss is computed by the same operations, in the same order, as
+when all four gradients are requested.
+
+Every pass runs through its part's process-wide workspace (``_WORKSPACES``,
+see the workspace contract in :mod:`fedmetaloc.nn`), shared by all client
+models of the process, so activations are overwritten by the next model's
+pass. Whatever a method returns is the caller's own array: gradient vectors
+are freshly allocated, and ``encode``, ``decode`` and ``full_forward`` copy
+their result out of the workspace.
 
 Each part's parameters live in one flat vector (``ClientModel.vectors``, see
 :mod:`fedmetaloc.nn`), which the optimizers update in place, and each
@@ -54,6 +64,11 @@ from .fileio import atomic_write
 
 PART_NAMES = ("encoder", "decoder", "meta", "mapper")
 OPTIMIZERS = ("adam", "sgd")
+
+# One workspace per part, shared by every model: a step's passes reuse the
+# same memory instead of allocating it afresh, and clients of different AP
+# counts share each buffer at its largest size.
+_WORKSPACES = {part: nn.Workspace() for part in PART_NAMES}
 
 
 @dataclass(frozen=True)
@@ -192,18 +207,19 @@ class ClientModel:
             raise ConfigError(f"{part} holds {target.size} parameters, got shape {np.shape(vector)}")
         np.copyto(target, vector)
 
+    def _forward(self, part: str, x: np.ndarray) -> tuple[np.ndarray, nn.ForwardCache]:
+        """One stack forward through the part's shared workspace; the output is a view into it."""
+        return nn.forward(self.parts[part], x, _WORKSPACES[part])
+
     def encode(self, x: np.ndarray) -> np.ndarray:
-        return nn.forward(self.parts["encoder"], x)[0]
+        return self._forward("encoder", x)[0].copy()
 
     def decode(self, latent: np.ndarray) -> np.ndarray:
-        return nn.forward(self.parts["decoder"], latent)[0]
+        return self._forward("decoder", latent)[0].copy()
 
     def full_forward(self, x: np.ndarray) -> np.ndarray:
         """Composite prediction: mapper(meta(encoder(x)))."""
-        return nn.forward(
-            self.parts["mapper"],
-            nn.forward(self.parts["meta"], nn.forward(self.parts["encoder"], x)[0])[0],
-        )[0]
+        return self._forward("mapper", self._forward("meta", self._forward("encoder", x)[0])[0])[0].copy()
 
     def composite_loss(
         self, x: np.ndarray, y: np.ndarray, parts: Sequence[str] = PART_NAMES
@@ -219,13 +235,15 @@ class ClientModel:
         """
         lam = self.config.lambda_recon
         latent, enc_cache, pred_loss, grads, dlatent_pred = self._prediction_path(x, y, parts)
-        recon, dec_cache = nn.forward(self.parts["decoder"], latent)
+        recon, dec_cache = self._forward("decoder", latent)
         recon_loss, drecon = nn.mse_loss(recon, x)
         loss = pred_loss + lam * recon_loss
         if "decoder" in parts or "encoder" in parts:
-            grads["decoder"], dlatent_recon = nn.backward(dec_cache, lam * drecon)
+            drecon *= lam
+            grads["decoder"], dlatent_recon = nn.backward(dec_cache, drecon, input_grad="encoder" in parts)
         if "encoder" in parts:
-            grads["encoder"], _ = nn.backward(enc_cache, dlatent_pred + dlatent_recon)
+            dlatent_pred += dlatent_recon
+            grads["encoder"], _ = nn.backward(enc_cache, dlatent_pred, input_grad=False)
         return loss, {part: grads[part] for part in parts}
 
     def shared_gradient(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -249,26 +267,27 @@ class ClientModel:
         y = np.asarray(y, dtype=np.float64)
         if x.ndim != 2 or x.shape[0] == 0:
             raise DataError("the model loss needs a nonempty 2-D batch")
-        latent, enc_cache = nn.forward(self.parts["encoder"], x)
-        feats, meta_cache = nn.forward(self.parts["meta"], latent)
-        pred, map_cache = nn.forward(self.parts["mapper"], feats)
+        latent, enc_cache = self._forward("encoder", x)
+        feats, meta_cache = self._forward("meta", latent)
+        pred, map_cache = self._forward("mapper", feats)
         pred_loss, dpred = nn.mse_loss(pred, y)
         grads: dict[str, np.ndarray] = {}
         dlatent = None
-        if {"mapper", "meta", "encoder"} & set(parts):
-            grads["mapper"], dfeats = nn.backward(map_cache, dpred)
-            if {"meta", "encoder"} & set(parts):
-                grads["meta"], dlatent = nn.backward(meta_cache, dfeats)
+        needs_meta = bool({"meta", "encoder"} & set(parts))
+        if needs_meta or "mapper" in parts:
+            grads["mapper"], dfeats = nn.backward(map_cache, dpred, input_grad=needs_meta)
+            if needs_meta:
+                grads["meta"], dlatent = nn.backward(meta_cache, dfeats, input_grad="encoder" in parts)
         return latent, enc_cache, pred_loss, grads, dlatent
 
     def loss_value(self, x: np.ndarray, y: np.ndarray) -> float:
         """Composite loss without gradients (evaluation only)."""
         pred = self.full_forward(x)
-        latent = self.encode(x)
+        latent = self._forward("encoder", x)[0]
         pred_loss, _ = nn.mse_loss(pred, np.asarray(y, dtype=np.float64))
         if self.config.lambda_recon == 0:
             return pred_loss
-        recon_loss, _ = nn.mse_loss(self.decode(latent), np.asarray(x, dtype=np.float64))
+        recon_loss, _ = nn.mse_loss(self._forward("decoder", latent)[0], np.asarray(x, dtype=np.float64))
         return pred_loss + self.config.lambda_recon * recon_loss
 
     def train_step(

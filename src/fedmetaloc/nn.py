@@ -13,6 +13,19 @@ parameter vector (and the moments) in place, so every layer view sees the new
 values without a copy. Write into a layer's arrays (``layer.biases[...] = b``);
 rebinding them to new arrays detaches the layer from its vector.
 
+Workspace contract. :func:`forward` writes every layer's output into a
+:class:`Workspace`, and :func:`backward` keeps its per-layer gradients and
+ReLU mask there, so repeated passes reuse the same memory instead of
+allocating (and page-faulting) it afresh. A workspace belongs to one stack
+position, one per model part in a process; its buffers are keyed by layer
+slot, grow to the largest batch seen and are never freed. The output
+:func:`forward` returns and its :class:`ForwardCache` are views into it,
+valid until the next forward through the same workspace; :func:`backward`
+refuses a cache that such a forward has overwritten. What :func:`backward`
+returns, the gradient vector and the input gradient, is freshly allocated
+and owned by the caller. :func:`forward` without a workspace uses a private
+one, so its results are the caller's too.
+
 Parameter dictionaries map ``"layer{i}.weights"`` / ``"layer{i}.biases"`` to
 arrays, listed layer by layer with the weights first. They are the exchange
 format of checkpoints and of per-key test oracles: :func:`export_params` and
@@ -198,13 +211,42 @@ def assign_params(layers: Sequence[DenseLayer], params: ParamDict) -> None:
         layer.biases[...] = b
 
 
+class Workspace:
+    """Grow-only buffers for the passes of one stack position (a model part).
+
+    Each buffer is keyed by its role and layer slot, never by shape, and
+    grows to the largest size asked of it, so clients of different AP
+    counts and batch sizes share one set. ``generation`` counts the forwards
+    run through the workspace; a cache from an earlier one is stale.
+    """
+
+    def __init__(self) -> None:
+        self._buffers: dict[tuple[str, int], np.ndarray] = {}
+        self.generation = 0
+
+    def take(self, role: str, slot: int, shape: tuple[int, int], dtype: type = np.float64) -> np.ndarray:
+        """A C-contiguous ``shape`` view of the buffer at ``(role, slot)``."""
+        size = shape[0] * shape[1]
+        buf = self._buffers.get((role, slot))
+        if buf is None or buf.size < size:
+            buf = self._buffers[role, slot] = np.empty(size, dtype)
+        return buf[:size].reshape(shape)
+
+
 @dataclass
 class ForwardCache:
-    """Activation trace from one forward pass, consumed by :func:`backward`."""
+    """Activation trace from one forward pass, consumed by :func:`backward`.
+
+    ``inputs[i]`` and ``outputs[i]`` are layer i's input and its output after
+    the activation (``outputs[i] is inputs[i + 1]``); all but the stack input
+    are views into ``workspace``, valid while its generation is ``generation``.
+    """
 
     layers: Sequence[DenseLayer]
+    workspace: Workspace
+    generation: int
     inputs: list[np.ndarray] = field(default_factory=list)
-    preacts: list[np.ndarray] = field(default_factory=list)
+    outputs: list[np.ndarray] = field(default_factory=list)
     squeeze: bool = False
 
 
@@ -217,36 +259,56 @@ def _promote(x: np.ndarray) -> tuple[np.ndarray, bool]:
     raise ConfigError(f"inputs must be 1-D or 2-D, got shape {x.shape}")
 
 
-def forward(layers: Sequence[DenseLayer], x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
-    """Run the stack on a sample (1-D) or batch (2-D, rows are samples)."""
+def forward(
+    layers: Sequence[DenseLayer], x: np.ndarray, workspace: Workspace | None = None
+) -> tuple[np.ndarray, ForwardCache]:
+    """Run the stack on a sample (1-D) or batch (2-D, rows are samples).
+
+    Layer outputs go into ``workspace`` (a private one when None): the
+    returned output is a view into it, overwritten by its next forward.
+    """
     a, squeeze = _promote(x)
     if a.shape[1] != layers[0].in_size:
         raise ConfigError(f"input width {a.shape[1]} does not match layer input size {layers[0].in_size}")
-    cache = ForwardCache(layers=layers, squeeze=squeeze)
-    for layer in layers:
+    workspace = workspace if workspace is not None else Workspace()
+    workspace.generation += 1
+    cache = ForwardCache(layers=layers, workspace=workspace, generation=workspace.generation, squeeze=squeeze)
+    for i, layer in enumerate(layers):
         if a.shape[1] != layer.in_size:
             raise ConfigError(
                 f"stack mismatch: activation width {a.shape[1]} feeding layer of input size {layer.in_size}"
             )
         cache.inputs.append(a)
-        z = a @ layer.weights.T + layer.biases
-        cache.preacts.append(z)
-        a = np.maximum(z, 0.0) if layer.activation == RELU else z
+        z = np.matmul(a, layer.weights.T, out=workspace.take("output", i, (a.shape[0], layer.out_size)))
+        z += layer.biases
+        if layer.activation == RELU:
+            np.maximum(z, 0.0, out=z)
+        cache.outputs.append(z)
+        a = z
     y = a[0] if squeeze else a
     return y, cache
 
 
-def backward(cache: ForwardCache, upstream_grad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def backward(
+    cache: ForwardCache, upstream_grad: np.ndarray, input_grad: bool = True
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Backpropagate ``dL/dy`` through the cached pass.
 
     Returns the gradient of every weight and bias as one flat vector in the
     parameter layout, filled last layer first, weights before biases, plus the
     gradient with respect to the stack input, which lets callers chain several
-    stacks together.
+    stacks together; with ``input_grad=False`` that product is skipped and
+    None takes its place. Both are new arrays. The per-layer gradients in
+    between alternate between two workspace slots.
     """
     da = np.asarray(upstream_grad, dtype=np.float64)
     if cache.squeeze and da.ndim == 1:
         da = da[None, :]
+    workspace = cache.workspace
+    if workspace.generation != cache.generation:
+        raise RuntimeError(
+            f"stale cache: its workspace has run {workspace.generation - cache.generation} forward(s) since"
+        )
     last = cache.layers[-1]
     batch = cache.inputs[0].shape[0]
     if da.shape != (batch, last.out_size):
@@ -257,14 +319,24 @@ def backward(cache: ForwardCache, upstream_grad: np.ndarray) -> tuple[np.ndarray
     layout = _layout(stack_sizes(cache.layers))
     vector = np.empty(layout[-1][2])
     views = {key: vector[start:stop].reshape(shape) for key, start, stop, shape in layout}
+    slot = 0
+    dx = None
     for i in range(len(cache.layers) - 1, -1, -1):
         layer = cache.layers[i]
-        z = cache.preacts[i]
-        dz = da * (z > 0.0) if layer.activation == RELU else da
+        if layer.activation == RELU:
+            # a ReLU output is positive exactly where its pre-activation is
+            mask = np.greater(cache.outputs[i], 0.0, out=workspace.take("mask", 0, da.shape, np.bool_))
+            dz = np.multiply(da, mask, out=workspace.take("grad", slot, da.shape))
+        else:
+            dz = da
         np.matmul(dz.T, cache.inputs[i], out=views[f"layer{i}.weights"])
         dz.sum(axis=0, out=views[f"layer{i}.biases"])
-        da = dz @ layer.weights
-    dx = da[0] if cache.squeeze else da
+        if i:
+            slot = 1 - slot
+            da = np.matmul(dz, layer.weights, out=workspace.take("grad", slot, (batch, layer.in_size)))
+        elif input_grad:
+            dx = dz @ layer.weights
+            dx = dx[0] if cache.squeeze else dx
     return vector, dx
 
 
@@ -276,8 +348,9 @@ def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
         raise ConfigError(f"prediction shape {pred.shape} does not match target shape {target.shape}")
     diff = pred - target
     loss = float(np.mean(diff * diff))
-    grad = 2.0 * diff / diff.size
-    return loss, grad
+    diff *= 2.0
+    diff /= diff.size
+    return loss, diff
 
 
 def _check_step(params: np.ndarray, grads: np.ndarray, mu: float) -> None:
@@ -285,12 +358,6 @@ def _check_step(params: np.ndarray, grads: np.ndarray, mu: float) -> None:
         raise ConfigError(f"learning rate must be > 0, got {mu}")
     if params.shape != grads.shape:
         raise ConfigError(f"gradient shape {grads.shape} does not match parameter shape {params.shape}")
-
-
-def sgd_step(params: np.ndarray, grads: np.ndarray, mu: float) -> None:
-    """Plain gradient step ``p <- p - mu * g``, in place on the flat vector."""
-    _check_step(params, grads, mu)
-    params -= mu * grads
 
 
 @dataclass
@@ -318,10 +385,23 @@ def init_adam_state(size: int) -> AdamState:
 
 # The fused Adam update runs block by block, so that a block's parameters,
 # gradient, moments and the two work vectors (6 x 256 KB) stay in a core's L2
-# cache through all 14 passes, and no step allocates a temporary. The work
-# vectors are shared by every model in the process; no model keeps scratch.
+# cache through all 14 passes, and no step allocates a temporary; the SGD step
+# runs the same way. The work vectors are shared by every model in the
+# process; no model keeps scratch.
 _ADAM_BLOCK = 32768
 _work = np.empty((2, _ADAM_BLOCK))
+
+
+def sgd_step(params: np.ndarray, grads: np.ndarray, mu: float) -> None:
+    """Plain gradient step ``p <- p - mu * g``, in place on the flat vector,
+    block by block through the shared work vector like :func:`adam_step`."""
+    _check_step(params, grads, mu)
+    for start in range(0, params.size, _ADAM_BLOCK):
+        block = slice(start, start + _ADAM_BLOCK)
+        g = grads[block]
+        step = _work[0, : g.size]
+        np.multiply(g, mu, out=step)
+        params[block] -= step
 
 
 def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, mu: float) -> None:

@@ -474,6 +474,7 @@ class TestMalformedConfig:
             ("section_is_a_string", "federation"),
             ("area_is_a_number", "area"),
             ("seeds_is_a_number", "seeds"),
+            ("seeds_is_empty", "meta_test.seeds"),
             ("bool_as_string", "d_from_median"),
             ("schema_not_json", "datasets[0].schema"),
             ("unknown_schema_key", "coordinates"),
@@ -502,6 +503,8 @@ class TestMalformedConfig:
             path.write_text(json.dumps(raw))
         elif case == "seeds_is_a_number":
             path = small_config(tmp_path, meta_test={"steps": 6, "seeds": 3})
+        elif case == "seeds_is_empty":
+            path = small_config(tmp_path, meta_test={"steps": 6, "seeds": []})
         elif case == "bool_as_string":
             path = small_config(tmp_path, d_from_median="false")
         elif case == "schema_not_json":

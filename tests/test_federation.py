@@ -137,6 +137,24 @@ class TestClientLocalTrain:
             assert bits(update.vector) == bits(client.model.vectors["meta"])
             assert not np.shares_memory(update.vector, client.model.vectors["meta"])
 
+    def test_gradient_updates_of_two_clients_are_their_one_at_a_time_values(self):
+        # every client model shares the per-part workspaces; an update held
+        # until aggregation must not be overwritten by the next client's passes
+        def cohort():
+            tasks, cfg = small_cohort(2)
+            return server_init(tasks, cfg, eta=0.01, seed=4)
+
+        meta, clients = cohort()
+        held = [client_local_train(c, meta.broadcast(), local_steps=3, aggregation="gradient") for c in clients]
+        meta, clients = cohort()
+        one_at_a_time = [
+            bits(client_local_train(c, meta.broadcast(), local_steps=3, aggregation="gradient").vector)
+            for c in clients
+        ]
+        assert clients[0].task.m == clients[1].task.m
+        assert one_at_a_time[0] != one_at_a_time[1]
+        assert [bits(update.vector) for update in held] == one_at_a_time
+
     def test_unknown_aggregation_rejected(self):
         tasks, cfg = small_cohort(1)
         meta, clients = server_init(tasks, cfg, eta=0.01, seed=2)

@@ -3,7 +3,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from fedmetaloc import metrics, nn
+from fedmetaloc import metrics, model as model_module, nn
 from fedmetaloc.errors import ConfigError, DataError
 from fedmetaloc.model import PART_NAMES, ClientModel, ModelConfig, load_checkpoint, save_checkpoint
 
@@ -288,6 +288,50 @@ class TestPartSelectiveGradients:
         counts = count_passes(monkeypatch)
         model.train_step(x, y, parts=("decoder",))
         assert counts == {"forward": 4, "backward": 1}
+
+
+class TestWorkspaces:
+    """Every model of a process runs its passes through one workspace per
+    part; what a method returns must not alias it."""
+
+    def test_a_held_full_forward_result_survives_another_models_call(self):
+        cfg = tiny_model_config()
+        x = np.random.default_rng(8).uniform(size=(6, 5))
+        first = ClientModel.build(cfg, m=5, seed=8)
+        held = first.full_forward(x)
+        expected = held.copy()
+        ClientModel.build(cfg, m=5, seed=9).full_forward(x)
+        assert held.tobytes() == expected.tobytes()
+
+    def test_held_encode_and_decode_results_survive_the_next_call(self):
+        model = ClientModel.build(tiny_model_config(), m=5, seed=8)
+        rng = np.random.default_rng(8)
+        latent = model.encode(rng.uniform(size=(6, 5)))
+        recon = model.decode(latent)
+        expected = latent.copy(), recon.copy()
+        model.decode(model.encode(rng.uniform(size=(6, 5))))
+        assert (latent.tobytes(), recon.tobytes()) == tuple(a.tobytes() for a in expected)
+
+    def test_steady_full_batch_steps_allocate_no_workspace_buffer(self):
+        cfg = tiny_model_config()
+        model = ClientModel.build(cfg, m=5, seed=10)
+        rng = np.random.default_rng(10)
+        # support and query batches differ in size, as in the convergence probe
+        xs, ys = rng.uniform(size=(40, 5)), rng.normal(size=(40, 2))
+        xq, yq = rng.uniform(size=(30, 5)), rng.normal(size=(30, 2))
+        rates = {part: 0.01 for part in PART_NAMES}
+
+        def step():
+            model.train_step(xs, ys, rates=rates, optimizer="sgd")
+            metrics.theta_grad_sq_norm(model, xq, yq)
+
+        step()
+        before = {part: dict(ws._buffers) for part, ws in model_module._WORKSPACES.items()}
+        for _ in range(5):
+            step()
+        for part, ws in model_module._WORKSPACES.items():
+            assert ws._buffers.keys() == before[part].keys(), part
+            assert all(ws._buffers[key] is buf for key, buf in before[part].items()), part
 
 
 class TestThetaSwap:

@@ -103,6 +103,42 @@ class TestBackward:
         with pytest.raises(RuntimeError):
             nn.backward(cache, np.zeros(5))
 
+    def test_a_later_forward_through_the_workspace_makes_the_cache_stale(self):
+        # same shape, so the upstream-gradient shape check cannot see it
+        layers = nn.build_stack([3, 4, 2], seed=0)
+        rng = np.random.default_rng(0)
+        workspace = nn.Workspace()
+        _, first = nn.forward(layers, rng.normal(size=(5, 3)), workspace)
+        _, second = nn.forward(layers, rng.normal(size=(5, 3)), workspace)
+        with pytest.raises(RuntimeError, match="stale"):
+            nn.backward(first, np.ones((5, 2)))
+        nn.backward(second, np.ones((5, 2)))
+
+    @pytest.mark.parametrize("x_shape", [(7, 4), (4,)])
+    def test_skipping_the_input_gradient_keeps_the_parameter_gradient_bitwise(self, x_shape):
+        layers = nn.build_stack([4, 6, 5, 3], seed=3)
+        rng = np.random.default_rng(3)
+        y, cache = nn.forward(layers, rng.normal(size=x_shape))
+        upstream = rng.normal(size=y.shape)
+        full, dx = nn.backward(cache, upstream)
+        skipped, none = nn.backward(cache, upstream, input_grad=False)
+        assert dx.shape == x_shape and none is None
+        assert full.tobytes() == skipped.tobytes()
+
+    def test_shared_workspace_gives_the_private_results_bitwise(self):
+        # a smaller batch after a larger one reads views into grown buffers
+        layers = nn.build_stack([4, 6, 5, 3], seed=4)
+        rng = np.random.default_rng(4)
+        workspace = nn.Workspace()
+        for rows in (9, 4, 9):
+            x, upstream = rng.normal(size=(rows, 4)), rng.normal(size=(rows, 3))
+            y, cache = nn.forward(layers, x, workspace)
+            y_private, cache_private = nn.forward(layers, x)
+            assert y.tobytes() == y_private.tobytes()
+            grad, dx = nn.backward(cache, upstream)
+            grad_private, dx_private = nn.backward(cache_private, upstream)
+            assert grad.tobytes() == grad_private.tobytes() and dx.tobytes() == dx_private.tobytes()
+
 
 class TestMseLoss:
     def test_perfect_prediction(self):
@@ -132,6 +168,12 @@ class TestMseLoss:
         base, _ = nn.mse_loss(pred, target)
         permuted, _ = nn.mse_loss(pred[perm], target[perm])
         assert permuted == pytest.approx(base, rel=1e-12)
+
+    def test_gradient_is_bitwise_the_textbook_expression(self):
+        rng = np.random.default_rng(5)
+        pred, target = rng.normal(size=(6, 3)), rng.normal(size=(6, 3))
+        _, grad = nn.mse_loss(pred, target)
+        assert grad.tobytes() == (2.0 * (pred - target) / pred.size).tobytes()
 
     def test_length_mismatch_raises(self):
         with pytest.raises(ConfigError):
@@ -172,6 +214,13 @@ class TestSgd:
     def test_shape_mismatch_raises(self):
         with pytest.raises(ConfigError):
             nn.sgd_step(np.zeros(2), np.zeros(3), 0.1)
+
+    def test_blocked_step_is_bitwise_p_minus_mu_g(self):
+        rng = np.random.default_rng(6)
+        params, grads = rng.normal(size=(2, 3 * nn._ADAM_BLOCK + 17))
+        expected = params - 0.013 * grads
+        nn.sgd_step(params, grads, 0.013)
+        assert params.tobytes() == expected.tobytes()
 
 
 def scalar_adam_reference(w0: float, grad_fn, mu: float, steps: int) -> float:
