@@ -6,8 +6,10 @@ building/floor group labels. Tasks are per-environment support/query splits of
 such datasets; the synthetic generator stands in for public datasets in tests
 and desk-scale experiments.
 
-CSVs are parsed by :func:`fileio.read_csv`. Every source marks an AP that a
-sample did not detect with one value, the preprocessing ``sentinel``
+A task bundle stores each split as one float64 ``.npy`` array next to a
+``meta.json`` that names its columns and counts its rows. Dataset CSVs are
+parsed by :func:`fileio.read_csv`. Every source marks an AP that a sample did
+not detect with one value, the preprocessing ``sentinel``
 (:data:`DEFAULT_SENTINEL` unless configured), which the caller passes to the
 synthetic generator.
 """
@@ -23,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .fileio import column_indices, read_csv, write_csv, write_json
+from .fileio import atomic_write, column_indices, read_csv, write_json
 
 DEFAULT_SENTINEL = 100.0  # RSSI value of an AP a sample did not detect
 
@@ -336,10 +338,17 @@ def path_loss_rssi(distance_m: np.ndarray, tx_power_dbm: float, exponent: float)
     return tx_power_dbm - 10.0 * exponent * np.log10(d)
 
 
-def _segment_crossings(starts: np.ndarray, ends: np.ndarray, walls: np.ndarray) -> np.ndarray:
+CROSSING_BLOCK_ELEMENTS = 1 << 16  # sample rows per block: each [rows, A, W] float64 temporary near 512 KB
+
+
+def _segment_crossings(samples: np.ndarray, aps: np.ndarray, walls: np.ndarray) -> np.ndarray:
     """Count proper crossings between rays AP->sample and wall segments.
 
-    ``starts`` [S, A, 2], ``ends`` [A, 2], ``walls`` [W, 2, 2]; returns [S, A].
+    ``samples`` [S, 2], ``aps`` [A, 2], ``walls`` [W, 2, 2]; returns [S, A].
+    Differences that involve only a sample and a wall are taken at [S, 1, W],
+    and the sample rows are processed in blocks so that no [rows, A, W]
+    temporary exceeds :data:`CROSSING_BLOCK_ELEMENTS`. Every element's
+    arithmetic is that of one broadcast over all rows.
     """
 
     def cross(o, a, b):
@@ -347,13 +356,18 @@ def _segment_crossings(starts: np.ndarray, ends: np.ndarray, walls: np.ndarray) 
             a[..., 1] - o[..., 1]
         ) * (b[..., 0] - o[..., 0])
 
-    p = starts[:, :, None, :]  # sample end  [S, A, 1, 2]
-    q = ends[None, :, None, :]  # AP end      [1, A, 1, 2]
+    q = aps[None, :, None, :]  # AP end      [1, A, 1, 2]
     c = walls[None, None, :, 0, :]
     d = walls[None, None, :, 1, :]
-    d1 = cross(p, q, c) * cross(p, q, d)
-    d2 = cross(c, d, p) * cross(c, d, q)
-    return ((d1 < 0) & (d2 < 0)).sum(axis=2)
+    cd_q = cross(c, d, q)
+    counts = np.empty((len(samples), len(aps)), dtype=np.intp)
+    block = max(1, CROSSING_BLOCK_ELEMENTS // (len(aps) * len(walls)))
+    for lo in range(0, len(samples), block):
+        p = samples[lo : lo + block, None, None, :]  # sample end  [rows, 1, 1, 2]
+        d1 = cross(p, q, c) * cross(p, q, d)
+        d2 = cross(c, d, p) * cd_q
+        ((d1 < 0) & (d2 < 0)).sum(axis=2, out=counts[lo : lo + block])
+    return counts
 
 
 def synth_environment(spec: SyntheticEnvSpec, sentinel: float = DEFAULT_SENTINEL) -> FingerprintDataset:
@@ -381,12 +395,7 @@ def synth_environment(spec: SyntheticEnvSpec, sentinel: float = DEFAULT_SENTINEL
     dist = np.sqrt(((locs[:, None, :] - ap_pos[None, :, :]) ** 2).sum(axis=2))
     rssi = path_loss_rssi(dist, spec.tx_power_dbm, spec.path_loss_exponent)
     if spec.num_walls > 0:
-        crossings = _segment_crossings(
-            np.broadcast_to(locs[:, None, :], (spec.samples, spec.num_aps, 2)),
-            ap_pos,
-            walls,
-        )
-        rssi = rssi - spec.wall_loss_db * crossings
+        rssi = rssi - spec.wall_loss_db * _segment_crossings(locs, ap_pos, walls)
     if spec.noise_sigma > 0:
         rssi = rssi + rng.normal(0.0, spec.noise_sigma, size=rssi.shape)
     if spec.sensitivity_dbm is not None:
@@ -396,15 +405,21 @@ def synth_environment(spec: SyntheticEnvSpec, sentinel: float = DEFAULT_SENTINEL
     return FingerprintDataset(rssi=rssi, coords=locs, ap_names=ap_names)
 
 
-def _write_split_csv(path: Path, split: FingerprintDataset) -> None:
-    write_csv(path, [*split.ap_names, *split.coord_names], np.hstack([split.rssi, split.coords]))
+def _write_split(path: Path, split: FingerprintDataset) -> None:
+    with atomic_write(path, binary=True) as fh:
+        np.save(fh, np.hstack([split.rssi, split.coords]))
 
 
 def save_task_bundle(task: LocalizationTask, directory: str | Path, extra: dict | None = None) -> Path:
-    """Write the canonical bundle: support.csv, query.csv, meta.json."""
+    """Write the canonical bundle ``{task_id}/``: support.npy, query.npy, meta.json.
+
+    Each split is one float64 ``[rows, m + p]`` array in ``.npy`` format, the
+    RSSI columns first and the coordinates last. ``meta.json`` holds the AP
+    and coordinate names, ``m`` and the row count of each split.
+    """
     directory = Path(directory) / task.task_id
-    _write_split_csv(directory / "support.csv", task.support)
-    _write_split_csv(directory / "query.csv", task.query)
+    _write_split(directory / "support.npy", task.support)
+    _write_split(directory / "query.npy", task.query)
     meta = {
         "task_id": task.task_id,
         "m": task.m,
@@ -422,20 +437,37 @@ def save_task_bundle(task: LocalizationTask, directory: str | Path, extra: dict 
     return directory
 
 
-def _read_split_csv(path: Path, m: int, coord_names: list[str]) -> FingerprintDataset:
-    header, values = read_csv(path)
-    if len(values) == 0:
-        raise DataError(f"{path}: no data rows")
+def _read_split(path: Path, rows: int, ap_names: list[str], coord_names: list[str]) -> FingerprintDataset:
+    """One split array, checked against its ``meta.json``: float64, 2-D, ``[rows, m + p]``."""
+    try:
+        with path.open("rb") as fh:
+            values = np.lib.format.read_array(fh, allow_pickle=False)
+    except FileNotFoundError:
+        raise DataError(f"missing file: {path}") from None
+    except ValueError as exc:  # empty, truncated, pickled, or not .npy at all
+        raise DataError(f"{path}: not a .npy array: {exc}") from exc
+    m = len(ap_names)
+    width = m + len(coord_names)
+    if values.dtype != np.float64 or values.ndim != 2:
+        raise DataError(f"{path}: expected a 2-D float64 array, found {values.ndim}-D {values.dtype}")
+    if values.shape[0] != rows:
+        raise DataError(f"{path}: {values.shape[0]} rows, but meta.json gives {rows}")
+    if values.shape[1] != width:
+        raise DataError(f"{path}: {values.shape[1]} columns, but meta.json gives m + p = {width}")
     return FingerprintDataset(
         rssi=values[:, :m],
         coords=values[:, m:],
-        ap_names=header[:m],
+        ap_names=ap_names,
         coord_names=coord_names,
     )
 
 
 def load_task_bundle(directory: str | Path) -> LocalizationTask:
-    """Read a bundle written by :func:`save_task_bundle`; anything malformed is a :class:`DataError`."""
+    """Read a bundle written by :func:`save_task_bundle`; anything malformed is a :class:`DataError`.
+
+    ``meta.json`` is the one source of the names and shapes: each array must
+    be float64 with ``n_support`` or ``n_query`` rows and ``m + p`` columns.
+    """
     directory = Path(directory)
     meta_path = directory / "meta.json"
     if not meta_path.exists():
@@ -444,15 +476,20 @@ def load_task_bundle(directory: str | Path) -> LocalizationTask:
         meta = json.loads(meta_path.read_text())
         task_id = meta["task_id"]
         m = int(meta["m"])
+        ap_names = list(meta["ap_names"])
         coord_names = list(meta["coord_names"])
+        n_support = int(meta["n_support"])
+        n_query = int(meta["n_query"])
         label_center = np.array(meta["label_center"], dtype=np.float64)
         label_scale = np.array(meta["label_scale"], dtype=np.float64)
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed {meta_path}: {type(exc).__name__}: {exc}") from exc
+    if len(ap_names) != m:
+        raise DataError(f"malformed {meta_path}: {len(ap_names)} AP names for m = {m}")
     return LocalizationTask(
         task_id=task_id,
-        support=_read_split_csv(directory / "support.csv", m, coord_names),
-        query=_read_split_csv(directory / "query.csv", m, coord_names),
+        support=_read_split(directory / "support.npy", n_support, ap_names, coord_names),
+        query=_read_split(directory / "query.npy", n_query, ap_names, coord_names),
         label_center=label_center,
         label_scale=label_scale,
     )

@@ -5,9 +5,9 @@ is written to a temporary file in the target's directory, which then replaces
 the target in one ``os.replace``. An interrupted or failed write leaves the
 previous file, or none, never a partial one. Files are not fsynced.
 
-Numeric CSV files (task bundles, round logs, traces, final errors, CDF
-curves) are written by :func:`write_csv` and read, like fingerprint datasets,
-by :func:`read_csv`, the program's one CSV parser. A float is written as the
+Numeric CSV files (round logs, traces, final errors, CDF curves) are
+written by :func:`write_csv` and read, like fingerprint datasets, by
+:func:`read_csv`, the program's one CSV parser. A float is written as the
 shortest ``repr`` that reads back to the same float64, and lines end in CRLF,
 as ``csv.writer`` ends them.
 """

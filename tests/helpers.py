@@ -106,15 +106,22 @@ def reference_adam_step(params: dict, grads: dict, state: dict, mu: float) -> tu
     return new, {"m": m, "v": v, "t": t}
 
 
-def reference_write_split_csv(path: Path, split: FingerprintDataset) -> None:
-    """The bundle CSV writer as first written: ``csv.writer`` rows of ``repr(float(v))``."""
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([*split.ap_names, *split.coord_names])
-        for i in range(split.n_samples):
-            writer.writerow(
-                [repr(float(v)) for v in split.rssi[i]] + [repr(float(v)) for v in split.coords[i]]
-            )
+def reference_segment_crossings(samples: np.ndarray, aps: np.ndarray, walls: np.ndarray) -> np.ndarray:
+    """The AP-to-sample wall-crossing count as first written: one broadcast of
+    every difference over the full ``[S, A, W]`` grid."""
+
+    def cross(o, a, b):
+        return (a[..., 0] - o[..., 0]) * (b[..., 1] - o[..., 1]) - (
+            a[..., 1] - o[..., 1]
+        ) * (b[..., 0] - o[..., 0])
+
+    p = np.broadcast_to(samples[:, None, :], (len(samples), len(aps), 2))[:, :, None, :]
+    q = aps[None, :, None, :]
+    c = walls[None, None, :, 0, :]
+    d = walls[None, None, :, 1, :]
+    d1 = cross(p, q, c) * cross(p, q, d)
+    d2 = cross(c, d, p) * cross(c, d, q)
+    return ((d1 < 0) & (d2 < 0)).sum(axis=2)
 
 
 def reference_load_csv(path: Path, schema: SchemaConfig) -> FingerprintDataset:

@@ -124,8 +124,7 @@ class TestPreprocessCommand:
         assert ids == ["T00", "T01", "T02"]
         for task_id in ids:
             bundle = config.tasks_dir / task_id
-            assert (bundle / "support.csv").exists()
-            assert (bundle / "query.csv").exists()
+            assert sorted(path.name for path in bundle.iterdir()) == ["meta.json", "query.npy", "support.npy"]
             meta = json.loads((bundle / "meta.json").read_text())
             assert "preprocess" in meta["extra"]
         index = json.loads((config.experiment_dir / "tasks_index.json").read_text())
@@ -602,39 +601,57 @@ class TestMalformedCheckpoint:
         assert "does not match its config" in capsys.readouterr().err
 
 
-def _rewrite_support_line(index: int, edit):
-    """A fault that replaces line ``index`` of support.csv (0 is the header) by ``edit(line)``."""
+def _rewrite_array(name: str, edit):
+    """A fault that replaces the array in ``name`` by ``edit(array)``."""
 
     def corrupt(bundle: Path) -> None:
-        path = bundle / "support.csv"
-        lines = path.read_bytes().decode().split("\r\n")
-        lines[index] = edit(lines[index])
-        path.write_bytes("\r\n".join(lines).encode())
+        path = bundle / name
+        np.save(path, edit(np.load(path)), allow_pickle=True)
 
     return corrupt
 
 
-def _keep_header_only(bundle: Path) -> None:
-    path = bundle / "support.csv"
-    path.write_bytes(path.read_bytes().split(b"\n")[0] + b"\n")
+def _truncate_support(bundle: Path) -> None:
+    path = bundle / "support.npy"
+    path.write_bytes(path.read_bytes()[:-3])
 
 
-def _drop_m(bundle: Path) -> None:
-    meta = json.loads((bundle / "meta.json").read_text())
-    del meta["m"]
-    (bundle / "meta.json").write_text(json.dumps(meta))
+def _edit_meta(edit):
+    """A fault that rewrites meta.json as ``edit(meta)`` leaves it."""
+
+    def corrupt(bundle: Path) -> None:
+        meta = json.loads((bundle / "meta.json").read_text())
+        edit(meta)
+        (bundle / "meta.json").write_text(json.dumps(meta))
+
+    return corrupt
 
 
-BUNDLE_FAULTS = {
-    "non_numeric_cell": (_rewrite_support_line(1, lambda line: "n/a" + line[line.index(","):]), "support.csv"),
-    "ragged_row": (_rewrite_support_line(1, lambda line: line.rsplit(",", 1)[0]), "support.csv"),
-    "short_header": (_rewrite_support_line(0, lambda line: line.rsplit(",", 1)[0]), "header columns but"),
-    "missing_support": (lambda b: (b / "support.csv").unlink(), "support.csv"),
-    "missing_query": (lambda b: (b / "query.csv").unlink(), "query.csv"),
-    "empty_file": (lambda b: (b / "query.csv").write_text(""), "query.csv: empty file"),
-    "header_only": (_keep_header_only, "support.csv: no data rows"),
+BUNDLE_FAULTS = {  # T00 of small_config: m = 5, p = 2, 42 support and 18 query rows
+    "truncated_array_data": (_truncate_support, "support.npy: not a .npy array: Failed to read all data"),
+    "wrong_column_count": (
+        _rewrite_array("support.npy", lambda a: a[:, :-1]),
+        "support.npy: 6 columns, but meta.json gives m + p = 7",
+    ),
+    "short_ap_names": (_edit_meta(lambda meta: meta["ap_names"].pop()), "4 AP names for m = 5"),
+    "zero_row_array": (_rewrite_array("support.npy", lambda a: a[:0]), "support.npy: 0 rows, but meta.json gives 42"),
+    "rows_differ_from_n_support": (
+        _rewrite_array("support.npy", lambda a: a[:-1]),
+        "support.npy: 41 rows, but meta.json gives 42",
+    ),
+    "object_array": (
+        _rewrite_array("support.npy", lambda a: a.astype(object)),
+        "support.npy: not a .npy array: Object arrays cannot be loaded",
+    ),
+    "float32_array": (
+        _rewrite_array("query.npy", lambda a: a.astype(np.float32)),
+        "query.npy: expected a 2-D float64 array, found 2-D float32",
+    ),
+    "missing_support": (lambda b: (b / "support.npy").unlink(), "support.npy"),
+    "missing_query": (lambda b: (b / "query.npy").unlink(), "query.npy"),
+    "empty_file": (lambda b: (b / "query.npy").write_bytes(b""), "query.npy: not a .npy array"),
     "meta_not_json": (lambda b: (b / "meta.json").write_text("{not json"), "JSONDecodeError"),
-    "meta_without_m": (_drop_m, "KeyError: 'm'"),
+    "meta_without_m": (_edit_meta(lambda meta: meta.pop("m")), "KeyError: 'm'"),
 }
 
 

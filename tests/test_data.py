@@ -1,3 +1,4 @@
+import io
 import json
 import math
 from pathlib import Path
@@ -5,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fedmetaloc import data
 from fedmetaloc.data import (
     FingerprintDataset,
     LocalizationTask,
@@ -22,7 +24,7 @@ from fedmetaloc.data import (
 from fedmetaloc.errors import ConfigError, DataError
 from fedmetaloc.experiments import load_experiment_config
 
-from helpers import reference_load_csv, reference_write_split_csv, synth_task
+from helpers import reference_load_csv, reference_segment_crossings, synth_task
 
 UJI_SCHEMA = SchemaConfig(
     coord_columns=("LONGITUDE", "LATITUDE"),
@@ -342,6 +344,23 @@ class TestSyntheticEnvironment:
         assert np.array_equal(a.coords, b.coords)
         assert np.array_equal(a.rssi, b.rssi[:, :5])
 
+    @pytest.mark.parametrize("block_elements", [8 * 7 * 5, data.CROSSING_BLOCK_ELEMENTS])
+    def test_blocked_crossings_equal_the_one_shot_count(self, monkeypatch, block_elements):
+        # a sample count that leaves a partial last block, and a wall through
+        # a sample and an AP, whose touching rays count as no crossing
+        monkeypatch.setattr(data, "CROSSING_BLOCK_ELEMENTS", block_elements)
+        rows = block_elements // (7 * 5)
+        rng = np.random.default_rng(12)
+        samples = rng.uniform(0.0, 30.0, size=(3 * rows + 5, 2))
+        aps = rng.uniform(0.0, 30.0, size=(7, 2))
+        walls = rng.uniform(0.0, 30.0, size=(5, 2, 2))
+        walls[0] = samples[0], aps[0]
+        counts = data._segment_crossings(samples, aps, walls)
+        expected = reference_segment_crossings(samples, aps, walls)
+        assert counts.dtype == expected.dtype
+        assert np.array_equal(counts, expected)
+        assert 0 < counts.sum() < counts.size * 5
+
     def test_sensitivity_floor_produces_sentinels(self):
         spec = SyntheticEnvSpec(
             num_aps=6, samples=80, seed=2, noise_sigma=0.0,
@@ -386,7 +405,7 @@ class TestTasksAndBundles:
         task = synth_task(samples=25, seed=8)
         d1 = save_task_bundle(task, tmp_path / "a")
         d2 = save_task_bundle(task, tmp_path / "b")
-        for name in ("support.csv", "query.csv", "meta.json"):
+        for name in ("support.npy", "query.npy", "meta.json"):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
     def test_missing_bundle_rejected(self, tmp_path):
@@ -412,14 +431,20 @@ def edge_value_task() -> LocalizationTask:
     return LocalizationTask("EDGE", split(slice(0, 6)), split(slice(6, 10)), np.zeros(2), np.ones(2))
 
 
-class TestBundleCsv:
+class TestBundleArrays:
     def test_bytes_equal_the_reference_writer(self, tmp_path):
         task = edge_value_task()
         bundle = save_task_bundle(task, tmp_path)
-        for name, split in (("support.csv", task.support), ("query.csv", task.query)):
-            reference_write_split_csv(tmp_path / name, split)
-            assert (bundle / name).read_bytes() == (tmp_path / name).read_bytes()
-        assert (bundle / "support.csv").read_bytes().startswith(b"AP0,AP1,AP2,AP3,x,y\r\n-0.0,5e-324,")
+        for name, split in (("support.npy", task.support), ("query.npy", task.query)):
+            values = np.empty((split.n_samples, split.n_aps + 2))
+            values[:, : split.n_aps] = split.rssi
+            values[:, split.n_aps :] = split.coords
+            reference = io.BytesIO()
+            np.lib.format.write_array(reference, values, version=(1, 0), allow_pickle=False)
+            assert (bundle / name).read_bytes() == reference.getvalue()
+        assert (bundle / "support.npy").read_bytes().startswith(
+            b"\x93NUMPY\x01\x00v\x00{'descr': '<f8', 'fortran_order': False, 'shape': (6, 6), }"
+        )
 
     def test_read_back_is_bitwise_equal(self, tmp_path):
         task = edge_value_task()
@@ -428,3 +453,6 @@ class TestBundleCsv:
             assert np.array_equal(ours.rssi.view(np.uint64), theirs.rssi.view(np.uint64))
             assert np.array_equal(ours.coords.view(np.uint64), theirs.coords.view(np.uint64))
             assert ours.ap_names == theirs.ap_names
+            # both are column views of one C-ordered [rows, m + p] array
+            assert ours.rssi.base is ours.coords.base
+            assert ours.rssi.strides == ours.coords.strides == (6 * 8, 8)
