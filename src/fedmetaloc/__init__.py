@@ -32,8 +32,10 @@ from .federation import (
     RoundReport,
     client_local_train,
     contribution_factors,
+    load_checkpoint,
     meta_test,
     meta_train,
+    save_checkpoint,
     server_aggregate,
     server_init,
 )
@@ -46,7 +48,7 @@ from .metrics import (
     mde,
     steps_to_accuracy,
 )
-from .model import ClientModel, ModelConfig, load_checkpoint, save_checkpoint
+from .model import ClientModel, ModelConfig
 from .preprocess import (
     PreprocessConfig,
     impute_missing,

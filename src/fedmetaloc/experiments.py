@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import federation, metrics, nn
+from . import federation, metrics
 from .data import (
     FingerprintDataset,
     LocalizationTask,
@@ -38,10 +38,10 @@ from .data import (
     synth_environment,
 )
 from .errors import ConfigError, DataError
-from .federation import AdaptationTrace, MetaModel, meta_test
+from .federation import AdaptationTrace, MetaModel, load_checkpoint, meta_test, save_checkpoint
 from .fileio import column_indices, read_csv, write_csv, write_json
 from .metrics import cdf_curve
-from .model import OPTIMIZERS, ModelConfig, load_checkpoint, save_checkpoint
+from .model import OPTIMIZERS, ModelConfig
 from .preprocess import PreprocessConfig, meta_signal_dim, preprocess_dataset
 
 OUT_ROOT_ENV = "FEDMETALOC_OUT"
@@ -347,20 +347,6 @@ def write_round_log(path: Path, reports: Sequence[federation.RoundReport]) -> No
     )
 
 
-def save_meta_checkpoint(path: Path, meta: MetaModel) -> None:
-    params = nn.unflatten(meta.params, meta.config.part_sizes("meta"))
-    save_checkpoint(path, {"meta": params}, meta.config, extra={"round": meta.round, "eta": meta.eta})
-
-
-def load_meta_checkpoint(path: str | Path) -> MetaModel:
-    config, parts, extra = load_checkpoint(path)
-    if "meta" not in parts:
-        raise DataError(f"checkpoint {path} holds no shared-part parameters")
-    params = nn.flatten(parts["meta"], config.part_sizes("meta"))
-    return MetaModel(params=params, config=config, eta=float(extra.get("eta", 0.001)),
-                     round=int(extra.get("round", 0)))
-
-
 def cmd_meta_train(config: ExperimentConfig) -> tuple[MetaModel, list[federation.RoundReport]]:
     index = _load_index(config)
     train_tasks = _load_tasks(config, index["train"])
@@ -376,7 +362,7 @@ def cmd_meta_train(config: ExperimentConfig) -> tuple[MetaModel, list[federation
 
     def on_round(report: federation.RoundReport, current: MetaModel) -> None:
         if fed.checkpoint_every and report.round % fed.checkpoint_every == 0:
-            save_meta_checkpoint(ckpt_dir / f"meta_round_{report.round:05d}.npz", current)
+            save_checkpoint(ckpt_dir / f"meta_round_{report.round:05d}.npz", current)
 
     meta, reports = federation.meta_train(
         meta, clients, rounds=fed.rounds, on_round=on_round,
@@ -384,7 +370,7 @@ def cmd_meta_train(config: ExperimentConfig) -> tuple[MetaModel, list[federation
         aggregation=fed.aggregation,
     )
     write_round_log(config.train_dir / "round_log.csv", reports)
-    save_meta_checkpoint(config.checkpoint_path, meta)
+    save_checkpoint(config.checkpoint_path, meta)
     return meta, reports
 
 
@@ -404,6 +390,18 @@ def _check_checkpoint_compat(meta: MetaModel, model_config: ModelConfig) -> None
         raise ConfigError(
             f"checkpoint shared-part widths {ck.meta_hidden} differ from config {model_config.meta_hidden}"
         )
+
+
+def _load_trained(config: ExperimentConfig, index: dict, checkpoint: str | Path) -> MetaModel:
+    """The trained server state in ``checkpoint``, checked against the
+    experiment's model config (its latent width resolved as meta-train did)."""
+    meta = load_checkpoint(checkpoint)
+    if config.d_from_median and index["train"]:
+        expected = resolved_model_config(config, _load_tasks(config, index["train"]))
+    else:
+        expected = config.model
+    _check_checkpoint_compat(meta, expected)
+    return meta
 
 
 def run_dir(config: ExperimentConfig, task_id: str, mode: str, seed: int) -> Path:
@@ -455,12 +453,7 @@ def cmd_meta_test(config: ExperimentConfig, checkpoint: str | Path | None = None
     test_ids = index["test"]
     if not test_ids:
         raise DataError("no test tasks in the index")
-    meta = load_meta_checkpoint(checkpoint or config.checkpoint_path)
-    if config.d_from_median and index["train"]:
-        expected = resolved_model_config(config, _load_tasks(config, index["train"]))
-    else:
-        expected = config.model
-    _check_checkpoint_compat(meta, expected)
+    meta = _load_trained(config, index, checkpoint or config.checkpoint_path)
     model_config = meta.config  # dims of the trained parameters are authoritative
     tasks = _load_tasks(config, test_ids)
     mt = config.meta_test
@@ -668,7 +661,7 @@ def cmd_theory_probe(config: ExperimentConfig) -> dict:
     theta = None
     model_config = config.model
     if config.checkpoint_path.exists():
-        meta = load_meta_checkpoint(config.checkpoint_path)
+        meta = _load_trained(config, index, config.checkpoint_path)
         theta = meta.params
         model_config = meta.config
     payload = {"task": task.task_id, **run_theory_probe(task, model_config, theta, config.theory_probe)}

@@ -13,11 +13,13 @@ the same weights.
 
 Aggregation always sums in ascending client-id order, so client scheduling can
 never change the result. Contribution factors rho_k are proportional to query
-set sizes and renormalized whenever the cohort changes.
+set sizes; ``meta_train`` computes them once per run.
 
 The shared part travels as one flat vector (the layout of :mod:`fedmetaloc.nn`):
 the server's ``theta``, each client's copy of it, the client updates and the
-aggregate are all vectors of that one length.
+aggregate are all vectors of that one length. A checkpoint holds the
+server's state: that vector, its config, ``eta`` and the round
+(:func:`save_checkpoint`, :func:`load_checkpoint`).
 
 A loss that turns NaN or infinite stops the run with a :class:`DivergenceError`
 naming the round and client (meta-train) or the task, mode and seed
@@ -26,8 +28,11 @@ naming the round and client (meta-train) or the task, mode and seed
 
 from __future__ import annotations
 
+import json
 import math
+import zipfile
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -35,6 +40,7 @@ import numpy as np
 from . import nn
 from .data import LocalizationTask
 from .errors import ConfigError, DataError, DivergenceError
+from .fileio import atomic_write
 from .metrics import mde
 from .model import ClientModel, ModelConfig
 
@@ -57,6 +63,54 @@ class MetaModel:
         view = self.params.view()
         view.flags.writeable = False
         return view
+
+
+def save_checkpoint(path: str | Path, meta: MetaModel) -> None:
+    """Write ``meta`` bit-exactly as one ``.npz`` archive, atomically.
+
+    Members, in this order: ``meta/layer{i}.weights`` and
+    ``meta/layer{i}.biases`` for each layer of the shared stack, then
+    ``__config__`` (the model config) and ``__extra__`` (``{"eta", "round"}``),
+    both JSON with sorted keys.
+    """
+    params = nn.unflatten(meta.params, meta.config.part_sizes("meta"))
+    payload = {f"meta/{key}": tensor for key, tensor in params.items()}
+    payload["__config__"] = np.str_(json.dumps(meta.config.to_dict(), sort_keys=True))
+    payload["__extra__"] = np.str_(json.dumps({"round": meta.round, "eta": meta.eta}, sort_keys=True))
+    with atomic_write(path, binary=True) as fh:
+        np.savez(fh, **payload)
+
+
+def load_checkpoint(path: str | Path) -> MetaModel:
+    """Read a checkpoint written by :func:`save_checkpoint`.
+
+    Anything malformed is a :class:`DataError`: a file that is not a whole
+    archive, a missing ``__config__`` or ``__extra__`` header, an
+    ``__extra__`` that is not an object holding ``eta`` and ``round``, or
+    members that are not the shared stack its config describes.
+    """
+    path = Path(path)
+    if not path.exists():
+        raise DataError(f"checkpoint not found: {path}")
+    try:
+        with np.load(path, allow_pickle=False) as archive:
+            config = ModelConfig(**json.loads(str(archive["__config__"])))
+            extra = json.loads(str(archive["__extra__"]))
+            if not isinstance(extra, dict):
+                raise ValueError(f"__extra__ holds {type(extra).__name__}, not a JSON object")
+            eta, round_ = float(extra["eta"]), int(extra["round"])
+            tensors = {name: archive[name] for name in archive.files if not name.startswith("__")}
+    except (KeyError, ValueError, TypeError, OSError, EOFError, zipfile.BadZipFile) as exc:
+        raise DataError(f"malformed checkpoint {path}: {type(exc).__name__}: {exc}") from exc
+    sizes = config.part_sizes("meta")
+    expected = {f"meta/{key}": shape for key, shape in nn.param_shapes(sizes).items()}
+    actual = {name: tensor.shape for name, tensor in tensors.items()}
+    if actual != expected:
+        raise DataError(
+            f"checkpoint {path}: the shared part does not match its config: expected {expected}, got {actual}"
+        )
+    params = nn.flatten({name.removeprefix("meta/"): tensor for name, tensor in tensors.items()}, sizes)
+    return MetaModel(params=params, config=config, eta=eta, round=round_)
 
 
 @dataclass
@@ -92,7 +146,6 @@ class ClientState:
     model: ClientModel
     local_steps: int
     batches: BatchStream
-    rho: float = 0.0
 
 
 AGGREGATIONS = ("gradient", "average")
@@ -134,12 +187,6 @@ def contribution_factors(query_sizes: Sequence[int]) -> np.ndarray:
     return sizes / sizes.sum()
 
 
-def _recompute_contributions(clients: Sequence[ClientState]) -> None:
-    weights = contribution_factors([c.task.query.n_samples for c in clients])
-    for client, w in zip(clients, weights):
-        client.rho = float(w)
-
-
 def server_init(
     tasks: Sequence[LocalizationTask],
     config: ModelConfig,
@@ -173,7 +220,6 @@ def server_init(
             batches=BatchStream(task.support.n_samples, batch_size, np.random.default_rng(batch_seed)),
         )
         clients.append(state)
-    _recompute_contributions(clients)
     return meta, clients
 
 
@@ -266,8 +312,7 @@ def meta_train(
         execution_order = sorted(by_id)
     if sorted(execution_order) != sorted(by_id):
         raise ConfigError("execution order must name every client exactly once")
-    _recompute_contributions(list(clients))
-    rho = {c.client_id: c.rho for c in clients}
+    rho = dict(zip(by_id, contribution_factors([c.task.query.n_samples for c in by_id.values()])))
 
     reports: list[RoundReport] = []
     flat_rounds = 0

@@ -39,28 +39,25 @@ Every pass runs through its part's process-wide workspace (``_WORKSPACES``,
 see the workspace contract in :mod:`fedmetaloc.nn`), shared by all client
 models of the process, so activations are overwritten by the next model's
 pass. Whatever a method returns is the caller's own array: gradient vectors
-are freshly allocated, and ``encode``, ``decode`` and ``full_forward`` copy
-their result out of the workspace.
+are freshly allocated, and ``full_forward`` copies its result out of the
+workspace.
 
 Each part's parameters live in one flat vector (``ClientModel.vectors``, see
 :mod:`fedmetaloc.nn`), which the optimizers update in place, and each
 gradient is a flat vector in the same layout: ``composite_loss`` returns
-``{part: vector}``. Parameter dictionaries appear only in checkpoints.
+``{part: vector}``. Parameter dictionaries appear only in the server's
+checkpoints (:mod:`fedmetaloc.federation`).
 """
 
 from __future__ import annotations
 
-import json
-import zipfile
 from dataclasses import asdict, dataclass
-from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import nn
 from .errors import ConfigError, DataError
-from .fileio import atomic_write
 
 PART_NAMES = ("encoder", "decoder", "meta", "mapper")
 OPTIMIZERS = ("adam", "sgd")
@@ -211,12 +208,6 @@ class ClientModel:
         """One stack forward through the part's shared workspace; the output is a view into it."""
         return nn.forward(self.parts[part], x, _WORKSPACES[part])
 
-    def encode(self, x: np.ndarray) -> np.ndarray:
-        return self._forward("encoder", x)[0].copy()
-
-    def decode(self, latent: np.ndarray) -> np.ndarray:
-        return self._forward("decoder", latent)[0].copy()
-
     def full_forward(self, x: np.ndarray) -> np.ndarray:
         """Composite prediction: mapper(meta(encoder(x)))."""
         return self._forward("mapper", self._forward("meta", self._forward("encoder", x)[0])[0])[0].copy()
@@ -328,66 +319,3 @@ class ClientModel:
             else:
                 nn.sgd_step(vector, grad, rates[part])
 
-
-def save_checkpoint(
-    path: str | Path,
-    parts: Mapping[str, nn.ParamDict],
-    config: ModelConfig,
-    extra: Mapping | None = None,
-) -> None:
-    """Flat binary map {part -> layer -> tensor} with a config header; bit-exact."""
-    payload: dict[str, np.ndarray] = {}
-    for part, params in parts.items():
-        for key, tensor in params.items():
-            payload[f"{part}/{key}"] = np.asarray(tensor, dtype=np.float64)
-    payload["__config__"] = np.str_(json.dumps(config.to_dict(), sort_keys=True))
-    payload["__extra__"] = np.str_(json.dumps(dict(extra or {}), sort_keys=True))
-    with atomic_write(path, binary=True) as fh:
-        np.savez(fh, **payload)
-
-
-def load_checkpoint(path: str | Path) -> tuple[ModelConfig, dict[str, nn.ParamDict], dict]:
-    """Read a checkpoint written by :func:`save_checkpoint`.
-
-    Anything malformed is a :class:`DataError`: a file that is not a whole
-    archive, a missing ``__config__`` or ``__extra__`` header, or a part whose
-    keys or shapes are not the stack its config describes.
-    """
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"checkpoint not found: {path}")
-    try:
-        with np.load(path, allow_pickle=False) as archive:
-            config = ModelConfig(**json.loads(str(archive["__config__"])))
-            extra = json.loads(str(archive["__extra__"]))
-            if not isinstance(extra, dict):
-                raise ValueError(f"__extra__ holds {type(extra).__name__}, not a JSON object")
-            parts: dict[str, nn.ParamDict] = {}
-            for full_key in archive.files:
-                if full_key.startswith("__"):
-                    continue
-                part, key = full_key.split("/", 1)
-                parts.setdefault(part, {})[key] = archive[full_key]
-    except (KeyError, ValueError, TypeError, OSError, EOFError, zipfile.BadZipFile) as exc:
-        raise DataError(f"malformed checkpoint {path}: {type(exc).__name__}: {exc}") from exc
-    for part, params in parts.items():
-        _check_part(path, part, params, config)
-    return config, parts, extra
-
-
-def _check_part(path: Path, part: str, params: nn.ParamDict, config: ModelConfig) -> None:
-    if part not in PART_NAMES:
-        raise DataError(f"checkpoint {path} holds an unknown part {part!r}")
-    m = config.m
-    if m is None and part in ("encoder", "decoder"):
-        # the task width is not part of the config; read it off the stack's outer layer
-        edge = params.get("layer0.weights" if part == "encoder" else f"layer{len(params) // 2 - 1}.weights")
-        if edge is None or edge.ndim != 2:
-            raise DataError(f"checkpoint {path}: part {part!r} has no 2-D outer weights")
-        m = edge.shape[1] if part == "encoder" else edge.shape[0]
-    expected = nn.param_shapes(config.part_sizes(part, m))
-    actual = {key: tensor.shape for key, tensor in params.items()}
-    if actual != expected:
-        raise DataError(
-            f"checkpoint {path}: part {part!r} does not match its config: expected {expected}, got {actual}"
-        )

@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import json
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -8,9 +10,9 @@ import pytest
 from fedmetaloc import cli, experiments
 from fedmetaloc.data import SchemaConfig
 from fedmetaloc.errors import ConfigError
-from fedmetaloc.federation import AdaptationTrace
+from fedmetaloc.federation import AdaptationTrace, load_checkpoint, save_checkpoint
 from fedmetaloc.fileio import write_json
-from fedmetaloc.model import ModelConfig, load_checkpoint, save_checkpoint
+from fedmetaloc.model import ModelConfig
 
 from helpers import reference_load_csv, small_config
 
@@ -242,6 +244,24 @@ class TestMetaTrainCommand:
         assert len(log) == 3
         assert config.checkpoint_path.exists()
 
+    def test_checkpoint_layout_is_pinned(self, tmp_path):
+        # the benchmark's output checks and existing checkpoints read this layout
+        config = experiments.load_experiment_config(small_config(tmp_path, federation={
+            "rounds": 4, "local_steps": 2, "eta": 0.01, "batch_size": 16, "seed": 3, "checkpoint_every": 2,
+        }))
+        experiments.cmd_preprocess(config)
+        experiments.cmd_meta_train(config)
+        layers = len(config.model.meta_hidden) + 1
+        members = [f"meta/layer{i}.{role}.npy" for i in range(layers) for role in ("weights", "biases")]
+        paths = [config.checkpoint_path, *sorted((config.train_dir / "checkpoints").iterdir())]
+        assert [p.name for p in paths[1:]] == ["meta_round_00002.npz", "meta_round_00004.npz"]
+        for path, round_ in zip(paths, (4, 2, 4)):
+            with zipfile.ZipFile(path) as archive:
+                assert archive.namelist() == [*members, "__config__.npy", "__extra__.npy"]
+                with archive.open("__extra__.npy") as fh:
+                    extra = str(np.lib.format.read_array(fh))
+            assert extra == json.dumps({"eta": 0.01, "round": round_})
+
     def test_rerun_is_byte_identical(self, tmp_path):
         config = experiments.load_experiment_config(small_config(tmp_path))
         experiments.cmd_preprocess(config)
@@ -431,6 +451,15 @@ class TestTheoryProbeCommand:
         assert set(payload["linearization_residuals"]) == {repr(m) for m in (1e-2, 1e-3, 1e-4)}
         assert (config.experiment_dir / "theory" / "probe_report.json").exists()
 
+    def test_checkpoint_that_does_not_fit_the_config_exits_2(self, tmp_path, capsys):
+        path = small_config(tmp_path)
+        assert cli.run(["preprocess", "--config", str(path)]) == 0
+        assert cli.run(["meta-train", "--config", str(path)]) == 0
+        small_config(tmp_path, model={**json.loads(path.read_text())["model"], "d": 5})
+        assert cli.run(["theory-probe", "--config", str(path)]) == 2
+        assert "checkpoint dims d=4, n=3, p=2 do not match config d=5" in capsys.readouterr().err
+        assert not (experiments.load_experiment_config(path).experiment_dir / "theory").exists()
+
 
 class TestCliEntryPoint:
     def test_full_pipeline_exit_codes(self, tmp_path, capsys):
@@ -557,25 +586,34 @@ class TestMalformedCheckpoint:
     def meta_test_exit(self, path: Path, checkpoint: Path) -> int:
         return cli.run(["meta-test", "--config", str(path), "--checkpoint", str(checkpoint)])
 
+    def rewritten(self, checkpoint: Path, edit) -> Path:
+        """A copy of ``checkpoint`` whose members ``edit`` changed in place."""
+        with np.load(checkpoint) as archive:
+            kept = {k: archive[k] for k in archive.files}
+        edit(kept)
+        bad = checkpoint.parent / "bad.npz"
+        np.savez(bad, **kept)
+        return bad
+
     @pytest.mark.parametrize("missing", ["__config__", "__extra__"])
     def test_missing_header_is_a_data_error(self, tmp_path, capsys, missing):
         path, checkpoint = self.trained(tmp_path)
-        with np.load(checkpoint) as archive:
-            kept = {k: archive[k] for k in archive.files if k != missing}
-        bad = tmp_path / "bad.npz"
-        np.savez(bad, **kept)
+        bad = self.rewritten(checkpoint, lambda kept: kept.pop(missing))
         assert self.meta_test_exit(path, bad) == 3
         assert missing in capsys.readouterr().err
 
     def test_extra_header_that_is_not_an_object_is_a_data_error(self, tmp_path, capsys):
         path, checkpoint = self.trained(tmp_path)
-        with np.load(checkpoint) as archive:
-            kept = {k: archive[k] for k in archive.files}
-        kept["__extra__"] = np.str_("[]")
-        bad = tmp_path / "bad.npz"
-        np.savez(bad, **kept)
+        bad = self.rewritten(checkpoint, lambda kept: kept.update(__extra__=np.str_("[]")))
         assert self.meta_test_exit(path, bad) == 3
         assert "__extra__ holds list" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra, missing", [({}, "eta"), ({"eta": 0.01}, "round"), ({"round": 2}, "eta")])
+    def test_extra_header_lacking_eta_or_round_is_a_data_error(self, tmp_path, capsys, extra, missing):
+        path, checkpoint = self.trained(tmp_path)
+        bad = self.rewritten(checkpoint, lambda kept: kept.update(__extra__=np.str_(json.dumps(extra))))
+        assert self.meta_test_exit(path, bad) == 3
+        assert f"KeyError: '{missing}'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("content", ["truncated", "not_a_zip"])
     def test_truncated_or_foreign_file_is_a_data_error(self, tmp_path, capsys, content):
@@ -586,17 +624,19 @@ class TestMalformedCheckpoint:
         assert self.meta_test_exit(path, bad) == 3
         assert "malformed checkpoint" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("fault", ["shape", "key"])
+    @pytest.mark.parametrize("fault", ["shape", "key", "other_part"])
     def test_part_that_does_not_fit_its_config_is_a_data_error(self, tmp_path, capsys, fault):
         path, checkpoint = self.trained(tmp_path)
-        config, parts, extra = load_checkpoint(checkpoint)
-        meta = dict(parts["meta"])
-        if fault == "shape":
-            meta["layer0.weights"] = meta["layer0.weights"][:, :-1]
-        else:
-            del meta["layer1.biases"]
-        bad = tmp_path / "bad.npz"
-        save_checkpoint(bad, {"meta": meta}, config, extra)
+
+        def edit(kept: dict) -> None:
+            if fault == "shape":
+                kept["meta/layer0.weights"] = kept["meta/layer0.weights"][:, :-1]
+            elif fault == "key":
+                del kept["meta/layer1.biases"]
+            else:
+                kept["encoder/layer0.weights"] = np.zeros((4, 5))
+
+        bad = self.rewritten(checkpoint, edit)
         assert self.meta_test_exit(path, bad) == 3
         assert "does not match its config" in capsys.readouterr().err
 
@@ -688,9 +728,9 @@ class TestDivergence:
         assert cli.run(["preprocess", "--config", str(path)]) == 0
         assert cli.run(["meta-train", "--config", str(path)]) == 0
         config = experiments.load_experiment_config(path)
-        trained, parts, extra = load_checkpoint(config.checkpoint_path)
-        diverging = ModelConfig(**{**trained.to_dict(), **HUGE_RATES})
-        save_checkpoint(config.checkpoint_path, parts, diverging, extra)
+        trained = load_checkpoint(config.checkpoint_path)
+        diverging = ModelConfig(**{**trained.config.to_dict(), **HUGE_RATES})
+        save_checkpoint(config.checkpoint_path, dataclasses.replace(trained, config=diverging))
         assert cli.run(["meta-test", "--config", str(path)]) == 4
         assert "DivergenceError: task T02, MI seed 0: step 2 loss is" in capsys.readouterr().err
         assert not list(config.test_dir.rglob("trace.csv"))

@@ -4,14 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedmetaloc import nn
-from fedmetaloc.errors import ConfigError
+from fedmetaloc.errors import ConfigError, DataError
 from fedmetaloc.federation import (
     BatchStream,
     client_local_train,
     contribution_factors,
+    load_checkpoint,
     meta_test,
     meta_train,
     server_aggregate,
+    save_checkpoint,
     server_init,
 )
 from fedmetaloc.model import PART_NAMES, ClientModel
@@ -45,6 +47,11 @@ def bits(vector: np.ndarray) -> bytes:
     return np.ascontiguousarray(vector, dtype=np.float64).tobytes()
 
 
+def query_weights(clients) -> dict[str, float]:
+    weights = contribution_factors([c.task.query.n_samples for c in clients])
+    return dict(zip((c.client_id for c in clients), weights))
+
+
 class TestServerInit:
     def test_thirteen_floor_cohort(self):
         tasks = [
@@ -54,13 +61,13 @@ class TestServerInit:
         ]
         meta, clients = server_init(tasks, tiny_model_config(d=4), eta=0.001, seed=0)
         assert len(clients) == 13
-        assert abs(sum(c.rho for c in clients) - 1.0) <= 1e-12
+        assert abs(sum(query_weights(clients).values()) - 1.0) <= 1e-12
         assert meta.round == 0
 
     def test_single_client_has_unit_weight(self):
         tasks, cfg = small_cohort(1)
         _, clients = server_init(tasks, cfg, eta=0.01, seed=3)
-        assert clients[0].rho == 1.0
+        assert query_weights(clients) == {clients[0].client_id: 1.0}
 
     def test_same_seed_gives_identical_theta(self):
         tasks, cfg = small_cohort(2)
@@ -231,7 +238,7 @@ class TestServerAggregate:
         ]
         for u in updates:
             u.vector[:] = 0.0
-        new = server_aggregate(meta, updates, {c.client_id: c.rho for c in clients})
+        new = server_aggregate(meta, updates, query_weights(clients))
         assert params_equal(new.params, meta.params)
         assert new.round == meta.round + 1
 
@@ -381,8 +388,12 @@ class TestMetaTrainReferenceLoop:
     def test_bitwise_equal_to_dict_reference_loop(self, aggregation):
         # the protocol written out with parameter dictionaries and the
         # reference Adam: adopt theta, restart its moments, local steps,
-        # query gradient, then a weighted sum in client-id order
-        tasks, cfg = small_cohort(3, samples=40)
+        # query gradient, then a weighted sum in client-id order, each client
+        # weighted by its share of the query samples (sizes differ here)
+        tasks = [
+            synth_task(num_aps=5, samples=n, seed=i, task_id=f"T{i:02d}") for i, n in enumerate((40, 50, 70))
+        ]
+        cfg = tiny_model_config(d=4)
         eta, rounds, local_steps = 0.05, 3, 2
         meta, clients = server_init(tasks, cfg, eta=eta, seed=15, local_steps=local_steps, batch_size=16)
         final, reports = meta_train(meta, clients, rounds=rounds, aggregation=aggregation)
@@ -393,6 +404,7 @@ class TestMetaTrainReferenceLoop:
         sizes = cfg.part_sizes("meta")
         rates = cfg.rates()
         theta = nn.unflatten(meta_ref.params.copy(), sizes)
+        total_query = sum(c.task.query.n_samples for c in clients_ref)
         params = {c.client_id: {p: nn.export_params(c.model.parts[p]) for p in PART_NAMES} for c in clients_ref}
         states = {cid: {p: reference_adam_state(v) for p, v in ps.items()} for cid, ps in params.items()}
         for r in range(rounds):
@@ -420,10 +432,26 @@ class TestMetaTrainReferenceLoop:
                 )
                 sent = params[cid]["meta"] if aggregation == "average" else nn.unflatten(grads["meta"], sizes)
                 for k in acc:
-                    acc[k] += client.rho * sent[k]
+                    acc[k] += task.query.n_samples / total_query * sent[k]
             theta = {k: theta[k] - eta * acc[k] for k in theta} if aggregation == "gradient" else acc
             assert reports[r].client_losses == losses
         assert np.array_equal(final.params, nn.flatten(theta, sizes))
+
+
+class TestCheckpoint:
+    def test_round_trip_is_bit_exact(self, tmp_path):
+        tasks, cfg = small_cohort(2)
+        meta, _ = server_init(tasks, cfg, eta=0.001, seed=6)
+        meta.round = 12
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(path, meta)
+        loaded = load_checkpoint(path)
+        assert (loaded.config, loaded.eta, loaded.round) == (cfg, 0.001, 12)
+        assert bits(loaded.params) == bits(meta.params)
+
+    def test_missing_checkpoint_rejected(self, tmp_path):
+        with pytest.raises(DataError):
+            load_checkpoint(tmp_path / "none.npz")
 
 
 class TestMetaTest:

@@ -5,7 +5,8 @@ import pytest
 
 from fedmetaloc import metrics, model as model_module, nn
 from fedmetaloc.errors import ConfigError, DataError
-from fedmetaloc.model import PART_NAMES, ClientModel, ModelConfig, load_checkpoint, save_checkpoint
+from fedmetaloc.federation import MetaModel, load_checkpoint, save_checkpoint
+from fedmetaloc.model import PART_NAMES, ClientModel, ModelConfig
 
 from helpers import (
     central_difference,
@@ -59,18 +60,20 @@ class TestShapes:
         cfg = tiny_model_config()
         model = ClientModel.build(cfg, m=7, seed=0)
         x = np.random.default_rng(0).uniform(size=7)
-        latent = model.encode(x)
+        latent, _ = nn.forward(model.parts["encoder"], x)
         feats, _ = nn.forward(model.parts["meta"], latent)
         out = model.full_forward(x)
         assert latent.shape == (cfg.d,)
         assert feats.shape == (cfg.n,)
         assert out.shape == (cfg.p,)
-        assert model.decode(latent).shape == (7,)
+        assert nn.forward(model.parts["decoder"], latent)[0].shape == (7,)
 
     def test_encoder_input_must_match_task_width(self):
         model = ClientModel.build(tiny_model_config(), m=7, seed=0)
         with pytest.raises(ConfigError):
-            model.encode(np.zeros(9))
+            model.full_forward(np.zeros(9))
+        with pytest.raises(ConfigError):
+            model.composite_loss(np.zeros((3, 9)), np.zeros((3, 2)))
 
     def test_paired_build_seeds_encoder_mapper_meta_decoder_in_that_order(self):
         cfg = tiny_model_config()
@@ -88,29 +91,29 @@ class TestEncodeDecode:
     def test_zero_encoder_maps_everything_to_zero(self):
         model = ClientModel.build(tiny_model_config(), m=5, seed=0)
         model.set_part_params("encoder", np.zeros_like(model.vectors["encoder"]))
-        assert np.all(model.encode(np.random.default_rng(1).uniform(size=5)) == 0)
+        assert np.all(nn.forward(model.parts["encoder"], np.random.default_rng(1).uniform(size=5))[0] == 0)
 
     def test_identity_single_layer_encoder_is_identity(self):
         cfg = tiny_model_config(d=4, encoder_hidden=(), decoder_hidden=())
         model = ClientModel.build(cfg, m=4, seed=0)
         nn.assign_params(model.parts["encoder"], identity_params(4))
         x = np.random.default_rng(2).uniform(size=4)
-        assert np.array_equal(model.encode(x), x)
+        assert np.array_equal(nn.forward(model.parts["encoder"], x)[0], x)
 
     def test_seeded_encoder_matches_naive_matmul(self):
         model = ClientModel.build(tiny_model_config(), m=6, seed=3)
         x = np.random.default_rng(3).uniform(size=6)
-        assert rel_err(model.encode(x), naive_stack_forward(model.parts["encoder"], x)) < 1e-12
+        encoder = model.parts["encoder"]
+        assert rel_err(nn.forward(encoder, x)[0], naive_stack_forward(encoder, x)) < 1e-12
 
     def test_zero_latent_zero_bias_decoder_reconstructs_zero(self):
         model = ClientModel.build(tiny_model_config(), m=5, seed=1)
-        assert np.all(model.decode(np.zeros(4)) @ np.eye(5) * 0 == 0)
         zero_bias = nn.export_params(model.parts["decoder"])
         for key in zero_bias:
             if key.endswith("biases"):
                 zero_bias[key] = np.zeros_like(zero_bias[key])
         nn.assign_params(model.parts["decoder"], zero_bias)
-        out = model.decode(np.zeros(4))
+        out, _ = nn.forward(model.parts["decoder"], np.zeros(4))
         # relu(0)=0 through the hidden layer, then a zero-bias linear output
         assert np.all(out == 0)
 
@@ -146,7 +149,8 @@ class TestFullForward:
         xs = np.random.default_rng(7).uniform(size=(100, 6))
         for x in xs:
             staged = nn.forward(
-                model.parts["mapper"], nn.forward(model.parts["meta"], model.encode(x))[0]
+                model.parts["mapper"],
+                nn.forward(model.parts["meta"], nn.forward(model.parts["encoder"], x)[0])[0],
             )[0]
             assert np.array_equal(model.full_forward(x), staged)
 
@@ -303,14 +307,16 @@ class TestWorkspaces:
         ClientModel.build(cfg, m=5, seed=9).full_forward(x)
         assert held.tobytes() == expected.tobytes()
 
-    def test_held_encode_and_decode_results_survive_the_next_call(self):
+    def test_held_gradients_survive_the_next_call(self):
         model = ClientModel.build(tiny_model_config(), m=5, seed=8)
         rng = np.random.default_rng(8)
-        latent = model.encode(rng.uniform(size=(6, 5)))
-        recon = model.decode(latent)
-        expected = latent.copy(), recon.copy()
-        model.decode(model.encode(rng.uniform(size=(6, 5))))
-        assert (latent.tobytes(), recon.tobytes()) == tuple(a.tobytes() for a in expected)
+        x, y = rng.uniform(size=(6, 5)), rng.normal(size=(6, 2))
+        _, grads = model.composite_loss(x, y)
+        held = [*grads.values(), model.shared_gradient(x, y)]
+        expected = [g.tobytes() for g in held]
+        model.composite_loss(rng.uniform(size=(6, 5)), rng.normal(size=(6, 2)))
+        model.shared_gradient(rng.uniform(size=(6, 5)), rng.normal(size=(6, 2)))
+        assert [g.tobytes() for g in held] == expected
 
     def test_steady_full_batch_steps_allocate_no_workspace_buffer(self):
         cfg = tiny_model_config()
@@ -380,9 +386,8 @@ class TestFlatParameters:
         assert_layers_view_vectors(model)
         assert all((layer.weights == 1.0).all() for layer in model.parts["meta"])
         path = tmp_path / "ckpt.npz"
-        save_checkpoint(path, {"meta": nn.unflatten(model.vectors["meta"], cfg.part_sizes("meta"))}, cfg)
-        _, parts, _ = load_checkpoint(path)
-        model.set_part_params("meta", nn.flatten(parts["meta"], cfg.part_sizes("meta")))
+        save_checkpoint(path, MetaModel(params=model.vectors["meta"], config=cfg, eta=0.01))
+        model.set_part_params("meta", load_checkpoint(path).params)
         assert_layers_view_vectors(model)
 
     @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
@@ -413,21 +418,3 @@ class TestFlatParameters:
             sizes = nn.stack_sizes(model.parts[part])
             assert np.array_equal(model.vectors[part], nn.flatten(ref_params[part], sizes)), part
 
-
-class TestCheckpoint:
-    def test_round_trip_is_bit_exact(self, tmp_path):
-        cfg = tiny_model_config()
-        model = ClientModel.build(cfg, m=5, seed=6)
-        path = tmp_path / "ckpt.npz"
-        parts = {part: nn.export_params(model.parts[part]) for part in PART_NAMES}
-        save_checkpoint(path, parts, cfg, extra={"round": 12, "eta": 0.001})
-        loaded_cfg, loaded_parts, extra = load_checkpoint(path)
-        assert loaded_cfg == cfg
-        assert extra == {"round": 12, "eta": 0.001}
-        for part in PART_NAMES:
-            for key, tensor in parts[part].items():
-                assert np.array_equal(loaded_parts[part][key], tensor)
-
-    def test_missing_checkpoint_rejected(self, tmp_path):
-        with pytest.raises(DataError):
-            load_checkpoint(tmp_path / "none.npz")
