@@ -56,8 +56,9 @@ def run_arm(config_path: str, out: Path) -> None:
     results = []
     for seeds in (config.meta_test.seeds, *REPORT_ONLY_SEED_SETS):
         config.meta_test = dataclasses.replace(config.meta_test, seeds=tuple(seeds))
-        experiments.cmd_meta_test(config)
-        results.append({"seed_set": list(seeds), **experiments.paired_step_summary(config, TARGET_M)})
+        report = experiments.cmd_meta_test(config)
+        summary = experiments.paired_step_summary(report, TARGET_M, config.meta_test.steps)
+        results.append({"seed_set": list(seeds), **summary})
     (out / SUMMARY_FILE).write_text(json.dumps(results, indent=2) + "\n")
 
 

@@ -8,6 +8,9 @@ Subcommands mirror the experiment phases::
     fedmetaloc theory-probe --config exp.json
     fedmetaloc report       --config exp.json
 
+``meta-test`` and ``report`` end with one line per meta-test target: the
+paired MI/RI step comparison of :func:`experiments.paired_step_summary`.
+
 Exit codes: 0 ok, 2 configuration error, 3 data error, 4 runtime error
 (a diverging run's ``DivergenceError`` among them).
 """
@@ -50,6 +53,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def print_paired_summaries(config: experiments.ExperimentConfig, report: dict) -> None:
+    """One line per configured target: how often MI beats RI over the paired seeds."""
+    if not report["tasks"]:
+        return
+    mt = config.meta_test
+    for target in mt.targets_m:
+        summary = experiments.paired_step_summary(report, target, mt.steps)
+        print(
+            f"target {target} m: MI faster in {summary['wins']}/{summary['seeds']} paired seeds, "
+            f"median step reduction {summary['median_reduction']:.0%}"
+        )
+
+
 def run(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -69,12 +85,14 @@ def run(argv: list[str] | None = None) -> int:
         elif args.command == "meta-test":
             report = experiments.cmd_meta_test(config, checkpoint=args.checkpoint)
             print(f"meta-test finished for {len(report['tasks'])} tasks; report under {config.report_dir}")
+            print_paired_summaries(config, report)
         elif args.command == "theory-probe":
             payload = experiments.cmd_theory_probe(config)
             print(json.dumps(payload, indent=2, sort_keys=True))
         elif args.command == "report":
-            experiments.cmd_report(config)
+            report = experiments.cmd_report(config)
             print(f"report written under {config.report_dir}")
+            print_paired_summaries(config, report)
         return EXIT_OK
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -142,11 +142,14 @@ def load_csv(path: str | Path, schema: SchemaConfig) -> FingerprintDataset:
     )
 
 
+PARTITIONS = ("building", "floor", "building_floor")
+
+
 def partition_tasks(
     dataset: FingerprintDataset, by: str = "building_floor"
 ) -> list[tuple[str, FingerprintDataset]]:
     """Split one dataset into per-group sub-datasets named B{i}_F{j} / B{i} / F{j}."""
-    if by not in ("building", "floor", "building_floor"):
+    if by not in PARTITIONS:
         raise ConfigError(f"unknown partition rule {by!r}")
     needs_b = by in ("building", "building_floor")
     needs_f = by in ("floor", "building_floor")

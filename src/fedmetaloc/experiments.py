@@ -26,6 +26,7 @@ import numpy as np
 
 from . import federation, metrics
 from .data import (
+    PARTITIONS,
     FingerprintDataset,
     LocalizationTask,
     SchemaConfig,
@@ -125,6 +126,14 @@ class DatasetSource:
     schema: SchemaConfig
     partition: str | None = None
 
+    def __post_init__(self) -> None:
+        _check_partition(self.partition)
+
+
+def _check_partition(partition: str | None) -> None:
+    if partition not in (None, "none", *PARTITIONS):
+        raise ConfigError(f"partition must be 'none' or one of {PARTITIONS}, got {partition!r}")
+
 
 @dataclass
 class ExperimentConfig:
@@ -151,6 +160,18 @@ class ExperimentConfig:
             raise ConfigError(f"train and test task lists overlap: {sorted(overlap)}")
         if not self.datasets and not self.synthetic_envs:
             raise ConfigError("no data source: set datasets or synthetic_envs")
+        _check_partition(self.partition)
+        for key in ("datasets", "synthetic_envs"):  # the ranges make_task's split will check
+            for i, (_, opts) in enumerate(getattr(self, key)):
+                ratio = self.split_ratio(opts)
+                if not (0.0 < ratio < 1.0 or (opts.support_region and ratio == 1.0)):
+                    own = "" if opts.support_ratio is None else f"{key}[{i}] ({opts.id})."
+                    bound = "1]" if opts.support_region else "1)"
+                    raise ConfigError(f"{own}support_ratio must be in (0, {bound} for task {opts.id}, got {ratio}")
+
+    def split_ratio(self, opts: TaskOptions) -> float:
+        """The support fraction of an entry's tasks: the entry's own, else the config's."""
+        return self.support_ratio if opts.support_ratio is None else opts.support_ratio
 
     # -- path conventions -------------------------------------------------
     @property
@@ -273,7 +294,7 @@ def _collect_environments(config: ExperimentConfig) -> list[tuple[str, Fingerpri
     for source, opts in config.datasets:
         dataset = load_csv(source.csv, source.schema)
         partition = config.partition if source.partition is None else source.partition
-        if partition and partition != "none":
+        if partition != "none":
             envs.extend((tid, ds, opts) for tid, ds in partition_tasks(dataset, partition))
         else:
             envs.append((opts.id, dataset, opts))
@@ -288,22 +309,21 @@ def _collect_environments(config: ExperimentConfig) -> list[tuple[str, Fingerpri
 
 
 def cmd_preprocess(config: ExperimentConfig) -> list[str]:
-    """Build per-task bundles: preprocess each environment, split, and save."""
-    envs = _collect_environments(config)
-    root = np.random.SeedSequence(config.split_seed)
-    split_seeds = root.generate_state(len(envs))
-    task_ids = []
-    for (env_id, dataset, opts), split_seed in zip(sorted(envs, key=lambda e: e[0]), split_seeds):
-        processed, report = preprocess_dataset(dataset, config.preprocess)
-        ratio = config.support_ratio if opts.support_ratio is None else opts.support_ratio
-        task = make_task(env_id, processed, ratio, int(split_seed), support_region=opts.support_region)
-        save_task_bundle(task, config.tasks_dir, extra={"preprocess": report.to_dict()})
-        task_ids.append(env_id)
-
-    known = set(task_ids)
+    """Build per-task bundles: preprocess each environment, split, and save.
+    A listed task that no source produces fails before any bundle is written."""
+    envs = sorted(_collect_environments(config), key=lambda e: e[0])
+    task_ids = [env_id for env_id, _, _ in envs]
     for listed in (*config.train_tasks, *config.test_tasks):
-        if listed not in known:
-            raise ConfigError(f"task {listed!r} listed in config but not produced; have {sorted(known)}")
+        if listed not in task_ids:
+            raise ConfigError(f"task {listed!r} listed in config but not produced; have {task_ids}")
+    split_seeds = np.random.SeedSequence(config.split_seed).generate_state(len(envs))
+    for (env_id, dataset, opts), split_seed in zip(envs, split_seeds):
+        processed, report = preprocess_dataset(dataset, config.preprocess)
+        task = make_task(
+            env_id, processed, config.split_ratio(opts), int(split_seed), support_region=opts.support_region
+        )
+        save_task_bundle(task, config.tasks_dir, extra={"preprocess": report.to_dict()})
+
     index = {
         "all": task_ids,
         "train": config.train_tasks or [t for t in task_ids if t not in set(config.test_tasks)],
@@ -519,24 +539,26 @@ def _aggregate_mode(records: list[dict], mt: MetaTestParams) -> dict:
     return agg
 
 
-def paired_step_summary(config: ExperimentConfig, target_m: float) -> dict:
-    """Compare MI and RI steps to ``target_m`` seed by seed, from trace files.
+def paired_step_summary(report: dict, target_m: float, budget: int) -> dict:
+    """Compare MI and RI steps to ``target_m`` seed by seed, from the run
+    records of ``report`` (as :func:`cmd_report` returns it, with at least
+    one test task). A target the report does not hold is a ConfigError.
 
     For each meta-test seed, each mode's steps are averaged over the test
-    tasks, with a run that never reaches the target counted as budget + 1.
+    tasks, with a run that never reaches the target counted as ``budget`` + 1.
     Returns the number of seeds where MI needs fewer steps ("wins"), the
     median of the per-seed reductions (RI - MI) / RI, and each mode's mean.
     """
-    test_ids = _load_index(config)["test"]
-    mt = config.meta_test
-    per_seed = []
-    for seed in mt.seeds:
-        per_mode = {}
-        for mode in MODES:
-            traces = (read_trace(run_dir(config, tid, mode, seed)) for tid in test_ids)
-            steps = [metrics.steps_to_accuracy(t.query_mde, target_m) for t in traces]
-            per_mode[mode] = _mean_steps(steps, mt.steps)
-        per_seed.append(per_mode)
+    entries = list(report["tasks"].values())
+    target = str(float(target_m))
+    configured = list(entries[0]["MI"]["records"][0]["steps_to_target"])
+    if target not in configured:
+        raise ConfigError(f"target {target} m is not in meta_test.targets_m [{', '.join(configured)}]")
+    per_seed = [  # the records of a mode hold one run per seed, in the config's seed order
+        {mode: _mean_steps([e[mode]["records"][i]["steps_to_target"][target] for e in entries], budget)
+         for mode in MODES}
+        for i in range(len(entries[0]["MI"]["records"]))
+    ]
     return {
         "seeds": len(per_seed),
         "wins": sum(p["MI"] < p["RI"] for p in per_seed),

@@ -280,6 +280,10 @@ def test_criterion_5_meta_init_beats_random_init(cohort_run):
             wins += per_mode["MI"] < per_mode["RI"]
             reductions.append((per_mode["RI"] - per_mode["MI"]) / per_mode["RI"])
         median_reduction = float(np.median(reductions))
+        # the program's own paired summary, from the report's run records, agrees
+        summary = experiments.paired_step_summary(experiments.cmd_report(config), COHORT_TARGET_M, budget)
+        assert summary["wins"] == wins
+        assert summary["median_reduction"] == median_reduction
         print(f"\n  cohort result: MI faster in {wins}/10 paired seeds, "
               f"median step reduction {median_reduction:.0%}")
         assert wins >= 8, f"MI faster in only {wins}/10 paired seeds"

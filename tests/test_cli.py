@@ -1,6 +1,8 @@
 import dataclasses
 import hashlib
+import importlib.util
 import json
+import shutil
 import zipfile
 from pathlib import Path
 
@@ -9,7 +11,7 @@ import pytest
 
 from fedmetaloc import cli, experiments
 from fedmetaloc.data import SchemaConfig
-from fedmetaloc.errors import ConfigError
+from fedmetaloc.errors import ConfigError, DataError
 from fedmetaloc.federation import AdaptationTrace, load_checkpoint, save_checkpoint
 from fedmetaloc.fileio import write_json
 from fedmetaloc.model import ModelConfig
@@ -97,6 +99,14 @@ class TestConfigLoading:
         assert source.schema == SchemaConfig(coord_columns=("X", "Y"), ap_columns=("A", "B"))
         assert opts == experiments.TaskOptions(id="D0", support_ratio=0.5)
 
+    def test_a_coverage_region_admits_a_support_ratio_of_one(self, tmp_path):
+        path = small_config(tmp_path)
+        raw = json.loads(path.read_text())
+        raw["synthetic_envs"][2].update(support_ratio=1.0, support_region=[0.0, 0.0, 20.0, 25.0])
+        path.write_text(json.dumps(raw))
+        config = experiments.load_experiment_config(path)
+        assert [config.split_ratio(opts) for _, opts in config.synthetic_envs] == [0.7, 0.7, 1.0]
+
     def test_an_integer_in_a_float_field_is_a_float(self, tmp_path):
         config = experiments.load_experiment_config(
             small_config(tmp_path, federation={"eta": 1}, meta_test={"targets_m": [8, 2.5]})
@@ -146,6 +156,7 @@ class TestPreprocessCommand:
         )
         with pytest.raises(ConfigError, match="T09"):
             experiments.cmd_preprocess(config)
+        assert not config.experiment_dir.exists()
 
     def test_per_env_split_overrides(self, tmp_path):
         path = small_config(tmp_path)
@@ -272,8 +283,6 @@ class TestMetaTrainCommand:
 
     def test_requires_bundles(self, tmp_path):
         config = experiments.load_experiment_config(small_config(tmp_path))
-        from fedmetaloc.errors import DataError
-
         with pytest.raises(DataError, match="preprocess"):
             experiments.cmd_meta_train(config)
 
@@ -392,19 +401,46 @@ class TestMetaTestCommand:
         assert entry["im_accuracy"]["8.0"] == 0.0
         assert entry["im_steps"]["1"] is None
 
-    def test_paired_step_summary_counts_unreached_as_budget_plus_one(self, tmp_path):
+    def hand_traced(self, tmp_path):
+        """The pipeline's config with hand traces on which MI/RI first reach
+        8.0 m at: seed 0 -> 2 / 4, seed 1 -> never (7 on a budget of 6) / 1."""
         config, _ = self.run_pipeline(tmp_path)
-        # MI/RI first reach 8.0 m at: seed 0 -> 2 / 4, seed 1 -> never (7) / 1
         first_hit = {(0, "MI"): 2, (0, "RI"): 4, (1, "MI"): None, (1, "RI"): 1}
         for (seed, mode), hit in first_hit.items():
             write_hand_trace(config, mode, seed, hit_series(hit, 6))
-        summary = experiments.paired_step_summary(config, 8.0)
+        return config
+
+    def test_paired_step_summary_counts_unreached_as_budget_plus_one(self, tmp_path):
+        config = self.hand_traced(tmp_path)
+        report = experiments.cmd_report(config)
+        shutil.rmtree(config.experiment_dir)  # the summary reads the report's records, no file
+        summary = experiments.paired_step_summary(report, 8.0, config.meta_test.steps)
         assert summary == {
             "seeds": 2,
             "wins": 1,
             "median_reduction": (0.5 + (1 - 7) / 1) / 2,
             "mean_steps": {"MI": 4.5, "RI": 2.5},
         }
+        assert experiments.paired_step_summary(report, 8, config.meta_test.steps) == summary
+
+    def test_paired_step_summary_of_an_unconfigured_target_is_a_config_error(self, tmp_path):
+        config = self.hand_traced(tmp_path)
+        with pytest.raises(ConfigError, match=r"target 5\.0 m is not in meta_test\.targets_m \[8\.0\]"):
+            experiments.paired_step_summary(experiments.cmd_report(config), 5.0, config.meta_test.steps)
+
+    def test_report_without_test_tasks_prints_no_summary(self, tmp_path, capsys):
+        path = small_config(tmp_path, test_tasks=[])
+        assert cli.run(["preprocess", "--config", str(path)]) == 0
+        capsys.readouterr()
+        assert cli.run(["report", "--config", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines() == [f"report written under {tmp_path / 'out' / 'smoke' / 'report'}"]
+
+    def test_report_command_prints_the_paired_summary_per_target(self, tmp_path, capsys):
+        config = self.hand_traced(tmp_path)
+        capsys.readouterr()
+        assert cli.run(["report", "--config", str(tmp_path / "exp.json")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1:] == ["target 8.0 m: MI faster in 1/2 paired seeds, median step reduction -275%"]
 
     def test_report_counts_unreached_runs_as_budget_plus_one(self, tmp_path):
         config, _ = self.run_pipeline(tmp_path)
@@ -466,8 +502,14 @@ class TestCliEntryPoint:
         path = small_config(tmp_path)
         assert cli.run(["preprocess", "--config", str(path)]) == 0
         assert cli.run(["meta-train", "--config", str(path)]) == 0
+        capsys.readouterr()
         assert cli.run(["meta-test", "--config", str(path)]) == 0
+        tested = capsys.readouterr().out.splitlines()
         assert cli.run(["report", "--config", str(path)]) == 0
+        reported = capsys.readouterr().out.splitlines()
+        # both end with the same paired summary, one line for the one target
+        assert len(reported) == 2 and reported[1].startswith("target 8.0 m: MI faster in ")
+        assert tested[1:] == reported[1:]
         assert cli.run(["theory-probe", "--config", str(path)]) == 0
 
     def test_missing_config_is_a_config_error(self, tmp_path, capsys):
@@ -507,6 +549,11 @@ class TestMalformedConfig:
             ("schema_not_json", "datasets[0].schema"),
             ("unknown_schema_key", "coordinates"),
             ("synthetic_env_sentinel", "sentinel"),
+            ("entry_support_ratio_above_one", "synthetic_envs[2] (T02).support_ratio must be in (0, 1)"),
+            ("config_support_ratio_of_one", "config: support_ratio must be in (0, 1) for task T00, got 1.0"),
+            ("region_support_ratio_of_zero", "synthetic_envs[2] (T02).support_ratio must be in (0, 1]"),
+            ("unknown_partition", "config: partition must be 'none' or one of"),
+            ("unknown_dataset_partition", "config.datasets[0] (D0): partition must be 'none' or one of"),
         ],
     )
     def test_exits_2_and_names_the_key(self, tmp_path, capsys, case, named):
@@ -529,6 +576,21 @@ class TestMalformedConfig:
             raw = json.loads(path.read_text())
             raw["synthetic_envs"][0]["sentinel"] = -110.0
             path.write_text(json.dumps(raw))
+        elif case in ("entry_support_ratio_above_one", "region_support_ratio_of_zero"):
+            # T00 and T01 are valid: nothing may be written before T02's split fails
+            path = small_config(tmp_path)
+            raw = json.loads(path.read_text())
+            if case == "entry_support_ratio_above_one":
+                raw["synthetic_envs"][2]["support_ratio"] = 1.5
+            else:
+                raw["synthetic_envs"][2].update(support_ratio=0.0, support_region=[0.0, 0.0, 20.0, 25.0])
+            path.write_text(json.dumps(raw))
+        elif case == "config_support_ratio_of_one":
+            path = small_config(tmp_path, support_ratio=1.0)
+        elif case == "unknown_partition":
+            path = small_config(tmp_path, partition="bogus")
+        elif case == "unknown_dataset_partition":
+            path = with_dataset(tmp_path, SCHEMA, partition="bogus")
         elif case == "seeds_is_a_number":
             path = small_config(tmp_path, meta_test={"steps": 6, "seeds": 3})
         elif case == "seeds_is_empty":
@@ -574,6 +636,20 @@ class TestShippedConfigsLoad:
 
         config = experiments.load_experiment_config(cohort.write_config(tmp_path, 0, scale))
         assert config.federation.rounds == cohort.SCALES[scale]["rounds"]
+
+
+class TestRobustnessSweep:
+    def test_arm_summarizes_each_seed_set(self, tmp_path):
+        spec = importlib.util.spec_from_file_location("robustness_sweep", ROOT / "scripts" / "robustness_sweep.py")
+        sweep = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sweep)
+        mt = {"steps": 6, "targets_m": [3.4], "step_checkpoints": [3, 6], "seeds": [0, 1], "batch_size": 16}
+        out = tmp_path / "arm"
+        sweep.run_arm(str(small_config(tmp_path, meta_test=mt)), out)
+        results = json.loads((out / sweep.SUMMARY_FILE).read_text())
+        assert [r["seeds"] for r in results] == [2, 10, 10]
+        assert [r["seed_set"] for r in results] == [[0, 1], list(range(10, 20)), list(range(20, 30))]
+        assert all(set(r["mean_steps"]) == {"MI", "RI"} for r in results)
 
 
 class TestMalformedCheckpoint:
