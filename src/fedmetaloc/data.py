@@ -341,17 +341,17 @@ def path_loss_rssi(distance_m: np.ndarray, tx_power_dbm: float, exponent: float)
     return tx_power_dbm - 10.0 * exponent * np.log10(d)
 
 
-CROSSING_BLOCK_ELEMENTS = 1 << 16  # sample rows per block: each [rows, A, W] float64 temporary near 512 KB
+CROSSING_BLOCK_ELEMENTS = 1 << 16  # sample rows per block: each [rows, W, A] float64 temporary near 512 KB
 
 
 def _segment_crossings(samples: np.ndarray, aps: np.ndarray, walls: np.ndarray) -> np.ndarray:
     """Count proper crossings between rays AP->sample and wall segments.
 
     ``samples`` [S, 2], ``aps`` [A, 2], ``walls`` [W, 2, 2]; returns [S, A].
-    Differences that involve only a sample and a wall are taken at [S, 1, W],
-    and the sample rows are processed in blocks so that no [rows, A, W]
-    temporary exceeds :data:`CROSSING_BLOCK_ELEMENTS`. Every element's
-    arithmetic is that of one broadcast over all rows.
+    APs are the innermost axis: differences that involve only a sample and a
+    wall are taken at [S, W, 1], and the sample rows are processed in blocks
+    so that no [rows, W, A] temporary exceeds :data:`CROSSING_BLOCK_ELEMENTS`.
+    Every element's arithmetic is that of one broadcast over all rows.
     """
 
     def cross(o, a, b):
@@ -359,9 +359,9 @@ def _segment_crossings(samples: np.ndarray, aps: np.ndarray, walls: np.ndarray) 
             a[..., 1] - o[..., 1]
         ) * (b[..., 0] - o[..., 0])
 
-    q = aps[None, :, None, :]  # AP end      [1, A, 1, 2]
-    c = walls[None, None, :, 0, :]
-    d = walls[None, None, :, 1, :]
+    q = aps[None, None, :, :]  # AP end      [1, 1, A, 2]
+    c = walls[None, :, None, 0, :]
+    d = walls[None, :, None, 1, :]
     cd_q = cross(c, d, q)
     counts = np.empty((len(samples), len(aps)), dtype=np.intp)
     block = max(1, CROSSING_BLOCK_ELEMENTS // (len(aps) * len(walls)))
@@ -369,7 +369,7 @@ def _segment_crossings(samples: np.ndarray, aps: np.ndarray, walls: np.ndarray) 
         p = samples[lo : lo + block, None, None, :]  # sample end  [rows, 1, 1, 2]
         d1 = cross(p, q, c) * cross(p, q, d)
         d2 = cross(c, d, p) * cd_q
-        ((d1 < 0) & (d2 < 0)).sum(axis=2, out=counts[lo : lo + block])
+        ((d1 < 0) & (d2 < 0)).sum(axis=1, out=counts[lo : lo + block])
     return counts
 
 
@@ -395,7 +395,9 @@ def synth_environment(spec: SyntheticEnvSpec, sentinel: float = DEFAULT_SENTINEL
     if spec.ap_jitter > 0:
         ap_pos = ap_pos + rng.uniform(-spec.ap_jitter, spec.ap_jitter, size=ap_pos.shape)
     locs = rng.uniform((0.0, 0.0), (w, h), size=(spec.samples, 2))
-    dist = np.sqrt(((locs[:, None, :] - ap_pos[None, :, :]) ** 2).sum(axis=2))
+    dist = np.square(locs[:, None, 0] - ap_pos[None, :, 0])
+    dist += np.square(locs[:, None, 1] - ap_pos[None, :, 1])
+    np.sqrt(dist, out=dist)
     rssi = path_loss_rssi(dist, spec.tx_power_dbm, spec.path_loss_exponent)
     if spec.num_walls > 0:
         rssi = rssi - spec.wall_loss_db * _segment_crossings(locs, ap_pos, walls)

@@ -42,7 +42,7 @@ from .errors import ConfigError, DataError
 from .federation import AdaptationTrace, MetaModel, load_checkpoint, meta_test, save_checkpoint
 from .fileio import column_indices, read_csv, write_csv, write_json
 from .metrics import cdf_curve
-from .model import OPTIMIZERS, ModelConfig
+from .model import OPTIMIZERS, PART_NAMES, ClientModel, ModelConfig
 from .preprocess import PreprocessConfig, meta_signal_dim, preprocess_dataset
 
 OUT_ROOT_ENV = "FEDMETALOC_OUT"
@@ -104,8 +104,9 @@ class TheoryProbeParams:
     def __post_init__(self) -> None:
         if self.epsilon <= 0 or self.mu <= 0 or any(mu <= 0 for mu in self.linearization_mu_list):
             raise ConfigError("epsilon, mu and every linearization mu must be > 0")
-        if self.max_steps < 0 or self.linearization_steps < 1:
-            raise ConfigError("max_steps must be >= 0 and linearization_steps >= 1")
+        # the smoothness estimate compares the states of the first min(10, max_steps) steps
+        if self.max_steps < 2 or self.linearization_steps < 1:
+            raise ConfigError("max_steps must be >= 2 and linearization_steps >= 1")
 
 
 @dataclass(frozen=True)
@@ -571,11 +572,14 @@ def cmd_report(config: ExperimentConfig) -> dict:
     """Rebuild the metrics report and CDF curves from trace files on disk.
 
     Each run's record is read off its trace once; every speed, count, mean
-    and improvement is computed from the records.
+    and improvement is computed from the records. Every run's files are read
+    before any report file is written, so a missing or malformed one leaves
+    the previous report whole.
     """
     index = _load_index(config)
     mt = config.meta_test
     report: dict = {"batch_size": mt.batch_size, "tasks": {}}
+    cdfs: dict[Path, list[tuple[float, float]]] = {}
     for task_id in index["test"]:
         task_entry: dict = {}
         for mode in MODES:
@@ -589,11 +593,7 @@ def cmd_report(config: ExperimentConfig) -> dict:
                 errors.extend(read_final_errors(directory))
             task_entry[mode] = _aggregate_mode(records, mt)
             if errors:
-                write_csv(
-                    config.report_dir / f"{task_id}_{mode}_cdf.csv",
-                    ["error", "cumulative_fraction"],
-                    cdf_curve(errors),
-                )
+                cdfs[config.report_dir / f"{task_id}_{mode}_cdf.csv"] = cdf_curve(errors)
 
         by_mode = [task_entry[mode]["records"] for mode in MODES]
         improvement: dict = {"steps": {}, "accuracy": {}}
@@ -613,6 +613,8 @@ def cmd_report(config: ExperimentConfig) -> dict:
         task_entry["improvement"] = improvement
         report["tasks"][task_id] = task_entry
 
+    for path, curve in cdfs.items():
+        write_csv(path, ["error", "cumulative_fraction"], curve)
     write_json(config.report_dir / "metrics.json", report)
     return report
 
@@ -660,18 +662,23 @@ def run_theory_probe(
 def _estimate_delta1(
     task: LocalizationTask, model_config: ModelConfig, params: TheoryProbeParams
 ) -> float:
-    from .model import PART_NAMES, ClientModel
-
+    """Smoothness estimate over the first (at most ten) full-batch SGD steps
+    from a random start. Each step's flattened state and gradient are yielded
+    as they are made, so only two steps' copies are alive at a time."""
     model = ClientModel.build(model_config, m=task.m, seed=params.seed)
     xs, ys = task.support.rssi, task.normalize_coords(task.support.coords)
     rates = {part: params.mu for part in PART_NAMES}
-    states, grads = [], []
-    for _ in range(min(10, params.max_steps)):
-        states.append(metrics.flatten_parts(model, PART_NAMES))
-        _, g = model.composite_loss(xs, ys)
-        grads.append(metrics.flatten_grads(g, PART_NAMES))
-        model.apply_gradients(g, rates=rates, optimizer="sgd")
-    return metrics.estimate_smoothness(states, grads)
+
+    def pairs():
+        for _ in range(min(10, params.max_steps)):
+            state = metrics.flatten_parts(model, PART_NAMES)
+            _, grads = model.composite_loss(xs, ys)
+            grad = metrics.flatten_grads(grads, PART_NAMES)
+            model.apply_gradients(grads, rates=rates, optimizer="sgd")
+            del grads  # not held while the caller compares the pair
+            yield state, grad
+
+    return metrics.estimate_smoothness(pairs())
 
 
 def cmd_theory_probe(config: ExperimentConfig) -> dict:

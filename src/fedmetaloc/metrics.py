@@ -20,7 +20,7 @@ the shared part theta. Parameters, gradients and the probes' fixed parts
 from __future__ import annotations
 
 import math
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -213,25 +213,36 @@ def linearization_probe(
         rates = {part: mu for part in PART_NAMES}
         # step 1 applies the gradients g0 was read from: one evaluation per state
         model.apply_gradients(grads0, rates=rates, parts=parts, optimizer="sgd")
+        del grads0
         for _ in range(n_steps - 1):
             model.train_step(xs, ys, rates=rates, parts=parts, optimizer="sgd")
         omega_n = flatten_parts(model, parts)
-        linearized = omega0 - (mu * n_steps) * g0
-        residuals[mu] = float(np.linalg.norm(omega_n - linearized) / np.linalg.norm(omega0))
+        # omega_n - (omega0 - (mu * n) * g0), each step in g0's or omega_n's own memory
+        g0 *= mu * n_steps
+        np.subtract(omega0, g0, out=g0)
+        np.subtract(omega_n, g0, out=omega_n)
+        residuals[mu] = float(np.linalg.norm(omega_n) / np.linalg.norm(omega0))
     return residuals
 
 
-def estimate_smoothness(
-    model_states: Sequence[np.ndarray], grad_states: Sequence[np.ndarray]
-) -> float:
-    """Largest observed ratio ||grad_i - grad_j|| / ||Omega_i - Omega_j|| over consecutive pairs."""
-    if len(model_states) < 2:
+def estimate_smoothness(pairs: Iterable[tuple[np.ndarray, np.ndarray]]) -> float:
+    """Largest observed ratio ||grad_i - grad_j|| / ||Omega_i - Omega_j|| over
+    consecutive ``(state, gradient)`` pairs, each difference taken earlier
+    minus later.
+
+    Only the previous pair is kept, so however many pairs a generator yields,
+    the comparison holds two pairs and one difference at a time.
+    """
+    best, previous, seen = 0.0, None, 0
+    for state, grad in pairs:
+        if previous is not None:
+            denom = float(np.linalg.norm(previous[0] - state))
+            if denom > 0:
+                best = max(best, float(np.linalg.norm(previous[1] - grad)) / denom)
+        previous = state, grad
+        seen += 1
+    if seen < 2:
         raise ConfigError("need at least two states to estimate smoothness")
-    best = 0.0
-    for a, b, ga, gb in zip(model_states, model_states[1:], grad_states, grad_states[1:]):
-        denom = float(np.linalg.norm(a - b))
-        if denom > 0:
-            best = max(best, float(np.linalg.norm(ga - gb)) / denom)
     return best
 
 

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import importlib.util
 import json
+import os
 import shutil
 import zipfile
 from pathlib import Path
@@ -80,6 +81,8 @@ class TestConfigLoading:
         [
             ("theory_probe", {"linearization_steps": 0}),
             ("theory_probe", {"max_steps": -1}),
+            ("theory_probe", {"max_steps": 0}),
+            ("theory_probe", {"max_steps": 1}),
             ("theory_probe", {"epsilon": 0.0}),
             ("theory_probe", {"mu": -0.01}),
             ("theory_probe", {"linearization_mu_list": [0.01, 0.0]}),
@@ -451,6 +454,21 @@ class TestMetaTestCommand:
             write_hand_trace(config, mode, seed, hit_series(hit, 6))
         report = experiments.cmd_report(config)
         assert report["tasks"]["T02"]["improvement"]["steps"]["8.0"] == 100.0 * (5.5 - 2.0) / 5.5
+
+    @pytest.mark.parametrize("name", ["trace.csv", "errors_final.csv"])
+    def test_report_with_a_missing_run_file_leaves_the_report_untouched(self, tmp_path, capsys, name):
+        config, _ = self.run_pipeline(tmp_path, train_tasks=["T00"], test_tasks=["T01", "T02"])
+        # the last run cmd_report reads: every other task's and mode's CDF comes before it
+        (experiments.run_dir(config, "T02", "RI", 1) / name).unlink()
+        files = sorted(config.report_dir.iterdir())
+        assert len(files) == 5  # four CDFs and metrics.json
+        for path in files:
+            os.utime(path, ns=(10**18, 10**18))
+        before = {path: (path.read_bytes(), path.stat().st_mtime_ns) for path in files}
+        assert cli.run(["report", "--config", str(tmp_path / "exp.json")]) == 3
+        assert capsys.readouterr().err.startswith("data error: missing")
+        assert sorted(config.report_dir.iterdir()) == files
+        assert {path: (path.read_bytes(), path.stat().st_mtime_ns) for path in files} == before
 
     def test_report_command_rebuilds_identically(self, tmp_path):
         config, report = self.run_pipeline(tmp_path)

@@ -361,6 +361,43 @@ class TestSyntheticEnvironment:
         assert np.array_equal(counts, expected)
         assert 0 < counts.sum() < counts.size * 5
 
+    @pytest.mark.parametrize("block_elements", [4 * 3, data.CROSSING_BLOCK_ELEMENTS])
+    def test_crossings_on_a_degenerate_grid_equal_the_one_shot_count(self, monkeypatch, block_elements):
+        # points on a 4 x 4 integer grid make cross products exactly zero:
+        # collinear rays and walls, shared endpoints, zero-length walls and a
+        # sample on an AP
+        monkeypatch.setattr(data, "CROSSING_BLOCK_ELEMENTS", block_elements)
+        rng = np.random.default_rng(3)
+        total = 0
+        for _ in range(30):
+            samples = rng.integers(0, 4, size=(rng.integers(1, 40), 2)).astype(float)
+            aps = rng.integers(0, 4, size=(rng.integers(1, 9), 2)).astype(float)
+            walls = rng.integers(0, 4, size=(rng.integers(1, 7), 2, 2)).astype(float)
+            walls[0, 1] = walls[0, 0]
+            aps[0] = samples[0]
+            counts = data._segment_crossings(samples, aps, walls)
+            assert np.array_equal(counts, reference_segment_crossings(samples, aps, walls))
+            total += counts.sum()
+        assert total > 0
+
+    @pytest.mark.parametrize("num_aps, samples, num_walls", [(1, 1, 1), (5, 60, 8), (37, 413, 23)])
+    def test_noise_free_rssi_equals_the_broadcast_oracle_bitwise(self, num_aps, samples, num_walls):
+        # with ap_seed set, the AP and wall streams are documented, so the
+        # distance and wall terms can be rebuilt as first written: one
+        # [S, A, 2] broadcast summed over its last axis, one [S, A, W] broadcast
+        spec = SyntheticEnvSpec(
+            num_aps=num_aps, samples=samples, seed=6, ap_seed=13, noise_sigma=0.0,
+            area=(33.0, 21.0), num_walls=num_walls, wall_loss_db=7.5,
+        )
+        ds = synth_environment(spec)
+        aps = np.random.default_rng(13).uniform((0.0, 0.0), spec.area, size=(num_aps, 2))
+        wall_rng = np.random.default_rng(np.random.SeedSequence(13).spawn(1)[0])
+        walls = wall_rng.uniform((0.0, 0.0), spec.area, size=(num_walls, 2, 2))
+        dist = np.sqrt(((ds.coords[:, None, :] - aps[None, :, :]) ** 2).sum(axis=2))
+        expected = path_loss_rssi(dist, spec.tx_power_dbm, spec.path_loss_exponent)
+        expected = expected - spec.wall_loss_db * reference_segment_crossings(ds.coords, aps, walls)
+        assert np.array_equal(ds.rssi, expected)
+
     def test_sensitivity_floor_produces_sentinels(self):
         spec = SyntheticEnvSpec(
             num_aps=6, samples=80, seed=2, noise_sigma=0.0,

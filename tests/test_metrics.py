@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedmetaloc import experiments
 from fedmetaloc.errors import ConfigError, DataError
+from fedmetaloc.experiments import TheoryProbeParams
 from fedmetaloc.model import PART_NAMES, ClientModel
 from fedmetaloc.metrics import (
     accuracy_speed_from_steps,
@@ -336,7 +340,58 @@ class TestEstimators:
         # gradient of 0.5 * a * w^2 has difference ratio exactly a
         states = [np.array([w]) for w in (0.0, 1.0, 3.0)]
         grads = [2.5 * s for s in states]
-        assert estimate_smoothness(states, grads) == pytest.approx(2.5)
+        assert estimate_smoothness(zip(states, grads)) == pytest.approx(2.5)
+
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_smoothness_needs_two_pairs(self, count):
+        with pytest.raises(ConfigError, match="at least two states"):
+            estimate_smoothness((np.zeros(3), np.zeros(3)) for _ in range(count))
+
+    def test_smoothness_of_a_generator_holds_two_pairs_at_a_time(self):
+        # twenty pairs of 1 MB vectors: a comparison that kept them all would
+        # peak near 40 vectors; the previous pair, the current one and one
+        # difference are 5
+        size = 1 << 17
+        vector_bytes = size * 8
+
+        def pairs():
+            for i in range(20):
+                state = np.full(size, float(i * i))
+                yield state, 2.5 * state
+
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            estimate = estimate_smoothness(pairs())
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert estimate == pytest.approx(2.5)
+        assert peak < 6 * vector_bytes
+
+    @pytest.mark.parametrize("max_steps", [2, 3, 30])
+    def test_streamed_delta1_equals_the_list_formula_bitwise(self, max_steps):
+        # the estimate as first written: every state and gradient in two
+        # lists, then the consecutive differences, earlier minus later
+        task = synth_task(num_aps=5, samples=40, seed=2)
+        cfg = tiny_model_config(d=4, optimizer="sgd")
+        params = TheoryProbeParams(mu=0.05, max_steps=max_steps, seed=1)
+        model = ClientModel.build(cfg, m=task.m, seed=1)
+        xs, ys = task.support.rssi, task.normalize_coords(task.support.coords)
+        states, grads = [], []
+        for _ in range(min(10, max_steps)):
+            states.append(flatten_parts(model, PART_NAMES))
+            _, g = model.composite_loss(xs, ys)
+            grads.append(flatten_grads(g, PART_NAMES))
+            model.apply_gradients(g, rates={part: 0.05 for part in PART_NAMES}, optimizer="sgd")
+        expected = 0.0
+        for a, b, ga, gb in zip(states, states[1:], grads, grads[1:]):
+            denom = float(np.linalg.norm(a - b))
+            if denom > 0:
+                expected = max(expected, float(np.linalg.norm(ga - gb)) / denom)
+        assert expected > 0
+        assert experiments._estimate_delta1(task, cfg, params) == expected
 
     def test_speed_helpers_validate_inputs(self):
         with pytest.raises(ConfigError):
