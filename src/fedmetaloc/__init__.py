@@ -28,7 +28,9 @@ from .federation import (
     AdaptationTrace,
     ClientState,
     ClientUpdate,
+    FederationParams,
     MetaModel,
+    MetaTestParams,
     RoundReport,
     client_local_train,
     contribution_factors,

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import types
 import typing
 from concurrent.futures import ProcessPoolExecutor
@@ -39,57 +38,15 @@ from .data import (
     synth_environment,
 )
 from .errors import ConfigError, DataError
-from .federation import AdaptationTrace, MetaModel, load_checkpoint, meta_test, save_checkpoint
+from .federation import (
+    AdaptationTrace, FederationParams, MetaModel, MetaTestParams, load_checkpoint, meta_test, save_checkpoint,
+)
 from .fileio import column_indices, read_csv, write_csv, write_json
 from .metrics import cdf_curve
-from .model import OPTIMIZERS, PART_NAMES, ClientModel, ModelConfig
+from .model import PART_NAMES, ClientModel, ModelConfig
 from .preprocess import PreprocessConfig, meta_signal_dim, preprocess_dataset
 
-OUT_ROOT_ENV = "FEDMETALOC_OUT"
 MODES = ("MI", "RI")
-
-
-@dataclass(frozen=True)
-class FederationParams:
-    rounds: int = 200
-    local_steps: int = 5
-    eta: float = 0.001
-    batch_size: int = 32
-    seed: int = 0
-    checkpoint_every: int = 50
-    early_stop_tol: float = 1e-5
-    early_stop_patience: int = 20
-    aggregation: str = "gradient"
-
-    def __post_init__(self) -> None:
-        if self.rounds < 0 or self.local_steps < 0:
-            raise ConfigError("rounds and local_steps must be >= 0")
-        if self.eta <= 0 or self.batch_size < 1:
-            raise ConfigError("eta must be > 0 and batch_size >= 1")
-        if self.checkpoint_every < 0 or self.early_stop_patience < 1 or self.early_stop_tol < 0:
-            raise ConfigError("checkpoint_every and early_stop_tol must be >= 0, early_stop_patience >= 1")
-        if self.aggregation not in federation.AGGREGATIONS:
-            raise ConfigError(f"aggregation must be 'gradient' or 'average', got {self.aggregation!r}")
-
-
-@dataclass(frozen=True)
-class MetaTestParams:
-    steps: int = 100
-    targets_m: tuple[float, ...] = (5.0,)
-    step_checkpoints: tuple[int, ...] = (50, 100)
-    seeds: tuple[int, ...] = (0,)
-    batch_size: int = 32
-    optimizer: str = "adam"
-
-    def __post_init__(self) -> None:
-        if self.steps < 0 or self.batch_size < 1:
-            raise ConfigError("meta-test steps must be >= 0 and batch_size >= 1")
-        if any(n < 1 for n in self.step_checkpoints):
-            raise ConfigError("step checkpoints must be >= 1")
-        if not self.seeds:
-            raise ConfigError("meta_test.seeds is empty: meta-test needs at least one seed")
-        if self.optimizer not in OPTIMIZERS:
-            raise ConfigError(f"meta-test optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
 
 
 @dataclass(frozen=True)
@@ -156,6 +113,8 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
+        if self.workers < 1:
+            raise ConfigError(f"workers must be >= 1, got {self.workers}")
         overlap = set(self.train_tasks) & set(self.test_tasks)
         if overlap:
             raise ConfigError(f"train and test task lists overlap: {sorted(overlap)}")
@@ -274,7 +233,7 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
     raw = _typed(_read_json(path, "config"), dict, "config")
     base = path.parent.resolve()
     entries = {k: _typed(raw.get(k, []), list[dict], f"config.{k}") for k in ("datasets", "synthetic_envs")}
-    out_dir = _typed(raw.get("out_dir"), str | None, "config.out_dir") or os.environ.get(OUT_ROOT_ENV, "out")
+    out_dir = _typed(raw.get("out_dir"), str | None, "config.out_dir") or "out"
     return _section(
         ExperimentConfig, {"name": path.stem, **raw}, "config", out_dir=base / out_dir,
         datasets=[_dataset(e, f"config.datasets[{i}]", base) for i, e in enumerate(entries["datasets"])],
@@ -375,21 +334,14 @@ def cmd_meta_train(config: ExperimentConfig) -> tuple[MetaModel, list[federation
         raise DataError("no training tasks in the index")
     model_config = resolved_model_config(config, train_tasks)
     fed = config.federation
-    meta, clients = federation.server_init(
-        train_tasks, model_config, eta=fed.eta, seed=fed.seed,
-        local_steps=fed.local_steps, batch_size=fed.batch_size,
-    )
+    meta, clients = federation.server_init(train_tasks, model_config, fed)
     ckpt_dir = config.train_dir / "checkpoints"
 
     def on_round(report: federation.RoundReport, current: MetaModel) -> None:
         if fed.checkpoint_every and report.round % fed.checkpoint_every == 0:
             save_checkpoint(ckpt_dir / f"meta_round_{report.round:05d}.npz", current)
 
-    meta, reports = federation.meta_train(
-        meta, clients, rounds=fed.rounds, on_round=on_round,
-        early_stop_tol=fed.early_stop_tol, early_stop_patience=fed.early_stop_patience,
-        aggregation=fed.aggregation,
-    )
+    meta, reports = federation.meta_train(meta, clients, fed, on_round=on_round)
     write_round_log(config.train_dir / "round_log.csv", reports)
     save_checkpoint(config.checkpoint_path, meta)
     return meta, reports
@@ -456,16 +408,7 @@ def read_final_errors(directory: Path) -> list[float]:
 def _run_one_test(args) -> None:
     """One (task, mode, seed) fine-tuning run; module-level so process pools can pickle it."""
     config, model_config, theta, task, mode, seed = args
-    mt = config.meta_test
-    _, trace, per_sample = meta_test(
-        task,
-        model_config,
-        theta_init=theta if mode == "MI" else None,
-        steps=mt.steps,
-        seed=seed,
-        batch_size=mt.batch_size,
-        optimizer=mt.optimizer,
-    )
+    _, trace, per_sample = meta_test(task, model_config, theta if mode == "MI" else None, config.meta_test, seed)
     write_trace(run_dir(config, task.task_id, mode, seed), trace, per_sample)
 
 
@@ -633,7 +576,8 @@ def run_theory_probe(
     """Run the plain-SGD probes on one task: steps-to-epsilon under random and
     meta initialization (the latter skipped without ``theta_init``),
     linearization residuals, and empirical constants. Returns the
-    ``probe_report.json`` payload, less the task id."""
+    ``probe_report.json`` payload, less the task id; a diverging probe raises
+    :class:`DivergenceError` instead."""
     delta1_hat = _estimate_delta1(task, model_config, params)
     report: dict = {"epsilon": params.epsilon, "mu": params.mu, "delta1_hat": delta1_hat}
     all_sq: list[float] = []
@@ -665,16 +609,16 @@ def _estimate_delta1(
     """Smoothness estimate over the first (at most ten) full-batch SGD steps
     from a random start. Each step's flattened state and gradient are yielded
     as they are made, so only two steps' copies are alive at a time."""
-    model = ClientModel.build(model_config, m=task.m, seed=params.seed)
+    model = ClientModel.build(metrics.probe_config(model_config, params.mu), m=task.m, seed=params.seed)
     xs, ys = task.support.rssi, task.normalize_coords(task.support.coords)
-    rates = {part: params.mu for part in PART_NAMES}
 
     def pairs():
-        for _ in range(min(10, params.max_steps)):
+        for step in range(1, min(10, params.max_steps) + 1):
             state = metrics.flatten_parts(model, PART_NAMES)
-            _, grads = model.composite_loss(xs, ys)
+            loss, grads = model.composite_loss(xs, ys)
+            metrics.checked(loss, "smoothness", f"step {step} loss")
             grad = metrics.flatten_grads(grads, PART_NAMES)
-            model.apply_gradients(grads, rates=rates, optimizer="sgd")
+            model.apply_gradients(grads)
             del grads  # not held while the caller compares the pair
             yield state, grad
 

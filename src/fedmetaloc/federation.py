@@ -11,6 +11,13 @@ part (``aggregation="gradient"``), applied as
 or its locally updated shared part (``"average"``, FedAvg), averaged with
 the same weights.
 
+Each stage takes its hyperparameters whole, as one object checked once when
+built: meta-training a :class:`FederationParams` (the ``federation`` config
+section), meta-testing a :class:`MetaTestParams` (``meta_test``). Learning
+rates and the optimizer are the model config's; meta-test builds its model
+with ``mt.optimizer``. ``server_init`` copies ``eta`` into the server state,
+which a checkpoint carries.
+
 Aggregation always sums in ascending client-id order, so client scheduling can
 never change the result. Contribution factors rho_k are proportional to query
 set sizes; ``meta_train`` computes them once per run.
@@ -31,7 +38,7 @@ from __future__ import annotations
 import json
 import math
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -42,7 +49,56 @@ from .data import LocalizationTask
 from .errors import ConfigError, DataError, DivergenceError
 from .fileio import atomic_write
 from .metrics import mde
-from .model import ClientModel, ModelConfig
+from .model import OPTIMIZERS, ClientModel, ModelConfig
+
+AGGREGATIONS = ("gradient", "average")
+
+
+@dataclass(frozen=True)
+class FederationParams:
+    """Stage (i), collaborative meta-training: the ``federation`` config section."""
+
+    rounds: int = 200
+    local_steps: int = 5
+    eta: float = 0.001
+    batch_size: int = 32
+    seed: int = 0
+    checkpoint_every: int = 50
+    early_stop_tol: float = 1e-5
+    early_stop_patience: int = 20
+    aggregation: str = "gradient"
+
+    def __post_init__(self) -> None:
+        if self.rounds < 0 or self.local_steps < 0:
+            raise ConfigError("rounds and local_steps must be >= 0")
+        if self.eta <= 0 or self.batch_size < 1:
+            raise ConfigError("eta must be > 0 and batch_size >= 1")
+        if self.checkpoint_every < 0 or self.early_stop_patience < 1 or self.early_stop_tol < 0:
+            raise ConfigError("checkpoint_every and early_stop_tol must be >= 0, early_stop_patience >= 1")
+        if self.aggregation not in AGGREGATIONS:
+            raise ConfigError(f"aggregation must be 'gradient' or 'average', got {self.aggregation!r}")
+
+
+@dataclass(frozen=True)
+class MetaTestParams:
+    """Stage (ii), rapid adaptation: the ``meta_test`` config section."""
+
+    steps: int = 100
+    targets_m: tuple[float, ...] = (5.0,)
+    step_checkpoints: tuple[int, ...] = (50, 100)
+    seeds: tuple[int, ...] = (0,)
+    batch_size: int = 32
+    optimizer: str = "adam"
+
+    def __post_init__(self) -> None:
+        if self.steps < 0 or self.batch_size < 1:
+            raise ConfigError("meta-test steps must be >= 0 and batch_size >= 1")
+        if any(n < 1 for n in self.step_checkpoints):
+            raise ConfigError("step checkpoints must be >= 1")
+        if not self.seeds:
+            raise ConfigError("meta_test.seeds is empty: meta-test needs at least one seed")
+        if self.optimizer not in OPTIMIZERS:
+            raise ConfigError(f"meta-test optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
 
 
 @dataclass
@@ -144,11 +200,7 @@ class ClientState:
     client_id: str
     task: LocalizationTask
     model: ClientModel
-    local_steps: int
     batches: BatchStream
-
-
-AGGREGATIONS = ("gradient", "average")
 
 
 @dataclass
@@ -188,22 +240,16 @@ def contribution_factors(query_sizes: Sequence[int]) -> np.ndarray:
 
 
 def server_init(
-    tasks: Sequence[LocalizationTask],
-    config: ModelConfig,
-    eta: float,
-    seed: int,
-    local_steps: int = 5,
-    batch_size: int = 32,
+    tasks: Sequence[LocalizationTask], config: ModelConfig, fed: FederationParams
 ) -> tuple[MetaModel, list[ClientState]]:
-    """Seed the shared part, then assemble every client as (alpha_k, theta^0, beta_k)."""
+    """Seed the shared part from ``fed.seed``, then assemble every client as
+    (alpha_k, theta^0, beta_k), each drawing batches of ``fed.batch_size``."""
     if not tasks:
         raise ConfigError("need at least one training task")
-    if eta <= 0:
-        raise ConfigError(f"outer learning rate must be > 0, got {eta}")
-    root = np.random.SeedSequence(seed)
+    root = np.random.SeedSequence(fed.seed)
     theta_seed, clients_seed = root.spawn(2)
     theta_layers = nn.build_stack(config.part_sizes("meta"), theta_seed)
-    meta = MetaModel(params=nn.bind(theta_layers), config=config, eta=eta)
+    meta = MetaModel(params=nn.bind(theta_layers), config=config, eta=fed.eta)
 
     clients: list[ClientState] = []
     ordered = sorted(tasks, key=lambda t: t.task_id)
@@ -216,23 +262,18 @@ def server_init(
             client_id=task.task_id,
             task=task,
             model=model,
-            local_steps=local_steps,
-            batches=BatchStream(task.support.n_samples, batch_size, np.random.default_rng(batch_seed)),
+            batches=BatchStream(task.support.n_samples, fed.batch_size, np.random.default_rng(batch_seed)),
         )
         clients.append(state)
     return meta, clients
 
 
-def client_local_train(
-    state: ClientState, theta_broadcast: np.ndarray, local_steps: int | None = None, aggregation: str = "gradient"
-) -> ClientUpdate:
-    """Local phase of one round: adopt the broadcast, train, evaluate on the query set."""
-    if aggregation not in AGGREGATIONS:
-        raise ConfigError(f"unknown aggregation {aggregation!r}")
+def client_local_train(state: ClientState, theta_broadcast: np.ndarray, fed: FederationParams) -> ClientUpdate:
+    """Local phase of one round: adopt the broadcast, take ``fed.local_steps``
+    steps, evaluate on the query set for ``fed.aggregation``."""
     task = state.task
     if task.support.n_samples == 0 or task.query.n_samples == 0:
         raise DataError(f"client {state.client_id}: empty support or query set")
-    steps = state.local_steps if local_steps is None else local_steps
     state.model.set_part_params("meta", theta_broadcast)
     # the broadcast invalidates any optimizer moments accumulated for the
     # previous round's shared parameters; encoder/mapper states persist
@@ -240,14 +281,14 @@ def client_local_train(
     if meta_state is not None:
         meta_state.reset()
     xs, ys = task.support.rssi, task.normalize_coords(task.support.coords)
-    for step in range(1, steps + 1):
+    for step in range(1, fed.local_steps + 1):
         batch = state.batches.next()
         loss = state.model.train_step(xs[batch], ys[batch])
         if not math.isfinite(loss):
             raise DivergenceError(f"client {state.client_id}: local step {step} loss is {loss}")
     # the round reads the query loss and the vector it aggregates; averaging
     # needs no backward pass, the gradient mode the shared part's only
-    gradient = aggregation == "gradient"
+    gradient = fed.aggregation == "gradient"
     query_loss, grads = state.model.composite_loss(
         task.query.rssi, task.normalize_coords(task.query.coords), ("meta",) if gradient else ()
     )
@@ -258,24 +299,20 @@ def client_local_train(
 
 
 def server_aggregate(
-    meta: MetaModel,
-    updates: Sequence[ClientUpdate],
-    rho: Mapping[str, float],
-    aggregation: str = "gradient",
+    meta: MetaModel, updates: Sequence[ClientUpdate], rho: Mapping[str, float], fed: FederationParams
 ) -> MetaModel:
     """One outer update; summation always runs in ascending client-id order.
 
-    ``aggregation="gradient"`` (default): the update vectors are query
-    gradients, and the server steps ``theta - eta * sum_k rho_k v_k``.
-    ``aggregation="average"``: they are locally updated shared parts, and the
-    server keeps their weighted average, which accumulates the clients' local
-    optimizer progress round over round; useful at small round budgets where
-    the gradient step alone barely moves the shared part.
+    ``fed.aggregation == "gradient"``: the update vectors are query
+    gradients, and the server steps ``theta - eta * sum_k rho_k v_k`` with
+    the ``eta`` the server state carries. ``"average"``: they are locally
+    updated shared parts, and the server keeps their weighted average, which
+    accumulates the clients' local optimizer progress round over round;
+    useful at small round budgets where the gradient step alone barely moves
+    the shared part.
     """
     if not updates:
         raise ConfigError("cannot aggregate an empty round")
-    if aggregation not in AGGREGATIONS:
-        raise ConfigError(f"unknown aggregation {aggregation!r}")
     acc = np.zeros_like(meta.params)
     term = np.empty_like(meta.params)
     for update in sorted(updates, key=lambda u: u.client_id):
@@ -285,7 +322,7 @@ def server_aggregate(
             )
         np.multiply(update.vector, rho[update.client_id], out=term)
         acc += term
-    if aggregation == "gradient":
+    if fed.aggregation == "gradient":
         acc *= meta.eta
         np.subtract(meta.params, acc, out=acc)
     return MetaModel(params=acc, config=meta.config, eta=meta.eta, round=meta.round + 1)
@@ -294,14 +331,13 @@ def server_aggregate(
 def meta_train(
     meta: MetaModel,
     clients: Sequence[ClientState],
-    rounds: int,
-    execution_order: Sequence[str] | None = None,
+    fed: FederationParams,
     on_round: Callable[[RoundReport, MetaModel], None] | None = None,
-    early_stop_tol: float = 1e-5,
-    early_stop_patience: int = 20,
-    aggregation: str = "gradient",
+    execution_order: Sequence[str] | None = None,
 ) -> tuple[MetaModel, list[RoundReport]]:
-    """Run up to ``rounds`` communication rounds, stopping early on loss plateau.
+    """Run up to ``fed.rounds`` communication rounds, stopping early once the
+    mean query loss stays within ``fed.early_stop_tol`` (relative) for
+    ``fed.early_stop_patience`` rounds.
 
     ``execution_order`` only changes the order clients are *run* in; gradients
     are always aggregated in client-id order, so the result is identical for
@@ -317,15 +353,13 @@ def meta_train(
     reports: list[RoundReport] = []
     flat_rounds = 0
     prev_loss: float | None = None
-    for _ in range(rounds):
+    for _ in range(fed.rounds):
         broadcast = meta.broadcast()
         try:
-            updates = [
-                client_local_train(by_id[cid], broadcast, aggregation=aggregation) for cid in execution_order
-            ]
+            updates = [client_local_train(by_id[cid], broadcast, fed) for cid in execution_order]
         except DivergenceError as exc:
             raise DivergenceError(f"round {meta.round + 1}, {exc}") from exc
-        meta = server_aggregate(meta, updates, rho, aggregation=aggregation)
+        meta = server_aggregate(meta, updates, rho, fed)
         losses = {u.client_id: u.query_loss for u in updates}
         mean_loss = float(np.mean(list(losses.values())))
         report = RoundReport(round=meta.round, mean_query_loss=mean_loss, client_losses=losses)
@@ -334,8 +368,8 @@ def meta_train(
             on_round(report, meta)
         if prev_loss is not None:
             rel_change = abs(mean_loss - prev_loss) / max(abs(prev_loss), 1e-12)
-            flat_rounds = flat_rounds + 1 if rel_change < early_stop_tol else 0
-            if flat_rounds >= early_stop_patience:
+            flat_rounds = flat_rounds + 1 if rel_change < fed.early_stop_tol else 0
+            if flat_rounds >= fed.early_stop_patience:
                 break
         prev_loss = mean_loss
     return meta, reports
@@ -345,27 +379,26 @@ def meta_test(
     task: LocalizationTask,
     config: ModelConfig,
     theta_init: np.ndarray | None,
-    steps: int,
+    mt: MetaTestParams,
     seed: int,
-    batch_size: int = 32,
-    optimizer: str | None = None,
 ) -> tuple[ClientModel, AdaptationTrace, np.ndarray]:
     """Few-shot adaptation on a new task, recording the query learning curve.
 
     ``theta_init=None`` is random initialization (RI); passing the trained
-    shared vector is meta initialization (MI). The model is built by
-    :meth:`ClientModel.build_paired` and the batches drawn from the seed's
-    next child, so RI/MI runs with the same seed are paired. Every part is
-    fine-tuned.
+    shared vector is meta initialization (MI). The model is built from
+    ``config`` with ``mt.optimizer`` by :meth:`ClientModel.build_paired`, and
+    batches of ``mt.batch_size`` are drawn from the seed's next child, so
+    RI/MI runs with the same seed are paired. Every part is fine-tuned for
+    ``mt.steps`` steps.
 
     Returns the adapted model, the per-step trace, and the per-sample query
     distance errors (native units) of the last step's prediction, or of the
-    initial model's when ``steps`` is 0.
+    initial model's when ``mt.steps`` is 0.
     """
     task.support.validate_model_ready()
     task.query.validate_model_ready()
     root = np.random.SeedSequence(seed)
-    model = ClientModel.build_paired(config, task.m, root)
+    model = ClientModel.build_paired(replace(config, optimizer=mt.optimizer), task.m, root)
     mode = "RI" if theta_init is None else "MI"
     if theta_init is not None:
         model.set_part_params("meta", theta_init)
@@ -374,11 +407,11 @@ def meta_test(
     xs, ys = task.support.rssi, task.normalize_coords(task.support.coords)
     xq = task.query.rssi
     yq_true = task.query.coords
-    batches = BatchStream(task.support.n_samples, batch_size, np.random.default_rng(root.spawn(1)[0]))
+    batches = BatchStream(task.support.n_samples, mt.batch_size, np.random.default_rng(root.spawn(1)[0]))
     pred = None
-    for step in range(1, steps + 1):
+    for step in range(1, mt.steps + 1):
         batch = batches.next()
-        loss = model.train_step(xs[batch], ys[batch], optimizer=optimizer)
+        loss = model.train_step(xs[batch], ys[batch])
         if not math.isfinite(loss):
             raise DivergenceError(f"task {task.task_id}, {mode} seed {seed}: step {step} loss is {loss}")
         pred = task.denormalize_coords(model.full_forward(xq))

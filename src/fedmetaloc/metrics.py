@@ -15,18 +15,26 @@ passes of the parts it trains (all four by default), and the threshold's
 and two backwards, no decoder, whose reconstruction term does not depend on
 the shared part theta. Parameters, gradients and the probes' fixed parts
 (``theta_init``, ``part_overrides``) are flat part vectors (:mod:`fedmetaloc.nn`).
+
+Every probe trains a model built from :func:`probe_config`: plain SGD at one
+rate on every part. A probe step whose loss is NaN or infinite stops the
+probe with a :class:`DivergenceError` naming the probe and the step
+(:func:`checked`); so does a NaN or infinite squared query-gradient norm in
+the steps-to-epsilon probe, which no later loss would catch after its last
+step.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from . import nn
 from .data import LocalizationTask
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, DivergenceError
 from .model import PART_NAMES, ClientModel, ModelConfig
 
 
@@ -107,6 +115,19 @@ def knn_baseline(task: LocalizationTask, k: int) -> tuple[np.ndarray, float]:
 # ---------------------------------------------------------------------------
 
 
+def probe_config(config: ModelConfig, mu: float) -> ModelConfig:
+    """``config`` as the probes train it: plain SGD at rate ``mu`` on every part."""
+    return replace(config, optimizer="sgd", mu_encoder=mu, mu_meta=mu, mu_mapper=mu)
+
+
+def checked(value: float, probe: str, what: str) -> float:
+    """``value``; a NaN or infinite one is a DivergenceError naming the probe
+    and ``what`` the value is (a step's loss, say)."""
+    if not math.isfinite(value):
+        raise DivergenceError(f"theory probe {probe}: {what} is {value}")
+    return value
+
+
 def flatten_parts(model: ClientModel, parts: Sequence[str]) -> np.ndarray:
     """A new vector holding the parts' parameter vectors one after another."""
     return np.concatenate([model.vectors[part] for part in parts])
@@ -157,24 +178,22 @@ def epsilon_accuracy_steps(
     """
     if epsilon <= 0:
         raise ConfigError(f"epsilon must be > 0, got {epsilon}")
-    model = ClientModel.build_paired(config, task.m, np.random.SeedSequence(seed))
+    model = ClientModel.build_paired(probe_config(config, mu), task.m, np.random.SeedSequence(seed))
     if theta_init is not None:
         model.set_part_params("meta", theta_init)
     for part, vector in (part_overrides or {}).items():
         model.set_part_params(part, vector)
     xs, ys = task.support.rssi, task.normalize_coords(task.support.coords)
     xq, yq = task.query.rssi, task.normalize_coords(task.query.coords)
-    rates = {part: mu for part in PART_NAMES}
+    probe = "random_init" if theta_init is None else "meta_init"
     trace: list[float] = []
-    reached: int | None = None
     for step in range(1, max_steps + 1):
-        model.train_step(xs, ys, rates=rates, parts=adapt_parts, optimizer="sgd")
-        sq = theta_grad_sq_norm(model, xq, yq)
+        checked(model.train_step(xs, ys, parts=adapt_parts), probe, f"step {step} loss")
+        sq = checked(theta_grad_sq_norm(model, xq, yq), probe, f"step {step} squared query gradient norm")
         trace.append(sq)
-        if reached is None and sq < epsilon:
-            reached = step
-            break
-    return reached, trace
+        if sq < epsilon:
+            return step, trace
+    return None, trace
 
 
 def linearization_probe(
@@ -204,18 +223,19 @@ def linearization_probe(
     xs, ys = xs_task.rssi, task.normalize_coords(xs_task.coords)
     residuals: dict[float, float] = {}
     for mu in mu_list:
-        model = ClientModel.build(config, m=task.m, seed=seed)
+        model = ClientModel.build(probe_config(config, mu), m=task.m, seed=seed)
         for part, vector in (part_overrides or {}).items():
             model.set_part_params(part, vector)
+        probe = f"linearization mu={mu!r}"
         omega0 = flatten_parts(model, parts)
-        _, grads0 = model.composite_loss(xs, ys, parts)
+        loss, grads0 = model.composite_loss(xs, ys, parts)
+        checked(loss, probe, "step 1 loss")
         g0 = flatten_grads(grads0, parts)
-        rates = {part: mu for part in PART_NAMES}
         # step 1 applies the gradients g0 was read from: one evaluation per state
-        model.apply_gradients(grads0, rates=rates, parts=parts, optimizer="sgd")
+        model.apply_gradients(grads0, parts)
         del grads0
-        for _ in range(n_steps - 1):
-            model.train_step(xs, ys, rates=rates, parts=parts, optimizer="sgd")
+        for step in range(2, n_steps + 1):
+            checked(model.train_step(xs, ys, parts), probe, f"step {step} loss")
         omega_n = flatten_parts(model, parts)
         # omega_n - (omega0 - (mu * n) * g0), each step in g0's or omega_n's own memory
         g0 *= mu * n_steps

@@ -42,6 +42,11 @@ pass. Whatever a method returns is the caller's own array: gradient vectors
 are freshly allocated, and ``full_forward`` copies its result out of the
 workspace.
 
+A model trains by its own config: ``train_step`` and ``apply_gradients``
+read the optimizer and the per-part rates from ``self.config`` only, so a
+caller that trains otherwise (meta-test's optimizer, the probes' plain SGD)
+builds the model from a ``dataclasses.replace`` of its config.
+
 Each part's parameters live in one flat vector (``ClientModel.vectors``, see
 :mod:`fedmetaloc.nn`), which the optimizers update in place, and each
 gradient is a flat vector in the same layout: ``composite_loss`` returns
@@ -281,41 +286,25 @@ class ClientModel:
         recon_loss, _ = nn.mse_loss(self._forward("decoder", latent)[0], np.asarray(x, dtype=np.float64))
         return pred_loss + self.config.lambda_recon * recon_loss
 
-    def train_step(
-        self,
-        x: np.ndarray,
-        y: np.ndarray,
-        rates: Mapping[str, float] | None = None,
-        parts: Sequence[str] | None = None,
-        optimizer: str | None = None,
-    ) -> float:
+    def train_step(self, x: np.ndarray, y: np.ndarray, parts: Sequence[str] | None = None) -> float:
         """One optimizer step on ``parts`` (all by default); returns the
         pre-step loss. Only the gradients of ``parts`` are computed."""
         parts = parts if parts is not None else PART_NAMES
         loss, grads = self.composite_loss(x, y, parts)
-        self.apply_gradients(grads, rates, parts, optimizer)
+        self.apply_gradients(grads, parts)
         return loss
 
-    def apply_gradients(
-        self,
-        grads: Mapping[str, np.ndarray],
-        rates: Mapping[str, float] | None = None,
-        parts: Sequence[str] | None = None,
-        optimizer: str | None = None,
-    ) -> None:
-        """Update ``parts`` (all by default) in place from ``composite_loss`` gradients."""
-        rates = rates if rates is not None else self.config.rates()
+    def apply_gradients(self, grads: Mapping[str, np.ndarray], parts: Sequence[str] | None = None) -> None:
+        """Update ``parts`` (all by default) in place from ``composite_loss``
+        gradients, with the config's optimizer and rates."""
+        rates = self.config.rates()
         parts = parts if parts is not None else PART_NAMES
-        optimizer = optimizer or self.config.optimizer
-        if optimizer not in OPTIMIZERS:
-            raise ConfigError(f"optimizer must be one of {OPTIMIZERS}, got {optimizer!r}")
         for part in parts:
             vector, grad = self.vectors[part], grads[part]
-            if optimizer == "adam":
+            if self.config.optimizer == "adam":
                 state = self.opt_states[part]
                 if state is None:
                     state = self.opt_states[part] = nn.init_adam_state(vector.size)
                 nn.adam_step(vector, grad, state, rates[part])
             else:
                 nn.sgd_step(vector, grad, rates[part])
-

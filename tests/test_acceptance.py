@@ -15,7 +15,14 @@ import pytest
 
 from fedmetaloc import nn
 from fedmetaloc.data import load_csv, make_task, partition_tasks
-from fedmetaloc.federation import meta_test, meta_train, server_aggregate, server_init
+from fedmetaloc.federation import (
+    FederationParams,
+    MetaTestParams,
+    meta_test,
+    meta_train,
+    server_aggregate,
+    server_init,
+)
 from fedmetaloc.metrics import (
     accuracy_speed_from_steps,
     improvement_percent,
@@ -212,19 +219,21 @@ def test_criterion_4_aggregation_equivalences():
 
         # (a) one-client round is exactly an eta-scaled gradient step
         task = synth_task(num_aps=5, samples=40, seed=50)
-        meta, clients = server_init([task], cfg, eta=0.05, seed=1)
-        update = client_local_train(clients[0], meta.broadcast(), local_steps=0)
-        aggregated = server_aggregate(meta, [update], {clients[0].client_id: 1.0})
+        fed = FederationParams(local_steps=0, eta=0.05, seed=1)
+        meta, clients = server_init([task], cfg, fed)
+        update = client_local_train(clients[0], meta.broadcast(), fed)
+        aggregated = server_aggregate(meta, [update], {clients[0].client_id: 1.0}, fed)
         sizes = cfg.part_sizes("meta")
         plain = reference_sgd_step(nn.unflatten(meta.params, sizes), nn.unflatten(update.vector, sizes), 0.05)
         assert np.array_equal(aggregated.params, nn.flatten(plain, sizes))
 
         # (b) permuting client execution order leaves theta^R bit-identical
         tasks = [synth_task(num_aps=5, samples=40, seed=60 + i, task_id=f"T{i:02d}") for i in range(3)]
-        meta_a, clients_a = server_init(tasks, cfg, eta=0.01, seed=2)
-        final_a, _ = meta_train(meta_a, clients_a, rounds=3)
-        meta_b, clients_b = server_init(tasks, cfg, eta=0.01, seed=2)
-        final_b, _ = meta_train(meta_b, clients_b, rounds=3, execution_order=["T02", "T00", "T01"])
+        fed = FederationParams(rounds=3, eta=0.01, seed=2)
+        meta_a, clients_a = server_init(tasks, cfg, fed)
+        final_a, _ = meta_train(meta_a, clients_a, fed)
+        meta_b, clients_b = server_init(tasks, cfg, fed)
+        final_b, _ = meta_train(meta_b, clients_b, fed, execution_order=["T02", "T00", "T01"])
         assert np.array_equal(final_a.params, final_b.params)
 
         # (c) contribution factors sum to one on random cohorts
@@ -383,11 +392,13 @@ def test_criterion_8_uji_directional_check():
         assert len(train) == 10
 
         cfg = ModelConfig()  # reference widths and rates; d=50, n=32
-        meta, clients = server_init(train, cfg, eta=0.001, seed=7, local_steps=5, batch_size=32)
-        meta, _ = meta_train(meta, clients, rounds=100)
+        fed = FederationParams(rounds=100, local_steps=5, eta=0.001, batch_size=32, seed=7)
+        meta, clients = server_init(train, cfg, fed)
+        meta, _ = meta_train(meta, clients, fed)
         task = tasks["B0_F3"]
-        _, trace_mi, _ = meta_test(task, cfg, meta.params, steps=100, seed=0, batch_size=32)
-        _, trace_ri, _ = meta_test(task, cfg, None, steps=100, seed=0, batch_size=32)
+        mt = MetaTestParams(steps=100, batch_size=32, optimizer=cfg.optimizer)
+        _, trace_mi, _ = meta_test(task, cfg, meta.params, mt, seed=0)
+        _, trace_ri, _ = meta_test(task, cfg, None, mt, seed=0)
         mi_at_100 = trace_mi.query_mde[99]
         ri_at_100 = trace_ri.query_mde[99]
         print(f"\n  B0_F3 at step 100: MI {mi_at_100:.2f} m vs RI {ri_at_100:.2f} m")

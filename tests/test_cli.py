@@ -122,15 +122,6 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match="eta"):
             experiments.load_experiment_config(small_config(tmp_path, federation={"eta": True}))
 
-    def test_out_root_env_var(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(experiments.OUT_ROOT_ENV, str(tmp_path / "from_env"))
-        path = small_config(tmp_path)
-        raw = json.loads(path.read_text())
-        del raw["out_dir"]
-        path.write_text(json.dumps(raw))
-        config = experiments.load_experiment_config(path)
-        assert config.out_dir == tmp_path / "from_env"
-
 
 class TestPreprocessCommand:
     def test_writes_bundles_and_index(self, tmp_path):
@@ -539,6 +530,14 @@ class TestCliEntryPoint:
         assert cli.run(["meta-train", "--config", str(path)]) == 3
         assert "data error" in capsys.readouterr().err
 
+    def test_out_flag_replaces_the_configs_output_root(self, tmp_path, capsys):
+        path = small_config(tmp_path)
+        assert cli.run(["preprocess", "--config", str(path), "--out", str(tmp_path / "elsewhere")]) == 0
+        assert f"under {tmp_path / 'elsewhere' / 'smoke' / 'tasks'}" in capsys.readouterr().out
+        for task_id in ("T00", "T01", "T02"):
+            assert (tmp_path / "elsewhere" / "smoke" / "tasks" / task_id / "meta.json").exists()
+        assert not (tmp_path / "out").exists()
+
     def test_overlap_is_a_config_error(self, tmp_path, capsys):
         path = small_config(tmp_path, train_tasks=["T00", "T02"], test_tasks=["T02"])
         assert cli.run(["preprocess", "--config", str(path)]) == 2
@@ -572,6 +571,8 @@ class TestMalformedConfig:
             ("region_support_ratio_of_zero", "synthetic_envs[2] (T02).support_ratio must be in (0, 1]"),
             ("unknown_partition", "config: partition must be 'none' or one of"),
             ("unknown_dataset_partition", "config.datasets[0] (D0): partition must be 'none' or one of"),
+            ("zero_workers", "config: workers must be >= 1, got 0"),
+            ("negative_workers", "config: workers must be >= 1, got -2"),
         ],
     )
     def test_exits_2_and_names_the_key(self, tmp_path, capsys, case, named):
@@ -613,6 +614,8 @@ class TestMalformedConfig:
             path = small_config(tmp_path, meta_test={"steps": 6, "seeds": 3})
         elif case == "seeds_is_empty":
             path = small_config(tmp_path, meta_test={"steps": 6, "seeds": []})
+        elif case in ("zero_workers", "negative_workers"):
+            path = small_config(tmp_path, workers=0 if case == "zero_workers" else -2)
         elif case == "bool_as_string":
             path = small_config(tmp_path, d_from_median="false")
         elif case == "schema_not_json":
@@ -828,3 +831,13 @@ class TestDivergence:
         assert cli.run(["meta-test", "--config", str(path)]) == 4
         assert "DivergenceError: task T02, MI seed 0: step 2 loss is" in capsys.readouterr().err
         assert not list(config.test_dir.rglob("trace.csv"))
+
+    def test_theory_probe_overflow_exits_4_and_writes_no_report(self, tmp_path, capsys):
+        probe = {"epsilon": 1e-4, "mu": 50, "max_steps": 30, "linearization_steps": 3,
+                 "linearization_mu_list": [50, 1e-3]}
+        path = small_config(tmp_path, theory_probe=probe)
+        assert cli.run(["preprocess", "--config", str(path)]) == 0
+        assert cli.run(["meta-train", "--config", str(path)]) == 0
+        assert cli.run(["theory-probe", "--config", str(path)]) == 4
+        assert "DivergenceError: theory probe smoothness: step" in capsys.readouterr().err
+        assert not (experiments.load_experiment_config(path).experiment_dir / "theory").exists()

@@ -1,12 +1,13 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedmetaloc import experiments
-from fedmetaloc.errors import ConfigError, DataError
+from fedmetaloc import experiments, nn
+from fedmetaloc.errors import ConfigError, DataError, DivergenceError
 from fedmetaloc.experiments import TheoryProbeParams
 from fedmetaloc.model import PART_NAMES, ClientModel
 from fedmetaloc.metrics import (
@@ -20,6 +21,7 @@ from fedmetaloc.metrics import (
     knn_baseline,
     linearization_probe,
     mde,
+    probe_config,
     step_speed_from_mde,
     steps_to_accuracy,
 )
@@ -274,6 +276,46 @@ class TestEpsilonAccuracySteps:
             assert actual == pytest.approx(float(np.sum(gq * gq)), rel=1e-9)
 
 
+class TestProbeDivergence:
+    """A probe step whose loss is NaN or infinite stops the probe, naming it
+    and the step. At a rate of 1e300 step 1 is finite and overflows the
+    parameters, so step 2's loss is the first that is not."""
+
+    def test_probe_config_is_plain_sgd_at_one_rate(self):
+        base = tiny_model_config()
+        cfg = probe_config(base, 0.25)
+        assert cfg.optimizer == "sgd"
+        assert cfg.rates() == {part: 0.25 for part in PART_NAMES}
+        changed = {key for key, value in cfg.to_dict().items() if base.to_dict()[key] != value}
+        assert changed == {"optimizer", "mu_encoder", "mu_meta", "mu_mapper"}
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("arm", ["random_init", "meta_init"])
+    @pytest.mark.parametrize(
+        "parts, what", [(None, "step 1 squared query gradient norm"), (("decoder",), "step 2 loss")]
+    )
+    def test_epsilon_probe_names_its_arm(self, arm, parts, what):
+        # the query gradient norm reads the prediction path only, so an
+        # overflowing decoder shows first in the next step's loss
+        task = synth_task(num_aps=5, samples=40, seed=1)
+        cfg = tiny_model_config(d=4)
+        theta = nn.bind(nn.build_stack(cfg.part_sizes("meta"), seed=3)) if arm == "meta_init" else None
+        with pytest.raises(DivergenceError, match=f"^theory probe {arm}: {what} is"):
+            epsilon_accuracy_steps(task, cfg, theta, epsilon=1e-300, max_steps=20, mu=1e300, adapt_parts=parts)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_linearization_probe_names_its_rate(self):
+        task = synth_task(num_aps=5, samples=40, seed=1)
+        with pytest.raises(DivergenceError, match=r"^theory probe linearization mu=1e\+300: step 2 loss is"):
+            linearization_probe(task, tiny_model_config(d=4), [1e-3, 1e300], n_steps=3)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_smoothness_probe_names_itself(self):
+        task = synth_task(num_aps=5, samples=40, seed=1)
+        with pytest.raises(DivergenceError, match="^theory probe smoothness: step 2 loss is"):
+            experiments._estimate_delta1(task, tiny_model_config(d=4), TheoryProbeParams(mu=1e300))
+
+
 class TestLemma1Probe:
     def test_single_step_residual_is_exactly_zero(self):
         task, cfg, overrides, theta0 = linear_probe_setup(seed=4)
@@ -310,11 +352,11 @@ class TestLemma1Probe:
         xs, ys = task.support.rssi, task.normalize_coords(task.support.coords)
         expected = {}
         for mu in mu_list:  # the probe as first written: g0, then n train steps
-            model = ClientModel.build(cfg, m=task.m, seed=0)
+            model = ClientModel.build(replace(cfg, mu_encoder=mu, mu_meta=mu, mu_mapper=mu), m=task.m, seed=0)
             omega0 = flatten_parts(model, PART_NAMES)
             g0 = flatten_grads(model.composite_loss(xs, ys)[1], PART_NAMES)
             for _ in range(n_steps):
-                model.train_step(xs, ys, rates={part: mu for part in PART_NAMES}, optimizer="sgd")
+                model.train_step(xs, ys)
             linearized = omega0 - (mu * n_steps) * g0
             expected[mu] = float(np.linalg.norm(flatten_parts(model, PART_NAMES) - linearized) / np.linalg.norm(omega0))
         counts = count_passes(monkeypatch)
@@ -377,14 +419,14 @@ class TestEstimators:
         task = synth_task(num_aps=5, samples=40, seed=2)
         cfg = tiny_model_config(d=4, optimizer="sgd")
         params = TheoryProbeParams(mu=0.05, max_steps=max_steps, seed=1)
-        model = ClientModel.build(cfg, m=task.m, seed=1)
+        model = ClientModel.build(replace(cfg, mu_encoder=0.05, mu_meta=0.05, mu_mapper=0.05), m=task.m, seed=1)
         xs, ys = task.support.rssi, task.normalize_coords(task.support.coords)
         states, grads = [], []
         for _ in range(min(10, max_steps)):
             states.append(flatten_parts(model, PART_NAMES))
             _, g = model.composite_loss(xs, ys)
             grads.append(flatten_grads(g, PART_NAMES))
-            model.apply_gradients(g, rates={part: 0.05 for part in PART_NAMES}, optimizer="sgd")
+            model.apply_gradients(g)
         expected = 0.0
         for a, b, ga, gb in zip(states, states[1:], grads, grads[1:]):
             denom = float(np.linalg.norm(a - b))
