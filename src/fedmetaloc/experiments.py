@@ -294,10 +294,23 @@ def cmd_preprocess(config: ExperimentConfig) -> list[str]:
 
 
 def _load_index(config: ExperimentConfig) -> dict:
+    """The task index that preprocess wrote; anything malformed is a :class:`DataError`
+    naming the file: text that is not JSON, a root that is not an object, or a
+    ``train`` or ``test`` entry that is missing or not a list of task ids."""
     path = config.experiment_dir / "tasks_index.json"
     if not path.exists():
         raise DataError(f"no task bundles found; run preprocess first (missing {path})")
-    return json.loads(path.read_text())
+    try:
+        index = json.loads(path.read_text())
+    except ValueError as exc:
+        raise DataError(f"malformed {path}: {type(exc).__name__}: {exc}") from exc
+    if not isinstance(index, dict):
+        raise DataError(f"malformed {path}: holds {type(index).__name__}, not a JSON object")
+    for key in ("train", "test"):
+        ids = index.get(key)
+        if not isinstance(ids, list) or not all(isinstance(task_id, str) for task_id in ids):
+            raise DataError(f"malformed {path}: {key!r} must be a list of task ids, got {ids!r}")
+    return index
 
 
 def _load_tasks(config: ExperimentConfig, ids: Sequence[str]) -> list[LocalizationTask]:

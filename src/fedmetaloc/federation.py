@@ -8,8 +8,11 @@ part (``aggregation="gradient"``), applied as
 
     theta <- theta - eta * sum_k rho_k * grad_k
 
-or its locally updated shared part (``"average"``, FedAvg), averaged with
-the same weights.
+or a read-only view of its locally updated shared part, valid until the
+client's next local phase (``"average"``, FedAvg), averaged with the same
+weights. ``meta_train`` always aggregates a round before the next one starts.
+A client keeps no state for the shared part between rounds: its optimizer
+moments are dropped when its local steps end.
 
 Each stage takes its hyperparameters whole, as one object checked once when
 built: meta-training a :class:`FederationParams` (the ``federation`` config
@@ -116,9 +119,13 @@ class MetaModel:
         The server never writes a vector in place (every round makes a new
         one), so the view stays this round's values.
         """
-        view = self.params.view()
-        view.flags.writeable = False
-        return view
+        return _read_only(self.params)
+
+
+def _read_only(vector: np.ndarray) -> np.ndarray:
+    view = vector.view()
+    view.flags.writeable = False
+    return view
 
 
 def save_checkpoint(path: str | Path, meta: MetaModel) -> None:
@@ -206,7 +213,9 @@ class ClientState:
 @dataclass
 class ClientUpdate:
     """A client's round result: ``vector`` is its query gradient of the shared
-    part (``"gradient"`` aggregation) or its locally updated copy (``"average"``)."""
+    part (``"gradient"`` aggregation) or a read-only view of its locally
+    updated shared part (``"average"``), valid until the client's next local
+    phase."""
 
     client_id: str
     vector: np.ndarray
@@ -272,20 +281,17 @@ def client_local_train(state: ClientState, theta_broadcast: np.ndarray, fed: Fed
     """Local phase of one round: adopt the broadcast, take ``fed.local_steps``
     steps, evaluate on the query set for ``fed.aggregation``."""
     task = state.task
-    if task.support.n_samples == 0 or task.query.n_samples == 0:
-        raise DataError(f"client {state.client_id}: empty support or query set")
     state.model.set_part_params("meta", theta_broadcast)
-    # the broadcast invalidates any optimizer moments accumulated for the
-    # previous round's shared parameters; encoder/mapper states persist
-    meta_state = state.model.opt_states["meta"]
-    if meta_state is not None:
-        meta_state.reset()
     xs, ys = task.support.rssi, task.normalize_coords(task.support.coords)
     for step in range(1, fed.local_steps + 1):
         batch = state.batches.next()
         loss = state.model.train_step(xs[batch], ys[batch])
         if not math.isfinite(loss):
             raise DivergenceError(f"client {state.client_id}: local step {step} loss is {loss}")
+    # the shared part's optimizer moments live for this local phase only: the
+    # next broadcast restarts them, so the next round's first step makes fresh
+    # zero ones; encoder, decoder and mapper states persist
+    state.model.opt_states["meta"] = None
     # the round reads the query loss and the vector it aggregates; averaging
     # needs no backward pass, the gradient mode the shared part's only
     gradient = fed.aggregation == "gradient"
@@ -294,7 +300,7 @@ def client_local_train(state: ClientState, theta_broadcast: np.ndarray, fed: Fed
     )
     if not math.isfinite(query_loss):
         raise DivergenceError(f"client {state.client_id}: query loss is {query_loss}")
-    vector = grads["meta"] if gradient else state.model.vectors["meta"].copy()
+    vector = grads["meta"] if gradient else _read_only(state.model.vectors["meta"])
     return ClientUpdate(state.client_id, vector, query_loss)
 
 

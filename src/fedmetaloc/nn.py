@@ -372,12 +372,6 @@ class AdamState:
     beta2: float = ADAM_BETA2
     eps: float = ADAM_EPS
 
-    def reset(self) -> None:
-        """Back to the initial state, reusing the moment vectors."""
-        self.first_moment.fill(0.0)
-        self.second_moment.fill(0.0)
-        self.step_count = 0
-
 
 def init_adam_state(size: int) -> AdamState:
     return AdamState(first_moment=np.zeros(size), second_moment=np.zeros(size))

@@ -806,6 +806,36 @@ class TestMalformedBundle:
         assert message in err
 
 
+INDEX_FAULTS = {  # the text of tasks_index.json, and what the error names
+    "truncated": ('{"all": ["T00", "T01", "T02"], "train": ["T0', "JSONDecodeError"),
+    "no_train_key": ('{"all": []}', "'train' must be a list of task ids, got None"),
+    "root_is_a_list": ('["T00"]', "holds list, not a JSON object"),
+    "test_is_a_string": ('{"train": ["T00"], "test": "T02"}', "'test' must be a list of task ids, got 'T02'"),
+    "id_is_a_number": ('{"train": [0], "test": []}', "'train' must be a list of task ids, got [0]"),
+}
+
+
+class TestMalformedIndex:
+    """A malformed ``tasks_index.json`` is a data error for every command
+    that reads it: exit 3, the file named, and nothing written."""
+
+    @pytest.mark.parametrize("command", ["meta-train", "meta-test", "theory-probe", "report"])
+    @pytest.mark.parametrize("fault", sorted(INDEX_FAULTS))
+    def test_exits_3_and_writes_nothing(self, tmp_path, capsys, command, fault):
+        path = small_config(tmp_path)
+        assert cli.run(["preprocess", "--config", str(path)]) == 0
+        index = experiments.load_experiment_config(path).experiment_dir / "tasks_index.json"
+        text, message = INDEX_FAULTS[fault]
+        index.write_text(text)
+        before = sorted(tmp_path.rglob("*")), tree_digest(tmp_path)
+        capsys.readouterr()
+        assert cli.run([command, "--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: malformed {index}: ")
+        assert message in err
+        assert (sorted(tmp_path.rglob("*")), tree_digest(tmp_path)) == before
+
+
 HUGE_RATES = {"mu_encoder": 1e300, "mu_meta": 1e300, "mu_mapper": 1e300}
 
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -149,7 +150,7 @@ class TestClientLocalTrain:
             assert bits(update.vector) == bits(grads["meta"])
         else:
             assert bits(update.vector) == bits(client.model.vectors["meta"])
-            assert not np.shares_memory(update.vector, client.model.vectors["meta"])
+            assert not update.vector.flags.writeable
 
     def test_gradient_updates_of_two_clients_are_their_one_at_a_time_values(self):
         # every client model shares the per-part workspaces; an update held
@@ -284,6 +285,19 @@ class TestServerAggregate:
         np.testing.assert_allclose(new.params, expected, rtol=0, atol=0)
         assert new.round == meta.round + 1
 
+    def test_aggregate_of_held_views_equals_the_aggregate_of_copies(self):
+        # an averaged update is a view of its client's shared part; every
+        # client's phase of the round ends before the server reads any view
+        tasks, cfg = small_cohort(3, samples=40)
+        meta, clients = server_init(tasks, cfg, FederationParams(eta=0.05, seed=9))
+        fed = FederationParams(local_steps=2, aggregation="average")
+        held = [client_local_train(c, meta.broadcast(), fed) for c in clients]
+        copies = [replace(u, vector=u.vector.copy()) for u in held]
+        rho = query_weights(clients)
+        assert bits(server_aggregate(meta, held, rho, fed).params) == bits(
+            server_aggregate(meta, copies, rho, fed).params
+        )
+
     def test_single_client_average_is_its_local_theta(self):
         tasks, cfg = small_cohort(1)
         meta, clients = server_init(tasks, cfg, FederationParams(eta=0.05, seed=10))
@@ -386,6 +400,49 @@ class TestMetaTrain:
         fed_losses = [r.mean_query_loss for r in reports]
         np.testing.assert_allclose(fed_losses, ref_losses, rtol=0, atol=1e-10)
         np.testing.assert_allclose(final.params, theta, rtol=0, atol=1e-10)
+
+
+class TestRoundScopedSharedState:
+    @pytest.mark.parametrize("aggregation", ["gradient", "average"])
+    def test_no_client_keeps_shared_part_moments_between_rounds(self, aggregation):
+        tasks, cfg = small_cohort(3, samples=40)
+        fed = FederationParams(rounds=4, local_steps=3, eta=0.05, batch_size=16, seed=16, aggregation=aggregation)
+        meta, clients = server_init(tasks, cfg, fed)
+        seen = []
+
+        def on_round(report, current):
+            for client in clients:
+                states = client.model.opt_states
+                assert states["meta"] is None, client.client_id
+                for part in ("encoder", "decoder", "mapper"):
+                    assert states[part].step_count == fed.local_steps * report.round, (client.client_id, part)
+            seen.append(report.round)
+
+        meta_train(meta, clients, fed, on_round=on_round)
+        assert seen == [1, 2, 3, 4]
+
+    def test_an_average_round_holds_no_per_client_shared_part_state(self):
+        # with a shared part much wider than the others, one round's traced
+        # peak counts vectors of its size: at most the training client's two
+        # moments and gradient, then the server's sum and term; not two
+        # moments and one update copy per client, about 20 vectors here
+        tasks, _ = small_cohort(6, samples=40)
+        cfg = tiny_model_config(d=4, meta_hidden=(256, 256))
+        fed = FederationParams(rounds=1, local_steps=2, eta=0.05, batch_size=16, seed=17, aggregation="average")
+        meta, clients = server_init(tasks, cfg, fed)
+        theta_bytes = meta.params.nbytes
+        others = [c.model.vectors[p] for c in clients for p in ("encoder", "decoder", "mapper")]
+        assert all(vector.nbytes < theta_bytes / 100 for vector in others)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            final, _ = meta_train(meta, clients, fed)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert final.round == 1
+        assert peak < 6 * theta_bytes
 
 
 class TestMetaTrainReferenceLoop:

@@ -272,16 +272,6 @@ class TestAdam:
             nn.adam_step(params, np.array([0.1]), state, 0.01)
             assert state.step_count == expected
 
-    def test_reset_restores_the_initial_state_in_place(self):
-        params = np.array([1.0, 2.0])
-        state = nn.init_adam_state(2)
-        moments = (state.first_moment, state.second_moment)
-        nn.adam_step(params, np.array([0.1, -0.2]), state, 0.01)
-        state.reset()
-        assert state.step_count == 0
-        assert state.first_moment is moments[0] and state.second_moment is moments[1]
-        assert not state.first_moment.any() and not state.second_moment.any()
-
     @pytest.mark.parametrize("sizes", [[4, 7, 3], [3, 5, 4, 2], [6, 2]])
     def test_matches_reference_dict_adam_bitwise_for_25_steps(self, sizes):
         layers = nn.build_stack(sizes, seed=3)
