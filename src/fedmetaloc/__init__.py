@@ -42,6 +42,7 @@ from .federation import (
     server_init,
 )
 from .metrics import (
+    TheoryProbeParams,
     cdf_curve,
     epsilon_accuracy_steps,
     improvement_percent,

@@ -13,7 +13,6 @@ and atomically (:mod:`fedmetaloc.fileio`), never appended.
 from __future__ import annotations
 
 import json
-import math
 import types
 import typing
 from concurrent.futures import ProcessPoolExecutor
@@ -42,28 +41,11 @@ from .federation import (
     AdaptationTrace, FederationParams, MetaModel, MetaTestParams, load_checkpoint, meta_test, save_checkpoint,
 )
 from .fileio import column_indices, read_csv, write_csv, write_json
-from .metrics import cdf_curve
-from .model import PART_NAMES, ClientModel, ModelConfig
+from .metrics import TheoryProbeParams, cdf_curve
+from .model import ModelConfig
 from .preprocess import PreprocessConfig, meta_signal_dim, preprocess_dataset
 
 MODES = ("MI", "RI")
-
-
-@dataclass(frozen=True)
-class TheoryProbeParams:
-    epsilon: float = 1e-3
-    mu: float = 0.01
-    max_steps: int = 200
-    linearization_mu_list: tuple[float, ...] = (1e-2, 1e-3, 1e-4)
-    linearization_steps: int = 5
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.epsilon <= 0 or self.mu <= 0 or any(mu <= 0 for mu in self.linearization_mu_list):
-            raise ConfigError("epsilon, mu and every linearization mu must be > 0")
-        # the smoothness estimate compares the states of the first min(10, max_steps) steps
-        if self.max_steps < 2 or self.linearization_steps < 1:
-            raise ConfigError("max_steps must be >= 2 and linearization_steps >= 1")
 
 
 @dataclass(frozen=True)
@@ -317,11 +299,14 @@ def _load_tasks(config: ExperimentConfig, ids: Sequence[str]) -> list[Localizati
     return [load_task_bundle(config.tasks_dir / task_id) for task_id in ids]
 
 
-def resolved_model_config(config: ExperimentConfig, train_tasks: Sequence[LocalizationTask]) -> ModelConfig:
-    """Optionally set the latent width from the median AP count of the cohort."""
-    if not config.d_from_median:
+def resolved_model_config(config: ExperimentConfig, index: dict) -> ModelConfig:
+    """The model config meta-train trains: ``config.model``, with the latent
+    width set from the median AP count of the index's training tasks under
+    ``d_from_median``. Meta-train, the checkpoint check and the untrained
+    theory probe all take it from here."""
+    if not (config.d_from_median and index["train"]):
         return config.model
-    d = meta_signal_dim([t.m for t in train_tasks])
+    d = meta_signal_dim([t.m for t in _load_tasks(config, index["train"])])
     return replace(config.model, d=d)
 
 
@@ -345,7 +330,7 @@ def cmd_meta_train(config: ExperimentConfig) -> tuple[MetaModel, list[federation
     train_tasks = _load_tasks(config, index["train"])
     if not train_tasks:
         raise DataError("no training tasks in the index")
-    model_config = resolved_model_config(config, train_tasks)
+    model_config = resolved_model_config(config, index)
     fed = config.federation
     meta, clients = federation.server_init(train_tasks, model_config, fed)
     ckpt_dir = config.train_dir / "checkpoints"
@@ -382,11 +367,7 @@ def _load_trained(config: ExperimentConfig, index: dict, checkpoint: str | Path)
     """The trained server state in ``checkpoint``, checked against the
     experiment's model config (its latent width resolved as meta-train did)."""
     meta = load_checkpoint(checkpoint)
-    if config.d_from_median and index["train"]:
-        expected = resolved_model_config(config, _load_tasks(config, index["train"]))
-    else:
-        expected = config.model
-    _check_checkpoint_compat(meta, expected)
+    _check_checkpoint_compat(meta, resolved_model_config(config, index))
     return meta
 
 
@@ -580,76 +561,17 @@ def cmd_report(config: ExperimentConfig) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def run_theory_probe(
-    task: LocalizationTask,
-    model_config: ModelConfig,
-    theta_init: np.ndarray | None,
-    params: TheoryProbeParams,
-) -> dict:
-    """Run the plain-SGD probes on one task: steps-to-epsilon under random and
-    meta initialization (the latter skipped without ``theta_init``),
-    linearization residuals, and empirical constants. Returns the
-    ``probe_report.json`` payload, less the task id; a diverging probe raises
-    :class:`DivergenceError` instead."""
-    delta1_hat = _estimate_delta1(task, model_config, params)
-    report: dict = {"epsilon": params.epsilon, "mu": params.mu, "delta1_hat": delta1_hat}
-    all_sq: list[float] = []
-    for arm, theta in (("random_init", None), ("meta_init", theta_init)):
-        if arm == "meta_init" and theta is None:
-            steps, trace = None, []
-        else:
-            steps, trace = metrics.epsilon_accuracy_steps(
-                task, model_config, theta, params.epsilon, params.max_steps, params.mu, seed=params.seed
-            )
-        ends = (math.sqrt(trace[0]), math.sqrt(trace[-1])) if trace else (0.0, 0.0)
-        report[f"steps_{arm}"] = steps
-        report[f"grad_sq_trace_{arm}"] = trace
-        report[f"step_bound_sq_{arm}"] = metrics.evaluate_step_bound(
-            params.epsilon, params.mu, delta1_hat, *ends
-        )
-        all_sq += trace
-    report["zeta_hat"] = math.sqrt(max(all_sq)) if all_sq else 0.0
-    residuals = metrics.linearization_probe(
-        task, model_config, params.linearization_mu_list, params.linearization_steps, seed=params.seed
-    )
-    report["linearization_residuals"] = {repr(mu): r for mu, r in residuals.items()}
-    return report
-
-
-def _estimate_delta1(
-    task: LocalizationTask, model_config: ModelConfig, params: TheoryProbeParams
-) -> float:
-    """Smoothness estimate over the first (at most ten) full-batch SGD steps
-    from a random start. Each step's flattened state and gradient are yielded
-    as they are made, so only two steps' copies are alive at a time."""
-    model = ClientModel.build(metrics.probe_config(model_config, params.mu), m=task.m, seed=params.seed)
-    xs, ys = task.support.rssi, task.normalize_coords(task.support.coords)
-
-    def pairs():
-        for step in range(1, min(10, params.max_steps) + 1):
-            state = metrics.flatten_parts(model, PART_NAMES)
-            loss, grads = model.composite_loss(xs, ys)
-            metrics.checked(loss, "smoothness", f"step {step} loss")
-            grad = metrics.flatten_grads(grads, PART_NAMES)
-            model.apply_gradients(grads)
-            del grads  # not held while the caller compares the pair
-            yield state, grad
-
-    return metrics.estimate_smoothness(pairs())
-
-
 def cmd_theory_probe(config: ExperimentConfig) -> dict:
     index = _load_index(config)
     probe_ids = index["test"] or index["train"]
     if not probe_ids:
         raise DataError("no tasks available for the theory probe")
     task = _load_tasks(config, probe_ids[:1])[0]
-    theta = None
-    model_config = config.model
     if config.checkpoint_path.exists():
         meta = _load_trained(config, index, config.checkpoint_path)
-        theta = meta.params
-        model_config = meta.config
-    payload = {"task": task.task_id, **run_theory_probe(task, model_config, theta, config.theory_probe)}
+        theta, model_config = meta.params, meta.config
+    else:
+        theta, model_config = None, resolved_model_config(config, index)
+    payload = {"task": task.task_id, **metrics.run_theory_probe(task, model_config, theta, config.theory_probe)}
     write_json(config.experiment_dir / "theory" / "probe_report.json", payload)
     return payload

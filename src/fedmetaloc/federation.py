@@ -21,8 +21,8 @@ rates and the optimizer are the model config's; meta-test builds its model
 with ``mt.optimizer``. ``server_init`` copies ``eta`` into the server state,
 which a checkpoint carries.
 
-Aggregation always sums in ascending client-id order, so client scheduling can
-never change the result. Contribution factors rho_k are proportional to query
+Aggregation and each round's mean query loss always run in ascending
+client-id order, so client scheduling can never change the result. Contribution factors rho_k are proportional to query
 set sizes; ``meta_train`` computes them once per run.
 
 The shared part travels as one flat vector (the layout of :mod:`fedmetaloc.nn`):
@@ -339,22 +339,17 @@ def meta_train(
     clients: Sequence[ClientState],
     fed: FederationParams,
     on_round: Callable[[RoundReport, MetaModel], None] | None = None,
-    execution_order: Sequence[str] | None = None,
 ) -> tuple[MetaModel, list[RoundReport]]:
     """Run up to ``fed.rounds`` communication rounds, stopping early once the
     mean query loss stays within ``fed.early_stop_tol`` (relative) for
     ``fed.early_stop_patience`` rounds.
 
-    ``execution_order`` only changes the order clients are *run* in; gradients
-    are always aggregated in client-id order, so the result is identical for
-    any permutation.
+    Clients run in the order given, but the contribution factors, the
+    aggregate and the mean query loss are all taken in client-id order, so
+    the result is identical for any permutation of ``clients``.
     """
-    by_id = {c.client_id: c for c in clients}
-    if execution_order is None:
-        execution_order = sorted(by_id)
-    if sorted(execution_order) != sorted(by_id):
-        raise ConfigError("execution order must name every client exactly once")
-    rho = dict(zip(by_id, contribution_factors([c.task.query.n_samples for c in by_id.values()])))
+    ordered = sorted(clients, key=lambda c: c.client_id)
+    rho = {c.client_id: r for c, r in zip(ordered, contribution_factors([c.task.query.n_samples for c in ordered]))}
 
     reports: list[RoundReport] = []
     flat_rounds = 0
@@ -362,11 +357,11 @@ def meta_train(
     for _ in range(fed.rounds):
         broadcast = meta.broadcast()
         try:
-            updates = [client_local_train(by_id[cid], broadcast, fed) for cid in execution_order]
+            updates = [client_local_train(client, broadcast, fed) for client in clients]
         except DivergenceError as exc:
             raise DivergenceError(f"round {meta.round + 1}, {exc}") from exc
         meta = server_aggregate(meta, updates, rho, fed)
-        losses = {u.client_id: u.query_loss for u in updates}
+        losses = dict(sorted((u.client_id, u.query_loss) for u in updates))
         mean_loss = float(np.mean(list(losses.values())))
         report = RoundReport(round=meta.round, mean_query_loss=mean_loss, client_losses=losses)
         reports.append(report)

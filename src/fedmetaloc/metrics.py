@@ -7,14 +7,27 @@ Adaptation speed comes in two flavors:
   better; 0 when the target is never reached),
 * step-based: ``MDE(n*) / b`` at a fixed step budget ``n*`` (lower is better).
 
-The probes near the bottom study plain-SGD fine-tuning trajectories: steps to
-reach a squared-gradient-norm threshold, and how far an actual trajectory
-drifts from its first-order linearization. A probe step runs the backward
-passes of the parts it trains (all four by default), and the threshold's
-``||nabla_theta L(query)||^2`` runs the prediction path alone: three forwards
-and two backwards, no decoder, whose reconstruction term does not depend on
-the shared part theta. Parameters, gradients and the probes' fixed parts
-(``theta_init``, ``part_overrides``) are flat part vectors (:mod:`fedmetaloc.nn`).
+The probes near the bottom study plain-SGD fine-tuning trajectories, and this
+module holds their whole protocol. Each probe takes its hyperparameters whole,
+as one :class:`TheoryProbeParams` (the ``theory_probe`` config section),
+checked once when built. :func:`run_theory_probe` runs, on one task:
+
+* the smoothness estimate ``delta1_hat`` (:func:`estimate_delta1`), over the
+  first ``min(10, max_steps)`` steps from a random start; it compares
+  consecutive states, hence ``max_steps >= 2``;
+* two arms of steps to reach a squared-query-gradient-norm threshold
+  ``epsilon`` (:func:`epsilon_accuracy_steps`): random init, and meta init
+  from the trained shared part when there is one; each arm's predicted
+  step bound comes from :func:`evaluate_step_bound`;
+* how far an actual trajectory drifts from its first-order linearization, at
+  each of ``linearization_mu_list`` (:func:`linearization_probe`).
+
+A probe step runs the backward passes of the parts it trains (all four by
+default), and the threshold's ``||nabla_theta L(query)||^2`` runs the
+prediction path alone: three forwards and two backwards, no decoder, whose
+reconstruction term does not depend on the shared part theta. Parameters,
+gradients and the probes' fixed parts (``theta_init``, ``part_overrides``)
+are flat part vectors (:mod:`fedmetaloc.nn`).
 
 Every probe trains a model built from :func:`probe_config`: plain SGD at one
 rate on every part. A probe step whose loss is NaN or infinite stops the
@@ -27,7 +40,7 @@ step.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -115,6 +128,25 @@ def knn_baseline(task: LocalizationTask, k: int) -> tuple[np.ndarray, float]:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class TheoryProbeParams:
+    """The convergence probe: the ``theory_probe`` config section."""
+
+    epsilon: float = 1e-3
+    mu: float = 0.01
+    max_steps: int = 200
+    linearization_mu_list: tuple[float, ...] = (1e-2, 1e-3, 1e-4)
+    linearization_steps: int = 5
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.epsilon <= 0 or self.mu <= 0 or any(mu <= 0 for mu in self.linearization_mu_list):
+            raise ConfigError("epsilon, mu and every linearization mu must be > 0")
+        # the smoothness estimate compares the states of the first min(10, max_steps) steps
+        if self.max_steps < 2 or self.linearization_steps < 1:
+            raise ConfigError("max_steps must be >= 2 and linearization_steps >= 1")
+
+
 def probe_config(config: ModelConfig, mu: float) -> ModelConfig:
     """``config`` as the probes train it: plain SGD at rate ``mu`` on every part."""
     return replace(config, optimizer="sgd", mu_encoder=mu, mu_meta=mu, mu_mapper=mu)
@@ -161,24 +193,21 @@ def epsilon_accuracy_steps(
     task: LocalizationTask,
     config: ModelConfig,
     theta_init: np.ndarray | None,
-    epsilon: float,
-    max_steps: int,
-    mu: float,
-    seed: int = 0,
+    params: TheoryProbeParams,
     adapt_parts: Sequence[str] | None = None,
     part_overrides: Mapping[str, np.ndarray] | None = None,
 ) -> tuple[int | None, list[float]]:
-    """Full-batch SGD fine-tuning until the query gradient norm drops below epsilon.
+    """Full-batch SGD fine-tuning at ``params.mu`` until the query gradient
+    norm drops below ``params.epsilon``.
 
     Tracks ``||nabla_theta L(query)||^2`` after every step and returns the first
-    step where it falls below ``epsilon`` (None when ``max_steps`` is exhausted),
-    together with the full squared-norm trace. ``part_overrides`` lets callers
-    pin specific parts (e.g. an identity encoder for an exactly-linear probe);
-    they are flat part vectors, copied in with :meth:`ClientModel.set_part_params`.
+    step where it falls below ``params.epsilon`` (None when ``params.max_steps``
+    are exhausted), together with the full squared-norm trace. ``part_overrides``
+    lets callers pin specific parts (e.g. an identity encoder for an
+    exactly-linear probe); they are flat part vectors, copied in with
+    :meth:`ClientModel.set_part_params`.
     """
-    if epsilon <= 0:
-        raise ConfigError(f"epsilon must be > 0, got {epsilon}")
-    model = ClientModel.build_paired(probe_config(config, mu), task.m, np.random.SeedSequence(seed))
+    model = ClientModel.build_paired(probe_config(config, params.mu), task.m, np.random.SeedSequence(params.seed))
     if theta_init is not None:
         model.set_part_params("meta", theta_init)
     for part, vector in (part_overrides or {}).items():
@@ -187,11 +216,11 @@ def epsilon_accuracy_steps(
     xq, yq = task.query.rssi, task.normalize_coords(task.query.coords)
     probe = "random_init" if theta_init is None else "meta_init"
     trace: list[float] = []
-    for step in range(1, max_steps + 1):
+    for step in range(1, params.max_steps + 1):
         checked(model.train_step(xs, ys, parts=adapt_parts), probe, f"step {step} loss")
         sq = checked(theta_grad_sq_norm(model, xq, yq), probe, f"step {step} squared query gradient norm")
         trace.append(sq)
-        if sq < epsilon:
+        if sq < params.epsilon:
             return step, trace
     return None, trace
 
@@ -199,16 +228,15 @@ def epsilon_accuracy_steps(
 def linearization_probe(
     task: LocalizationTask,
     config: ModelConfig,
-    mu_list: Sequence[float],
-    n_steps: int,
-    seed: int = 0,
+    params: TheoryProbeParams,
     parts: Sequence[str] | None = None,
     part_overrides: Mapping[str, np.ndarray] | None = None,
 ) -> dict[float, float]:
     """Drift of the actual SGD trajectory from its first-order linearization.
 
-    For each learning rate, runs ``n_steps`` full-batch SGD steps from the
-    same seeded start and reports
+    For each rate mu of ``params.linearization_mu_list``, runs
+    ``n = params.linearization_steps`` full-batch SGD steps from the same
+    seeded start and reports
 
         ``|| Omega_n - (Omega_0 - mu * n * grad L(Omega_0)) || / || Omega_0 ||``
 
@@ -216,14 +244,13 @@ def linearization_probe(
     :func:`epsilon_accuracy_steps`. One step is exact by construction, and the
     residual shrinks with mu.
     """
-    if n_steps < 1:
-        raise ConfigError(f"need at least one step, got {n_steps}")
     parts = tuple(parts) if parts is not None else PART_NAMES
+    n_steps = params.linearization_steps
     xs_task = task.support
     xs, ys = xs_task.rssi, task.normalize_coords(xs_task.coords)
     residuals: dict[float, float] = {}
-    for mu in mu_list:
-        model = ClientModel.build(probe_config(config, mu), m=task.m, seed=seed)
+    for mu in params.linearization_mu_list:
+        model = ClientModel.build(probe_config(config, mu), m=task.m, seed=params.seed)
         for part, vector in (part_overrides or {}).items():
             model.set_part_params(part, vector)
         probe = f"linearization mu={mu!r}"
@@ -282,3 +309,51 @@ def evaluate_step_bound(
         return None
     cross = grad_norm_init * grad_norm_final
     return (1.0 / (delta1_hat * mu) ** 2) * ((epsilon - 2.0 * cross) / grad_norm_init**2 + 1.0)
+
+
+def estimate_delta1(task: LocalizationTask, config: ModelConfig, params: TheoryProbeParams) -> float:
+    """Smoothness estimate over the first ``min(10, params.max_steps)``
+    full-batch SGD steps from a random start. Each step's flattened state and
+    gradient are yielded as they are made, so only two steps' copies are alive
+    at a time."""
+    model = ClientModel.build(probe_config(config, params.mu), m=task.m, seed=params.seed)
+    xs, ys = task.support.rssi, task.normalize_coords(task.support.coords)
+
+    def pairs():
+        for step in range(1, min(10, params.max_steps) + 1):
+            state = flatten_parts(model, PART_NAMES)
+            loss, grads = model.composite_loss(xs, ys)
+            checked(loss, "smoothness", f"step {step} loss")
+            grad = flatten_grads(grads, PART_NAMES)
+            model.apply_gradients(grads)
+            del grads  # not held while the caller compares the pair
+            yield state, grad
+
+    return estimate_smoothness(pairs())
+
+
+def run_theory_probe(
+    task: LocalizationTask, config: ModelConfig, theta_init: np.ndarray | None, params: TheoryProbeParams
+) -> dict:
+    """Run the plain-SGD probes on one task: steps-to-epsilon under random and
+    meta initialization (the latter skipped without ``theta_init``),
+    linearization residuals, and empirical constants. Returns the
+    ``probe_report.json`` payload, less the task id; a diverging probe raises
+    :class:`DivergenceError` instead."""
+    delta1_hat = estimate_delta1(task, config, params)
+    report: dict = {"epsilon": params.epsilon, "mu": params.mu, "delta1_hat": delta1_hat}
+    all_sq: list[float] = []
+    for arm, theta in (("random_init", None), ("meta_init", theta_init)):
+        if arm == "meta_init" and theta is None:
+            steps, trace = None, []
+        else:
+            steps, trace = epsilon_accuracy_steps(task, config, theta, params)
+        ends = (math.sqrt(trace[0]), math.sqrt(trace[-1])) if trace else (0.0, 0.0)
+        report[f"steps_{arm}"] = steps
+        report[f"grad_sq_trace_{arm}"] = trace
+        report[f"step_bound_sq_{arm}"] = evaluate_step_bound(params.epsilon, params.mu, delta1_hat, *ends)
+        all_sq += trace
+    report["zeta_hat"] = math.sqrt(max(all_sq)) if all_sq else 0.0
+    residuals = linearization_probe(task, config, params)
+    report["linearization_residuals"] = {repr(mu): r for mu, r in residuals.items()}
+    return report

@@ -368,9 +368,6 @@ class AdamState:
     first_moment: np.ndarray
     second_moment: np.ndarray
     step_count: int = 0
-    beta1: float = ADAM_BETA1
-    beta2: float = ADAM_BETA2
-    eps: float = ADAM_EPS
 
 
 def init_adam_state(size: int) -> AdamState:
@@ -408,7 +405,7 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, mu: float
     _check_step(params, grads, mu)
     state.step_count += 1
     t = state.step_count
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     bc1, bc2 = 1 - b1**t, 1 - b2**t
     for start in range(0, params.size, _ADAM_BLOCK):
         block = slice(start, start + _ADAM_BLOCK)
@@ -425,6 +422,6 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, mu: float
         a *= mu
         np.divide(v, bc2, out=b)
         np.sqrt(b, out=b)
-        b += state.eps
+        b += ADAM_EPS
         a /= b
         params[block] -= a

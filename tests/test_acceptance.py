@@ -24,6 +24,7 @@ from fedmetaloc.federation import (
     server_init,
 )
 from fedmetaloc.metrics import (
+    TheoryProbeParams,
     accuracy_speed_from_steps,
     improvement_percent,
     knn_baseline,
@@ -233,7 +234,7 @@ def test_criterion_4_aggregation_equivalences():
         meta_a, clients_a = server_init(tasks, cfg, fed)
         final_a, _ = meta_train(meta_a, clients_a, fed)
         meta_b, clients_b = server_init(tasks, cfg, fed)
-        final_b, _ = meta_train(meta_b, clients_b, fed, execution_order=["T02", "T00", "T01"])
+        final_b, _ = meta_train(meta_b, [clients_b[i] for i in (2, 0, 1)], fed)
         assert np.array_equal(final_a.params, final_b.params)
 
         # (c) contribution factors sum to one on random cohorts
@@ -310,8 +311,8 @@ def test_criterion_6_linearization_probe():
         mu_list = [1e-2, 1e-3, 1e-4, 1e-5]
         n_steps = 6
         residuals = linearization_probe(
-            task, cfg, mu_list, n_steps=n_steps, parts=("meta",),
-            part_overrides={**overrides, "meta": theta0},
+            task, cfg, TheoryProbeParams(linearization_mu_list=tuple(mu_list), linearization_steps=n_steps),
+            parts=("meta",), part_overrides={**overrides, "meta": theta0},
         )
         h_s, c_s = augmented_least_squares(
             task.support.rssi, task.normalize_coords(task.support.coords)

@@ -1,7 +1,8 @@
 """The benchmark (``perfbench/``) traces the program by patching its public
 functions by name, and checks its outputs with ``perfbench/checks.py``. Its
 own tests sit outside ``testpaths``, so this checks here that every name it
-patches still exists and that the small pipeline's outputs pass its checks."""
+patches still exists, that the probe's calls go through the patched names,
+and that the small pipeline's outputs pass its checks."""
 
 import json
 import os
@@ -26,6 +27,33 @@ def test_tracer_installs_on_every_layer():
         [sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_traced_theory_probe_records_the_probe_spans(tmp_path):
+    # the benchmark's per-layer probe metrics sum these spans; a call that
+    # bypasses a patched module-global name would leave them at 0
+    code = (
+        "import collections, json, sys\n"
+        "import run, tracer\n"
+        "from fedmetaloc import experiments\n"
+        "config = experiments.load_experiment_config(sys.argv[1])\n"
+        "experiments.cmd_preprocess(config)\n"
+        "experiments.cmd_meta_train(config)\n"
+        "spans = tracer.Tracer()\n"
+        "m = config.model\n"
+        "tracer.install(spans, set(run.ALL_LAYERS.split(',')), m.d, m.n, m.p)\n"
+        "experiments.cmd_theory_probe(config)\n"
+        "print(json.dumps(collections.Counter(span[0] for span in spans.spans)))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(small_config(tmp_path))],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    counts = json.loads(proc.stdout)
+    for name in ("metrics.linearization_probe", "metrics.theta_grad_sq_norm", "metrics.flatten"):
+        assert counts.get(name, 0) >= 1, (name, counts)
 
 
 def test_pipeline_outputs_pass_the_benchmark_checks(tmp_path, monkeypatch):

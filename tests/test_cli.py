@@ -229,10 +229,7 @@ class TestModelResolution:
         )
         experiments.cmd_preprocess(config)
         index = json.loads((config.experiment_dir / "tasks_index.json").read_text())
-        train_tasks = [
-            experiments.load_task_bundle(config.tasks_dir / t) for t in index["train"]
-        ]
-        resolved = experiments.resolved_model_config(config, train_tasks)
+        resolved = experiments.resolved_model_config(config, index)
         # training envs have 5 and 6 APs: median 5.5 rounds half away from zero
         assert resolved.d == 6
         assert config.model.d == 4  # base config untouched
@@ -496,6 +493,17 @@ class TestTheoryProbeCommand:
         assert set(payload["linearization_residuals"]) == {repr(m) for m in (1e-2, 1e-3, 1e-4)}
         assert (config.experiment_dir / "theory" / "probe_report.json").exists()
 
+    def test_untrained_probe_builds_the_model_meta_train_trains(self, tmp_path):
+        # under d_from_median, the random arm and the smoothness estimate run
+        # the median-d model meta-train builds, with a checkpoint or without
+        config = experiments.load_experiment_config(small_config(tmp_path, d_from_median=True))
+        experiments.cmd_preprocess(config)
+        before = experiments.cmd_theory_probe(config)
+        experiments.cmd_meta_train(config)
+        after = experiments.cmd_theory_probe(config)
+        assert after["grad_sq_trace_random_init"] == before["grad_sq_trace_random_init"]
+        assert after["delta1_hat"] == before["delta1_hat"]
+
     def test_checkpoint_that_does_not_fit_the_config_exits_2(self, tmp_path, capsys):
         path = small_config(tmp_path)
         assert cli.run(["preprocess", "--config", str(path)]) == 0
@@ -636,7 +644,7 @@ class TestShippedConfigsLoad:
         assert [opts.id for _, opts in config.synthetic_envs] == [f"S{i:02d}" for i in range(10)]
 
     def test_uji_multi_floor_and_its_schema(self, tmp_path):
-        # as scripts/run_uji_experiment.py does, with a one-row stand-in for the CSV
+        # with absolute csv and schema paths and a one-row stand-in for the CSV
         raw = json.loads((CONFIGS / "uji_multi_floor.json").read_text())
         csv = tmp_path / "trainingData.csv"
         csv.write_text("WAP001,LONGITUDE,LATITUDE,FLOOR,BUILDINGID\n-50,1.0,2.0,0,0\n")

@@ -6,14 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedmetaloc import experiments, nn
+from fedmetaloc import nn
 from fedmetaloc.errors import ConfigError, DataError, DivergenceError
-from fedmetaloc.experiments import TheoryProbeParams
 from fedmetaloc.model import PART_NAMES, ClientModel
 from fedmetaloc.metrics import (
+    TheoryProbeParams,
     accuracy_speed_from_steps,
     cdf_curve,
     epsilon_accuracy_steps,
+    estimate_delta1,
     estimate_smoothness,
     improvement_percent,
     flatten_grads,
@@ -207,7 +208,7 @@ class TestEpsilonAccuracySteps:
     def test_huge_epsilon_reaches_in_one_step(self):
         task, cfg, overrides, theta0 = linear_probe_setup(seed=0)
         steps, trace = epsilon_accuracy_steps(
-            task, cfg, theta0, epsilon=1e12, max_steps=10, mu=0.1,
+            task, cfg, theta0, TheoryProbeParams(epsilon=1e12, max_steps=10, mu=0.1),
             adapt_parts=("meta",), part_overrides=overrides,
         )
         assert steps == 1 and len(trace) == 1
@@ -215,7 +216,7 @@ class TestEpsilonAccuracySteps:
     def test_unreachable_epsilon_returns_none(self):
         task, cfg, overrides, theta0 = linear_probe_setup(seed=1)
         steps, trace = epsilon_accuracy_steps(
-            task, cfg, theta0, epsilon=1e-300, max_steps=15, mu=0.1,
+            task, cfg, theta0, TheoryProbeParams(epsilon=1e-300, max_steps=15, mu=0.1),
             adapt_parts=("meta",), part_overrides=overrides,
         )
         assert steps is None and len(trace) == 15
@@ -224,11 +225,14 @@ class TestEpsilonAccuracySteps:
         task, cfg, overrides, theta0 = linear_probe_setup(seed=1)
         with pytest.raises(ConfigError):
             epsilon_accuracy_steps(
-                task, cfg, theta0, epsilon=1.0, max_steps=1, mu=0.1,
+                task, cfg, theta0, TheoryProbeParams(epsilon=1.0, max_steps=2, mu=0.1),
                 part_overrides={**overrides, "mapper": np.zeros(overrides["mapper"].size + 1)},
             )
         with pytest.raises(ConfigError):
-            linearization_probe(task, cfg, [0.1], n_steps=1, part_overrides={"meta": theta0[:-1]})
+            linearization_probe(
+                task, cfg, TheoryProbeParams(linearization_mu_list=(0.1,), linearization_steps=1),
+                part_overrides={"meta": theta0[:-1]},
+            )
 
     def test_matches_closed_form_gradient_decay_oracle(self):
         task, cfg, overrides, theta0 = linear_probe_setup(m=3, out=2, n_support=24, n_query=16, seed=2)
@@ -251,7 +255,7 @@ class TestEpsilonAccuracySteps:
             eps = float(np.sqrt(oracle_sq[k - 1] * oracle_sq[k]))
             oracle_steps = next(t + 1 for t, sq in enumerate(oracle_sq) if sq < eps)
             steps, _ = epsilon_accuracy_steps(
-                task, cfg, theta0, epsilon=eps, max_steps=80, mu=mu,
+                task, cfg, theta0, TheoryProbeParams(epsilon=eps, max_steps=80, mu=mu),
                 adapt_parts=("meta",), part_overrides=overrides,
             )
             assert steps is not None and abs(steps - oracle_steps) <= 1
@@ -260,7 +264,7 @@ class TestEpsilonAccuracySteps:
         task, cfg, overrides, theta0 = linear_probe_setup(m=4, out=2, seed=3)
         mu = 0.15
         _, trace = epsilon_accuracy_steps(
-            task, cfg, theta0, epsilon=1e-300, max_steps=12, mu=mu,
+            task, cfg, theta0, TheoryProbeParams(epsilon=1e-300, max_steps=12, mu=mu),
             adapt_parts=("meta",), part_overrides=overrides,
         )
         h_s, c_s = augmented_least_squares(
@@ -301,26 +305,29 @@ class TestProbeDivergence:
         cfg = tiny_model_config(d=4)
         theta = nn.bind(nn.build_stack(cfg.part_sizes("meta"), seed=3)) if arm == "meta_init" else None
         with pytest.raises(DivergenceError, match=f"^theory probe {arm}: {what} is"):
-            epsilon_accuracy_steps(task, cfg, theta, epsilon=1e-300, max_steps=20, mu=1e300, adapt_parts=parts)
+            epsilon_accuracy_steps(
+                task, cfg, theta, TheoryProbeParams(epsilon=1e-300, max_steps=20, mu=1e300), adapt_parts=parts
+            )
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_linearization_probe_names_its_rate(self):
         task = synth_task(num_aps=5, samples=40, seed=1)
+        params = TheoryProbeParams(linearization_mu_list=(1e-3, 1e300), linearization_steps=3)
         with pytest.raises(DivergenceError, match=r"^theory probe linearization mu=1e\+300: step 2 loss is"):
-            linearization_probe(task, tiny_model_config(d=4), [1e-3, 1e300], n_steps=3)
+            linearization_probe(task, tiny_model_config(d=4), params)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_smoothness_probe_names_itself(self):
         task = synth_task(num_aps=5, samples=40, seed=1)
         with pytest.raises(DivergenceError, match="^theory probe smoothness: step 2 loss is"):
-            experiments._estimate_delta1(task, tiny_model_config(d=4), TheoryProbeParams(mu=1e300))
+            estimate_delta1(task, tiny_model_config(d=4), TheoryProbeParams(mu=1e300))
 
 
 class TestLemma1Probe:
     def test_single_step_residual_is_exactly_zero(self):
         task, cfg, overrides, theta0 = linear_probe_setup(seed=4)
         residuals = linearization_probe(
-            task, cfg, [0.05], n_steps=1, parts=("meta",),
+            task, cfg, TheoryProbeParams(linearization_mu_list=(0.05,), linearization_steps=1), parts=("meta",),
             part_overrides={**overrides, "meta": theta0},
         )
         assert residuals[0.05] == 0.0
@@ -330,8 +337,8 @@ class TestLemma1Probe:
         n_steps = 6
         mu_list = [1e-1, 1e-2, 1e-3]
         residuals = linearization_probe(
-            task, cfg, mu_list, n_steps=n_steps, parts=("meta",),
-            part_overrides={**overrides, "meta": theta0},
+            task, cfg, TheoryProbeParams(linearization_mu_list=tuple(mu_list), linearization_steps=n_steps),
+            parts=("meta",), part_overrides={**overrides, "meta": theta0},
         )
         h_s, c_s = augmented_least_squares(
             task.support.rssi, task.normalize_coords(task.support.coords)
@@ -363,7 +370,8 @@ class TestLemma1Probe:
         ClientModel.build(cfg, m=task.m, seed=0).composite_loss(xs, ys)
         per_evaluation = dict(counts)
         counts.update(forward=0, backward=0)
-        assert linearization_probe(task, cfg, mu_list, n_steps) == expected
+        params = TheoryProbeParams(linearization_mu_list=tuple(mu_list), linearization_steps=n_steps)
+        assert linearization_probe(task, cfg, params) == expected
         assert counts == {k: v * n_steps * len(mu_list) for k, v in per_evaluation.items()}
 
     def test_residual_shrinks_with_learning_rate(self):
@@ -372,7 +380,8 @@ class TestLemma1Probe:
             from helpers import tiny_model_config
 
             cfg = tiny_model_config(d=4, optimizer="sgd")
-            residuals = linearization_probe(task, cfg, [1e-2, 1e-3, 1e-4], n_steps=5, seed=seed)
+            params = TheoryProbeParams(linearization_mu_list=(1e-2, 1e-3, 1e-4), linearization_steps=5, seed=seed)
+            residuals = linearization_probe(task, cfg, params)
             assert residuals[1e-3] < residuals[1e-2]
             assert residuals[1e-4] < residuals[1e-3]
 
@@ -433,7 +442,7 @@ class TestEstimators:
             if denom > 0:
                 expected = max(expected, float(np.linalg.norm(ga - gb)) / denom)
         assert expected > 0
-        assert experiments._estimate_delta1(task, cfg, params) == expected
+        assert estimate_delta1(task, cfg, params) == expected
 
     def test_speed_helpers_validate_inputs(self):
         with pytest.raises(ConfigError):
