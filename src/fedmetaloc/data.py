@@ -443,7 +443,8 @@ def save_task_bundle(task: LocalizationTask, directory: str | Path, extra: dict 
 
 
 def _read_split(path: Path, rows: int, ap_names: list[str], coord_names: list[str]) -> FingerprintDataset:
-    """One split array, checked against its ``meta.json``: float64, 2-D, ``[rows, m + p]``."""
+    """One split array, checked against its ``meta.json``: float64, 2-D,
+    ``[rows, m + p]``, every value finite."""
     try:
         with path.open("rb") as fh:
             values = np.lib.format.read_array(fh, allow_pickle=False)
@@ -459,6 +460,10 @@ def _read_split(path: Path, rows: int, ap_names: list[str], coord_names: list[st
         raise DataError(f"{path}: {values.shape[0]} rows, but meta.json gives {rows}")
     if values.shape[1] != width:
         raise DataError(f"{path}: {values.shape[1]} columns, but meta.json gives m + p = {width}")
+    finite = np.isfinite(values)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        raise DataError(f"{path}: non-finite value {values[row, col]} at row {row}, column {col}")
     return FingerprintDataset(
         rssi=values[:, :m],
         coords=values[:, m:],
@@ -471,7 +476,9 @@ def load_task_bundle(directory: str | Path) -> LocalizationTask:
     """Read a bundle written by :func:`save_task_bundle`; anything malformed is a :class:`DataError`.
 
     ``meta.json`` is the one source of the names and shapes: each array must
-    be float64 with ``n_support`` or ``n_query`` rows and ``m + p`` columns.
+    be float64 with ``n_support`` or ``n_query`` rows and ``m + p`` columns,
+    all finite, and the label scaling must be ``p`` finite centers and ``p``
+    finite scales > 0, ``p`` being the number of coordinate names.
     """
     directory = Path(directory)
     meta_path = directory / "meta.json"
@@ -491,6 +498,12 @@ def load_task_bundle(directory: str | Path) -> LocalizationTask:
         raise DataError(f"malformed {meta_path}: {type(exc).__name__}: {exc}") from exc
     if len(ap_names) != m:
         raise DataError(f"malformed {meta_path}: {len(ap_names)} AP names for m = {m}")
+    p = len(coord_names)
+    for key, values in (("label_center", label_center), ("label_scale", label_scale)):
+        if values.shape != (p,) or not np.isfinite(values).all():
+            raise DataError(f"malformed {meta_path}: {key} must be {p} finite numbers, got {values.tolist()}")
+    if (label_scale <= 0).any():
+        raise DataError(f"malformed {meta_path}: label_scale must be > 0, got {label_scale.tolist()}")
     return LocalizationTask(
         task_id=task_id,
         support=_read_split(directory / "support.npy", n_support, ap_names, coord_names),

@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import types
 import typing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, is_dataclass, replace
 from pathlib import Path
 from typing import Sequence
@@ -423,6 +422,9 @@ def cmd_meta_test(config: ExperimentConfig, checkpoint: str | Path | None = None
         for mode in MODES
     ]
     if config.workers > 1:
+        # imported here: a single-process phase does not pay for the pool's modules
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             list(pool.map(_run_one_test, jobs))
     else:

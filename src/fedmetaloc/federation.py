@@ -396,8 +396,6 @@ def meta_test(
     distance errors (native units) of the last step's prediction, or of the
     initial model's when ``mt.steps`` is 0.
     """
-    task.support.validate_model_ready()
-    task.query.validate_model_ready()
     root = np.random.SeedSequence(seed)
     model = ClientModel.build_paired(replace(config, optimizer=mt.optimizer), task.m, root)
     mode = "RI" if theta_init is None else "MI"

@@ -29,6 +29,13 @@ reconstruction term does not depend on the shared part theta. Parameters,
 gradients and the probes' fixed parts (``theta_init``, ``part_overrides``)
 are flat part vectors (:mod:`fedmetaloc.nn`).
 
+Memory: besides its model, a probe holds at most three parameter vectors.
+The smoothness estimate keeps the previous state, the previous gradient and
+the current step's gradients, and takes each difference in place into the
+previous vector's buffer. The linearization probe keeps one vector over its
+parts, which holds Omega_0, then the linearization, then the residual, and
+one step's gradients; a steps-to-epsilon arm keeps one step's gradients.
+
 Every probe trains a model built from :func:`probe_config`: plain SGD at one
 rate on every part. A probe step whose loss is NaN or infinite stops the
 probe with a :class:`DivergenceError` naming the probe and the step
@@ -41,7 +48,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -170,6 +177,16 @@ def flatten_grads(grads: Mapping[str, np.ndarray], parts: Sequence[str]) -> np.n
     return np.concatenate([grads[part] for part in parts])
 
 
+def part_spans(model: ClientModel, parts: Sequence[str]) -> list[tuple[str, slice]]:
+    """Each part's slice of the vector :func:`flatten_parts` makes of ``parts``."""
+    spans, start = [], 0
+    for part in parts:
+        stop = start + model.vectors[part].size
+        spans.append((part, slice(start, stop)))
+        start = stop
+    return spans
+
+
 def theta_grad_sq_norm(model: ClientModel, x: np.ndarray, y: np.ndarray) -> float:
     """Squared gradient norm of the query loss with respect to the shared part.
 
@@ -254,43 +271,26 @@ def linearization_probe(
         for part, vector in (part_overrides or {}).items():
             model.set_part_params(part, vector)
         probe = f"linearization mu={mu!r}"
-        omega0 = flatten_parts(model, parts)
+        spans = part_spans(model, parts)
+        # one vector over parts, each part in its own slice: Omega_0, then
+        # the linearization Omega_0 - (mu * n) * g0, then the residual
+        residual = flatten_parts(model, parts)
+        norm0 = np.linalg.norm(residual)
         loss, grads0 = model.composite_loss(xs, ys, parts)
         checked(loss, probe, "step 1 loss")
-        g0 = flatten_grads(grads0, parts)
-        # step 1 applies the gradients g0 was read from: one evaluation per state
+        # step 1 applies the gradients g0 is read from: one evaluation per state
         model.apply_gradients(grads0, parts)
+        for part, span in spans:
+            grads0[part] *= mu * n_steps
+            np.subtract(residual[span], grads0[part], out=residual[span])
         del grads0
         for step in range(2, n_steps + 1):
             checked(model.train_step(xs, ys, parts), probe, f"step {step} loss")
-        omega_n = flatten_parts(model, parts)
-        # omega_n - (omega0 - (mu * n) * g0), each step in g0's or omega_n's own memory
-        g0 *= mu * n_steps
-        np.subtract(omega0, g0, out=g0)
-        np.subtract(omega_n, g0, out=omega_n)
-        residuals[mu] = float(np.linalg.norm(omega_n) / np.linalg.norm(omega0))
+        for part, span in spans:
+            np.subtract(model.vectors[part], residual[span], out=residual[span])
+        residuals[mu] = float(np.linalg.norm(residual) / norm0)
+        del model, residual  # not alive while the next rate's model is built
     return residuals
-
-
-def estimate_smoothness(pairs: Iterable[tuple[np.ndarray, np.ndarray]]) -> float:
-    """Largest observed ratio ||grad_i - grad_j|| / ||Omega_i - Omega_j|| over
-    consecutive ``(state, gradient)`` pairs, each difference taken earlier
-    minus later.
-
-    Only the previous pair is kept, so however many pairs a generator yields,
-    the comparison holds two pairs and one difference at a time.
-    """
-    best, previous, seen = 0.0, None, 0
-    for state, grad in pairs:
-        if previous is not None:
-            denom = float(np.linalg.norm(previous[0] - state))
-            if denom > 0:
-                best = max(best, float(np.linalg.norm(previous[1] - grad)) / denom)
-        previous = state, grad
-        seen += 1
-    if seen < 2:
-        raise ConfigError("need at least two states to estimate smoothness")
-    return best
 
 
 def evaluate_step_bound(
@@ -312,24 +312,34 @@ def evaluate_step_bound(
 
 
 def estimate_delta1(task: LocalizationTask, config: ModelConfig, params: TheoryProbeParams) -> float:
-    """Smoothness estimate over the first ``min(10, params.max_steps)``
-    full-batch SGD steps from a random start. Each step's flattened state and
-    gradient are yielded as they are made, so only two steps' copies are alive
-    at a time."""
+    """Smoothness estimate: the largest ``||g_{k-1} - g_k|| / ||Omega_{k-1} -
+    Omega_k||`` over consecutive states of the first ``min(10,
+    params.max_steps)`` full-batch SGD steps from a random start, each
+    difference taken earlier minus later; a pair of equal states is skipped.
+    Each difference is taken in place, part by part, into the previous
+    vector's buffer, which then takes the current step's state or gradient."""
     model = ClientModel.build(probe_config(config, params.mu), m=task.m, seed=params.seed)
     xs, ys = task.support.rssi, task.normalize_coords(task.support.coords)
-
-    def pairs():
-        for step in range(1, min(10, params.max_steps) + 1):
-            state = flatten_parts(model, PART_NAMES)
-            loss, grads = model.composite_loss(xs, ys)
-            checked(loss, "smoothness", f"step {step} loss")
+    spans = part_spans(model, PART_NAMES)
+    state, grad, best = flatten_parts(model, PART_NAMES), None, 0.0
+    for step in range(1, min(10, params.max_steps) + 1):
+        loss, grads = model.composite_loss(xs, ys)
+        checked(loss, "smoothness", f"step {step} loss")
+        if grad is None:
             grad = flatten_grads(grads, PART_NAMES)
-            model.apply_gradients(grads)
-            del grads  # not held while the caller compares the pair
-            yield state, grad
-
-    return estimate_smoothness(pairs())
+        else:
+            for part, span in spans:
+                np.subtract(state[span], model.vectors[part], out=state[span])
+                np.subtract(grad[span], grads[part], out=grad[span])
+            denom = float(np.linalg.norm(state))
+            if denom > 0:
+                best = max(best, float(np.linalg.norm(grad)) / denom)
+            for part, span in spans:
+                state[span] = model.vectors[part]
+                grad[span] = grads[part]
+        model.apply_gradients(grads)
+        del grads  # not alive while the next step's gradients are made
+    return best
 
 
 def run_theory_probe(

@@ -4,6 +4,8 @@ import importlib.util
 import json
 import os
 import shutil
+import subprocess
+import sys
 import zipfile
 from pathlib import Path
 
@@ -479,6 +481,24 @@ class TestMetaTestCommand:
         report_parallel = experiments.cmd_meta_test(parallel_cfg)
         assert report_parallel == report
 
+    def test_one_worker_does_not_import_the_process_pool(self, tmp_path):
+        config = experiments.load_experiment_config(small_config(tmp_path))
+        experiments.cmd_preprocess(config)
+        experiments.cmd_meta_train(config)
+        code = (
+            "import sys\n"
+            "from fedmetaloc import experiments\n"
+            "experiments.cmd_meta_test(experiments.load_experiment_config(sys.argv[1]))\n"
+            "print(sorted(name for name in ('concurrent.futures.process', 'multiprocessing') if name in sys.modules))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / "exp.json")],
+            cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
 
 class TestTheoryProbeCommand:
     def test_report_fields_and_zeta_bound(self, tmp_path):
@@ -772,7 +792,7 @@ def _edit_meta(edit):
     return corrupt
 
 
-BUNDLE_FAULTS = {  # T00 of small_config: m = 5, p = 2, 42 support and 18 query rows
+BUNDLE_FAULTS = {  # T00 and T02 of small_config: m = 5, p = 2, 42 support and 18 query rows
     "truncated_array_data": (_truncate_support, "support.npy: not a .npy array: Failed to read all data"),
     "wrong_column_count": (
         _rewrite_array("support.npy", lambda a: a[:, :-1]),
@@ -797,6 +817,27 @@ BUNDLE_FAULTS = {  # T00 of small_config: m = 5, p = 2, 42 support and 18 query 
     "empty_file": (lambda b: (b / "query.npy").write_bytes(b""), "query.npy: not a .npy array"),
     "meta_not_json": (lambda b: (b / "meta.json").write_text("{not json"), "JSONDecodeError"),
     "meta_without_m": (_edit_meta(lambda meta: meta.pop("m")), "KeyError: 'm'"),
+    "nan_in_support": (
+        _rewrite_array("support.npy", lambda a: np.where(np.arange(a.size).reshape(a.shape) == 8, np.nan, a)),
+        "support.npy: non-finite value nan at row 1, column 1",
+    ),
+    "inf_in_query": (
+        _rewrite_array("query.npy", lambda a: np.where(np.arange(a.size).reshape(a.shape) == 6, -np.inf, a)),
+        "query.npy: non-finite value -inf at row 0, column 6",
+    ),
+    "one_label_scale": (
+        _edit_meta(lambda meta: meta.update(label_scale=meta["label_scale"][:1])),
+        "label_scale must be 2 finite numbers, got [",
+    ),
+    "three_label_scales": (
+        _edit_meta(lambda meta: meta["label_scale"].append(1.0)),
+        "label_scale must be 2 finite numbers, got [",
+    ),
+    "zero_label_scales": (_edit_meta(lambda meta: meta.update(label_scale=[0, 0])), "label_scale must be > 0, got [0.0, 0.0]"),
+    "null_label_center": (
+        _edit_meta(lambda meta: meta["label_center"].__setitem__(0, None)),
+        "label_center must be 2 finite numbers, got [nan, ",
+    ),
 }
 
 
@@ -812,6 +853,22 @@ class TestMalformedBundle:
         err = capsys.readouterr().err
         assert err.startswith("data error:")
         assert message in err
+
+    @pytest.mark.parametrize("command", ["meta-test", "theory-probe"])
+    @pytest.mark.parametrize("fault", sorted(BUNDLE_FAULTS))
+    def test_test_task_phases_exit_3_and_name_the_file(self, tmp_path, capsys, command, fault):
+        # both read the test task T02, which has T00's shapes
+        path = small_config(tmp_path)
+        assert cli.run(["preprocess", "--config", str(path)]) == 0
+        assert cli.run(["meta-train", "--config", str(path)]) == 0
+        bundle = experiments.load_experiment_config(path).tasks_dir / "T02"
+        corrupt, message = BUNDLE_FAULTS[fault]
+        corrupt(bundle)
+        capsys.readouterr()
+        assert cli.run([command, "--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:")
+        assert f"{bundle}{os.sep}" in err and message in err
 
 
 INDEX_FAULTS = {  # the text of tasks_index.json, and what the error names

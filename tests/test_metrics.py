@@ -15,7 +15,6 @@ from fedmetaloc.metrics import (
     cdf_curve,
     epsilon_accuracy_steps,
     estimate_delta1,
-    estimate_smoothness,
     improvement_percent,
     flatten_grads,
     flatten_parts,
@@ -387,39 +386,23 @@ class TestLemma1Probe:
 
 
 class TestEstimators:
-    def test_smoothness_on_known_quadratic(self):
-        # gradient of 0.5 * a * w^2 has difference ratio exactly a
-        states = [np.array([w]) for w in (0.0, 1.0, 3.0)]
-        grads = [2.5 * s for s in states]
-        assert estimate_smoothness(zip(states, grads)) == pytest.approx(2.5)
+    @pytest.mark.parametrize("a, expected", [(2.5, 2.5), (0.0, 0.0)])
+    def test_delta1_on_known_quadratic(self, monkeypatch, a, expected):
+        # the gradient of 0.5 * a * ||Omega||^2 has difference ratio exactly
+        # a; at a = 0 no state moves, and every pair of equal states is skipped
+        def quadratic(model, x, y, parts=PART_NAMES):
+            grads = {part: a * model.vectors[part] for part in parts}
+            return 0.5 * a * sum(float(v @ v) for v in model.vectors.values()), grads
 
-    @pytest.mark.parametrize("count", [0, 1])
-    def test_smoothness_needs_two_pairs(self, count):
-        with pytest.raises(ConfigError, match="at least two states"):
-            estimate_smoothness((np.zeros(3), np.zeros(3)) for _ in range(count))
+        monkeypatch.setattr(ClientModel, "composite_loss", quadratic)
+        task = synth_task(num_aps=5, samples=40, seed=2)
+        delta1 = estimate_delta1(task, tiny_model_config(d=4), TheoryProbeParams(mu=0.05, max_steps=5))
+        assert delta1 == pytest.approx(expected)
 
-    def test_smoothness_of_a_generator_holds_two_pairs_at_a_time(self):
-        # twenty pairs of 1 MB vectors: a comparison that kept them all would
-        # peak near 40 vectors; the previous pair, the current one and one
-        # difference are 5
-        size = 1 << 17
-        vector_bytes = size * 8
-
-        def pairs():
-            for i in range(20):
-                state = np.full(size, float(i * i))
-                yield state, 2.5 * state
-
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            estimate = estimate_smoothness(pairs())
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert estimate == pytest.approx(2.5)
-        assert peak < 6 * vector_bytes
+    @pytest.mark.parametrize("max_steps", [0, 1])
+    def test_delta1_needs_two_states(self, max_steps):
+        with pytest.raises(ConfigError, match="max_steps must be >= 2"):
+            TheoryProbeParams(max_steps=max_steps)
 
     @pytest.mark.parametrize("max_steps", [2, 3, 30])
     def test_streamed_delta1_equals_the_list_formula_bitwise(self, max_steps):
@@ -449,3 +432,33 @@ class TestEstimators:
             accuracy_speed_from_steps(0, 32)
         assert steps_to_accuracy([7.0, 4.0], 5.0) == 2
         assert step_speed_from_mde(0.0, 32) == 0.0
+
+
+class TestProbeMemory:
+    """Besides its model, the smoothness estimate holds three parameter
+    vectors (the previous state, the previous gradient and the current
+    gradients) and the linearization probe two (its residual vector and one
+    step's gradients). With the shared part about 99.9 % of the parameters,
+    the traced peak over what was allocated before the call counts such
+    vectors: the model, the probe's own, and under one more of workspace."""
+
+    @pytest.mark.parametrize("probe, held", [(estimate_delta1, 3), (linearization_probe, 2)])
+    def test_peak_in_parameter_vectors(self, probe, held):
+        task = synth_task(num_aps=5, samples=40, seed=1)
+        cfg = tiny_model_config(d=4, meta_hidden=(256, 256))
+        model = ClientModel.build(cfg, m=task.m)
+        vector_bytes = sum(model.vectors[part].nbytes for part in PART_NAMES)
+        assert model.vectors["meta"].nbytes > 0.99 * vector_bytes
+        del model
+        params = TheoryProbeParams(mu=0.01, max_steps=10, linearization_steps=5)
+        expected = probe(task, cfg, params)  # sizes the process-wide workspaces
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            result = probe(task, cfg, params)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert result == expected
+        assert peak < (1 + held + 1) * vector_bytes
