@@ -1,9 +1,12 @@
 """Federated meta-learning simulator for RSSI-fingerprint indoor localization.
 
 Importing the package sets the OpenBLAS that numpy loaded to one thread, for
-the whole process, unless ``OPENBLAS_NUM_THREADS`` is set in the environment.
-The shapes this program multiplies gain no throughput from a second BLAS
-thread, and one thread makes every output independent of the core count.
+the whole process, and then stops OpenBLAS's idle worker pool, as OpenBLAS
+itself does before a fork, unless ``OPENBLAS_NUM_THREADS`` is set in the
+environment. The shapes this program multiplies gain no throughput from a
+second BLAS thread, and one thread makes every output independent of the core
+count. The pool is stopped because its workers, started when OpenBLAS loads,
+busy-wait on another core for a while before they sleep.
 """
 
 import ctypes
@@ -74,9 +77,15 @@ def _openblas_libraries() -> list[str]:
 
 
 def _pin_openblas(libraries: list[str]) -> int:
-    """Set each OpenBLAS in ``libraries`` to one thread; return how many were set.
+    """Set each OpenBLAS in ``libraries`` to one thread, then stop its idle
+    worker pool; return how many were set.
 
-    A library that cannot be opened or exports no thread setter is skipped.
+    The pool, started when OpenBLAS loads, busy-waits for about 2^28 TSC
+    cycles before it sleeps; ``blas_thread_shutdown_`` stops it, as OpenBLAS
+    itself does before every fork. A one-thread call never uses the pool, and
+    OpenBLAS starts it again if a caller raises the thread count. A library
+    that cannot be opened or exports no thread setter is skipped; one that
+    exports no shutdown (an OpenMP build, say) is only set to one thread.
     """
     pinned = 0
     for path in libraries:
@@ -91,6 +100,10 @@ def _pin_openblas(libraries: list[str]) -> int:
                 setter.argtypes, setter.restype = [ctypes.c_int], None
                 setter(1)
                 pinned += 1
+                shutdown = getattr(lib, "blas_thread_shutdown_", None)
+                if shutdown is not None:
+                    shutdown.argtypes, shutdown.restype = [], ctypes.c_int
+                    shutdown()
                 break
     return pinned
 

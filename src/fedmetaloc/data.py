@@ -475,10 +475,11 @@ def _read_split(path: Path, rows: int, ap_names: list[str], coord_names: list[st
 def load_task_bundle(directory: str | Path) -> LocalizationTask:
     """Read a bundle written by :func:`save_task_bundle`; anything malformed is a :class:`DataError`.
 
-    ``meta.json`` is the one source of the names and shapes: each array must
-    be float64 with ``n_support`` or ``n_query`` rows and ``m + p`` columns,
-    all finite, and the label scaling must be ``p`` finite centers and ``p``
-    finite scales > 0, ``p`` being the number of coordinate names.
+    ``meta.json`` is the one source of the names and shapes: its ``task_id``
+    must be the bundle directory's name, each array must be float64 with
+    ``n_support`` or ``n_query`` rows and ``m + p`` columns, all finite, and
+    the label scaling must be ``p`` finite centers and ``p`` finite scales
+    > 0, ``p`` being the number of coordinate names.
     """
     directory = Path(directory)
     meta_path = directory / "meta.json"
@@ -496,6 +497,10 @@ def load_task_bundle(directory: str | Path) -> LocalizationTask:
         label_scale = np.array(meta["label_scale"], dtype=np.float64)
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed {meta_path}: {type(exc).__name__}: {exc}") from exc
+    if task_id != directory.name:
+        raise DataError(
+            f"malformed {meta_path}: task_id {task_id!r} differs from the bundle directory's {directory.name!r}"
+        )
     if len(ap_names) != m:
         raise DataError(f"malformed {meta_path}: {len(ap_names)} AP names for m = {m}")
     p = len(coord_names)

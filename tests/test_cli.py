@@ -558,6 +558,19 @@ class TestCliEntryPoint:
         assert cli.run(["meta-train", "--config", str(path)]) == 3
         assert "data error" in capsys.readouterr().err
 
+    def test_bundle_whose_task_id_differs_from_its_directory_exits_3(self, tmp_path, capsys):
+        path = small_config(tmp_path)
+        assert cli.run(["preprocess", "--config", str(path)]) == 0
+        assert cli.run(["meta-train", "--config", str(path)]) == 0
+        config = experiments.load_experiment_config(path)
+        meta_path = config.tasks_dir / "T02" / "meta.json"
+        meta_path.write_text(json.dumps({**json.loads(meta_path.read_text()), "task_id": "T09"}))
+        capsys.readouterr()
+        assert cli.run(["meta-test", "--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert "meta.json" in err and "'T09'" in err and "'T02'" in err
+        assert not (config.test_dir / "T09").exists()
+
     def test_out_flag_replaces_the_configs_output_root(self, tmp_path, capsys):
         path = small_config(tmp_path)
         assert cli.run(["preprocess", "--config", str(path), "--out", str(tmp_path / "elsewhere")]) == 0
