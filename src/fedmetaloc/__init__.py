@@ -7,62 +7,16 @@ environment. The shapes this program multiplies gain no throughput from a
 second BLAS thread, and one thread makes every output independent of the core
 count. The pool is stopped because its workers, started when OpenBLAS loads,
 busy-wait on another core for a while before they sleep.
+
+The API is the submodules (``fedmetaloc.data``, ``fedmetaloc.preprocess``,
+``fedmetaloc.model``, ``fedmetaloc.federation``, ``fedmetaloc.metrics``, ...):
+the package root re-exports no name, and importing it loads none of them.
 """
 
 import ctypes
 import os
 
-from .data import (
-    FingerprintDataset,
-    LocalizationTask,
-    SchemaConfig,
-    SyntheticEnvSpec,
-    load_csv,
-    load_task_bundle,
-    make_task,
-    partition_tasks,
-    save_task_bundle,
-    split_support_query,
-    split_support_query_by_region,
-    synth_environment,
-)
-from .errors import ConfigError, DataError
-from .federation import (
-    AdaptationTrace,
-    ClientState,
-    ClientUpdate,
-    FederationParams,
-    MetaModel,
-    MetaTestParams,
-    RoundReport,
-    client_local_train,
-    contribution_factors,
-    load_checkpoint,
-    meta_test,
-    meta_train,
-    save_checkpoint,
-    server_aggregate,
-    server_init,
-)
-from .metrics import (
-    TheoryProbeParams,
-    cdf_curve,
-    epsilon_accuracy_steps,
-    improvement_percent,
-    knn_baseline,
-    linearization_probe,
-    mde,
-    steps_to_accuracy,
-)
-from .model import ClientModel, ModelConfig
-from .preprocess import (
-    PreprocessConfig,
-    impute_missing,
-    meta_signal_dim,
-    powed_transform,
-    preprocess_dataset,
-    select_aps,
-)
+import numpy  # noqa: F401 - loads the OpenBLAS that the pin below sets
 
 __version__ = "0.1.0"
 
@@ -108,6 +62,5 @@ def _pin_openblas(libraries: list[str]) -> int:
     return pinned
 
 
-# numpy, and with it its OpenBLAS, is loaded by the imports above
 if "OPENBLAS_NUM_THREADS" not in os.environ:
     _pin_openblas(_openblas_libraries())

@@ -66,9 +66,6 @@ class FingerprintDataset:
     def n_aps(self) -> int:
         return self.rssi.shape[1]
 
-    def with_rssi(self, rssi: np.ndarray) -> "FingerprintDataset":
-        return replace(self, rssi=rssi)
-
     def select_rows(self, idx: np.ndarray) -> "FingerprintDataset":
         return FingerprintDataset(
             rssi=self.rssi[idx],
@@ -148,35 +145,21 @@ PARTITIONS = ("building", "floor", "building_floor")
 def partition_tasks(
     dataset: FingerprintDataset, by: str = "building_floor"
 ) -> list[tuple[str, FingerprintDataset]]:
-    """Split one dataset into per-group sub-datasets named B{i}_F{j} / B{i} / F{j}."""
+    """Split one dataset into per-group sub-datasets named B{i}_F{j} / B{i} / F{j},
+    in ascending label order; each keeps its rows in the dataset's order."""
     if by not in PARTITIONS:
         raise ConfigError(f"unknown partition rule {by!r}")
-    needs_b = by in ("building", "building_floor")
-    needs_f = by in ("floor", "building_floor")
-    if needs_b and dataset.building is None:
-        raise DataError("partition by building requires building labels")
-    if needs_f and dataset.floor is None:
-        raise DataError("partition by floor requires floor labels")
-
-    def key_and_name(i: int) -> tuple[tuple, str]:
-        if by == "building_floor":
-            b, f = int(dataset.building[i]), int(dataset.floor[i])
-            return (b, f), f"B{b}_F{f}"
-        if by == "building":
-            b = int(dataset.building[i])
-            return (b,), f"B{b}"
-        f = int(dataset.floor[i])
-        return (f,), f"F{f}"
-
-    groups: dict[tuple, list[int]] = {}
-    names: dict[tuple, str] = {}
-    for i in range(dataset.n_samples):
-        key, name = key_and_name(i)
-        groups.setdefault(key, []).append(i)
-        names[key] = name
+    rules = by.split("_")  # building_floor groups by building, then floor
+    for rule in rules:
+        if getattr(dataset, rule) is None:
+            raise DataError(f"partition by {rule} requires {rule} labels")
+    labels = np.column_stack([np.asarray(getattr(dataset, rule), dtype=np.int64) for rule in rules])
+    keys, group = np.unique(labels, axis=0, return_inverse=True)
+    group = group.ravel()  # numpy 2.0.0 returns it 2-D
     return [
-        (names[key], dataset.select_rows(np.array(groups[key], dtype=np.int64)))
-        for key in sorted(groups)
+        ("_".join(f"{rule[0].upper()}{label}" for rule, label in zip(rules, key)),
+         dataset.select_rows(np.flatnonzero(group == k)))
+        for k, key in enumerate(keys.tolist())
     ]
 
 
@@ -282,6 +265,10 @@ def make_task(
     dataset.validate_model_ready()
     if support_region is None:
         support, query = split_support_query(dataset, ratio, seed)
+    elif dataset.coords.shape[1] < 2:
+        raise DataError(
+            f"task {task_id}: support_region needs x and y coordinates, the dataset has {dataset.coord_names}"
+        )
     else:
         support, query = split_support_query_by_region(dataset, support_region, ratio, seed)
     if query.n_samples == 0:

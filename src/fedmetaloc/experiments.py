@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import types
 import typing
-from dataclasses import dataclass, field, is_dataclass, replace
+from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -96,6 +96,11 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
+        for key, values in (("train_tasks", self.train_tasks), ("test_tasks", self.test_tasks),
+                            ("meta_test.seeds", self.meta_test.seeds)):  # a repeat would count one run twice
+            repeated = sorted({v for v in values if values.count(v) > 1})
+            if repeated:
+                raise ConfigError(f"{key} lists {repeated} more than once")
         overlap = set(self.train_tasks) & set(self.test_tasks)
         if overlap:
             raise ConfigError(f"train and test task lists overlap: {sorted(overlap)}")
@@ -263,7 +268,7 @@ def cmd_preprocess(config: ExperimentConfig) -> list[str]:
         task = make_task(
             env_id, processed, config.split_ratio(opts), int(split_seed), support_region=opts.support_region
         )
-        save_task_bundle(task, config.tasks_dir, extra={"preprocess": report.to_dict()})
+        save_task_bundle(task, config.tasks_dir, extra={"preprocess": asdict(report)})
 
     index = {
         "all": task_ids,

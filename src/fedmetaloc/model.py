@@ -198,10 +198,6 @@ class ClientModel:
             enc.biases = np.zeros(enc.out_size)
         return cls(config, parts)
 
-    @property
-    def m(self) -> int:
-        return self.parts["encoder"][0].in_size
-
     def set_part_params(self, part: str, vector: np.ndarray) -> None:
         """Copy a flat parameter vector into the part."""
         target = self.vectors[part]

@@ -13,7 +13,7 @@ Min and max are taken over the task's own dataset, never across tasks.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -49,9 +49,6 @@ class PreprocessReport:
     tau: float
     beta_pow: float
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def select_aps(
     dataset: FingerprintDataset, cfg: PreprocessConfig
@@ -61,18 +58,13 @@ def select_aps(
     Returns the reduced dataset plus the kept column indices into the original
     AP ordering; kept columns preserve their relative order.
     """
-    kept = _kept_columns(dataset.rssi == cfg.sentinel, cfg)
-    return dataset.select_aps(kept), kept
-
-
-def _kept_columns(missing: np.ndarray, cfg: PreprocessConfig) -> list[int]:
-    if missing.shape[0] == 0:
+    if dataset.n_samples == 0:
         raise DataError("cannot select APs on an empty dataset")
-    missing_frac = np.mean(missing, axis=0)
+    missing_frac = np.mean(dataset.rssi == cfg.sentinel, axis=0)
     kept = np.flatnonzero((missing_frac < 1.0) & (missing_frac <= 1.0 - cfg.tau)).tolist()
     if not kept:
         raise DataError("AP selection dropped every column; signal space is empty")
-    return kept
+    return dataset.select_aps(kept), kept
 
 
 def impute_missing(
@@ -83,19 +75,14 @@ def impute_missing(
     Returns the imputed dataset and the fill value, or the dataset itself and
     ``None`` when it holds no sentinel.
     """
-    return _impute(dataset, dataset.rssi == cfg.sentinel, cfg)
-
-
-def _impute(
-    dataset: FingerprintDataset, missing: np.ndarray, cfg: PreprocessConfig
-) -> tuple[FingerprintDataset, float | None]:
+    missing = dataset.rssi == cfg.sentinel
     if not missing.any():
         return dataset, None
     observed = dataset.rssi[~missing]
     if observed.size == 0:
         raise DataError("no observed RSSI values anywhere; cannot impute")
     fill = float(observed.min()) - cfg.impute_offset
-    return dataset.with_rssi(np.where(missing, fill, dataset.rssi)), fill
+    return replace(dataset, rssi=np.where(missing, fill, dataset.rssi)), fill
 
 
 def powed_transform(dataset: FingerprintDataset, cfg: PreprocessConfig) -> FingerprintDataset:
@@ -105,7 +92,7 @@ def powed_transform(dataset: FingerprintDataset, cfg: PreprocessConfig) -> Finge
     if hi == lo:
         raise DataError(f"degenerate RSSI range: every value equals {lo}")
     scaled = (dataset.rssi - lo) / (hi - lo)
-    return dataset.with_rssi(scaled**cfg.beta_pow)
+    return replace(dataset, rssi=scaled**cfg.beta_pow)
 
 
 def meta_signal_dim(ap_counts: Sequence[int]) -> int:
@@ -127,24 +114,19 @@ def meta_signal_dim(ap_counts: Sequence[int]) -> int:
 def preprocess_dataset(
     dataset: FingerprintDataset, cfg: PreprocessConfig
 ) -> tuple[FingerprintDataset, PreprocessReport]:
-    """Full pipeline: select -> impute -> powed, with a report of what happened."""
-    missing = dataset.rssi == cfg.sentinel
-    kept = _kept_columns(missing, cfg)
+    """Full pipeline: :func:`select_aps` -> :func:`impute_missing` ->
+    :func:`powed_transform`, with a report of what happened."""
+    selected, kept = select_aps(dataset, cfg)
+    imputed, fill = impute_missing(selected, cfg)
     kept_set = set(kept)
-    dropped = [name for i, name in enumerate(dataset.ap_names) if i not in kept_set]
-    missing = missing[:, kept]
-    imputed, fill = _impute(dataset.select_aps(kept), missing, cfg)
-    lo = float(imputed.rssi.min())
-    hi = float(imputed.rssi.max())
-    transformed = powed_transform(imputed, cfg)
     report = PreprocessReport(
         kept_indices=kept,
-        dropped_ap_names=dropped,
-        sentinel_count_replaced=int(missing.sum()),
+        dropped_ap_names=[name for i, name in enumerate(dataset.ap_names) if i not in kept_set],
+        sentinel_count_replaced=int(np.count_nonzero(selected.rssi == cfg.sentinel)),
         impute_fill=fill,
-        min_rssi=lo,
-        max_rssi=hi,
+        min_rssi=float(imputed.rssi.min()),
+        max_rssi=float(imputed.rssi.max()),
         tau=cfg.tau,
         beta_pow=cfg.beta_pow,
     )
-    return transformed, report
+    return powed_transform(imputed, cfg), report

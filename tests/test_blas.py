@@ -111,6 +111,17 @@ def test_import_leaves_one_os_thread_in_either_order(needs_openblas, first):
     assert out["os_threads"] == 1
 
 
+def test_package_root_loads_no_submodule_and_still_pins(needs_openblas):
+    # the API is the submodules: the root holds the pin and loads numpy for it
+    out = run_child("""
+        import json, sys
+        import fedmetaloc
+        loaded = sorted(name for name in sys.modules if name.startswith("fedmetaloc."))
+        print(json.dumps({"loaded": loaded, "threads": threads()}))
+    """)
+    assert out == {"loaded": [], "threads": 1}
+
+
 @needs_task_dir
 def test_explicit_thread_variable_is_left_alone(needs_openblas):
     out = run_child("""

@@ -223,6 +223,14 @@ class TestDatasetPreprocess:
         ]
         assert digests[0] == digests[1]
 
+    def test_support_region_on_one_coordinate_column_exits_3(self, tmp_path, capsys):
+        path = with_dataset(
+            tmp_path, '{"coord_columns": ["X"], "ap_columns": ["A", "B"]}', support_region=[0.0, 0.0, 2.0, 2.0]
+        )
+        assert cli.run(["preprocess", "--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error") and "task D0: support_region needs x and y coordinates" in err
+
 
 class TestModelResolution:
     def test_d_from_median_uses_cohort_ap_counts(self, tmp_path):
@@ -603,6 +611,9 @@ class TestMalformedConfig:
             ("area_is_a_number", "area"),
             ("seeds_is_a_number", "seeds"),
             ("seeds_is_empty", "meta_test.seeds"),
+            ("seeds_repeated", "config: meta_test.seeds lists [0] more than once"),
+            ("train_task_repeated", "config: train_tasks lists ['T00'] more than once"),
+            ("test_task_repeated", "config: test_tasks lists ['T02'] more than once"),
             ("bool_as_string", "d_from_median"),
             ("schema_not_json", "datasets[0].schema"),
             ("unknown_schema_key", "coordinates"),
@@ -655,6 +666,12 @@ class TestMalformedConfig:
             path = small_config(tmp_path, meta_test={"steps": 6, "seeds": 3})
         elif case == "seeds_is_empty":
             path = small_config(tmp_path, meta_test={"steps": 6, "seeds": []})
+        elif case == "seeds_repeated":
+            path = small_config(tmp_path, meta_test={"steps": 6, "seeds": [0, 0]})
+        elif case == "train_task_repeated":
+            path = small_config(tmp_path, train_tasks=["T00", "T00", "T01"])
+        elif case == "test_task_repeated":
+            path = small_config(tmp_path, test_tasks=["T02", "T02"])
         elif case in ("zero_workers", "negative_workers"):
             path = small_config(tmp_path, workers=0 if case == "zero_workers" else -2)
         elif case == "bool_as_string":

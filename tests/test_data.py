@@ -216,6 +216,33 @@ class TestPartition:
         with pytest.raises(ConfigError):
             partition_tasks(grouped_dataset([1]), "room")
 
+    @pytest.mark.parametrize("by", ["building", "floor", "building_floor"])
+    def test_matches_a_per_row_oracle_on_interleaved_labels(self, by):
+        rng = np.random.default_rng(3)
+        ds = FingerprintDataset(
+            rssi=rng.uniform(-90, -30, size=(60, 3)),
+            coords=rng.uniform(0, 10, size=(60, 2)),
+            ap_names=["A", "B", "C"],
+            building=rng.integers(0, 3, size=60) * 7 - 2,  # -2, 5, 12: ordered numerically, not as text
+            floor=rng.integers(-1, 3, size=60),
+        )
+        groups: dict[tuple, list[int]] = {}
+        for i in range(ds.n_samples):
+            b, f = int(ds.building[i]), int(ds.floor[i])
+            key = {"building": (b,), "floor": (f,), "building_floor": (b, f)}[by]
+            groups.setdefault(key, []).append(i)
+        prefixes = {"building": ("B",), "floor": ("F",), "building_floor": ("B", "F")}[by]
+        expected = [
+            ("_".join(f"{prefix}{label}" for prefix, label in zip(prefixes, key)), rows)
+            for key, rows in sorted(groups.items())
+        ]
+        parts = partition_tasks(ds, by)
+        assert [name for name, _ in parts] == [name for name, _ in expected]
+        for (_, part), (_, rows) in zip(parts, expected):
+            reference = ds.select_rows(np.array(rows))
+            for key in ("rssi", "coords", "building", "floor"):
+                assert np.array_equal(getattr(part, key), getattr(reference, key)), key
+
 
 class TestSplit:
     def test_seventy_thirty(self):
