@@ -105,8 +105,8 @@ class SchemaConfig:
     floor_col: str | None = None
 
     def __post_init__(self) -> None:
-        if self.ap_prefix is None and not self.ap_columns:
-            raise ConfigError("schema needs either an AP column prefix or an explicit column list")
+        if (self.ap_prefix is None) == (not self.ap_columns):
+            raise ConfigError("schema needs exactly one of ap_prefix and a non-empty ap_columns")
         if len(self.coord_columns) < 1:
             raise ConfigError("schema needs at least one coordinate column")
 
@@ -317,6 +317,9 @@ class SyntheticEnvSpec:
             raise ConfigError("invalid sample count or area")
         if self.num_walls < 0 or self.wall_loss_db < 0:
             raise ConfigError("wall count and per-wall loss must be >= 0")
+        for key, seed in (("seed", self.seed), ("ap_seed", self.ap_seed)):
+            if seed is not None and seed < 0:
+                raise ConfigError(f"{key} must be >= 0, got {seed}")
 
 
 MIN_PATH_DISTANCE_M = 0.1  # clamp so co-located AP/sample never hits log(0)

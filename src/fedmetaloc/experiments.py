@@ -96,8 +96,14 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
+        if self.split_seed < 0:
+            raise ConfigError(f"split_seed must be >= 0, got {self.split_seed}")
+        mt = self.meta_test
         for key, values in (("train_tasks", self.train_tasks), ("test_tasks", self.test_tasks),
-                            ("meta_test.seeds", self.meta_test.seeds)):  # a repeat would count one run twice
+                            ("meta_test.seeds", mt.seeds), ("meta_test.targets_m", mt.targets_m),
+                            ("meta_test.step_checkpoints", mt.step_checkpoints),
+                            ("theory_probe.linearization_mu_list", self.theory_probe.linearization_mu_list)):
+            # a repeat would count one run twice, or report one result under one key twice
             repeated = sorted({v for v in values if values.count(v) > 1})
             if repeated:
                 raise ConfigError(f"{key} lists {repeated} more than once")
@@ -304,10 +310,10 @@ def _load_tasks(config: ExperimentConfig, ids: Sequence[str]) -> list[Localizati
 
 
 def resolved_model_config(config: ExperimentConfig, index: dict) -> ModelConfig:
-    """The model config meta-train trains: ``config.model``, with the latent
-    width set from the median AP count of the index's training tasks under
-    ``d_from_median``. Meta-train, the checkpoint check and the untrained
-    theory probe all take it from here."""
+    """The experiment's model config: ``config.model``, with the latent width
+    set from the median AP count of the index's training tasks under
+    ``d_from_median``. Meta-train, meta-test and the theory probe all build
+    their models from it; a checkpoint supplies only the trained shared part."""
     if not (config.d_from_median and index["train"]):
         return config.model
     d = meta_signal_dim([t.m for t in _load_tasks(config, index["train"])])
@@ -354,25 +360,14 @@ def cmd_meta_train(config: ExperimentConfig) -> tuple[MetaModel, list[federation
 # ---------------------------------------------------------------------------
 
 
-def _check_checkpoint_compat(meta: MetaModel, model_config: ModelConfig) -> None:
-    ck = meta.config
-    if (ck.d, ck.n, ck.p) != (model_config.d, model_config.n, model_config.p):
-        raise ConfigError(
-            f"checkpoint dims d={ck.d}, n={ck.n}, p={ck.p} do not match "
-            f"config d={model_config.d}, n={model_config.n}, p={model_config.p}"
-        )
-    if ck.meta_hidden != model_config.meta_hidden:
-        raise ConfigError(
-            f"checkpoint shared-part widths {ck.meta_hidden} differ from config {model_config.meta_hidden}"
-        )
-
-
-def _load_trained(config: ExperimentConfig, index: dict, checkpoint: str | Path) -> MetaModel:
-    """The trained server state in ``checkpoint``, checked against the
-    experiment's model config (its latent width resolved as meta-train did)."""
+def _trained_theta(checkpoint: str | Path, model_config: ModelConfig) -> np.ndarray:
+    """The trained shared part in ``checkpoint``, whose layer widths must be
+    those of ``model_config``; no other setting of the checkpoint is read."""
     meta = load_checkpoint(checkpoint)
-    _check_checkpoint_compat(meta, resolved_model_config(config, index))
-    return meta
+    trained, expected = meta.config.part_sizes("meta"), model_config.part_sizes("meta")
+    if trained != expected:
+        raise ConfigError(f"checkpoint {checkpoint}: shared-part widths {trained} differ from the config's {expected}")
+    return meta.params
 
 
 def run_dir(config: ExperimentConfig, task_id: str, mode: str, seed: int) -> Path:
@@ -415,13 +410,13 @@ def cmd_meta_test(config: ExperimentConfig, checkpoint: str | Path | None = None
     test_ids = index["test"]
     if not test_ids:
         raise DataError("no test tasks in the index")
-    meta = _load_trained(config, index, checkpoint or config.checkpoint_path)
-    model_config = meta.config  # dims of the trained parameters are authoritative
+    model_config = resolved_model_config(config, index)
+    theta = _trained_theta(checkpoint or config.checkpoint_path, model_config)
     tasks = _load_tasks(config, test_ids)
     mt = config.meta_test
 
     jobs = [
-        (config, model_config, meta.params, task, mode, seed)
+        (config, model_config, theta, task, mode, seed)
         for task in tasks
         for seed in mt.seeds
         for mode in MODES
@@ -574,11 +569,8 @@ def cmd_theory_probe(config: ExperimentConfig) -> dict:
     if not probe_ids:
         raise DataError("no tasks available for the theory probe")
     task = _load_tasks(config, probe_ids[:1])[0]
-    if config.checkpoint_path.exists():
-        meta = _load_trained(config, index, config.checkpoint_path)
-        theta, model_config = meta.params, meta.config
-    else:
-        theta, model_config = None, resolved_model_config(config, index)
+    model_config = resolved_model_config(config, index)
+    theta = _trained_theta(config.checkpoint_path, model_config) if config.checkpoint_path.exists() else None
     payload = {"task": task.task_id, **metrics.run_theory_probe(task, model_config, theta, config.theory_probe)}
     write_json(config.experiment_dir / "theory" / "probe_report.json", payload)
     return payload

@@ -80,6 +80,8 @@ class FederationParams:
             raise ConfigError("checkpoint_every and early_stop_tol must be >= 0, early_stop_patience >= 1")
         if self.aggregation not in AGGREGATIONS:
             raise ConfigError(f"aggregation must be 'gradient' or 'average', got {self.aggregation!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -100,6 +102,8 @@ class MetaTestParams:
             raise ConfigError("step checkpoints must be >= 1")
         if not self.seeds:
             raise ConfigError("meta_test.seeds is empty: meta-test needs at least one seed")
+        if min(self.seeds) < 0:
+            raise ConfigError(f"seeds must be >= 0, got {list(self.seeds)}")
         if self.optimizer not in OPTIMIZERS:
             raise ConfigError(f"meta-test optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
 

@@ -152,6 +152,8 @@ class TheoryProbeParams:
         # the smoothness estimate compares the states of the first min(10, max_steps) steps
         if self.max_steps < 2 or self.linearization_steps < 1:
             raise ConfigError("max_steps must be >= 2 and linearization_steps >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def probe_config(config: ModelConfig, mu: float) -> ModelConfig:

@@ -98,13 +98,9 @@ def he_uniform_layer(
     return DenseLayer(weights=weights, biases=np.zeros(out_size), activation=activation)
 
 
-def build_stack(
-    sizes: Sequence[int],
-    seed: int | np.random.SeedSequence,
-    hidden_activation: str = RELU,
-    output_activation: str = IDENTITY,
-) -> list[DenseLayer]:
-    """Build a feed-forward stack ``sizes[0] -> ... -> sizes[-1]``.
+def build_stack(sizes: Sequence[int], seed: int | np.random.SeedSequence) -> list[DenseLayer]:
+    """Build a feed-forward stack ``sizes[0] -> ... -> sizes[-1]``: ReLU on every
+    hidden layer, a linear output layer.
 
     Each layer draws from its own child of the seed sequence, so adding or
     removing layers never perturbs the others' initial weights.
@@ -115,7 +111,7 @@ def build_stack(
     children = ss.spawn(len(sizes) - 1)
     layers = []
     for i, child in enumerate(children):
-        act = output_activation if i == len(sizes) - 2 else hidden_activation
+        act = IDENTITY if i == len(sizes) - 2 else RELU
         layers.append(he_uniform_layer(sizes[i], sizes[i + 1], np.random.default_rng(child), act))
     return layers
 

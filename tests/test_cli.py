@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -12,12 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fedmetaloc import cli, experiments
-from fedmetaloc.data import SchemaConfig
+from fedmetaloc import cli, experiments, metrics
+from fedmetaloc.data import SchemaConfig, load_task_bundle
 from fedmetaloc.errors import ConfigError, DataError
-from fedmetaloc.federation import AdaptationTrace, load_checkpoint, save_checkpoint
+from fedmetaloc.federation import AdaptationTrace, load_checkpoint, meta_test
 from fedmetaloc.fileio import write_json
-from fedmetaloc.model import ModelConfig
 
 from helpers import reference_load_csv, small_config
 
@@ -480,7 +478,7 @@ class TestMetaTestCommand:
                                           "decoder_hidden": [6], "meta_hidden": [8],
                                           "mapper_hidden": [4]})
         )
-        with pytest.raises(ConfigError, match="d=4"):
+        with pytest.raises(ConfigError, match=r"shared-part widths \[4, 8, 3\] differ from the config's \[5, 8, 3\]"):
             experiments.cmd_meta_test(other, checkpoint=config.checkpoint_path)
 
     def test_worker_pool_matches_sequential(self, tmp_path):
@@ -538,8 +536,51 @@ class TestTheoryProbeCommand:
         assert cli.run(["meta-train", "--config", str(path)]) == 0
         small_config(tmp_path, model={**json.loads(path.read_text())["model"], "d": 5})
         assert cli.run(["theory-probe", "--config", str(path)]) == 2
-        assert "checkpoint dims d=4, n=3, p=2 do not match config d=5" in capsys.readouterr().err
+        assert "shared-part widths [4, 8, 3] differ from the config's [5, 8, 3]" in capsys.readouterr().err
         assert not (experiments.load_experiment_config(path).experiment_dir / "theory").exists()
+
+
+class TestCheckpointSuppliesOnlyTheSharedPart:
+    """After meta-train, every model setting but the shared part's widths may
+    change: meta-test and the theory probe build the experiment's model and
+    take only the trained shared part from the checkpoint."""
+
+    def trained_then_edited(self, tmp_path, **model_edits):
+        path = small_config(tmp_path)
+        assert cli.run(["preprocess", "--config", str(path)]) == 0
+        assert cli.run(["meta-train", "--config", str(path)]) == 0
+        small_config(tmp_path, model={**json.loads(path.read_text())["model"], **model_edits})
+        config = experiments.load_experiment_config(path)
+        theta = load_checkpoint(config.checkpoint_path).params
+        return path, config, theta, load_task_bundle(config.tasks_dir / "T02")
+
+    def test_meta_test_fine_tunes_the_edited_model(self, tmp_path):
+        edits = {"mu_encoder": 0.02, "mu_meta": 0.003, "mu_mapper": 0.004, "lambda_recon": 0.5, "mapper_hidden": [5, 3]}
+        path, config, theta, task = self.trained_then_edited(tmp_path, **edits)
+        assert cli.run(["meta-test", "--config", str(path)]) == 0
+        for seed in config.meta_test.seeds:
+            for mode, init in (("MI", theta), ("RI", None)):
+                _, trace, per_sample = meta_test(task, config.model, init, config.meta_test, seed)
+                expected = tmp_path / "expected" / mode / str(seed)
+                experiments.write_trace(expected, trace, per_sample)
+                for name in ("trace.csv", "errors_final.csv"):
+                    written = experiments.run_dir(config, "T02", mode, seed) / name
+                    assert written.read_bytes() == (expected / name).read_bytes()
+
+    def test_theory_probe_runs_the_edited_model(self, tmp_path):
+        edits = {"lambda_recon": 0.5, "mapper_hidden": [5, 3], "encoder_hidden": [7]}
+        path, config, theta, task = self.trained_then_edited(tmp_path, **edits)
+        assert cli.run(["theory-probe", "--config", str(path)]) == 0
+        expected = {"task": "T02", **metrics.run_theory_probe(task, config.model, theta, config.theory_probe)}
+        written = json.loads((config.experiment_dir / "theory" / "probe_report.json").read_text())
+        assert written == json.loads(json.dumps(expected))
+
+    @pytest.mark.parametrize("command", ["meta-test", "theory-probe"])
+    def test_edited_shared_part_widths_exit_2(self, tmp_path, capsys, command):
+        path, config, _, _ = self.trained_then_edited(tmp_path, meta_hidden=[9])
+        assert cli.run([command, "--config", str(path)]) == 2
+        assert "shared-part widths [4, 8, 3] differ from the config's [4, 9, 3]" in capsys.readouterr().err
+        assert not config.test_dir.exists() and not (config.experiment_dir / "theory").exists()
 
 
 class TestCliEntryPoint:
@@ -625,6 +666,17 @@ class TestMalformedConfig:
             ("unknown_dataset_partition", "config.datasets[0] (D0): partition must be 'none' or one of"),
             ("zero_workers", "config: workers must be >= 1, got 0"),
             ("negative_workers", "config: workers must be >= 1, got -2"),
+            ("negative_meta_test_seed", "config.meta_test: seeds must be >= 0, got [0, -1]"),
+            ("negative_split_seed", "config: split_seed must be >= 0, got -1"),
+            ("negative_synthetic_seed", "config.synthetic_envs[1] (T01): seed must be >= 0, got -1"),
+            ("negative_ap_seed", "config.synthetic_envs[1] (T01): ap_seed must be >= 0, got -4"),
+            ("negative_federation_seed", "config.federation: seed must be >= 0, got -3"),
+            ("negative_theory_probe_seed", "config.theory_probe: seed must be >= 0, got -1"),
+            ("targets_repeated", "config: meta_test.targets_m lists [8.0] more than once"),
+            ("step_checkpoints_repeated", "config: meta_test.step_checkpoints lists [3] more than once"),
+            ("linearization_mu_repeated", "config: theory_probe.linearization_mu_list lists [0.01] more than once"),
+            ("schema_prefix_and_columns", "config.datasets[0].schema: schema needs exactly one of ap_prefix and"),
+            ("schema_empty_columns", "config.datasets[0].schema: schema needs exactly one of ap_prefix and"),
         ],
     )
     def test_exits_2_and_names_the_key(self, tmp_path, capsys, case, named):
@@ -672,6 +724,29 @@ class TestMalformedConfig:
             path = small_config(tmp_path, train_tasks=["T00", "T00", "T01"])
         elif case == "test_task_repeated":
             path = small_config(tmp_path, test_tasks=["T02", "T02"])
+        elif case == "negative_meta_test_seed":
+            path = small_config(tmp_path, meta_test={"steps": 6, "seeds": [0, -1]})
+        elif case == "negative_split_seed":
+            path = small_config(tmp_path, split_seed=-1)
+        elif case in ("negative_synthetic_seed", "negative_ap_seed"):
+            path = small_config(tmp_path)
+            raw = json.loads(path.read_text())
+            raw["synthetic_envs"][1].update({"seed": -1} if case == "negative_synthetic_seed" else {"ap_seed": -4})
+            path.write_text(json.dumps(raw))
+        elif case == "negative_federation_seed":
+            path = small_config(tmp_path, federation={"rounds": 2, "seed": -3})
+        elif case == "negative_theory_probe_seed":
+            path = small_config(tmp_path, theory_probe={"seed": -1})
+        elif case == "targets_repeated":
+            path = small_config(tmp_path, meta_test={"steps": 6, "targets_m": [8.0, 8]})
+        elif case == "step_checkpoints_repeated":
+            path = small_config(tmp_path, meta_test={"steps": 6, "step_checkpoints": [3, 3, 6]})
+        elif case == "linearization_mu_repeated":
+            path = small_config(tmp_path, theory_probe={"linearization_mu_list": [0.01, 0.01]})
+        elif case == "schema_prefix_and_columns":
+            path = with_dataset(tmp_path, SCHEMA.replace("}", ', "ap_prefix": "A"}'))
+        elif case == "schema_empty_columns":
+            path = with_dataset(tmp_path, '{"coord_columns": ["X", "Y"], "ap_columns": []}')
         elif case in ("zero_workers", "negative_workers"):
             path = small_config(tmp_path, workers=0 if case == "zero_workers" else -2)
         elif case == "bool_as_string":
@@ -949,10 +1024,8 @@ class TestDivergence:
         path = small_config(tmp_path)
         assert cli.run(["preprocess", "--config", str(path)]) == 0
         assert cli.run(["meta-train", "--config", str(path)]) == 0
+        small_config(tmp_path, model={**json.loads(path.read_text())["model"], **HUGE_RATES})
         config = experiments.load_experiment_config(path)
-        trained = load_checkpoint(config.checkpoint_path)
-        diverging = ModelConfig(**{**trained.config.to_dict(), **HUGE_RATES})
-        save_checkpoint(config.checkpoint_path, dataclasses.replace(trained, config=diverging))
         assert cli.run(["meta-test", "--config", str(path)]) == 4
         assert "DivergenceError: task T02, MI seed 0: step 2 loss is" in capsys.readouterr().err
         assert not list(config.test_dir.rglob("trace.csv"))
