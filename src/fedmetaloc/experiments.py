@@ -306,7 +306,12 @@ def _load_index(config: ExperimentConfig) -> dict:
 
 
 def _load_tasks(config: ExperimentConfig, ids: Sequence[str]) -> list[LocalizationTask]:
-    return [load_task_bundle(config.tasks_dir / task_id) for task_id in ids]
+    """The bundles of ``ids``, each of which must have ``model.p`` coordinates."""
+    tasks = [load_task_bundle(config.tasks_dir / task_id) for task_id in ids]
+    for task in tasks:
+        if task.p != config.model.p:
+            raise ConfigError(f"model.p is {config.model.p}, but task {task.task_id} has {task.p} coordinates")
+    return tasks
 
 
 def resolved_model_config(config: ExperimentConfig, index: dict) -> ModelConfig:
@@ -344,14 +349,19 @@ def cmd_meta_train(config: ExperimentConfig) -> tuple[MetaModel, list[federation
     fed = config.federation
     meta, clients = federation.server_init(train_tasks, model_config, fed)
     ckpt_dir = config.train_dir / "checkpoints"
+    written: set[Path] = set()
 
     def on_round(report: federation.RoundReport, current: MetaModel) -> None:
         if fed.checkpoint_every and report.round % fed.checkpoint_every == 0:
-            save_checkpoint(ckpt_dir / f"meta_round_{report.round:05d}.npz", current)
+            path = ckpt_dir / f"meta_round_{report.round:05d}.npz"
+            save_checkpoint(path, current)
+            written.add(path)
 
     meta, reports = federation.meta_train(meta, clients, fed, on_round=on_round)
     write_round_log(config.train_dir / "round_log.csv", reports)
     save_checkpoint(config.checkpoint_path, meta)
+    for stale in set(ckpt_dir.glob("meta_round_*.npz")) - written:  # an earlier run's rounds
+        stale.unlink()
     return meta, reports
 
 
@@ -364,7 +374,7 @@ def _trained_theta(checkpoint: str | Path, model_config: ModelConfig) -> np.ndar
     """The trained shared part in ``checkpoint``, whose layer widths must be
     those of ``model_config``; no other setting of the checkpoint is read."""
     meta = load_checkpoint(checkpoint)
-    trained, expected = meta.config.part_sizes("meta"), model_config.part_sizes("meta")
+    trained, expected = meta.widths, model_config.part_sizes("meta")
     if trained != expected:
         raise ConfigError(f"checkpoint {checkpoint}: shared-part widths {trained} differ from the config's {expected}")
     return meta.params

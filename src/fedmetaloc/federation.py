@@ -18,8 +18,7 @@ Each stage takes its hyperparameters whole, as one object checked once when
 built: meta-training a :class:`FederationParams` (the ``federation`` config
 section), meta-testing a :class:`MetaTestParams` (``meta_test``). Learning
 rates and the optimizer are the model config's; meta-test builds its model
-with ``mt.optimizer``. ``server_init`` copies ``eta`` into the server state,
-which a checkpoint carries.
+with ``mt.optimizer``, and the server steps with ``fed.eta``.
 
 Aggregation and each round's mean query loss always run in ascending
 client-id order, so client scheduling can never change the result. Contribution factors rho_k are proportional to query
@@ -28,8 +27,8 @@ set sizes; ``meta_train`` computes them once per run.
 The shared part travels as one flat vector (the layout of :mod:`fedmetaloc.nn`):
 the server's ``theta``, each client's copy of it, the client updates and the
 aggregate are all vectors of that one length. A checkpoint holds the
-server's state: that vector, its config, ``eta`` and the round
-(:func:`save_checkpoint`, :func:`load_checkpoint`).
+server's state: that vector, one weights and biases tensor per layer, and
+the round (:func:`save_checkpoint`, :func:`load_checkpoint`).
 
 A loss that turns NaN or infinite stops the run with a :class:`DivergenceError`
 naming the round and client (meta-train) or the task, mode and seed
@@ -110,11 +109,11 @@ class MetaTestParams:
 
 @dataclass
 class MetaModel:
-    """Server-held shared feature parameters (one flat vector) plus the round counter."""
+    """Server-held shared feature parameters (one flat vector), the layer
+    widths ``[d, *meta_hidden, n]`` that lay it out, and the round counter."""
 
     params: np.ndarray
-    config: ModelConfig
-    eta: float
+    widths: list[int]
     round: int = 0
 
     def broadcast(self) -> np.ndarray:
@@ -137,47 +136,50 @@ def save_checkpoint(path: str | Path, meta: MetaModel) -> None:
 
     Members, in this order: ``meta/layer{i}.weights`` and
     ``meta/layer{i}.biases`` for each layer of the shared stack, then
-    ``__config__`` (the model config) and ``__extra__`` (``{"eta", "round"}``),
-    both JSON with sorted keys.
+    ``__extra__``, the JSON object ``{"round": r}``.
     """
-    params = nn.unflatten(meta.params, meta.config.part_sizes("meta"))
-    payload = {f"meta/{key}": tensor for key, tensor in params.items()}
-    payload["__config__"] = np.str_(json.dumps(meta.config.to_dict(), sort_keys=True))
-    payload["__extra__"] = np.str_(json.dumps({"round": meta.round, "eta": meta.eta}, sort_keys=True))
+    payload = {f"meta/{key}": tensor for key, tensor in nn.unflatten(meta.params, meta.widths).items()}
+    payload["__extra__"] = np.str_(json.dumps({"round": meta.round}))
     with atomic_write(path, binary=True) as fh:
         np.savez(fh, **payload)
 
 
 def load_checkpoint(path: str | Path) -> MetaModel:
-    """Read a checkpoint written by :func:`save_checkpoint`.
+    """Read a checkpoint written by :func:`save_checkpoint`; the widths are the tensors' shapes.
 
     Anything malformed is a :class:`DataError`: a file that is not a whole
-    archive, a missing ``__config__`` or ``__extra__`` header, an
-    ``__extra__`` that is not an object holding ``eta`` and ``round``, or
-    members that are not the shared stack its config describes.
+    archive, an ``__extra__`` that is missing or not an object holding
+    ``round``, members other than ``meta/layer0..k-1.weights|biases``, biases
+    that do not fit their weights, or layers that do not chain. Other
+    ``__``-prefixed members and ``__extra__`` keys are ignored, so archives
+    that also hold the model config and ``eta`` load as well.
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"checkpoint not found: {path}")
     try:
         with np.load(path, allow_pickle=False) as archive:
-            config = ModelConfig(**json.loads(str(archive["__config__"])))
             extra = json.loads(str(archive["__extra__"]))
             if not isinstance(extra, dict):
                 raise ValueError(f"__extra__ holds {type(extra).__name__}, not a JSON object")
-            eta, round_ = float(extra["eta"]), int(extra["round"])
+            round_ = int(extra["round"])
             tensors = {name: archive[name] for name in archive.files if not name.startswith("__")}
     except (KeyError, ValueError, TypeError, OSError, EOFError, zipfile.BadZipFile) as exc:
         raise DataError(f"malformed checkpoint {path}: {type(exc).__name__}: {exc}") from exc
-    sizes = config.part_sizes("meta")
-    expected = {f"meta/{key}": shape for key, shape in nn.param_shapes(sizes).items()}
-    actual = {name: tensor.shape for name, tensor in tensors.items()}
-    if actual != expected:
-        raise DataError(
-            f"checkpoint {path}: the shared part does not match its config: expected {expected}, got {actual}"
-        )
-    params = nn.flatten({name.removeprefix("meta/"): tensor for name, tensor in tensors.items()}, sizes)
-    return MetaModel(params=params, config=config, eta=eta, round=round_)
+    layers = len(tensors) // 2
+    if not layers or set(tensors) != {f"meta/layer{i}.{role}" for i in range(layers) for role in ("weights", "biases")}:
+        raise DataError(f"checkpoint {path}: members {sorted(tensors)} are not meta/layer0..k-1.weights|biases")
+    widths: list[int] = []
+    for i in range(layers):
+        weights, biases = tensors[f"meta/layer{i}.weights"], tensors[f"meta/layer{i}.biases"]
+        if weights.ndim != 2 or biases.shape != weights.shape[:1]:
+            raise DataError(f"checkpoint {path}: layer{i} biases {biases.shape} do not fit weights {weights.shape}")
+        n_out, n_in = weights.shape
+        if widths and n_in != widths[-1]:
+            raise DataError(f"checkpoint {path}: layer{i} takes {n_in} inputs, but layer{i - 1} gives {widths[-1]}")
+        widths += [n_out] if widths else [n_in, n_out]
+    params = nn.flatten({name.removeprefix("meta/"): tensor for name, tensor in tensors.items()}, widths)
+    return MetaModel(params=params, widths=widths, round=round_)
 
 
 @dataclass
@@ -261,8 +263,8 @@ def server_init(
         raise ConfigError("need at least one training task")
     root = np.random.SeedSequence(fed.seed)
     theta_seed, clients_seed = root.spawn(2)
-    theta_layers = nn.build_stack(config.part_sizes("meta"), theta_seed)
-    meta = MetaModel(params=nn.bind(theta_layers), config=config, eta=fed.eta)
+    widths = config.part_sizes("meta")
+    meta = MetaModel(params=nn.bind(nn.build_stack(widths, theta_seed)), widths=widths)
 
     clients: list[ClientState] = []
     ordered = sorted(tasks, key=lambda t: t.task_id)
@@ -314,12 +316,11 @@ def server_aggregate(
     """One outer update; summation always runs in ascending client-id order.
 
     ``fed.aggregation == "gradient"``: the update vectors are query
-    gradients, and the server steps ``theta - eta * sum_k rho_k v_k`` with
-    the ``eta`` the server state carries. ``"average"``: they are locally
-    updated shared parts, and the server keeps their weighted average, which
-    accumulates the clients' local optimizer progress round over round;
-    useful at small round budgets where the gradient step alone barely moves
-    the shared part.
+    gradients, and the server steps ``theta - fed.eta * sum_k rho_k v_k``.
+    ``"average"``: they are locally updated shared parts, and the server
+    keeps their weighted average, which accumulates the clients' local
+    optimizer progress round over round; useful at small round budgets where
+    the gradient step alone barely moves the shared part.
     """
     if not updates:
         raise ConfigError("cannot aggregate an empty round")
@@ -333,9 +334,9 @@ def server_aggregate(
         np.multiply(update.vector, rho[update.client_id], out=term)
         acc += term
     if fed.aggregation == "gradient":
-        acc *= meta.eta
+        acc *= fed.eta
         np.subtract(meta.params, acc, out=acc)
-    return MetaModel(params=acc, config=meta.config, eta=meta.eta, round=meta.round + 1)
+    return MetaModel(params=acc, widths=meta.widths, round=meta.round + 1)
 
 
 def meta_train(

@@ -56,7 +56,7 @@ checkpoints (:mod:`fedmetaloc.federation`).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -75,9 +75,8 @@ _WORKSPACES = {part: nn.Workspace() for part in PART_NAMES}
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Widths, learning rates, and loss weighting for one experiment."""
+    """Widths, learning rates, and loss weighting for one experiment; the input width m is each task's."""
 
-    m: int | None = None  # per-task input width; usually set at build time
     d: int = 50
     n: int = 32
     p: int = 2
@@ -98,8 +97,6 @@ class ModelConfig:
         for name, dim in (("d", self.d), ("n", self.n), ("p", self.p)):
             if dim < 1:
                 raise ConfigError(f"dimension {name} must be >= 1, got {dim}")
-        if self.m is not None and self.m < 1:
-            raise ConfigError(f"input width m must be >= 1, got {self.m}")
         for name, mu in (
             ("mu_encoder", self.mu_encoder),
             ("mu_meta", self.mu_meta),
@@ -117,7 +114,6 @@ class ModelConfig:
             raise ConfigError("prefix_projection requires a single-layer (linear) encoder")
 
     def part_sizes(self, part: str, m: int | None = None) -> list[int]:
-        m = m if m is not None else self.m
         if part in ("encoder", "decoder") and m is None:
             raise ConfigError("input width m is required to size the encoder/decoder")
         if part == "encoder":
@@ -137,9 +133,6 @@ class ModelConfig:
             "meta": self.mu_meta,
             "mapper": self.mu_mapper,
         }
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 class ClientModel:
@@ -161,12 +154,7 @@ class ClientModel:
             raise ConfigError("decoder must invert the encoder's dimensions")
 
     @classmethod
-    def build(
-        cls,
-        config: ModelConfig,
-        m: int | None = None,
-        seed: int | np.random.SeedSequence = 0,
-    ) -> "ClientModel":
+    def build(cls, config: ModelConfig, m: int, seed: int | np.random.SeedSequence = 0) -> "ClientModel":
         """Seeded construction; each part draws from its own child of ``seed``,
         spawned in ``PART_NAMES`` order."""
         ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
@@ -181,9 +169,7 @@ class ClientModel:
         return cls._from_seeds(config, m, dict(zip(("encoder", "mapper", "meta", "decoder"), root.spawn(4))))
 
     @classmethod
-    def _from_seeds(
-        cls, config: ModelConfig, m: int | None, seeds: Mapping[str, np.random.SeedSequence]
-    ) -> "ClientModel":
+    def _from_seeds(cls, config: ModelConfig, m: int, seeds: Mapping[str, np.random.SeedSequence]) -> "ClientModel":
         parts = {part: nn.build_stack(config.part_sizes(part, m), seeds[part]) for part in PART_NAMES}
         if config.encoder_init == "prefix_projection":
             # deterministic adapter start: the latent is the fingerprint of the

@@ -137,11 +137,6 @@ def _layout(sizes: tuple[int, ...]) -> tuple[tuple[str, int, int, tuple[int, ...
     return tuple(layout)
 
 
-def param_shapes(sizes: Sequence[int]) -> dict[str, tuple[int, ...]]:
-    """Shape of every parameter of a stack ``sizes[0] -> ... -> sizes[-1]``, in flat order."""
-    return {key: shape for key, _, _, shape in _layout(tuple(sizes))}
-
-
 def unflatten(vector: np.ndarray, sizes: Sequence[int]) -> ParamDict:
     """Keyed views into a stack's flat vector, listed like :func:`export_params`."""
     views = {key: vector[start:stop].reshape(shape) for key, start, stop, shape in _layout(tuple(sizes))}
@@ -155,7 +150,7 @@ def unflatten(vector: np.ndarray, sizes: Sequence[int]) -> ParamDict:
 def flatten(params: ParamDict, sizes: Sequence[int]) -> np.ndarray:
     """Copy a parameter dictionary into a new flat vector, validating every key and shape."""
     layout = _layout(tuple(sizes))
-    if set(params) != set(param_shapes(sizes)):
+    if set(params) != {key for key, _, _, _ in layout}:
         raise ConfigError(f"parameter keys {sorted(params)} do not match stack of {len(sizes) - 1} layers")
     vector = np.empty(layout[-1][2])
     for key, start, stop, shape in layout:

@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 import zipfile
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -267,10 +268,26 @@ class TestMetaTrainCommand:
         assert [p.name for p in paths[1:]] == ["meta_round_00002.npz", "meta_round_00004.npz"]
         for path, round_ in zip(paths, (4, 2, 4)):
             with zipfile.ZipFile(path) as archive:
-                assert archive.namelist() == [*members, "__config__.npy", "__extra__.npy"]
+                assert archive.namelist() == [*members, "__extra__.npy"]
                 with archive.open("__extra__.npy") as fh:
                     extra = str(np.lib.format.read_array(fh))
-            assert extra == json.dumps({"eta": 0.01, "round": round_})
+            assert extra == json.dumps({"round": round_})
+
+    def test_rerun_removes_the_earlier_runs_round_checkpoints(self, tmp_path):
+        fed = {"rounds": 4, "local_steps": 2, "eta": 0.01, "batch_size": 16, "seed": 3, "checkpoint_every": 2}
+        config = experiments.load_experiment_config(small_config(tmp_path, federation=fed))
+        experiments.cmd_preprocess(config)
+        experiments.cmd_meta_train(config)
+        ckpt_dir = config.train_dir / "checkpoints"
+        assert sorted(p.name for p in ckpt_dir.iterdir()) == ["meta_round_00002.npz", "meta_round_00004.npz"]
+        first = (ckpt_dir / "meta_round_00002.npz").read_bytes()
+        config = experiments.load_experiment_config(small_config(tmp_path, federation={**fed, "rounds": 2}))
+        experiments.cmd_meta_train(config)
+        assert sorted(p.name for p in ckpt_dir.iterdir()) == ["meta_round_00002.npz"]
+        assert (ckpt_dir / "meta_round_00002.npz").read_bytes() == first
+        config = experiments.load_experiment_config(small_config(tmp_path, federation={**fed, "checkpoint_every": 0}))
+        experiments.cmd_meta_train(config)
+        assert list(ckpt_dir.iterdir()) == []
 
     def test_rerun_is_byte_identical(self, tmp_path):
         config = experiments.load_experiment_config(small_config(tmp_path))
@@ -632,6 +649,21 @@ class TestCliEntryPoint:
         path = small_config(tmp_path, train_tasks=["T00", "T02"], test_tasks=["T02"])
         assert cli.run(["preprocess", "--config", str(path)]) == 2
 
+    @pytest.mark.parametrize("command", ["meta-train", "meta-test", "theory-probe"])
+    def test_model_p_that_is_not_the_tasks_coordinate_count_exits_2(self, tmp_path, capsys, command):
+        path = small_config(tmp_path)
+        assert cli.run(["preprocess", "--config", str(path)]) == 0
+        if command != "meta-train":
+            assert cli.run(["meta-train", "--config", str(path)]) == 0
+        exp_dir = experiments.load_experiment_config(path).experiment_dir
+        before = tree_digest(exp_dir)
+        small_config(tmp_path, model={**json.loads(path.read_text())["model"], "p": 3})
+        capsys.readouterr()
+        assert cli.run([command, "--config", str(path)]) == 2
+        task = "T00" if command == "meta-train" else "T02"  # the first task the phase loads
+        assert f"model.p is 3, but task {task} has 2 coordinates" in capsys.readouterr().err
+        assert tree_digest(exp_dir) == before
+
     def test_unknown_meta_test_optimizer_is_a_config_error(self, tmp_path, capsys):
         path = small_config(tmp_path, meta_test={"steps": 6, "seeds": [0], "optimizer": "rmsprop"})
         assert cli.run(["meta-test", "--config", str(path)]) == 2
@@ -677,6 +709,7 @@ class TestMalformedConfig:
             ("linearization_mu_repeated", "config: theory_probe.linearization_mu_list lists [0.01] more than once"),
             ("schema_prefix_and_columns", "config.datasets[0].schema: schema needs exactly one of ap_prefix and"),
             ("schema_empty_columns", "config.datasets[0].schema: schema needs exactly one of ap_prefix and"),
+            ("model_input_width", "config.model: unknown key(s) ['m']"),
         ],
     )
     def test_exits_2_and_names_the_key(self, tmp_path, capsys, case, named):
@@ -749,6 +782,11 @@ class TestMalformedConfig:
             path = with_dataset(tmp_path, '{"coord_columns": ["X", "Y"], "ap_columns": []}')
         elif case in ("zero_workers", "negative_workers"):
             path = small_config(tmp_path, workers=0 if case == "zero_workers" else -2)
+        elif case == "model_input_width":  # m is each task's own AP count
+            path = small_config(tmp_path)
+            raw = json.loads(path.read_text())
+            raw["model"]["m"] = 5
+            path.write_text(json.dumps(raw))
         elif case == "bool_as_string":
             path = small_config(tmp_path, d_from_median="false")
         elif case == "schema_not_json":
@@ -825,7 +863,7 @@ class TestMalformedCheckpoint:
         np.savez(bad, **kept)
         return bad
 
-    @pytest.mark.parametrize("missing", ["__config__", "__extra__"])
+    @pytest.mark.parametrize("missing", ["__extra__"])
     def test_missing_header_is_a_data_error(self, tmp_path, capsys, missing):
         path, checkpoint = self.trained(tmp_path)
         bad = self.rewritten(checkpoint, lambda kept: kept.pop(missing))
@@ -838,12 +876,12 @@ class TestMalformedCheckpoint:
         assert self.meta_test_exit(path, bad) == 3
         assert "__extra__ holds list" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("extra, missing", [({}, "eta"), ({"eta": 0.01}, "round"), ({"round": 2}, "eta")])
-    def test_extra_header_lacking_eta_or_round_is_a_data_error(self, tmp_path, capsys, extra, missing):
+    @pytest.mark.parametrize("extra", [{}, {"eta": 0.01}])
+    def test_extra_header_lacking_eta_or_round_is_a_data_error(self, tmp_path, capsys, extra):
         path, checkpoint = self.trained(tmp_path)
         bad = self.rewritten(checkpoint, lambda kept: kept.update(__extra__=np.str_(json.dumps(extra))))
         assert self.meta_test_exit(path, bad) == 3
-        assert f"KeyError: '{missing}'" in capsys.readouterr().err
+        assert "KeyError: 'round'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("content", ["truncated", "not_a_zip"])
     def test_truncated_or_foreign_file_is_a_data_error(self, tmp_path, capsys, content):
@@ -854,21 +892,73 @@ class TestMalformedCheckpoint:
         assert self.meta_test_exit(path, bad) == 3
         assert "malformed checkpoint" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("fault", ["shape", "key", "other_part"])
+    STACK_FAULTS = {  # the shared part's widths are [4, 8, 3]
+        "shape": "layer0 biases (8,) do not fit weights (7, 4)",
+        "biases": "layer1 biases (2,) do not fit weights (3, 8)",
+        "chain": "layer1 takes 7 inputs, but layer0 gives 8",
+        "key": "are not meta/layer0..k-1.weights|biases",
+        "gap": "are not meta/layer0..k-1.weights|biases",
+        "other_part": "are not meta/layer0..k-1.weights|biases",
+    }
+
+    @pytest.mark.parametrize("fault", STACK_FAULTS)
     def test_part_that_does_not_fit_its_config_is_a_data_error(self, tmp_path, capsys, fault):
         path, checkpoint = self.trained(tmp_path)
 
         def edit(kept: dict) -> None:
             if fault == "shape":
-                kept["meta/layer0.weights"] = kept["meta/layer0.weights"][:, :-1]
+                kept["meta/layer0.weights"] = kept["meta/layer0.weights"][:-1]
+            elif fault == "biases":
+                kept["meta/layer1.biases"] = kept["meta/layer1.biases"][:-1]
+            elif fault == "chain":
+                kept["meta/layer1.weights"] = kept["meta/layer1.weights"][:, :-1]
             elif fault == "key":
                 del kept["meta/layer1.biases"]
+            elif fault == "gap":
+                for role in ("weights", "biases"):
+                    kept[f"meta/layer2.{role}"] = kept.pop(f"meta/layer1.{role}")
             else:
                 kept["encoder/layer0.weights"] = np.zeros((4, 5))
 
         bad = self.rewritten(checkpoint, edit)
         assert self.meta_test_exit(path, bad) == 3
-        assert "does not match its config" in capsys.readouterr().err
+        assert self.STACK_FAULTS[fault] in capsys.readouterr().err
+        assert not experiments.load_experiment_config(path).test_dir.exists()
+
+    def test_well_formed_stack_of_other_widths_exits_2(self, tmp_path, capsys):
+        path, checkpoint = self.trained(tmp_path)
+        # layer0 narrowed to 3 inputs: an archive that chains, for another config
+        bad = self.rewritten(checkpoint, lambda kept: kept.update(
+            {"meta/layer0.weights": kept["meta/layer0.weights"][:, :-1]}
+        ))
+        assert self.meta_test_exit(path, bad) == 2
+        assert "shared-part widths [3, 8, 3] differ from the config's [4, 8, 3]" in capsys.readouterr().err
+
+    def test_archive_in_the_earlier_format_loads_bit_exactly(self, tmp_path):
+        """An archive that also holds the model config as ``__config__`` and
+        ``eta`` in ``__extra__``, as meta-train wrote before, gives the same θ,
+        round and meta-test outputs."""
+        path, checkpoint = self.trained(tmp_path)
+        config = experiments.load_experiment_config(path)
+
+        def earlier(kept: dict) -> None:
+            extra = json.loads(str(kept.pop("__extra__")))
+            kept["__config__"] = np.str_(json.dumps({**asdict(config.model), "m": None}, sort_keys=True))
+            kept["__extra__"] = np.str_(json.dumps({**extra, "eta": config.federation.eta}, sort_keys=True))
+
+        old = self.rewritten(checkpoint, earlier)
+        with zipfile.ZipFile(old) as archive:
+            assert archive.namelist()[-2:] == ["__config__.npy", "__extra__.npy"]
+        current, loaded = load_checkpoint(checkpoint), load_checkpoint(old)
+        assert (loaded.widths, loaded.round) == (current.widths, current.round) == ([4, 8, 3], 2)
+        assert loaded.params.tobytes() == current.params.tobytes()
+        outputs = []
+        for archive in (checkpoint, old):
+            assert self.meta_test_exit(path, archive) == 0
+            outputs.append({**tree_digest(config.test_dir), **tree_digest(config.report_dir)})
+            shutil.rmtree(config.test_dir)
+            shutil.rmtree(config.report_dir)
+        assert outputs[0] == outputs[1] and len(outputs[0]) > 1
 
 
 def _rewrite_array(name: str, edit):

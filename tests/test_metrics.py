@@ -1,5 +1,5 @@
 import tracemalloc
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -289,7 +289,7 @@ class TestProbeDivergence:
         cfg = probe_config(base, 0.25)
         assert cfg.optimizer == "sgd"
         assert cfg.rates() == {part: 0.25 for part in PART_NAMES}
-        changed = {key for key, value in cfg.to_dict().items() if base.to_dict()[key] != value}
+        changed = {key for key, value in asdict(cfg).items() if asdict(base)[key] != value}
         assert changed == {"optimizer", "mu_encoder", "mu_meta", "mu_mapper"}
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -1,3 +1,4 @@
+from dataclasses import asdict
 from itertools import combinations
 
 import numpy as np
@@ -28,9 +29,9 @@ def identity_params(size: int) -> dict:
 
 class TestConfig:
     def test_default_widths_match_reference_setup(self):
-        cfg = ModelConfig(m=200)
-        assert cfg.part_sizes("encoder") == [200, 1024, 50]
-        assert cfg.part_sizes("decoder") == [50, 1024, 200]
+        cfg = ModelConfig()
+        assert cfg.part_sizes("encoder", 200) == [200, 1024, 50]
+        assert cfg.part_sizes("decoder", 200) == [50, 1024, 200]
         assert cfg.part_sizes("meta") == [50, 256, 128, 64, 32]
         assert cfg.part_sizes("mapper") == [32, 64, 32, 2]
         assert cfg.rates() == {
@@ -52,7 +53,7 @@ class TestConfig:
 
     def test_round_trips_through_dict(self):
         cfg = tiny_model_config()
-        assert ModelConfig(**cfg.to_dict()) == cfg
+        assert ModelConfig(**asdict(cfg)) == cfg
 
 
 class TestShapes:
@@ -384,7 +385,7 @@ class TestFlatParameters:
         assert_layers_view_vectors(model)
         assert all((layer.weights == 1.0).all() for layer in model.parts["meta"])
         path = tmp_path / "ckpt.npz"
-        save_checkpoint(path, MetaModel(params=model.vectors["meta"], config=cfg, eta=0.01))
+        save_checkpoint(path, MetaModel(params=model.vectors["meta"], widths=cfg.part_sizes("meta")))
         model.set_part_params("meta", load_checkpoint(path).params)
         assert_layers_view_vectors(model)
 
