@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_fields, constrained
 from .fileio import atomic_write, column_indices, read_csv, write_json
 
 DEFAULT_SENTINEL = 100.0  # RSSI value of an AP a sample did not detect
@@ -98,17 +98,16 @@ class SchemaConfig:
     are these fields; ``experiments`` parses it with the config. The value
     that marks a missing AP is ``PreprocessConfig.sentinel``, not the schema's."""
 
-    coord_columns: tuple[str, ...]
-    ap_prefix: str | None = None
-    ap_columns: tuple[str, ...] | None = None
+    coord_columns: tuple[str, ...] = constrained(nonempty=True, unique=True)
+    ap_prefix: str | None = constrained(None, nonempty=True)
+    ap_columns: tuple[str, ...] | None = constrained(None, unique=True)
     building_col: str | None = None
     floor_col: str | None = None
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if (self.ap_prefix is None) == (not self.ap_columns):
             raise ConfigError("schema needs exactly one of ap_prefix and a non-empty ap_columns")
-        if len(self.coord_columns) < 1:
-            raise ConfigError("schema needs at least one coordinate column")
 
 
 def load_csv(path: str | Path, schema: SchemaConfig) -> FingerprintDataset:
@@ -293,33 +292,20 @@ class SyntheticEnvSpec:
     locations, jitter and noise always come from ``seed``.
     """
 
-    num_aps: int
-    area: tuple[float, float] = (40.0, 25.0)
-    samples: int = 400
+    num_aps: int = constrained(ge=1)
+    area: tuple[float, float] = constrained((40.0, 25.0), gt=0)
+    samples: int = constrained(400, ge=1)
     tx_power_dbm: float = -30.0
-    path_loss_exponent: float = 3.0
-    noise_sigma: float = 2.0
-    seed: int = 0
-    ap_seed: int | None = None
-    ap_jitter: float = 0.0
-    num_walls: int = 0
-    wall_loss_db: float = 8.0
+    path_loss_exponent: float = constrained(3.0, gt=0)
+    noise_sigma: float = constrained(2.0, ge=0)
+    seed: int = constrained(0, ge=0)
+    ap_seed: int | None = constrained(None, ge=0)
+    ap_jitter: float = constrained(0.0, ge=0)
+    num_walls: int = constrained(0, ge=0)
+    wall_loss_db: float = constrained(8.0, ge=0)
     sensitivity_dbm: float | None = None
 
-    def __post_init__(self) -> None:
-        if self.num_aps < 1:
-            raise ConfigError("need at least one AP")
-        if self.path_loss_exponent <= 0:
-            raise ConfigError("path-loss exponent must be > 0")
-        if self.noise_sigma < 0 or self.ap_jitter < 0:
-            raise ConfigError("noise sigma and AP jitter must be >= 0")
-        if self.samples < 1 or self.area[0] <= 0 or self.area[1] <= 0:
-            raise ConfigError("invalid sample count or area")
-        if self.num_walls < 0 or self.wall_loss_db < 0:
-            raise ConfigError("wall count and per-wall loss must be >= 0")
-        for key, seed in (("seed", self.seed), ("ap_seed", self.ap_seed)):
-            if seed is not None and seed < 0:
-                raise ConfigError(f"{key} must be >= 0, got {seed}")
+    __post_init__ = check_fields
 
 
 MIN_PATH_DISTANCE_M = 0.1  # clamp so co-located AP/sample never hits log(0)

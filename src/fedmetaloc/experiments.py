@@ -13,6 +13,7 @@ and atomically (:mod:`fedmetaloc.fileio`), never appended.
 from __future__ import annotations
 
 import json
+import shutil
 import types
 import typing
 from dataclasses import asdict, dataclass, field, is_dataclass, replace
@@ -35,7 +36,7 @@ from .data import (
     save_task_bundle,
     synth_environment,
 )
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_fields, constrained, field_types, finite
 from .federation import (
     AdaptationTrace, FederationParams, MetaModel, MetaTestParams, load_checkpoint, meta_test, save_checkpoint,
 )
@@ -56,6 +57,11 @@ class TaskOptions:
     support_ratio: float | None = None
     support_region: tuple[float, float, float, float] | None = None
 
+    __post_init__ = check_fields
+
+
+PARTITION_RULES = ("none", *PARTITIONS)
+
 
 @dataclass(frozen=True)
 class DatasetSource:
@@ -63,15 +69,9 @@ class DatasetSource:
 
     csv: Path
     schema: SchemaConfig
-    partition: str | None = None
+    partition: str | None = constrained(None, one_of=PARTITION_RULES)
 
-    def __post_init__(self) -> None:
-        _check_partition(self.partition)
-
-
-def _check_partition(partition: str | None) -> None:
-    if partition not in (None, "none", *PARTITIONS):
-        raise ConfigError(f"partition must be 'none' or one of {PARTITIONS}, got {partition!r}")
+    __post_init__ = check_fields
 
 
 @dataclass
@@ -80,39 +80,27 @@ class ExperimentConfig:
     out_dir: Path
     datasets: list[tuple[DatasetSource, TaskOptions]] = field(default_factory=list)
     synthetic_envs: list[tuple[SyntheticEnvSpec, TaskOptions]] = field(default_factory=list)
-    partition: str = "none"
-    train_tasks: list[str] = field(default_factory=list)
-    test_tasks: list[str] = field(default_factory=list)
+    partition: str = constrained("none", one_of=PARTITION_RULES)
+    # a task listed twice would be trained or tested twice
+    train_tasks: list[str] = field(default_factory=list, metadata={"unique": True})
+    test_tasks: list[str] = field(default_factory=list, metadata={"unique": True})
     support_ratio: float = 0.7
-    split_seed: int = 0
+    split_seed: int = constrained(0, ge=0)
     d_from_median: bool = False
     preprocess: PreprocessConfig = field(default_factory=PreprocessConfig)
     model: ModelConfig = field(default_factory=ModelConfig)
     federation: FederationParams = field(default_factory=FederationParams)
     meta_test: MetaTestParams = field(default_factory=MetaTestParams)
     theory_probe: TheoryProbeParams = field(default_factory=TheoryProbeParams)
-    workers: int = 1
+    workers: int = constrained(1, ge=1)
 
     def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
-        if self.split_seed < 0:
-            raise ConfigError(f"split_seed must be >= 0, got {self.split_seed}")
-        mt = self.meta_test
-        for key, values in (("train_tasks", self.train_tasks), ("test_tasks", self.test_tasks),
-                            ("meta_test.seeds", mt.seeds), ("meta_test.targets_m", mt.targets_m),
-                            ("meta_test.step_checkpoints", mt.step_checkpoints),
-                            ("theory_probe.linearization_mu_list", self.theory_probe.linearization_mu_list)):
-            # a repeat would count one run twice, or report one result under one key twice
-            repeated = sorted({v for v in values if values.count(v) > 1})
-            if repeated:
-                raise ConfigError(f"{key} lists {repeated} more than once")
+        check_fields(self)
         overlap = set(self.train_tasks) & set(self.test_tasks)
         if overlap:
             raise ConfigError(f"train and test task lists overlap: {sorted(overlap)}")
         if not self.datasets and not self.synthetic_envs:
             raise ConfigError("no data source: set datasets or synthetic_envs")
-        _check_partition(self.partition)
         for key in ("datasets", "synthetic_envs"):  # the ranges make_task's split will check
             for i, (_, opts) in enumerate(getattr(self, key)):
                 ratio = self.split_ratio(opts)
@@ -157,8 +145,9 @@ _SCALARS = {bool: (bool,), int: (int,), float: (int, float), str: (str,), dict: 
 def _typed(value, hint, where: str):
     """``value`` checked against the field type ``hint``: a section is built by
     :func:`_section`, a JSON list becomes a tuple (or list), ``X | None`` admits
-    null, an integer in a float field becomes a float, and a bool is no number.
-    Paths and entries are the caller's."""
+    null, an integer in a float field becomes a float (one too large for a
+    float stays an integer, which the field check rejects), and a bool is no
+    number. Paths and entries are the caller's."""
     if is_dataclass(hint):
         return _section(hint, value, where)
     if isinstance(hint, types.UnionType):
@@ -174,15 +163,15 @@ def _typed(value, hint, where: str):
     allowed = _SCALARS.get(hint)
     if allowed and (not isinstance(value, allowed) or (isinstance(value, bool) and hint is not bool)):
         raise ConfigError(f"{where} must be {'an object' if hint is dict else hint.__name__}, got {value!r}")
-    return float(value) if hint is float else value
+    return float(value) if hint is float and finite(value) else value
 
 
 def _section(cls, raw, where: str, **built):
     """The config dataclass ``cls`` from the JSON object ``raw``: every config
     object is built here. Each key must name a field and hold its JSON type
     (``built``: fields the caller built from their keys); ``__post_init__``
-    checks the ranges, and every error names ``where``."""
-    hints = typing.get_type_hints(cls)
+    checks the constraints, and every error names ``where``."""
+    hints = field_types(cls)
     unknown = sorted(set(_typed(raw, dict, where)) - set(hints))
     if unknown:
         raise ConfigError(f"{where}: unknown key(s) {unknown}")
@@ -440,6 +429,11 @@ def cmd_meta_test(config: ExperimentConfig, checkpoint: str | Path | None = None
     else:
         for job in jobs:
             _run_one_test(job)
+    written = {run_dir(config, task.task_id, mode, seed) for _, _, _, task, mode, seed in jobs}
+    for stale in set(config.test_dir.glob("*/*/*")) - written:  # an earlier meta-test's runs
+        shutil.rmtree(stale)
+    for stale in set(config.test_dir.glob("*")) - {path.parent.parent for path in written}:  # and its tasks
+        shutil.rmtree(stale)
     return cmd_report(config)
 
 

@@ -48,7 +48,7 @@ import numpy as np
 
 from . import nn
 from .data import LocalizationTask
-from .errors import ConfigError, DataError, DivergenceError
+from .errors import ConfigError, DataError, DivergenceError, check_fields, constrained
 from .fileio import atomic_write
 from .metrics import mde
 from .model import OPTIMIZERS, ClientModel, ModelConfig
@@ -60,51 +60,32 @@ AGGREGATIONS = ("gradient", "average")
 class FederationParams:
     """Stage (i), collaborative meta-training: the ``federation`` config section."""
 
-    rounds: int = 200
-    local_steps: int = 5
-    eta: float = 0.001
-    batch_size: int = 32
-    seed: int = 0
-    checkpoint_every: int = 50
-    early_stop_tol: float = 1e-5
-    early_stop_patience: int = 20
-    aggregation: str = "gradient"
+    rounds: int = constrained(200, ge=0)
+    local_steps: int = constrained(5, ge=0)
+    eta: float = constrained(0.001, gt=0)
+    batch_size: int = constrained(32, ge=1)
+    seed: int = constrained(0, ge=0)
+    checkpoint_every: int = constrained(50, ge=0)
+    early_stop_tol: float = constrained(1e-5, ge=0)
+    early_stop_patience: int = constrained(20, ge=1)
+    aggregation: str = constrained("gradient", one_of=AGGREGATIONS)
 
-    def __post_init__(self) -> None:
-        if self.rounds < 0 or self.local_steps < 0:
-            raise ConfigError("rounds and local_steps must be >= 0")
-        if self.eta <= 0 or self.batch_size < 1:
-            raise ConfigError("eta must be > 0 and batch_size >= 1")
-        if self.checkpoint_every < 0 or self.early_stop_patience < 1 or self.early_stop_tol < 0:
-            raise ConfigError("checkpoint_every and early_stop_tol must be >= 0, early_stop_patience >= 1")
-        if self.aggregation not in AGGREGATIONS:
-            raise ConfigError(f"aggregation must be 'gradient' or 'average', got {self.aggregation!r}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)
 class MetaTestParams:
     """Stage (ii), rapid adaptation: the ``meta_test`` config section."""
 
-    steps: int = 100
-    targets_m: tuple[float, ...] = (5.0,)
-    step_checkpoints: tuple[int, ...] = (50, 100)
-    seeds: tuple[int, ...] = (0,)
-    batch_size: int = 32
-    optimizer: str = "adam"
+    steps: int = constrained(100, ge=0)
+    # a repeated target, checkpoint or seed would report one result under one key twice, or count one run twice
+    targets_m: tuple[float, ...] = constrained((5.0,), gt=0, unique=True)
+    step_checkpoints: tuple[int, ...] = constrained((50, 100), ge=1, unique=True)
+    seeds: tuple[int, ...] = constrained((0,), ge=0, nonempty=True, unique=True)
+    batch_size: int = constrained(32, ge=1)
+    optimizer: str = constrained("adam", one_of=OPTIMIZERS)
 
-    def __post_init__(self) -> None:
-        if self.steps < 0 or self.batch_size < 1:
-            raise ConfigError("meta-test steps must be >= 0 and batch_size >= 1")
-        if any(n < 1 for n in self.step_checkpoints):
-            raise ConfigError("step checkpoints must be >= 1")
-        if not self.seeds:
-            raise ConfigError("meta_test.seeds is empty: meta-test needs at least one seed")
-        if min(self.seeds) < 0:
-            raise ConfigError(f"seeds must be >= 0, got {list(self.seeds)}")
-        if self.optimizer not in OPTIMIZERS:
-            raise ConfigError(f"meta-test optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
+    __post_init__ = check_fields
 
 
 @dataclass

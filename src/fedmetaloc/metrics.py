@@ -54,7 +54,7 @@ import numpy as np
 
 from . import nn
 from .data import LocalizationTask
-from .errors import ConfigError, DataError, DivergenceError
+from .errors import ConfigError, DataError, DivergenceError, check_fields, constrained
 from .model import PART_NAMES, ClientModel, ModelConfig
 
 
@@ -139,21 +139,15 @@ def knn_baseline(task: LocalizationTask, k: int) -> tuple[np.ndarray, float]:
 class TheoryProbeParams:
     """The convergence probe: the ``theory_probe`` config section."""
 
-    epsilon: float = 1e-3
-    mu: float = 0.01
-    max_steps: int = 200
-    linearization_mu_list: tuple[float, ...] = (1e-2, 1e-3, 1e-4)
-    linearization_steps: int = 5
-    seed: int = 0
+    epsilon: float = constrained(1e-3, gt=0)
+    mu: float = constrained(0.01, gt=0)
+    # the smoothness estimate compares the states of the first min(10, max_steps) steps
+    max_steps: int = constrained(200, ge=2)
+    linearization_mu_list: tuple[float, ...] = constrained((1e-2, 1e-3, 1e-4), gt=0, unique=True)
+    linearization_steps: int = constrained(5, ge=1)
+    seed: int = constrained(0, ge=0)
 
-    def __post_init__(self) -> None:
-        if self.epsilon <= 0 or self.mu <= 0 or any(mu <= 0 for mu in self.linearization_mu_list):
-            raise ConfigError("epsilon, mu and every linearization mu must be > 0")
-        # the smoothness estimate compares the states of the first min(10, max_steps) steps
-        if self.max_steps < 2 or self.linearization_steps < 1:
-            raise ConfigError("max_steps must be >= 2 and linearization_steps >= 1")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+    __post_init__ = check_fields
 
 
 def probe_config(config: ModelConfig, mu: float) -> ModelConfig:

@@ -62,7 +62,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import nn
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_fields, constrained
 
 PART_NAMES = ("encoder", "decoder", "meta", "mapper")
 OPTIMIZERS = ("adam", "sgd")
@@ -77,39 +77,24 @@ _WORKSPACES = {part: nn.Workspace() for part in PART_NAMES}
 class ModelConfig:
     """Widths, learning rates, and loss weighting for one experiment; the input width m is each task's."""
 
-    d: int = 50
-    n: int = 32
-    p: int = 2
-    encoder_hidden: tuple[int, ...] = (1024,)
-    decoder_hidden: tuple[int, ...] = (1024,)
-    meta_hidden: tuple[int, ...] = (256, 128, 64)
-    mapper_hidden: tuple[int, ...] = (64, 32)
-    mu_encoder: float = 0.0095
-    mu_meta: float = 0.0005
-    mu_mapper: float = 0.0005
-    lambda_recon: float = 0.1
-    optimizer: str = "adam"
-    encoder_init: str = "he"
+    d: int = constrained(50, ge=1)
+    n: int = constrained(32, ge=1)
+    p: int = constrained(2, ge=1)
+    encoder_hidden: tuple[int, ...] = constrained((1024,), ge=1)
+    decoder_hidden: tuple[int, ...] = constrained((1024,), ge=1)
+    meta_hidden: tuple[int, ...] = constrained((256, 128, 64), ge=1)
+    mapper_hidden: tuple[int, ...] = constrained((64, 32), ge=1)
+    mu_encoder: float = constrained(0.0095, gt=0)
+    mu_meta: float = constrained(0.0005, gt=0)
+    mu_mapper: float = constrained(0.0005, gt=0)
+    lambda_recon: float = constrained(0.1, ge=0)
+    optimizer: str = constrained("adam", one_of=OPTIMIZERS)
+    encoder_init: str = constrained("he", one_of=("he", "prefix_projection"))
 
     def __post_init__(self) -> None:
         for key in ("encoder_hidden", "decoder_hidden", "meta_hidden", "mapper_hidden"):
             object.__setattr__(self, key, tuple(getattr(self, key)))
-        for name, dim in (("d", self.d), ("n", self.n), ("p", self.p)):
-            if dim < 1:
-                raise ConfigError(f"dimension {name} must be >= 1, got {dim}")
-        for name, mu in (
-            ("mu_encoder", self.mu_encoder),
-            ("mu_meta", self.mu_meta),
-            ("mu_mapper", self.mu_mapper),
-        ):
-            if mu <= 0:
-                raise ConfigError(f"{name} must be > 0, got {mu}")
-        if self.lambda_recon < 0:
-            raise ConfigError(f"lambda_recon must be >= 0, got {self.lambda_recon}")
-        if self.optimizer not in OPTIMIZERS:
-            raise ConfigError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
-        if self.encoder_init not in ("he", "prefix_projection"):
-            raise ConfigError(f"encoder_init must be 'he' or 'prefix_projection', got {self.encoder_init!r}")
+        check_fields(self)
         if self.encoder_init == "prefix_projection" and self.encoder_hidden:
             raise ConfigError("prefix_projection requires a single-layer (linear) encoder")
 

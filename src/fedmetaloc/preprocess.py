@@ -19,21 +19,17 @@ from typing import Sequence
 import numpy as np
 
 from .data import DEFAULT_SENTINEL, FingerprintDataset
-from .errors import ConfigError, DataError
+from .errors import DataError, check_fields, constrained
 
 
 @dataclass(frozen=True)
 class PreprocessConfig:
-    tau: float = 0.0
+    tau: float = constrained(0.0, ge=0, le=1)  # visibility threshold
     sentinel: float = DEFAULT_SENTINEL
     impute_offset: float = 1.0
-    beta_pow: float = math.e
+    beta_pow: float = constrained(math.e, gt=0)  # powed exponent
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.tau <= 1.0:
-            raise ConfigError(f"visibility threshold must be in [0, 1], got {self.tau}")
-        if self.beta_pow <= 0:
-            raise ConfigError(f"powed exponent must be > 0, got {self.beta_pow}")
+    __post_init__ = check_fields
 
 
 @dataclass

@@ -298,6 +298,36 @@ def linear_sgd_closed_form(h_s, c_s, wt0, mu: float, step: int) -> np.ndarray:
     return w_star + q @ (((1.0 - mu * evals) ** step)[:, None] * d0)
 
 
+def write_uji_csv(
+    path: Path, groups: list[tuple[int, int]], rows: int = 20, aps: int = 520, seed: int = 0
+) -> Path:
+    """A CSV in the UJIIndoorLoc schema (``configs/uji_schema.json``), rendered
+    from :func:`synth_environment`: ``aps`` WAP columns of whole dBm, a cell
+    below the -62 dBm floor reading 100 (not detected), then LONGITUDE,
+    LATITUDE, FLOOR and BUILDINGID. Each (building, floor) of ``groups`` is
+    one environment of ``rows`` samples over 100 m x 70 m; the floors of a
+    building share its AP layout, and the buildings stand side by side.
+    Everything follows from ``seed``."""
+    sample_seeds, ap_seeds = np.random.SeedSequence(seed).generate_state(2 * len(groups)).reshape(2, -1)
+    header = [*(f"WAP{i:03d}" for i in range(1, aps + 1)), "LONGITUDE", "LATITUDE", "FLOOR", "BUILDINGID"]
+    lines = [",".join(header)]
+    for (building, floor), sample_seed in zip(groups, sample_seeds):
+        spec = SyntheticEnvSpec(
+            num_aps=aps, samples=rows, area=(100.0, 70.0), seed=int(sample_seed),
+            ap_seed=int(ap_seeds[building]), sensitivity_dbm=-62.0,
+        )
+        env = synth_environment(spec, sentinel=100.0)
+        rssi = np.rint(env.rssi).astype(np.int64)
+        lon = -7691.3384 + 120.0 * building + env.coords[:, 0]
+        lat = 4864745.7450 + env.coords[:, 1]
+        lines.extend(
+            ",".join([*map(str, rssi[i].tolist()), f"{lon[i]:.10f}", f"{lat[i]:.10f}", str(floor), str(building)])
+            for i in range(rows)
+        )
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
 def small_config(tmp_path: Path, **overrides) -> Path:
     """A three-task synthetic experiment (two train tasks, test task T02) with
     the given top-level keys replaced, written to ``tmp_path / "exp.json"``."""

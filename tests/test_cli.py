@@ -1,10 +1,14 @@
+import dataclasses
 import hashlib
 import importlib.util
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
+import types
+import typing
 import zipfile
 from dataclasses import asdict
 from pathlib import Path
@@ -13,12 +17,15 @@ import numpy as np
 import pytest
 
 from fedmetaloc import cli, experiments, metrics
-from fedmetaloc.data import SchemaConfig, load_task_bundle
+from fedmetaloc.data import SchemaConfig, SyntheticEnvSpec, load_task_bundle
 from fedmetaloc.errors import ConfigError, DataError
-from fedmetaloc.federation import AdaptationTrace, load_checkpoint, meta_test
+from fedmetaloc.federation import AdaptationTrace, FederationParams, MetaTestParams, load_checkpoint, meta_test
 from fedmetaloc.fileio import write_json
+from fedmetaloc.metrics import TheoryProbeParams
+from fedmetaloc.model import ModelConfig
+from fedmetaloc.preprocess import PreprocessConfig
 
-from helpers import reference_load_csv, small_config
+from helpers import reference_load_csv, small_config, write_uji_csv
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -188,25 +195,9 @@ class TestPreprocessCommand:
         assert digests[0] == digests[1]
 
 
-def write_uji_csv(path: Path, rows: int = 160, aps: int = 30) -> Path:
-    """A UJIIndoorLoc-shaped CSV: mostly-undetected WAP columns, then
-    LONGITUDE, LATITUDE, FLOOR and BUILDINGID over two buildings of two floors."""
-    rng = np.random.default_rng(0)
-    rssi = np.where(rng.random((rows, aps)) < 0.7, 100, rng.integers(-100, -30, size=(rows, aps)))
-    lon = rng.uniform(-7691.3384, -7300.8190, rows)
-    lat = rng.uniform(4864745.7450, 4865017.3647, rows)
-    header = [*(f"WAP{i:03d}" for i in range(1, aps + 1)), "LONGITUDE", "LATITUDE", "FLOOR", "BUILDINGID"]
-    lines = [
-        ",".join([*map(str, rssi[i].tolist()), f"{lon[i]:.10f}", f"{lat[i]:.10f}", str(i % 2), str(i // 2 % 2)])
-        for i in range(rows)
-    ]
-    path.write_text("\n".join([",".join(header), *lines]) + "\n")
-    return path
-
-
 class TestDatasetPreprocess:
     def test_uji_shaped_csv_bundles_match_the_reference_reader(self, tmp_path, monkeypatch):
-        csv = write_uji_csv(tmp_path / "trainingData.csv")
+        csv = write_uji_csv(tmp_path / "trainingData.csv", [(0, 0), (0, 1), (1, 0), (1, 1)], rows=40, aps=30)
         entry = {"csv": str(csv), "schema": str(CONFIGS / "uji_schema.json"), "partition": "building_floor"}
         digests = []
         for name in ("load_csv", "reference"):
@@ -498,6 +489,27 @@ class TestMetaTestCommand:
         with pytest.raises(ConfigError, match=r"shared-part widths \[4, 8, 3\] differ from the config's \[5, 8, 3\]"):
             experiments.cmd_meta_test(other, checkpoint=config.checkpoint_path)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_rerun_removes_the_earlier_runs_it_did_not_write(self, tmp_path, workers):
+        config, _ = self.run_pipeline(tmp_path, workers=workers)
+        assert experiments.run_dir(config, "T02", "RI", 1).is_dir()
+        mt = {**json.loads((tmp_path / "exp.json").read_text())["meta_test"], "seeds": [0]}
+        path = small_config(tmp_path, workers=workers, meta_test=mt)
+        experiments.cmd_meta_test(experiments.load_experiment_config(path))
+        runs = sorted(str(p.relative_to(config.test_dir)) for p in config.test_dir.glob("*/*/*"))
+        assert runs == ["T02/MI/0", "T02/RI/0"]
+        assert sorted(p.name for p in experiments.run_dir(config, "T02", "MI", 0).iterdir()) == [
+            "errors_final.csv", "trace.csv"
+        ]
+
+    def test_rerun_without_a_test_task_removes_its_runs(self, tmp_path):
+        config, _ = self.run_pipeline(tmp_path, train_tasks=["T00"], test_tasks=["T01", "T02"])
+        assert sorted(p.name for p in config.test_dir.iterdir()) == ["T01", "T02"]
+        self.run_pipeline(tmp_path, train_tasks=["T00", "T01"], test_tasks=["T02"])
+        assert sorted(str(p.relative_to(config.test_dir)) for p in config.test_dir.rglob("*") if p.is_dir()) == [
+            "T02", "T02/MI", "T02/MI/0", "T02/MI/1", "T02/RI", "T02/RI/0", "T02/RI/1"
+        ]
+
     def test_worker_pool_matches_sequential(self, tmp_path):
         config, report = self.run_pipeline(tmp_path)
         parallel_cfg = experiments.load_experiment_config(small_config(tmp_path, workers=2))
@@ -683,8 +695,8 @@ class TestMalformedConfig:
             ("section_is_a_string", "federation"),
             ("area_is_a_number", "area"),
             ("seeds_is_a_number", "seeds"),
-            ("seeds_is_empty", "meta_test.seeds"),
-            ("seeds_repeated", "config: meta_test.seeds lists [0] more than once"),
+            ("seeds_is_empty", "config.meta_test: seeds must not be empty"),
+            ("seeds_repeated", "config.meta_test: seeds lists [0] more than once"),
             ("train_task_repeated", "config: train_tasks lists ['T00'] more than once"),
             ("test_task_repeated", "config: test_tasks lists ['T02'] more than once"),
             ("bool_as_string", "d_from_median"),
@@ -694,8 +706,8 @@ class TestMalformedConfig:
             ("entry_support_ratio_above_one", "synthetic_envs[2] (T02).support_ratio must be in (0, 1)"),
             ("config_support_ratio_of_one", "config: support_ratio must be in (0, 1) for task T00, got 1.0"),
             ("region_support_ratio_of_zero", "synthetic_envs[2] (T02).support_ratio must be in (0, 1]"),
-            ("unknown_partition", "config: partition must be 'none' or one of"),
-            ("unknown_dataset_partition", "config.datasets[0] (D0): partition must be 'none' or one of"),
+            ("unknown_partition", "config: partition must be one of ('none', 'building', 'floor', 'building_floor')"),
+            ("unknown_dataset_partition", "config.datasets[0] (D0): partition must be one of ('none', "),
             ("zero_workers", "config: workers must be >= 1, got 0"),
             ("negative_workers", "config: workers must be >= 1, got -2"),
             ("negative_meta_test_seed", "config.meta_test: seeds must be >= 0, got [0, -1]"),
@@ -704,12 +716,17 @@ class TestMalformedConfig:
             ("negative_ap_seed", "config.synthetic_envs[1] (T01): ap_seed must be >= 0, got -4"),
             ("negative_federation_seed", "config.federation: seed must be >= 0, got -3"),
             ("negative_theory_probe_seed", "config.theory_probe: seed must be >= 0, got -1"),
-            ("targets_repeated", "config: meta_test.targets_m lists [8.0] more than once"),
-            ("step_checkpoints_repeated", "config: meta_test.step_checkpoints lists [3] more than once"),
-            ("linearization_mu_repeated", "config: theory_probe.linearization_mu_list lists [0.01] more than once"),
+            ("targets_repeated", "config.meta_test: targets_m lists [8.0] more than once"),
+            ("step_checkpoints_repeated", "config.meta_test: step_checkpoints lists [3] more than once"),
+            ("linearization_mu_repeated", "config.theory_probe: linearization_mu_list lists [0.01] more than once"),
             ("schema_prefix_and_columns", "config.datasets[0].schema: schema needs exactly one of ap_prefix and"),
             ("schema_empty_columns", "config.datasets[0].schema: schema needs exactly one of ap_prefix and"),
             ("model_input_width", "config.model: unknown key(s) ['m']"),
+            ("nan_eta", "config.federation: eta must be a finite number, got nan"),
+            ("nan_epsilon", "config.theory_probe: epsilon must be a finite number, got nan"),
+            ("nan_target", "config.meta_test: targets_m must be a finite number, got [nan]"),
+            ("overflowing_literal_eta", "config.federation: eta must be a finite number, got inf"),
+            ("integer_too_large_for_a_float_eta", "config.federation: eta must be a finite number, got 1000000000"),
         ],
     )
     def test_exits_2_and_names_the_key(self, tmp_path, capsys, case, named):
@@ -787,6 +804,17 @@ class TestMalformedConfig:
             raw = json.loads(path.read_text())
             raw["model"]["m"] = 5
             path.write_text(json.dumps(raw))
+        elif case == "nan_eta":
+            path = small_config(tmp_path, federation={"eta": float("nan")})
+        elif case == "nan_epsilon":
+            path = small_config(tmp_path, theory_probe={"epsilon": float("nan")})
+        elif case == "nan_target":
+            path = small_config(tmp_path, meta_test={"steps": 6, "targets_m": [float("nan")]})
+        elif case == "overflowing_literal_eta":  # parses to inf
+            path = small_config(tmp_path, federation={"eta": 0.01})
+            path.write_text(path.read_text().replace('"eta": 0.01', '"eta": 1e400'))
+        elif case == "integer_too_large_for_a_float_eta":
+            path = small_config(tmp_path, federation={"eta": 10**400})
         elif case == "bool_as_string":
             path = small_config(tmp_path, d_from_median="false")
         elif case == "schema_not_json":
@@ -796,6 +824,109 @@ class TestMalformedConfig:
         assert cli.run(["preprocess", "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error") and named in err
+        assert not (tmp_path / "out").exists()
+
+
+# The config sections as (dataclass, the section path that errors name).
+# Dataset sections are tested on small_config's one CSV dataset
+# (with_dataset), the entry sections on its second synthetic environment.
+SECTIONS = [
+    (experiments.ExperimentConfig, "config"),
+    (PreprocessConfig, "config.preprocess"),
+    (ModelConfig, "config.model"),
+    (FederationParams, "config.federation"),
+    (MetaTestParams, "config.meta_test"),
+    (TheoryProbeParams, "config.theory_probe"),
+    (SyntheticEnvSpec, "config.synthetic_envs[1] (T01)"),
+    (experiments.TaskOptions, "config.synthetic_envs[1]"),
+    (experiments.DatasetSource, "config.datasets[0] (D0)"),
+    (SchemaConfig, "config.datasets[0].schema"),
+]
+RULES = {"ge", "gt", "le", "one_of", "nonempty", "unique"}
+# a valid value of each list field that has no default to start from
+VALID_LISTS = {
+    "train_tasks": ["T00", "T01"],
+    "test_tasks": ["T02"],
+    "coord_columns": ["X", "Y"],
+    "ap_columns": ["A", "B"],
+    "support_region": [0.0, 0.0, 20.0, 25.0],
+}
+WRONG_TYPE = {int: "1", float: "1.0", str: 1}
+
+
+def malformed_elements(kind: type, rules) -> list[tuple[str, object]]:
+    """(label, value) pairs that break one value of type ``kind`` under ``rules``."""
+    cases = [("wrong_type", WRONG_TYPE[kind])]
+    if kind is float:
+        cases += [("nan", float("nan")), ("inf", float("inf")), ("-inf", float("-inf")), ("huge_int", 10**400)]
+    if "ge" in rules:
+        cases.append(("below_min", rules["ge"] - 1))
+    if "gt" in rules:
+        cases.append(("at_exclusive_min", rules["gt"]))
+    if "le" in rules:
+        cases.append(("above_max", rules["le"] + 1))
+    if "one_of" in rules:
+        cases.append(("not_one_of", "bogus"))
+    return cases
+
+
+def declared_cases() -> list:
+    """One case per malformed value that a constrained field's metadata (or a
+    float in its type) implies, for every field of every section."""
+    cases = []
+    for cls, where in SECTIONS:
+        hints = typing.get_type_hints(cls)
+        for f in dataclasses.fields(cls):
+            hint, rules = hints[f.name], f.metadata
+            assert set(rules) <= RULES, f"{cls.__name__}.{f.name}: unknown rule(s) {set(rules) - RULES}"
+            if isinstance(hint, types.UnionType):  # X | None
+                (hint,) = [arg for arg in typing.get_args(hint) if arg is not type(None)]
+            listed = typing.get_origin(hint) in (tuple, list)
+            kind = typing.get_args(hint)[0] if listed else hint
+            if not rules and kind is not float:
+                continue
+            values = malformed_elements(kind, rules)
+            if listed:
+                valid = list(VALID_LISTS.get(f.name, f.default))
+                values = [("not_a_list", valid[0])] + [(label, [bad, *valid[1:]]) for label, bad in values]
+                if rules.get("unique"):
+                    values.append(("repeated", [valid[0], *valid]))
+            if rules.get("nonempty"):
+                values.append(("empty", [] if listed else ""))
+            cases += [pytest.param(cls, where, f.name, v, id=f"{where}.{f.name}-{label}") for label, v in values]
+    return cases
+
+
+class TestDeclaredConstraints:
+    """Every constrained field of every config section, malformed in each way
+    its declaration implies: ``preprocess`` exits 2 at load, names the
+    section and the key, and writes nothing."""
+
+    def config_with(self, tmp_path: Path, cls, key: str, value) -> Path:
+        if cls in (SchemaConfig, experiments.DatasetSource):
+            schema = {**json.loads(SCHEMA), key: value} if cls is SchemaConfig else json.loads(SCHEMA)
+            return with_dataset(tmp_path, json.dumps(schema), **({} if cls is SchemaConfig else {key: value}))
+        path = small_config(tmp_path)
+        raw = json.loads(path.read_text())
+        if cls is experiments.ExperimentConfig:
+            raw[key] = value
+        elif cls in (SyntheticEnvSpec, experiments.TaskOptions):
+            raw["synthetic_envs"][1][key] = value
+        else:
+            raw.setdefault(dict(SECTIONS)[cls].split(".")[1], {})[key] = value
+        path.write_text(json.dumps(raw))
+        return path
+
+    def test_every_section_declares_constraints(self):
+        assert {cls for cls, _, _, _ in (case.values for case in declared_cases())} == {cls for cls, _ in SECTIONS}
+
+    @pytest.mark.parametrize("cls, where, key, value", declared_cases())
+    def test_exits_2_and_names_the_section_and_key(self, tmp_path, capsys, cls, where, key, value):
+        path = self.config_with(tmp_path, cls, key, value)
+        assert cli.run(["preprocess", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ")
+        assert f"{where}.{key}" in err or f"{where}: {key} " in err, err
         assert not (tmp_path / "out").exists()
 
 
@@ -828,6 +959,44 @@ class TestShippedConfigsLoad:
 
         config = experiments.load_experiment_config(cohort.write_config(tmp_path, 0, scale))
         assert config.federation.rounds == cohort.SCALES[scale]["rounds"]
+
+
+class TestPaperConfigOffline:
+    """The five commands on ``configs/uji_multi_floor.json``, at the paper's
+    model shapes but a few steps, over a generated CSV in the UJIIndoorLoc
+    schema with its 13 building/floor tasks. No accuracy is claimed."""
+
+    SUMMARY = r"target (5\.0|10\.0|15\.0) m: MI faster in [01]/1 paired seeds, median step reduction -?\d+%"
+
+    def test_five_commands_write_every_phase_output(self, tmp_path, capsys):
+        raw = json.loads((CONFIGS / "uji_multi_floor.json").read_text())
+        tasks = raw["train_tasks"] + raw["test_tasks"]
+        groups = [(int(t[1]), int(t[4])) for t in tasks]  # B{building}_F{floor}
+        csv = write_uji_csv(tmp_path / "trainingData.csv", groups)
+        raw["datasets"][0].update(csv=str(csv), schema=str(CONFIGS / "uji_schema.json"))
+        raw["federation"].update(rounds=1, local_steps=1, checkpoint_every=1)
+        raw["meta_test"].update(steps=2, seeds=[0])
+        raw["theory_probe"] = {"max_steps": 2, "linearization_mu_list": [0.01], "linearization_steps": 1}
+        path = tmp_path / "uji_multi_floor.json"
+        path.write_text(json.dumps({**raw, "out_dir": str(tmp_path / "out")}))
+        out = {}
+        for command in ("preprocess", "meta-train", "meta-test", "theory-probe", "report"):
+            assert cli.run([command, "--config", str(path)]) == 0, command
+            out[command] = capsys.readouterr().out.splitlines()
+
+        exp_dir = tmp_path / "out" / "uji_multi_floor"
+        expected = {"tasks_index.json", "train/round_log.csv", "train/meta_final.npz",
+                    "train/checkpoints/meta_round_00001.npz", "report/metrics.json", "theory/probe_report.json"}
+        expected |= {f"tasks/{t}/{name}" for t in tasks for name in ("meta.json", "support.npy", "query.npy")}
+        for t in raw["test_tasks"]:
+            for mode in ("MI", "RI"):
+                expected |= {f"test/{t}/{mode}/0/trace.csv", f"test/{t}/{mode}/0/errors_final.csv"}
+                expected.add(f"report/{t}_{mode}_cdf.csv")
+        assert set(tree_digest(exp_dir)) == expected
+        assert json.loads((exp_dir / "tasks_index.json").read_text())["test"] == raw["test_tasks"]
+        summaries = out["meta-test"][1:]
+        assert [re.fullmatch(self.SUMMARY, line).group(1) for line in summaries] == ["5.0", "10.0", "15.0"]
+        assert out["report"][1:] == summaries
 
 
 class TestRobustnessSweep:

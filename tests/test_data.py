@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ from fedmetaloc.data import (
     synth_environment,
 )
 from fedmetaloc.errors import ConfigError, DataError
-from fedmetaloc.experiments import load_experiment_config
+from fedmetaloc.experiments import ExperimentConfig, TaskOptions, load_experiment_config
 
 from helpers import reference_load_csv, reference_segment_crossings, synth_task
 
@@ -340,6 +341,18 @@ class TestSyntheticEnvironment:
             SyntheticEnvSpec(num_aps=2, noise_sigma=-1.0)
         with pytest.raises(ConfigError):
             SyntheticEnvSpec(num_aps=2, num_walls=-1)
+
+    def test_non_finite_spec_rejected(self):
+        with pytest.raises(ConfigError, match=r"area must be a finite number, got \[40.0, nan\]"):
+            SyntheticEnvSpec(num_aps=2, area=(40.0, math.nan))
+        with pytest.raises(ConfigError, match="sensitivity_dbm must be a finite number, got -inf"):
+            SyntheticEnvSpec(num_aps=2, sensitivity_dbm=-math.inf)
+
+    @pytest.mark.parametrize("key", ["train_tasks", "test_tasks"])
+    def test_experiment_with_a_repeated_task_is_rejected_at_construction(self, tmp_path, key):
+        envs = [(SyntheticEnvSpec(num_aps=2), TaskOptions("T00")), (SyntheticEnvSpec(num_aps=2), TaskOptions("T01"))]
+        with pytest.raises(ConfigError, match=re.escape(f"{key} lists ['T01'] more than once")):
+            ExperimentConfig("x", tmp_path, synthetic_envs=envs, **{key: ["T01", "T00", "T01"]})
 
     def test_walls_only_attenuate(self):
         base = SyntheticEnvSpec(num_aps=4, samples=50, seed=3, noise_sigma=0.0)

@@ -1,3 +1,4 @@
+import re
 from dataclasses import asdict
 from itertools import combinations
 
@@ -6,7 +7,8 @@ import pytest
 
 from fedmetaloc import metrics, model as model_module, nn
 from fedmetaloc.errors import ConfigError, DataError
-from fedmetaloc.federation import MetaModel, load_checkpoint, save_checkpoint
+from fedmetaloc.federation import FederationParams, MetaModel, MetaTestParams, load_checkpoint, save_checkpoint
+from fedmetaloc.metrics import TheoryProbeParams
 from fedmetaloc.model import PART_NAMES, ClientModel, ModelConfig
 
 from helpers import (
@@ -50,6 +52,28 @@ class TestConfig:
             ModelConfig(lambda_recon=-0.1)
         with pytest.raises(ConfigError):
             ModelConfig(optimizer="rmsprop")
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: MetaTestParams(seeds=(0, 0)), "seeds lists [0] more than once"),
+            (lambda: MetaTestParams(targets_m=(8.0, 2.5, 8.0)), "targets_m lists [8.0] more than once"),
+            (lambda: MetaTestParams(step_checkpoints=(3, 3)), "step_checkpoints lists [3] more than once"),
+            (
+                lambda: TheoryProbeParams(linearization_mu_list=(0.01, 0.01)),
+                "linearization_mu_list lists [0.01] more than once",
+            ),
+        ],
+    )
+    def test_repeated_entry_is_rejected_at_construction(self, build, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            build()
+
+    def test_non_finite_rate_is_rejected_at_construction(self):
+        with pytest.raises(ConfigError, match="mu_meta must be a finite number, got nan"):
+            ModelConfig(mu_meta=float("nan"))
+        with pytest.raises(ConfigError, match="eta must be a finite number, got inf"):
+            FederationParams(eta=float("inf"))
 
     def test_round_trips_through_dict(self):
         cfg = tiny_model_config()
