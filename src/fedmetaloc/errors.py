@@ -37,6 +37,12 @@ _BOUNDS = {"ge": (operator.ge, ">="), "gt": (operator.gt, ">"), "le": (operator.
 field_types = functools.cache(typing.get_type_hints)  # a config class's field types, resolved once per class
 
 
+def shown(value) -> str:
+    """``value`` as an error message shows it: its ``repr`` (a tuple's as a list's), cut after 40 characters."""
+    text = repr(list(value) if isinstance(value, tuple) else value)
+    return text if len(text) <= 40 else f"{text[:40]}... ({len(text)} characters)"
+
+
 def _holds_floats(hint) -> bool:
     return hint is float or any(map(_holds_floats, typing.get_args(hint)))
 
@@ -61,16 +67,15 @@ def check_fields(config) -> None:
         if value is None:
             continue
         items = value if isinstance(value, (tuple, list)) else (value,)
-        shown = list(value) if isinstance(value, tuple) else value
         if floats and not all(map(finite, items)):
-            raise ConfigError(f"{name} must be a finite number, got {shown}")
+            raise ConfigError(f"{name} must be a finite number, got {shown(value)}")
         for op, (holds, sign) in _BOUNDS.items():
             if op in rules and not all(holds(x, rules[op]) for x in items):
-                raise ConfigError(f"{name} must be {sign} {rules[op]}, got {shown}")
+                raise ConfigError(f"{name} must be {sign} {rules[op]}, got {shown(value)}")
         if "one_of" in rules and value not in rules["one_of"]:
-            raise ConfigError(f"{name} must be one of {rules['one_of']}, got {value!r}")
+            raise ConfigError(f"{name} must be one of {rules['one_of']}, got {shown(value)}")
         if rules.get("nonempty") and not value:
             raise ConfigError(f"{name} must not be empty")
         repeated = sorted({x for x in items if items.count(x) > 1}) if rules.get("unique") else None
         if repeated:
-            raise ConfigError(f"{name} lists {repeated} more than once")
+            raise ConfigError(f"{name} lists {shown(repeated)} more than once")

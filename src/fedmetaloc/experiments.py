@@ -6,8 +6,8 @@ membership, preprocessing, model and federation hyperparameters, and the
 meta-test protocol. One parser, ``_section``, builds each of its JSON objects
 (and each schema sidecar) at load, so a malformed config fails before any
 phase writes a file. Every command is reproducible from (config, seed) alone;
-outputs land under ``out/{experiment}/{phase}/...``, always rewritten whole
-and atomically (:mod:`fedmetaloc.fileio`), never appended.
+outputs land under ``out/{experiment}/{phase}/...``, which each phase empties
+before its first write, and are written atomically (:mod:`fedmetaloc.fileio`).
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .data import (
     save_task_bundle,
     synth_environment,
 )
-from .errors import ConfigError, DataError, check_fields, constrained, field_types, finite
+from .errors import ConfigError, DataError, check_fields, constrained, field_types, finite, shown
 from .federation import (
     AdaptationTrace, FederationParams, MetaModel, MetaTestParams, load_checkpoint, meta_test, save_checkpoint,
 )
@@ -158,11 +158,11 @@ def _typed(value, hint, where: str):
     if origin in (tuple, list):
         fixed = origin is tuple and Ellipsis not in args
         if not isinstance(value, list) or (fixed and len(value) != len(args)):
-            raise ConfigError(f"{where} must be a list{f' of {len(args)}' if fixed else ''}, got {value!r}")
+            raise ConfigError(f"{where} must be a list{f' of {len(args)}' if fixed else ''}, got {shown(value)}")
         return origin(_typed(item, args[0], f"{where}[{i}]") for i, item in enumerate(value))
     allowed = _SCALARS.get(hint)
     if allowed and (not isinstance(value, allowed) or (isinstance(value, bool) and hint is not bool)):
-        raise ConfigError(f"{where} must be {'an object' if hint is dict else hint.__name__}, got {value!r}")
+        raise ConfigError(f"{where} must be {'an object' if hint is dict else hint.__name__}, got {shown(value)}")
     return float(value) if hint is float and finite(value) else value
 
 
@@ -225,6 +225,12 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
     )
 
 
+def _clear(directory: Path) -> None:
+    """Remove a phase's output directory before the phase's first write; a failed removal raises."""
+    if directory.exists():
+        shutil.rmtree(directory)
+
+
 # ---------------------------------------------------------------------------
 # preprocess phase
 # ---------------------------------------------------------------------------
@@ -251,12 +257,14 @@ def _collect_environments(config: ExperimentConfig) -> list[tuple[str, Fingerpri
 
 def cmd_preprocess(config: ExperimentConfig) -> list[str]:
     """Build per-task bundles: preprocess each environment, split, and save.
-    A listed task that no source produces fails before any bundle is written."""
+    A listed task that no source produces fails before ``tasks/`` is emptied."""
     envs = sorted(_collect_environments(config), key=lambda e: e[0])
     task_ids = [env_id for env_id, _, _ in envs]
     for listed in (*config.train_tasks, *config.test_tasks):
         if listed not in task_ids:
             raise ConfigError(f"task {listed!r} listed in config but not produced; have {task_ids}")
+    _clear(config.tasks_dir)
+    (config.experiment_dir / "tasks_index.json").unlink(missing_ok=True)
     split_seeds = np.random.SeedSequence(config.split_seed).generate_state(len(envs))
     for (env_id, dataset, opts), split_seed in zip(envs, split_seeds):
         processed, report = preprocess_dataset(dataset, config.preprocess)
@@ -337,20 +345,15 @@ def cmd_meta_train(config: ExperimentConfig) -> tuple[MetaModel, list[federation
     model_config = resolved_model_config(config, index)
     fed = config.federation
     meta, clients = federation.server_init(train_tasks, model_config, fed)
-    ckpt_dir = config.train_dir / "checkpoints"
-    written: set[Path] = set()
+    _clear(config.train_dir)
 
     def on_round(report: federation.RoundReport, current: MetaModel) -> None:
         if fed.checkpoint_every and report.round % fed.checkpoint_every == 0:
-            path = ckpt_dir / f"meta_round_{report.round:05d}.npz"
-            save_checkpoint(path, current)
-            written.add(path)
+            save_checkpoint(config.train_dir / "checkpoints" / f"meta_round_{report.round:05d}.npz", current)
 
     meta, reports = federation.meta_train(meta, clients, fed, on_round=on_round)
     write_round_log(config.train_dir / "round_log.csv", reports)
     save_checkpoint(config.checkpoint_path, meta)
-    for stale in set(ckpt_dir.glob("meta_round_*.npz")) - written:  # an earlier run's rounds
-        stale.unlink()
     return meta, reports
 
 
@@ -406,20 +409,15 @@ def _run_one_test(args) -> None:
 
 def cmd_meta_test(config: ExperimentConfig, checkpoint: str | Path | None = None) -> dict:
     index = _load_index(config)
-    test_ids = index["test"]
-    if not test_ids:
+    if not index["test"]:
         raise DataError("no test tasks in the index")
     model_config = resolved_model_config(config, index)
     theta = _trained_theta(checkpoint or config.checkpoint_path, model_config)
-    tasks = _load_tasks(config, test_ids)
+    tasks = _load_tasks(config, index["test"])
     mt = config.meta_test
+    _clear(config.test_dir)
 
-    jobs = [
-        (config, model_config, theta, task, mode, seed)
-        for task in tasks
-        for seed in mt.seeds
-        for mode in MODES
-    ]
+    jobs = [(config, model_config, theta, task, mode, seed) for task in tasks for seed in mt.seeds for mode in MODES]
     if config.workers > 1:
         # imported here: a single-process phase does not pay for the pool's modules
         from concurrent.futures import ProcessPoolExecutor
@@ -429,11 +427,6 @@ def cmd_meta_test(config: ExperimentConfig, checkpoint: str | Path | None = None
     else:
         for job in jobs:
             _run_one_test(job)
-    written = {run_dir(config, task.task_id, mode, seed) for _, _, _, task, mode, seed in jobs}
-    for stale in set(config.test_dir.glob("*/*/*")) - written:  # an earlier meta-test's runs
-        shutil.rmtree(stale)
-    for stale in set(config.test_dir.glob("*")) - {path.parent.parent for path in written}:  # and its tasks
-        shutil.rmtree(stale)
     return cmd_report(config)
 
 
@@ -556,6 +549,7 @@ def cmd_report(config: ExperimentConfig) -> dict:
         task_entry["improvement"] = improvement
         report["tasks"][task_id] = task_entry
 
+    _clear(config.report_dir)
     for path, curve in cdfs.items():
         write_csv(path, ["error", "cumulative_fraction"], curve)
     write_json(config.report_dir / "metrics.json", report)

@@ -278,7 +278,7 @@ class TestMetaTrainCommand:
         assert (ckpt_dir / "meta_round_00002.npz").read_bytes() == first
         config = experiments.load_experiment_config(small_config(tmp_path, federation={**fed, "checkpoint_every": 0}))
         experiments.cmd_meta_train(config)
-        assert list(ckpt_dir.iterdir()) == []
+        assert not list(config.train_dir.rglob("meta_round_*.npz"))
 
     def test_rerun_is_byte_identical(self, tmp_path):
         config = experiments.load_experiment_config(small_config(tmp_path))
@@ -826,6 +826,36 @@ class TestMalformedConfig:
         assert err.startswith("configuration error") and named in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (
+                {"federation": {"eta": 10**400}},
+                "config.federation: eta must be a finite number, got 1" + "0" * 39 + "... (401 characters)",
+            ),
+            (
+                {"meta_test": {"steps": 6, "seeds": [*range(299), -1]}},
+                "config.meta_test: seeds must be >= 0, got "
+                "[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 1... (1389 characters)",
+            ),
+            (
+                {"meta_test": {"steps": 6, "seeds": [*range(150)] * 2}},
+                "config.meta_test: seeds lists "
+                "[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 1... (640 characters) more than once",
+            ),
+            (
+                {"federation": {"eta": [0.01] * 300}},
+                "config.federation.eta must be float, got "
+                "[0.01, 0.01, 0.01, 0.01, 0.01, 0.01, 0.0... (1800 characters)",
+            ),
+        ],
+        ids=["400_digit_eta", "300_seeds_one_negative", "300_seeds_all_repeated", "300_entry_list_as_eta"],
+    )
+    def test_a_long_rejected_value_is_cut(self, tmp_path, capsys, overrides, message):
+        assert cli.run(["preprocess", "--config", str(small_config(tmp_path, **overrides))]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == f"configuration error: {message}" and len(line) <= 140
+
 
 # The config sections as (dataclass, the section path that errors name).
 # Dataset sections are tested on small_config's one CSV dataset
@@ -1298,3 +1328,144 @@ class TestDivergence:
         assert cli.run(["theory-probe", "--config", str(path)]) == 4
         assert "DivergenceError: theory probe smoothness: step" in capsys.readouterr().err
         assert not (experiments.load_experiment_config(path).experiment_dir / "theory").exists()
+
+    def test_meta_train_query_loss_overflow_exits_4_naming_round_and_client(self, tmp_path, capsys):
+        # no local step runs: round 1's server step sends theta past float range,
+        # and round 2's first query loss is the first loss that is not finite
+        fed = {"rounds": 2, "local_steps": 0, "eta": 1e300, "batch_size": 16, "seed": 3}
+        path = small_config(tmp_path, federation=fed)
+        assert cli.run(["preprocess", "--config", str(path)]) == 0
+        assert cli.run(["meta-train", "--config", str(path)]) == 4
+        assert "DivergenceError: round 2, client T00: query loss is" in capsys.readouterr().err
+        assert not (experiments.load_experiment_config(path).train_dir / "round_log.csv").exists()
+
+
+class TestPrefixProjectionConfig:
+    """``encoder_init: "prefix_projection"``, the shipped cohort's encoder start, at the CLI."""
+
+    MODEL = {"d": 4, "n": 3, "p": 2, "encoder_hidden": [], "decoder_hidden": [6], "meta_hidden": [8],
+             "mapper_hidden": [4], "encoder_init": "prefix_projection"}
+
+    def test_fewer_aps_than_d_exits_2_naming_both(self, tmp_path, capsys):
+        path = small_config(tmp_path, model={**self.MODEL, "d": 7})
+        assert cli.run(["preprocess", "--config", str(path)]) == 0
+        assert cli.run(["meta-train", "--config", str(path)]) == 2
+        assert "configuration error: prefix_projection needs m >= d, got m=5, d=7" in capsys.readouterr().err
+
+    def test_a_hidden_encoder_layer_exits_2_at_load(self, tmp_path, capsys):
+        path = small_config(tmp_path, model={**self.MODEL, "encoder_hidden": [6]})
+        assert cli.run(["preprocess", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: config.model: prefix_projection requires a single-layer")
+        assert not (tmp_path / "out").exists()
+
+
+def bad_csv_dataset(tmp_path: Path) -> dict:
+    """A ``datasets`` entry whose CSV holds a cell that is not a number (a data error at load)."""
+    (tmp_path / "d0.csv").write_text("A,B,X,Y\n-40,oops,0.0,0.0\n")
+    (tmp_path / "d0_schema.json").write_text(SCHEMA)
+    return {"csv": "d0.csv", "schema": "d0_schema.json", "id": "D0"}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestPhaseOwnsItsDirectory:
+    """Each of preprocess, meta-train, meta-test and report removes its output
+    directory once its inputs are loaded and checked, then writes: a rerun
+    leaves no file of an earlier run, a failed run leaves only its own partial
+    outputs, which the next phase refuses, and an error at load leaves every
+    earlier output as it was."""
+
+    def test_preprocess_rerun_without_an_environment_drops_its_bundle(self, tmp_path):
+        path = small_config(tmp_path)
+        assert cli.run(["preprocess", "--config", str(path)]) == 0
+        envs = json.loads(path.read_text())["synthetic_envs"]
+        path = small_config(tmp_path, synthetic_envs=envs[:2], test_tasks=[])
+        assert cli.run(["preprocess", "--config", str(path)]) == 0
+        config = experiments.load_experiment_config(path)
+        assert sorted(p.name for p in config.tasks_dir.iterdir()) == ["T00", "T01"]
+        assert json.loads((config.experiment_dir / "tasks_index.json").read_text())["all"] == ["T00", "T01"]
+
+    def test_report_holds_only_the_current_test_tasks_cdfs(self, tmp_path):
+        path = small_config(tmp_path, train_tasks=["T00"], test_tasks=["T01", "T02"])
+        config = experiments.load_experiment_config(path)
+        experiments.cmd_preprocess(config)
+        for task_id in ("T01", "T02"):
+            for mode in experiments.MODES:
+                for seed in config.meta_test.seeds:
+                    trace = AdaptationTrace(support_loss=[1.0] * 6, query_mde=hit_series(2, 6))
+                    experiments.write_trace(experiments.run_dir(config, task_id, mode, seed), trace, [0.0])
+        experiments.cmd_report(config)
+        assert len(list(config.report_dir.iterdir())) == 5
+        config = experiments.load_experiment_config(small_config(tmp_path))  # T01 is a training task now
+        experiments.cmd_preprocess(config)
+        experiments.cmd_report(config)
+        assert sorted(p.name for p in config.report_dir.iterdir()) == [
+            "T02_MI_cdf.csv", "T02_RI_cdf.csv", "metrics.json"
+        ]
+
+    def test_failed_meta_train_rerun_leaves_only_its_own_round(self, tmp_path, capsys):
+        fed = {"rounds": 2, "local_steps": 2, "eta": 0.01, "batch_size": 16, "seed": 3, "checkpoint_every": 1}
+        path = small_config(tmp_path, federation=fed)
+        for phase in ("preprocess", "meta-train"):
+            assert cli.run([phase, "--config", str(path)]) == 0
+        config = experiments.load_experiment_config(path)
+        earlier = tree_digest(config.train_dir)
+        assert sorted(earlier) == [
+            "checkpoints/meta_round_00001.npz", "checkpoints/meta_round_00002.npz", "meta_final.npz", "round_log.csv"
+        ]
+        small_config(tmp_path, federation={**fed, "eta": 1e300})  # round 1's server step overflows theta
+        capsys.readouterr()
+        assert cli.run(["meta-train", "--config", str(path)]) == 4
+        assert "DivergenceError: round 2, client T00: local step 1 loss is" in capsys.readouterr().err
+        left = tree_digest(config.train_dir)
+        assert list(left) == ["checkpoints/meta_round_00001.npz"]
+        assert left["checkpoints/meta_round_00001.npz"] != earlier["checkpoints/meta_round_00001.npz"]
+        assert cli.run(["meta-test", "--config", str(path)]) == 3
+        assert capsys.readouterr().err.startswith("data error: checkpoint not found")
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_meta_test_rerun_leaves_no_earlier_trace(self, tmp_path, capsys, workers):
+        path = small_config(tmp_path, workers=workers)
+        for phase in ("preprocess", "meta-train", "meta-test"):
+            assert cli.run([phase, "--config", str(path)]) == 0
+        config = experiments.load_experiment_config(path)
+        assert len(list(config.test_dir.rglob("trace.csv"))) == 4
+        small_config(tmp_path, workers=workers, model={**json.loads(path.read_text())["model"], **HUGE_RATES})
+        capsys.readouterr()
+        assert cli.run(["meta-test", "--config", str(path)]) == 4
+        assert "DivergenceError: task T02, " in capsys.readouterr().err
+        assert not list(config.test_dir.rglob("trace.csv"))
+        assert cli.run(["report", "--config", str(path)]) == 3
+        assert capsys.readouterr().err.startswith("data error: missing trace for T02/MI/0")
+
+    @pytest.mark.parametrize(
+        "phase, workers, change, args, code, message",
+        [
+            ("preprocess", 1, lambda tmp, raw: {"test_tasks": ["T09"]}, [], 2, "task 'T09' listed in config"),
+            ("preprocess", 1, lambda tmp, raw: {"datasets": [bad_csv_dataset(tmp)]}, [], 3, "d0.csv: line 2"),
+            ("meta-train", 1, lambda tmp, raw: {"model": {**raw["model"], "p": 3}}, [], 2, "model.p is 3, but task"),
+            *(
+                ("meta-test", workers, lambda tmp, raw: {"model": {**raw["model"], "d": 5}}, [], 2, "widths [4, 8, 3]")
+                for workers in (1, 2)
+            ),
+            *(
+                ("meta-test", workers, lambda tmp, raw: {}, ["--checkpoint", "missing.npz"], 3, "checkpoint not found")
+                for workers in (1, 2)
+            ),
+            ("report", 1, lambda tmp, raw: {"meta_test": {**raw["meta_test"], "seeds": [0, 1, 2]}}, [], 3,
+             "missing trace for T02/MI/2"),
+        ],
+    )
+    def test_an_error_at_load_leaves_every_earlier_output(
+        self, tmp_path, capsys, phase, workers, change, args, code, message
+    ):
+        path = small_config(tmp_path, workers=workers)
+        for step in ("preprocess", "meta-train", "meta-test"):
+            assert cli.run([step, "--config", str(path)]) == 0
+        config = experiments.load_experiment_config(path)
+        before = tree_digest(config.experiment_dir)
+        small_config(tmp_path, workers=workers, **change(tmp_path, json.loads(path.read_text())))
+        capsys.readouterr()
+        assert cli.run([phase, "--config", str(path), *args]) == code
+        assert message in capsys.readouterr().err
+        assert tree_digest(config.experiment_dir) == before

@@ -328,6 +328,13 @@ class TestSyntheticEnvironment:
         assert np.array_equal(a.rssi, b.rssi)
         assert np.array_equal(a.coords, b.coords)
 
+    def test_ap_jitter_is_reproducible_and_changes_the_fingerprints(self):
+        spec = SyntheticEnvSpec(num_aps=5, samples=40, seed=9, ap_seed=4, noise_sigma=0.0, ap_jitter=2.0)
+        a, b = synth_environment(spec), synth_environment(spec)
+        assert np.array_equal(a.rssi, b.rssi) and np.array_equal(a.coords, b.coords)
+        still = synth_environment(SyntheticEnvSpec(num_aps=5, samples=40, seed=9, ap_seed=4, noise_sigma=0.0))
+        assert not np.array_equal(a.rssi, still.rssi)
+
     def test_noise_free_matrix_is_finite_and_in_area(self):
         spec = SyntheticEnvSpec(num_aps=4, samples=30, seed=1, noise_sigma=0.0, area=(20.0, 10.0))
         ds = synth_environment(spec)

@@ -112,6 +112,32 @@ class TestShapes:
         assert root.spawn(1)[0].spawn_key == (4,)
 
 
+class TestPrefixProjection:
+    """``encoder_init: "prefix_projection"``: a linear encoder that starts as
+    the projection onto the first d AP columns."""
+
+    def build(self):
+        return ClientModel.build(tiny_model_config(encoder_init="prefix_projection", encoder_hidden=()), m=7, seed=3)
+
+    def test_the_latent_is_the_first_d_columns(self):
+        model = self.build()
+        (enc,) = model.parts["encoder"]
+        assert np.array_equal(enc.weights, np.eye(4, 7)) and np.array_equal(enc.biases, np.zeros(4))
+        x = np.random.default_rng(3).normal(size=(6, 7))
+        assert np.array_equal(nn.forward(model.parts["encoder"], x)[0], x[:, :4])
+
+    def test_a_train_step_moves_the_encoder_through_its_bound_vector(self):
+        model = self.build()
+        (enc,) = model.parts["encoder"]
+        start = model.vectors["encoder"].copy()
+        assert np.array_equal(start, nn.flatten({"layer0.weights": np.eye(4, 7), "layer0.biases": np.zeros(4)}, (7, 4)))
+        rng = np.random.default_rng(4)
+        model.train_step(rng.uniform(size=(8, 7)), rng.normal(size=(8, 2)))
+        assert not np.array_equal(model.vectors["encoder"], start)
+        assert_layers_view_vectors(model)
+        assert np.array_equal(nn.flatten(nn.export_params([enc]), nn.stack_sizes([enc])), model.vectors["encoder"])
+
+
 class TestEncodeDecode:
     def test_zero_encoder_maps_everything_to_zero(self):
         model = ClientModel.build(tiny_model_config(), m=5, seed=0)
