@@ -1,10 +1,11 @@
 """Dataset ingestion, task construction, and the synthetic environment generator.
 
 A fingerprint dataset is a matrix of RSSI readings (rows are measurement
-samples, columns are access points) with per-row location labels and optional
-building/floor group labels. Tasks are per-environment support/query splits of
-such datasets; the synthetic generator stands in for public datasets in tests
-and desk-scale experiments.
+samples, columns are access points) with per-row location labels. A CSV
+source's building/floor group labels only decide how :func:`load_csv` splits
+it into per-environment datasets. Tasks are per-environment support/query
+splits of such datasets; the synthetic generator stands in for public
+datasets in tests and desk-scale experiments.
 
 A task bundle stores each split as one float64 ``.npy`` array next to a
 ``meta.json`` that names its columns and counts its rows. Dataset CSVs are
@@ -38,8 +39,6 @@ class FingerprintDataset:
     coords: np.ndarray
     ap_names: list[str]
     coord_names: list[str] = field(default_factory=lambda: ["x", "y"])
-    building: np.ndarray | None = None
-    floor: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         self.rssi = np.asarray(self.rssi, dtype=np.float64)
@@ -54,9 +53,6 @@ class FingerprintDataset:
             raise DataError(f"{len(self.ap_names)} AP names for {self.rssi.shape[1]} columns")
         if len(self.coord_names) != self.coords.shape[1]:
             raise DataError("coordinate names do not match coordinate columns")
-        for labels in (self.building, self.floor):
-            if labels is not None and len(labels) != self.rssi.shape[0]:
-                raise DataError("group label length does not match sample count")
 
     @property
     def n_samples(self) -> int:
@@ -67,14 +63,7 @@ class FingerprintDataset:
         return self.rssi.shape[1]
 
     def select_rows(self, idx: np.ndarray) -> "FingerprintDataset":
-        return FingerprintDataset(
-            rssi=self.rssi[idx],
-            coords=self.coords[idx],
-            ap_names=list(self.ap_names),
-            coord_names=list(self.coord_names),
-            building=None if self.building is None else self.building[idx],
-            floor=None if self.floor is None else self.floor[idx],
-        )
+        return replace(self, rssi=self.rssi[idx], coords=self.coords[idx])
 
     def select_aps(self, cols: Sequence[int]) -> "FingerprintDataset":
         cols = list(cols)
@@ -110,15 +99,30 @@ class SchemaConfig:
             raise ConfigError("schema needs exactly one of ap_prefix and a non-empty ap_columns")
 
 
-def load_csv(path: str | Path, schema: SchemaConfig) -> FingerprintDataset:
-    """The schema's columns of a fingerprint CSV, every cell of which must be a
-    number; missing-AP markers are kept for preprocessing to impute, and group
-    labels are truncated toward zero."""
+PARTITIONS = ("none", "building", "floor", "building_floor")
+
+
+def load_csv(
+    path: str | Path, schema: SchemaConfig, partition: str = "none"
+) -> list[tuple[str | None, FingerprintDataset]]:
+    """The task datasets of a fingerprint CSV, every cell of which must be a
+    number: for ``partition`` "none" one unnamed dataset of every row, else
+    one per group of the rule's labels, named B{i}_F{j} / B{i} / F{j} in
+    ascending label order, each keeping its rows in file order. Missing-AP
+    markers are kept for preprocessing to impute; every group label the
+    schema names is read, truncated toward zero."""
+    if partition not in PARTITIONS:
+        raise ConfigError(f"unknown partition rule {partition!r}")
+    rules = [] if partition == "none" else partition.split("_")  # building_floor: building, then floor
+    named = (("building", schema.building_col), ("floor", schema.floor_col))
+    label_cols = {rule: col for rule, col in named if col is not None}
+    for rule in rules:
+        if rule not in label_cols:
+            raise DataError(f"{path}: partition by {rule} requires {rule} labels; the schema names no {rule}_col")
     header, values = read_csv(path)
     header = [name.strip() for name in header]
     ap_names = list(schema.ap_columns or (name for name in header if name.startswith(schema.ap_prefix)))
-    group_names = [name for name in (schema.building_col, schema.floor_col) if name is not None]
-    cols = column_indices(path, header, [*ap_names, *schema.coord_columns, *group_names])
+    cols = column_indices(path, header, [*ap_names, *schema.coord_columns, *label_cols.values()])
     if not ap_names:
         raise DataError(f"{path}: no AP columns match prefix {schema.ap_prefix!r}")
     if len(values) == 0:
@@ -126,34 +130,17 @@ def load_csv(path: str | Path, schema: SchemaConfig) -> FingerprintDataset:
     m, p = len(ap_names), len(schema.coord_columns)
     labels = values[:, cols[m + p :]]
     if not (np.abs(labels) < 2.0**63).all():  # NaN fails this too
-        raise DataError(f"{path}: a {' or '.join(group_names)} label is NaN or outside int64")
-    groups = dict(zip(group_names, labels.astype(np.int64).T))
-    return FingerprintDataset(
+        raise DataError(f"{path}: a {' or '.join(label_cols.values())} label is NaN or outside int64")
+    dataset = FingerprintDataset(
         rssi=values[:, cols[:m]],
         coords=values[:, cols[m : m + p]],
         ap_names=ap_names,
         coord_names=list(schema.coord_columns),
-        building=groups.get(schema.building_col),
-        floor=groups.get(schema.floor_col),
     )
-
-
-PARTITIONS = ("building", "floor", "building_floor")
-
-
-def partition_tasks(
-    dataset: FingerprintDataset, by: str = "building_floor"
-) -> list[tuple[str, FingerprintDataset]]:
-    """Split one dataset into per-group sub-datasets named B{i}_F{j} / B{i} / F{j},
-    in ascending label order; each keeps its rows in the dataset's order."""
-    if by not in PARTITIONS:
-        raise ConfigError(f"unknown partition rule {by!r}")
-    rules = by.split("_")  # building_floor groups by building, then floor
-    for rule in rules:
-        if getattr(dataset, rule) is None:
-            raise DataError(f"partition by {rule} requires {rule} labels")
-    labels = np.column_stack([np.asarray(getattr(dataset, rule), dtype=np.int64) for rule in rules])
-    keys, group = np.unique(labels, axis=0, return_inverse=True)
+    if not rules:
+        return [(None, dataset)]
+    by = labels[:, [list(label_cols).index(rule) for rule in rules]].astype(np.int64)
+    keys, group = np.unique(by, axis=0, return_inverse=True)
     group = group.ravel()  # numpy 2.0.0 returns it 2-D
     return [
         ("_".join(f"{rule[0].upper()}{label}" for rule, label in zip(rules, key)),
@@ -448,47 +435,57 @@ def _read_split(path: Path, rows: int, ap_names: list[str], coord_names: list[st
     )
 
 
-def load_task_bundle(directory: str | Path) -> LocalizationTask:
-    """Read a bundle written by :func:`save_task_bundle`; anything malformed is a :class:`DataError`.
-
-    ``meta.json`` is the one source of the names and shapes: its ``task_id``
-    must be the bundle directory's name, each array must be float64 with
-    ``n_support`` or ``n_query`` rows and ``m + p`` columns, all finite, and
-    the label scaling must be ``p`` finite centers and ``p`` finite scales
-    > 0, ``p`` being the number of coordinate names.
-    """
+def read_bundle_meta(directory: str | Path) -> dict:
+    """The parsed ``meta.json`` of a bundle written by :func:`save_task_bundle`;
+    anything malformed is a :class:`DataError`. Its ``task_id`` must be the
+    bundle directory's name, ``m`` the number of AP names, and the label
+    scaling ``p`` finite centers and ``p`` finite scales > 0, ``p`` being the
+    number of coordinate names."""
     directory = Path(directory)
     meta_path = directory / "meta.json"
     if not meta_path.exists():
         raise DataError(f"not a task bundle (no meta.json): {directory}")
     try:
-        meta = json.loads(meta_path.read_text())
-        task_id = meta["task_id"]
-        m = int(meta["m"])
-        ap_names = list(meta["ap_names"])
-        coord_names = list(meta["coord_names"])
-        n_support = int(meta["n_support"])
-        n_query = int(meta["n_query"])
-        label_center = np.array(meta["label_center"], dtype=np.float64)
-        label_scale = np.array(meta["label_scale"], dtype=np.float64)
+        raw = json.loads(meta_path.read_text())
+        meta = {
+            "task_id": raw["task_id"],
+            "m": int(raw["m"]),
+            "ap_names": list(raw["ap_names"]),
+            "coord_names": list(raw["coord_names"]),
+            "n_support": int(raw["n_support"]),
+            "n_query": int(raw["n_query"]),
+            "label_center": np.array(raw["label_center"], dtype=np.float64),
+            "label_scale": np.array(raw["label_scale"], dtype=np.float64),
+        }
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed {meta_path}: {type(exc).__name__}: {exc}") from exc
-    if task_id != directory.name:
+    if meta["task_id"] != directory.name:
         raise DataError(
-            f"malformed {meta_path}: task_id {task_id!r} differs from the bundle directory's {directory.name!r}"
+            f"malformed {meta_path}: task_id {meta['task_id']!r} differs from the bundle directory's {directory.name!r}"
         )
-    if len(ap_names) != m:
-        raise DataError(f"malformed {meta_path}: {len(ap_names)} AP names for m = {m}")
-    p = len(coord_names)
-    for key, values in (("label_center", label_center), ("label_scale", label_scale)):
-        if values.shape != (p,) or not np.isfinite(values).all():
-            raise DataError(f"malformed {meta_path}: {key} must be {p} finite numbers, got {values.tolist()}")
-    if (label_scale <= 0).any():
-        raise DataError(f"malformed {meta_path}: label_scale must be > 0, got {label_scale.tolist()}")
+    if len(meta["ap_names"]) != meta["m"]:
+        raise DataError(f"malformed {meta_path}: {len(meta['ap_names'])} AP names for m = {meta['m']}")
+    p = len(meta["coord_names"])
+    for key in ("label_center", "label_scale"):
+        if meta[key].shape != (p,) or not np.isfinite(meta[key]).all():
+            raise DataError(f"malformed {meta_path}: {key} must be {p} finite numbers, got {meta[key].tolist()}")
+    if (meta["label_scale"] <= 0).any():
+        raise DataError(f"malformed {meta_path}: label_scale must be > 0, got {meta['label_scale'].tolist()}")
+    return meta
+
+
+def load_task_bundle(directory: str | Path) -> LocalizationTask:
+    """Read a bundle written by :func:`save_task_bundle`. Its ``meta.json``
+    (:func:`read_bundle_meta`) is the one source of the names and shapes: each
+    array must be float64 with ``n_support`` or ``n_query`` rows and ``m + p``
+    columns, all finite. Anything malformed is a :class:`DataError`."""
+    directory = Path(directory)
+    meta = read_bundle_meta(directory)
+    names = meta["ap_names"], meta["coord_names"]
     return LocalizationTask(
-        task_id=task_id,
-        support=_read_split(directory / "support.npy", n_support, ap_names, coord_names),
-        query=_read_split(directory / "query.npy", n_query, ap_names, coord_names),
-        label_center=label_center,
-        label_scale=label_scale,
+        task_id=meta["task_id"],
+        support=_read_split(directory / "support.npy", meta["n_support"], *names),
+        query=_read_split(directory / "query.npy", meta["n_query"], *names),
+        label_center=meta["label_center"],
+        label_scale=meta["label_scale"],
     )

@@ -1,13 +1,13 @@
 """Experiment configuration and orchestration behind the command-line interface.
 
 One JSON config file describes an experiment end to end: data sources (CSV
-datasets and/or synthetic environments), the task partition and train/test
-membership, preprocessing, model and federation hyperparameters, and the
-meta-test protocol. One parser, ``_section``, builds each of its JSON objects
-(and each schema sidecar) at load, so a malformed config fails before any
-phase writes a file. Every command is reproducible from (config, seed) alone;
-outputs land under ``out/{experiment}/{phase}/...``, which each phase empties
-before its first write, and are written atomically (:mod:`fedmetaloc.fileio`).
+datasets, each with its partition, and/or synthetic environments), the
+train/test membership, preprocessing, model and federation hyperparameters,
+and the meta-test protocol, each JSON object (and schema sidecar) built at
+load by one parser, ``_section``. Every command is reproducible from (config,
+seed) alone; outputs land under ``out/{experiment}/{phase}/...``, which each
+phase empties, with every directory that depends on it, before its first
+write, and are written atomically (:mod:`fedmetaloc.fileio`).
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .data import (
     load_csv,
     load_task_bundle,
     make_task,
-    partition_tasks,
+    read_bundle_meta,
     save_task_bundle,
     synth_environment,
 )
@@ -60,16 +60,13 @@ class TaskOptions:
     __post_init__ = check_fields
 
 
-PARTITION_RULES = ("none", *PARTITIONS)
-
-
 @dataclass(frozen=True)
 class DatasetSource:
-    """A ``datasets`` entry's CSV, parsed schema sidecar and partition (None: the config's)."""
+    """A ``datasets`` entry's CSV, parsed schema sidecar and partition rule (:func:`data.load_csv`)."""
 
     csv: Path
     schema: SchemaConfig
-    partition: str | None = constrained(None, one_of=PARTITION_RULES)
+    partition: str = constrained("none", one_of=PARTITIONS)
 
     __post_init__ = check_fields
 
@@ -80,7 +77,6 @@ class ExperimentConfig:
     out_dir: Path
     datasets: list[tuple[DatasetSource, TaskOptions]] = field(default_factory=list)
     synthetic_envs: list[tuple[SyntheticEnvSpec, TaskOptions]] = field(default_factory=list)
-    partition: str = constrained("none", one_of=PARTITION_RULES)
     # a task listed twice would be trained or tested twice
     train_tasks: list[str] = field(default_factory=list, metadata={"unique": True})
     test_tasks: list[str] = field(default_factory=list, metadata={"unique": True})
@@ -225,10 +221,17 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
     )
 
 
-def _clear(directory: Path) -> None:
-    """Remove a phase's output directory before the phase's first write; a failed removal raises."""
-    if directory.exists():
-        shutil.rmtree(directory)
+# Output directories in dependency order: a phase empties its own and every later one. The
+# theory probe reads tasks/ and train/, and empties nothing: no phase reads its one file.
+OUTPUT_DIRS = ("tasks", "train", "theory", "test", "report")
+
+
+def _clear(config: ExperimentConfig, own: str) -> None:
+    """Remove the output directory ``own`` and every directory after it in
+    :data:`OUTPUT_DIRS`, before the phase's first write; a failed removal raises."""
+    for name in OUTPUT_DIRS[OUTPUT_DIRS.index(own) :]:
+        if (config.experiment_dir / name).exists():
+            shutil.rmtree(config.experiment_dir / name)
 
 
 # ---------------------------------------------------------------------------
@@ -239,12 +242,7 @@ def _clear(directory: Path) -> None:
 def _collect_environments(config: ExperimentConfig) -> list[tuple[str, FingerprintDataset, TaskOptions]]:
     envs: list[tuple[str, FingerprintDataset, TaskOptions]] = []
     for source, opts in config.datasets:
-        dataset = load_csv(source.csv, source.schema)
-        partition = config.partition if source.partition is None else source.partition
-        if partition != "none":
-            envs.extend((tid, ds, opts) for tid, ds in partition_tasks(dataset, partition))
-        else:
-            envs.append((opts.id, dataset, opts))
+        envs.extend((name or opts.id, ds, opts) for name, ds in load_csv(source.csv, source.schema, source.partition))
     for spec, opts in config.synthetic_envs:
         envs.append((opts.id, synth_environment(spec, config.preprocess.sentinel), opts))
     seen = set()
@@ -263,7 +261,7 @@ def cmd_preprocess(config: ExperimentConfig) -> list[str]:
     for listed in (*config.train_tasks, *config.test_tasks):
         if listed not in task_ids:
             raise ConfigError(f"task {listed!r} listed in config but not produced; have {task_ids}")
-    _clear(config.tasks_dir)
+    _clear(config, "tasks")
     (config.experiment_dir / "tasks_index.json").unlink(missing_ok=True)
     split_seeds = np.random.SeedSequence(config.split_seed).generate_state(len(envs))
     for (env_id, dataset, opts), split_seed in zip(envs, split_seeds):
@@ -313,12 +311,13 @@ def _load_tasks(config: ExperimentConfig, ids: Sequence[str]) -> list[Localizati
 
 def resolved_model_config(config: ExperimentConfig, index: dict) -> ModelConfig:
     """The experiment's model config: ``config.model``, with the latent width
-    set from the median AP count of the index's training tasks under
-    ``d_from_median``. Meta-train, meta-test and the theory probe all build
-    their models from it; a checkpoint supplies only the trained shared part."""
+    set under ``d_from_median`` from the median AP count that the index's
+    training bundles' ``meta.json`` give. Meta-train, meta-test and the theory
+    probe build their models from it; a checkpoint supplies only the trained
+    shared part."""
     if not (config.d_from_median and index["train"]):
         return config.model
-    d = meta_signal_dim([t.m for t in _load_tasks(config, index["train"])])
+    d = meta_signal_dim([read_bundle_meta(config.tasks_dir / task_id)["m"] for task_id in index["train"]])
     return replace(config.model, d=d)
 
 
@@ -345,7 +344,7 @@ def cmd_meta_train(config: ExperimentConfig) -> tuple[MetaModel, list[federation
     model_config = resolved_model_config(config, index)
     fed = config.federation
     meta, clients = federation.server_init(train_tasks, model_config, fed)
-    _clear(config.train_dir)
+    _clear(config, "train")
 
     def on_round(report: federation.RoundReport, current: MetaModel) -> None:
         if fed.checkpoint_every and report.round % fed.checkpoint_every == 0:
@@ -415,7 +414,7 @@ def cmd_meta_test(config: ExperimentConfig, checkpoint: str | Path | None = None
     theta = _trained_theta(checkpoint or config.checkpoint_path, model_config)
     tasks = _load_tasks(config, index["test"])
     mt = config.meta_test
-    _clear(config.test_dir)
+    _clear(config, "test")
 
     jobs = [(config, model_config, theta, task, mode, seed) for task in tasks for seed in mt.seeds for mode in MODES]
     if config.workers > 1:
@@ -549,7 +548,7 @@ def cmd_report(config: ExperimentConfig) -> dict:
         task_entry["improvement"] = improvement
         report["tasks"][task_id] = task_entry
 
-    _clear(config.report_dir)
+    _clear(config, "report")
     for path, curve in cdfs.items():
         write_csv(path, ["error", "cumulative_fraction"], curve)
     write_json(config.report_dir / "metrics.json", report)

@@ -124,9 +124,13 @@ def reference_segment_crossings(samples: np.ndarray, aps: np.ndarray, walls: np.
     return ((d1 < 0) & (d2 < 0)).sum(axis=2)
 
 
-def reference_load_csv(path: Path, schema: SchemaConfig) -> FingerprintDataset:
+def reference_load_csv(
+    path: Path, schema: SchemaConfig, partition: str = "none"
+) -> list[tuple[str | None, FingerprintDataset]]:
     """The fingerprint CSV reader as first written: ``csv.reader`` rows, one
-    ``float()`` per selected cell and ``int(float())`` per group label."""
+    ``float()`` per selected cell and ``int(float())`` per group label; then,
+    unless ``partition`` is "none", each row appended to the group of its
+    labels in a dict, and the groups named and returned in sorted label order."""
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
         header = [h.strip() for h in next(reader)]
@@ -137,26 +141,37 @@ def reference_load_csv(path: Path, schema: SchemaConfig) -> FingerprintDataset:
             ap_names = [h for h in header if h.startswith(schema.ap_prefix)]
         ap_idx = [col_index[c] for c in ap_names]
         coord_idx = [col_index[c] for c in schema.coord_columns]
-        b_idx = col_index[schema.building_col] if schema.building_col else None
-        f_idx = col_index[schema.floor_col] if schema.floor_col else None
-        rssi_rows, coord_rows, buildings, floors = [], [], [], []
+        label_idx = {
+            rule: col_index[col]
+            for rule, col in (("building", schema.building_col), ("floor", schema.floor_col))
+            if col
+        }
+        rssi_rows, coord_rows, label_rows = [], [], []
         for row in reader:
             if not row:
                 continue
             rssi_rows.append([float(row[i]) for i in ap_idx])
             coord_rows.append([float(row[i]) for i in coord_idx])
-            if b_idx is not None:
-                buildings.append(int(float(row[b_idx])))
-            if f_idx is not None:
-                floors.append(int(float(row[f_idx])))
-    return FingerprintDataset(
-        rssi=np.array(rssi_rows),
-        coords=np.array(coord_rows),
-        ap_names=ap_names,
-        coord_names=list(schema.coord_columns),
-        building=np.array(buildings, dtype=np.int64) if buildings else None,
-        floor=np.array(floors, dtype=np.int64) if floors else None,
-    )
+            label_rows.append({rule: int(float(row[i])) for rule, i in label_idx.items()})
+
+    def dataset(rows: list[int]) -> FingerprintDataset:
+        return FingerprintDataset(
+            rssi=np.array([rssi_rows[i] for i in rows]),
+            coords=np.array([coord_rows[i] for i in rows]),
+            ap_names=ap_names,
+            coord_names=list(schema.coord_columns),
+        )
+
+    if partition == "none":
+        return [(None, dataset(list(range(len(rssi_rows)))))]
+    rules = partition.split("_")
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for i, labels in enumerate(label_rows):
+        groups.setdefault(tuple(labels[rule] for rule in rules), []).append(i)
+    return [
+        ("_".join(f"{rule[0].upper()}{label}" for rule, label in zip(rules, key)), dataset(rows))
+        for key, rows in sorted(groups.items())
+    ]
 
 
 def count_passes(monkeypatch) -> dict:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from fedmetaloc import nn
-from fedmetaloc.data import load_csv, make_task, partition_tasks
+from fedmetaloc.data import load_csv, make_task
 from fedmetaloc.federation import (
     FederationParams,
     MetaTestParams,
@@ -381,8 +381,7 @@ def test_criterion_8_uji_directional_check():
             building_col="BUILDINGID",
             floor_col="FLOOR",
         )
-        dataset = load_csv(uji_csv_path(), schema)
-        parents = dict(partition_tasks(dataset, "building_floor"))
+        parents = dict(load_csv(uji_csv_path(), schema, "building_floor"))
         test_ids = ["B0_F3", "B1_F3", "B2_F4"]
         pre = PreprocessConfig()
         tasks = {}

@@ -106,7 +106,7 @@ class TestConfigLoading:
     def test_dataset_with_schema_loads(self, tmp_path):
         config = experiments.load_experiment_config(with_dataset(tmp_path, SCHEMA, support_ratio=0.5))
         source, opts = config.datasets[0]
-        assert source.csv == tmp_path / "d0.csv" and source.partition is None
+        assert source.csv == tmp_path / "d0.csv" and source.partition == "none"
         assert source.schema == SchemaConfig(coord_columns=("X", "Y"), ap_columns=("A", "B"))
         assert opts == experiments.TaskOptions(id="D0", support_ratio=0.5)
 
@@ -213,6 +213,13 @@ class TestDatasetPreprocess:
         ]
         assert digests[0] == digests[1]
 
+    def test_partition_by_a_label_the_schema_does_not_name_exits_3(self, tmp_path, capsys):
+        path = with_dataset(tmp_path, SCHEMA, partition="floor")
+        assert cli.run(["preprocess", "--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error") and "partition by floor requires floor labels" in err
+        assert not (tmp_path / "out").exists()
+
     def test_support_region_on_one_coordinate_column_exits_3(self, tmp_path, capsys):
         path = with_dataset(
             tmp_path, '{"coord_columns": ["X"], "ap_columns": ["A", "B"]}', support_region=[0.0, 0.0, 2.0, 2.0]
@@ -233,6 +240,30 @@ class TestModelResolution:
         # training envs have 5 and 6 APs: median 5.5 rounds half away from zero
         assert resolved.d == 6
         assert config.model.d == 4  # base config untouched
+
+
+class TestBundleLoadsPerPhase:
+    """Under ``d_from_median`` the latent width comes from the training
+    bundles' ``meta.json``: each phase loads the arrays of its own tasks only."""
+
+    def test_each_phase_loads_only_the_bundles_it_runs(self, tmp_path, monkeypatch):
+        config = experiments.load_experiment_config(small_config(tmp_path, d_from_median=True))
+        experiments.cmd_preprocess(config)
+        loaded = []
+
+        def counted(directory):
+            loaded.append(Path(directory).name)
+            return load_task_bundle(directory)
+
+        monkeypatch.setattr(experiments, "load_task_bundle", counted)
+        for command, expected in (
+            (experiments.cmd_meta_train, ["T00", "T01"]),
+            (experiments.cmd_meta_test, ["T02"]),
+            (experiments.cmd_theory_probe, ["T02"]),
+        ):
+            loaded.clear()
+            command(config)
+            assert loaded == expected, command.__name__
 
 
 class TestMetaTrainCommand:
@@ -706,7 +737,7 @@ class TestMalformedConfig:
             ("entry_support_ratio_above_one", "synthetic_envs[2] (T02).support_ratio must be in (0, 1)"),
             ("config_support_ratio_of_one", "config: support_ratio must be in (0, 1) for task T00, got 1.0"),
             ("region_support_ratio_of_zero", "synthetic_envs[2] (T02).support_ratio must be in (0, 1]"),
-            ("unknown_partition", "config: partition must be one of ('none', 'building', 'floor', 'building_floor')"),
+            ("unknown_partition", "config: unknown key(s) ['partition']"),
             ("unknown_dataset_partition", "config.datasets[0] (D0): partition must be one of ('none', "),
             ("zero_workers", "config: workers must be >= 1, got 0"),
             ("negative_workers", "config: workers must be >= 1, got -2"),
@@ -1237,6 +1268,29 @@ BUNDLE_FAULTS = {  # T00 and T02 of small_config: m = 5, p = 2, 42 support and 1
 
 @pytest.mark.filterwarnings("error::UserWarning")
 class TestMalformedBundle:
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            (_edit_meta(lambda meta: meta.pop("m")), "KeyError: 'm'"),
+            (_edit_meta(lambda meta: meta["ap_names"].pop()), "5 AP names for m = 6"),
+            (_edit_meta(lambda meta: meta.update(task_id="T09")), "task_id 'T09' differs from the bundle directory's"),
+            (_edit_meta(lambda meta: meta.update(label_scale=[1.0, 0.0])), "label_scale must be > 0, got [1.0, 0.0]"),
+            (lambda b: (b / "meta.json").unlink(), "not a task bundle (no meta.json)"),
+        ],
+        ids=["no_m", "short_ap_names", "task_id", "zero_label_scale", "no_meta"],
+    )
+    def test_malformed_training_meta_makes_meta_test_exit_3(self, tmp_path, capsys, fault, message):
+        # under d_from_median meta-test reads each training bundle's meta.json, and only that
+        path = small_config(tmp_path, d_from_median=True)
+        for phase in ("preprocess", "meta-train"):
+            assert cli.run([phase, "--config", str(path)]) == 0
+        bundle = experiments.load_experiment_config(path).tasks_dir / "T01"
+        fault(bundle)
+        capsys.readouterr()
+        assert cli.run(["meta-test", "--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(bundle) in err and message in err
+
     @pytest.mark.parametrize("fault", sorted(BUNDLE_FAULTS))
     def test_meta_train_exits_3(self, tmp_path, capsys, fault):
         path = small_config(tmp_path)
@@ -1385,6 +1439,52 @@ class TestPhaseOwnsItsDirectory:
         assert sorted(p.name for p in config.tasks_dir.iterdir()) == ["T00", "T01"]
         assert json.loads((config.experiment_dir / "tasks_index.json").read_text())["all"] == ["T00", "T01"]
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_meta_train_rerun_removes_every_output_of_the_old_checkpoint(self, tmp_path, capsys, workers):
+        path = small_config(tmp_path, workers=workers)
+        for phase in ("preprocess", "meta-train", "meta-test", "theory-probe"):
+            assert cli.run([phase, "--config", str(path)]) == 0
+        config = experiments.load_experiment_config(path)
+        tasks, checkpoint = tree_digest(config.tasks_dir), config.checkpoint_path.read_bytes()
+        small_config(tmp_path, workers=workers, federation={**json.loads(path.read_text())["federation"], "seed": 4})
+        assert cli.run(["meta-train", "--config", str(path)]) == 0
+        assert config.checkpoint_path.read_bytes() != checkpoint
+        assert tree_digest(config.tasks_dir) == tasks
+        assert sorted(p.name for p in config.experiment_dir.iterdir()) == ["tasks", "tasks_index.json", "train"]
+        capsys.readouterr()
+        assert cli.run(["report", "--config", str(path)]) == 3
+        assert capsys.readouterr().err.startswith("data error: missing trace for T02/MI/0")
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_preprocess_rerun_removes_every_later_output(self, tmp_path, capsys, workers):
+        path = small_config(tmp_path, workers=workers)
+        for phase in ("preprocess", "meta-train", "meta-test", "theory-probe"):
+            assert cli.run([phase, "--config", str(path)]) == 0
+        config = experiments.load_experiment_config(path)
+        tasks = tree_digest(config.tasks_dir)
+        assert cli.run(["preprocess", "--config", str(path)]) == 0
+        assert tree_digest(config.tasks_dir) == tasks
+        assert sorted(p.name for p in config.experiment_dir.iterdir()) == ["tasks", "tasks_index.json"]
+        capsys.readouterr()
+        assert cli.run(["meta-test", "--config", str(path)]) == 3
+        assert capsys.readouterr().err.startswith("data error: checkpoint not found")
+
+    def test_meta_test_rerun_keeps_the_checkpoint_and_the_probe_report(self, tmp_path):
+        path = small_config(tmp_path)
+        for phase in ("preprocess", "meta-train", "theory-probe", "meta-test"):
+            assert cli.run([phase, "--config", str(path)]) == 0
+        config = experiments.load_experiment_config(path)
+        before = tree_digest(config.experiment_dir)
+        small_config(tmp_path, meta_test={**json.loads(path.read_text())["meta_test"], "seeds": [0]})
+        assert cli.run(["meta-test", "--config", str(path)]) == 0
+        after = tree_digest(config.experiment_dir)
+
+        def upstream(digest):
+            return {key: value for key, value in digest.items() if not key.startswith(("test/", "report/"))}
+
+        assert "theory/probe_report.json" in upstream(after) and upstream(after) == upstream(before)
+        assert not experiments.run_dir(config, "T02", "MI", 1).exists()
+
     def test_report_holds_only_the_current_test_tasks_cdfs(self, tmp_path):
         path = small_config(tmp_path, train_tasks=["T00"], test_tasks=["T01", "T02"])
         config = experiments.load_experiment_config(path)
@@ -1396,8 +1496,8 @@ class TestPhaseOwnsItsDirectory:
                     experiments.write_trace(experiments.run_dir(config, task_id, mode, seed), trace, [0.0])
         experiments.cmd_report(config)
         assert len(list(config.report_dir.iterdir())) == 5
-        config = experiments.load_experiment_config(small_config(tmp_path))  # T01 is a training task now
-        experiments.cmd_preprocess(config)
+        index = config.experiment_dir / "tasks_index.json"  # T01 is a training task now
+        write_json(index, {**json.loads(index.read_text()), "train": ["T00", "T01"], "test": ["T02"]})
         experiments.cmd_report(config)
         assert sorted(p.name for p in config.report_dir.iterdir()) == [
             "T02_MI_cdf.csv", "T02_RI_cdf.csv", "metrics.json"
@@ -1460,10 +1560,11 @@ class TestPhaseOwnsItsDirectory:
         self, tmp_path, capsys, phase, workers, change, args, code, message
     ):
         path = small_config(tmp_path, workers=workers)
-        for step in ("preprocess", "meta-train", "meta-test"):
+        for step in ("preprocess", "meta-train", "meta-test", "theory-probe"):
             assert cli.run([step, "--config", str(path)]) == 0
         config = experiments.load_experiment_config(path)
         before = tree_digest(config.experiment_dir)
+        assert "theory/probe_report.json" in before
         small_config(tmp_path, workers=workers, **change(tmp_path, json.loads(path.read_text())))
         capsys.readouterr()
         assert cli.run([phase, "--config", str(path), *args]) == code

@@ -2,6 +2,7 @@ import io
 import json
 import math
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 from fedmetaloc import data
 from fedmetaloc.data import (
+    PARTITIONS,
     FingerprintDataset,
     LocalizationTask,
     SchemaConfig,
@@ -16,7 +18,6 @@ from fedmetaloc.data import (
     load_csv,
     load_task_bundle,
     make_task,
-    partition_tasks,
     path_loss_rssi,
     save_task_bundle,
     split_support_query,
@@ -52,21 +53,22 @@ class TestLoadCsv:
                 [100.0, -80.0, 5.5, 6.5, 1, 2],
             ],
         )
-        ds = load_csv(path, UJI_SCHEMA)
+        [(name, ds)] = load_csv(path, UJI_SCHEMA)
+        assert name is None
         assert ds.ap_names == ["WAP001", "WAP002"]
         assert np.array_equal(ds.rssi, [[-57.0, 100.0], [-60.0, -71.0], [100.0, -80.0]])
         assert np.array_equal(ds.coords, [[1.5, 2.5], [3.5, 4.5], [5.5, 6.5]])
-        assert list(ds.building) == [1, 1, 2]
-        assert list(ds.floor) == [0, 1, 1]
+        assert group_of_each_row(path, "building") == ["B1", "B1", "B2"]
+        assert group_of_each_row(path, "floor") == ["F0", "F1", "F1"]
 
     def test_uji_style_header_shape(self, tmp_path):
         ap_cols = [f"WAP{i:03d}" for i in range(1, 521)]
         header = [*ap_cols, "LONGITUDE", "LATITUDE", "FLOOR", "BUILDINGID"]
         row = [*([100.0] * 519), -48.0, -7301.0, 4864921.0, 2, 0]
-        ds = load_csv(write_csv(tmp_path / "uji.csv", header, [row]), UJI_SCHEMA)
+        [(name, ds)] = load_csv(write_csv(tmp_path / "uji.csv", header, [row]), UJI_SCHEMA, "building_floor")
+        assert name == "B0_F2"
         assert ds.n_aps == 520
         assert ds.coords.shape == (1, 2)
-        assert ds.building is not None and ds.floor is not None
 
     def test_empty_file_and_headers_only(self, tmp_path):
         empty = tmp_path / "empty.csv"
@@ -105,6 +107,23 @@ class TestLoadCsv:
         assert source.schema.ap_columns == ("A", "B")
 
 
+def group_of_each_row(path: Path, partition: str, schema: SchemaConfig = UJI_SCHEMA) -> list[str]:
+    """The name of the group ``load_csv`` puts each CSV row in, in file order;
+    each group's rows must be the file's rows in file order."""
+    [(_, whole)] = load_csv(path, schema)
+    names: list[str | None] = [None] * whole.n_samples
+    for name, part in load_csv(path, schema, partition):
+        rows = [i for i in range(whole.n_samples) if any(np.array_equal(whole.coords[i], c) for c in part.coords)]
+        assert len(rows) == part.n_samples
+        reference = whole.select_rows(np.array(rows))
+        assert np.array_equal(part.rssi.view(np.uint64), reference.rssi.view(np.uint64))
+        assert np.array_equal(part.coords, reference.coords)
+        for i in rows:
+            names[i] = name
+    assert None not in names
+    return names
+
+
 def reference_table() -> list[list[str]]:
     """Header and cell texts of a UJI-shaped table: edge floats, 1e308 and NaN
     in the RSSI cells, an unselected numeric SPACEID column, and fractional
@@ -139,15 +158,17 @@ class TestLoadCsvMatchesReference:
         cell, newline = CSV_LAYOUTS[layout]
         path = tmp_path / "uji.csv"
         path.write_bytes("".join(",".join(map(cell, row)) + newline for row in reference_table()).encode())
-        ours, theirs = load_csv(path, UJI_SCHEMA), reference_load_csv(path, UJI_SCHEMA)
-        assert ours.rssi.shape == (6, 6) and np.isnan(ours.rssi).sum() == 1
-        assert np.array_equal(ours.rssi.view(np.uint64), theirs.rssi.view(np.uint64))
-        assert np.array_equal(ours.coords.view(np.uint64), theirs.coords.view(np.uint64))
-        assert ours.ap_names == theirs.ap_names and ours.coord_names == theirs.coord_names
-        assert ours.building.dtype == theirs.building.dtype == np.int64
-        assert np.array_equal(ours.building, theirs.building)
-        assert np.array_equal(ours.floor, theirs.floor)
-        assert list(ours.floor) == [0, 1, 0, 3, 2, 4]
+        for partition in PARTITIONS:
+            ours, theirs = load_csv(path, UJI_SCHEMA, partition), reference_load_csv(path, UJI_SCHEMA, partition)
+            assert [name for name, _ in ours] == [name for name, _ in theirs]
+            for (_, mine), (_, ref) in zip(ours, theirs):
+                assert np.array_equal(mine.rssi.view(np.uint64), ref.rssi.view(np.uint64))
+                assert np.array_equal(mine.coords.view(np.uint64), ref.coords.view(np.uint64))
+                assert mine.ap_names == ref.ap_names and mine.coord_names == ref.coord_names
+        [(_, whole)] = load_csv(path, UJI_SCHEMA)
+        assert whole.rssi.shape == (6, 6) and np.isnan(whole.rssi).sum() == 1
+        assert group_of_each_row(path, "floor") == ["F0", "F1", "F0", "F3", "F2", "F4"]
+        assert group_of_each_row(path, "building") == ["B0", "B1", "B2", "B0", "B1", "B2"]
 
     @pytest.mark.parametrize(
         "rows, message",
@@ -170,7 +191,9 @@ class TestLoadCsvMatchesReference:
             load_csv(path, UJI_SCHEMA)
 
 
-def grouped_dataset(floors_per_building: list[int], rows_per_group: int = 3) -> FingerprintDataset:
+def grouped_rows(floors_per_building: list[int], rows_per_group: int = 3):
+    """RSSI rows, coordinate rows, buildings and floors of ``rows_per_group``
+    rows per floor, building after building and floor after floor."""
     rssi, coords, buildings, floors = [], [], [], []
     rng = np.random.default_rng(0)
     for b, n_floors in enumerate(floors_per_building):
@@ -180,56 +203,70 @@ def grouped_dataset(floors_per_building: list[int], rows_per_group: int = 3) -> 
                 coords.append(rng.uniform(0, 10, size=2))
                 buildings.append(b)
                 floors.append(f)
-    return FingerprintDataset(
-        rssi=np.array(rssi),
-        coords=np.array(coords),
-        ap_names=[f"AP{i}" for i in range(4)],
-        building=np.array(buildings),
-        floor=np.array(floors),
-    )
+    return np.array(rssi), np.array(coords), buildings, floors
+
+
+def grouped_dataset(floors_per_building: list[int], rows_per_group: int = 3) -> FingerprintDataset:
+    rssi, coords, _, _ = grouped_rows(floors_per_building, rows_per_group)
+    return FingerprintDataset(rssi=rssi, coords=coords, ap_names=[f"AP{i}" for i in range(4)])
+
+
+def labelled_csv(path: Path, rssi: np.ndarray, coords: np.ndarray, buildings, floors) -> Path:
+    """A UJI-schema CSV: four WAP columns, LONGITUDE, LATITUDE, FLOOR and BUILDINGID,
+    every float written in its shortest ``repr``."""
+    header = ["WAP001", "WAP002", "WAP003", "WAP004", "LONGITUDE", "LATITUDE", "FLOOR", "BUILDINGID"]
+    rows = zip(rssi.tolist(), coords.tolist(), floors, buildings)
+    return write_csv(path, header, [[*map(repr, r), *map(repr, c), f, b] for r, c, f, b in rows])
+
+
+def grouped_csv(path: Path, floors_per_building: list[int], rows_per_group: int = 3) -> Path:
+    return labelled_csv(path, *grouped_rows(floors_per_building, rows_per_group))
 
 
 class TestPartition:
-    def test_three_buildings_with_4_4_5_floors_gives_13_tasks(self):
-        ds = grouped_dataset([4, 4, 5])
-        parts = partition_tasks(ds, "building_floor")
+    """``load_csv``'s partition rules, on CSV files written here."""
+
+    def test_three_buildings_with_4_4_5_floors_gives_13_tasks(self, tmp_path):
+        parts = load_csv(grouped_csv(tmp_path / "g.csv", [4, 4, 5]), UJI_SCHEMA, "building_floor")
         assert len(parts) == 13
         assert parts[0][0] == "B0_F0"
         assert parts[-1][0] == "B2_F4"
 
-    def test_single_group(self):
-        ds = grouped_dataset([1])
-        parts = partition_tasks(ds, "building_floor")
+    def test_single_group(self, tmp_path):
+        parts = load_csv(grouped_csv(tmp_path / "g.csv", [1]), UJI_SCHEMA, "building_floor")
         assert [p[0] for p in parts] == ["B0_F0"]
 
-    def test_sample_counts_are_preserved(self):
-        ds = grouped_dataset([2, 3], rows_per_group=4)
-        parts = partition_tasks(ds, "building_floor")
-        assert sum(p[1].n_samples for p in parts) == ds.n_samples
+    def test_sample_counts_are_preserved(self, tmp_path):
+        parts = load_csv(grouped_csv(tmp_path / "g.csv", [2, 3], rows_per_group=4), UJI_SCHEMA, "building_floor")
+        assert sum(p[1].n_samples for p in parts) == 20
 
-    def test_missing_labels_rejected(self):
-        ds = grouped_dataset([2])
-        ds = FingerprintDataset(ds.rssi, ds.coords, ds.ap_names)
-        with pytest.raises(DataError):
-            partition_tasks(ds, "building_floor")
+    @pytest.mark.parametrize("by, lacking", [("building_floor", "building"), ("floor", "floor")])
+    def test_missing_labels_rejected(self, tmp_path, by, lacking):
+        path = grouped_csv(tmp_path / "g.csv", [2])
+        schema = SchemaConfig(coord_columns=("LONGITUDE", "LATITUDE"), ap_prefix="WAP")
+        with pytest.raises(DataError, match=f"partition by {lacking} requires {lacking} labels"):
+            load_csv(path, schema, by)
+        building_only = replace(schema, building_col="BUILDINGID")
+        assert [name for name, _ in load_csv(path, building_only, "building")] == ["B0"]
 
-    def test_unknown_rule_rejected(self):
-        with pytest.raises(ConfigError):
-            partition_tasks(grouped_dataset([1]), "room")
+    def test_unknown_rule_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="unknown partition rule 'room'"):
+            load_csv(grouped_csv(tmp_path / "g.csv", [1]), UJI_SCHEMA, "room")
+
+    def test_missing_label_column_rejected(self, tmp_path):
+        path = write_csv(tmp_path / "g.csv", ["WAP001", "LONGITUDE", "LATITUDE", "BUILDINGID"], [[-50.0, 1.0, 2.0, 0]])
+        with pytest.raises(DataError, match="missing columns"):
+            load_csv(path, UJI_SCHEMA, "building")
 
     @pytest.mark.parametrize("by", ["building", "floor", "building_floor"])
-    def test_matches_a_per_row_oracle_on_interleaved_labels(self, by):
+    def test_matches_a_per_row_oracle_on_interleaved_labels(self, tmp_path, by):
         rng = np.random.default_rng(3)
-        ds = FingerprintDataset(
-            rssi=rng.uniform(-90, -30, size=(60, 3)),
-            coords=rng.uniform(0, 10, size=(60, 2)),
-            ap_names=["A", "B", "C"],
-            building=rng.integers(0, 3, size=60) * 7 - 2,  # -2, 5, 12: ordered numerically, not as text
-            floor=rng.integers(-1, 3, size=60),
-        )
+        buildings = (rng.integers(0, 3, size=60) * 7 - 2).tolist()  # -2, 5, 12: ordered numerically, not as text
+        floors = rng.integers(-1, 3, size=60).tolist()
+        rssi, coords = rng.uniform(-90, -30, size=(60, 4)), rng.uniform(0, 10, size=(60, 2))
+        path = labelled_csv(tmp_path / "g.csv", rssi, coords, buildings, floors)
         groups: dict[tuple, list[int]] = {}
-        for i in range(ds.n_samples):
-            b, f = int(ds.building[i]), int(ds.floor[i])
+        for i, (b, f) in enumerate(zip(buildings, floors)):
             key = {"building": (b,), "floor": (f,), "building_floor": (b, f)}[by]
             groups.setdefault(key, []).append(i)
         prefixes = {"building": ("B",), "floor": ("F",), "building_floor": ("B", "F")}[by]
@@ -237,12 +274,11 @@ class TestPartition:
             ("_".join(f"{prefix}{label}" for prefix, label in zip(prefixes, key)), rows)
             for key, rows in sorted(groups.items())
         ]
-        parts = partition_tasks(ds, by)
+        assert by != "building" or [name for name, _ in expected] == ["B-2", "B5", "B12"]
+        parts = load_csv(path, UJI_SCHEMA, by)
         assert [name for name, _ in parts] == [name for name, _ in expected]
         for (_, part), (_, rows) in zip(parts, expected):
-            reference = ds.select_rows(np.array(rows))
-            for key in ("rssi", "coords", "building", "floor"):
-                assert np.array_equal(getattr(part, key), getattr(reference, key)), key
+            assert np.array_equal(part.rssi, rssi[rows]) and np.array_equal(part.coords, coords[rows])
 
 
 class TestSplit:
@@ -464,16 +500,16 @@ class TestTasksAndBundles:
         assert np.allclose(round_trip, task.support.coords, rtol=1e-12)
         assert np.abs(normalized).max() <= 1.0 + 1e-12
 
-    def test_partition_then_split_never_duplicates(self):
-        ds = grouped_dataset([2, 1], rows_per_group=6)
+    def test_partition_then_split_never_duplicates(self, tmp_path):
         seen = set()
-        for name, sub in partition_tasks(ds, "building_floor"):
+        path = grouped_csv(tmp_path / "g.csv", [2, 1], rows_per_group=6)
+        for name, sub in load_csv(path, UJI_SCHEMA, "building_floor"):
             support, query = split_support_query(sub, 0.5, seed=1)
             for row in np.vstack([support.rssi, query.rssi]):
                 key = tuple(row)
                 assert key not in seen
                 seen.add(key)
-        assert len(seen) == ds.n_samples
+        assert len(seen) == 18
 
     def test_bundle_round_trip_is_exact(self, tmp_path):
         task = synth_task(samples=40, seed=7)
