@@ -162,41 +162,6 @@ def split_support_query(
     return dataset.select_rows(perm[:n_support]), dataset.select_rows(perm[n_support:])
 
 
-def split_support_query_by_region(
-    dataset: FingerprintDataset,
-    region: tuple[float, float, float, float],
-    ratio: float,
-    seed: int,
-) -> tuple[FingerprintDataset, FingerprintDataset]:
-    """Coverage-limited split: support only from inside ``region``.
-
-    Models partial calibration of a new environment: fingerprints were only
-    collected inside ``region = (x0, y0, x1, y1)``. The support set draws a
-    ``ratio`` fraction of the in-region rows (seeded); every other row, in or
-    out of the region, forms the query set.
-    """
-    if not 0.0 < ratio <= 1.0:
-        raise ConfigError(f"split ratio must be in (0, 1], got {ratio}")
-    x0, y0, x1, y1 = region
-    inside = np.flatnonzero(
-        (dataset.coords[:, 0] >= x0)
-        & (dataset.coords[:, 0] <= x1)
-        & (dataset.coords[:, 1] >= y0)
-        & (dataset.coords[:, 1] <= y1)
-    )
-    if inside.size < 1:
-        raise DataError("no samples fall inside the coverage region")
-    rng = np.random.default_rng(seed)
-    picked = rng.permutation(inside)[: math.ceil(ratio * inside.size)]
-    support_mask = np.zeros(dataset.n_samples, dtype=bool)
-    support_mask[picked] = True
-    if support_mask.all():
-        raise DataError("coverage split left no query samples")
-    return dataset.select_rows(np.flatnonzero(support_mask)), dataset.select_rows(
-        np.flatnonzero(~support_mask)
-    )
-
-
 @dataclass
 class LocalizationTask:
     """One client's environment: support/query split plus its label scaling.
@@ -241,22 +206,10 @@ def make_task(
     dataset: FingerprintDataset,
     ratio: float = 0.7,
     seed: int = 0,
-    support_region: tuple[float, float, float, float] | None = None,
 ) -> LocalizationTask:
-    """Split a per-environment dataset and fit its label scaling.
-
-    ``support_region`` switches to the coverage-limited split, simulating a
-    client that calibrated only part of its environment.
-    """
+    """Split a per-environment dataset and fit its label scaling."""
     dataset.validate_model_ready()
-    if support_region is None:
-        support, query = split_support_query(dataset, ratio, seed)
-    elif dataset.coords.shape[1] < 2:
-        raise DataError(
-            f"task {task_id}: support_region needs x and y coordinates, the dataset has {dataset.coord_names}"
-        )
-    else:
-        support, query = split_support_query_by_region(dataset, support_region, ratio, seed)
+    support, query = split_support_query(dataset, ratio, seed)
     if query.n_samples == 0:
         raise DataError(f"task {task_id}: split ratio {ratio} left no query samples")
     center = dataset.coords.mean(axis=0)

@@ -51,11 +51,10 @@ MODES = ("MI", "RI")
 @dataclass(frozen=True)
 class TaskOptions:
     """Keys of any ``datasets`` or ``synthetic_envs`` entry: its task id (unused
-    when a partition names the tasks) and its own split over the config's."""
+    when a partition names the tasks) and its own support ratio over the config's."""
 
     id: str
     support_ratio: float | None = None
-    support_region: tuple[float, float, float, float] | None = None
 
     __post_init__ = check_fields
 
@@ -100,10 +99,9 @@ class ExperimentConfig:
         for key in ("datasets", "synthetic_envs"):  # the ranges make_task's split will check
             for i, (_, opts) in enumerate(getattr(self, key)):
                 ratio = self.split_ratio(opts)
-                if not (0.0 < ratio < 1.0 or (opts.support_region and ratio == 1.0)):
+                if not 0.0 < ratio < 1.0:
                     own = "" if opts.support_ratio is None else f"{key}[{i}] ({opts.id})."
-                    bound = "1]" if opts.support_region else "1)"
-                    raise ConfigError(f"{own}support_ratio must be in (0, {bound} for task {opts.id}, got {ratio}")
+                    raise ConfigError(f"{own}support_ratio must be in (0, 1) for task {opts.id}, got {ratio}")
 
     def split_ratio(self, opts: TaskOptions) -> float:
         """The support fraction of an entry's tasks: the entry's own, else the config's."""
@@ -222,14 +220,15 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
 
 
 # Output directories in dependency order: a phase empties its own and every later one. The
-# theory probe reads tasks/ and train/, and empties nothing: no phase reads its one file.
+# theory probe reads tasks/ and train/, and empties only theory/: no phase reads its one file.
 OUTPUT_DIRS = ("tasks", "train", "theory", "test", "report")
 
 
 def _clear(config: ExperimentConfig, own: str) -> None:
-    """Remove the output directory ``own`` and every directory after it in
-    :data:`OUTPUT_DIRS`, before the phase's first write; a failed removal raises."""
-    for name in OUTPUT_DIRS[OUTPUT_DIRS.index(own) :]:
+    """Remove the output directory ``own`` and, unless it is ``theory``, every
+    directory after it in :data:`OUTPUT_DIRS`, before the phase's first write;
+    a failed removal raises."""
+    for name in (own,) if own == "theory" else OUTPUT_DIRS[OUTPUT_DIRS.index(own) :]:
         if (config.experiment_dir / name).exists():
             shutil.rmtree(config.experiment_dir / name)
 
@@ -266,9 +265,7 @@ def cmd_preprocess(config: ExperimentConfig) -> list[str]:
     split_seeds = np.random.SeedSequence(config.split_seed).generate_state(len(envs))
     for (env_id, dataset, opts), split_seed in zip(envs, split_seeds):
         processed, report = preprocess_dataset(dataset, config.preprocess)
-        task = make_task(
-            env_id, processed, config.split_ratio(opts), int(split_seed), support_region=opts.support_region
-        )
+        task = make_task(env_id, processed, config.split_ratio(opts), int(split_seed))
         save_task_bundle(task, config.tasks_dir, extra={"preprocess": asdict(report)})
 
     index = {
@@ -568,6 +565,7 @@ def cmd_theory_probe(config: ExperimentConfig) -> dict:
     task = _load_tasks(config, probe_ids[:1])[0]
     model_config = resolved_model_config(config, index)
     theta = _trained_theta(config.checkpoint_path, model_config) if config.checkpoint_path.exists() else None
+    _clear(config, "theory")
     payload = {"task": task.task_id, **metrics.run_theory_probe(task, model_config, theta, config.theory_probe)}
     write_json(config.experiment_dir / "theory" / "probe_report.json", payload)
     return payload

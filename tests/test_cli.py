@@ -110,14 +110,6 @@ class TestConfigLoading:
         assert source.schema == SchemaConfig(coord_columns=("X", "Y"), ap_columns=("A", "B"))
         assert opts == experiments.TaskOptions(id="D0", support_ratio=0.5)
 
-    def test_a_coverage_region_admits_a_support_ratio_of_one(self, tmp_path):
-        path = small_config(tmp_path)
-        raw = json.loads(path.read_text())
-        raw["synthetic_envs"][2].update(support_ratio=1.0, support_region=[0.0, 0.0, 20.0, 25.0])
-        path.write_text(json.dumps(raw))
-        config = experiments.load_experiment_config(path)
-        assert [config.split_ratio(opts) for _, opts in config.synthetic_envs] == [0.7, 0.7, 1.0]
-
     def test_an_integer_in_a_float_field_is_a_float(self, tmp_path):
         config = experiments.load_experiment_config(
             small_config(tmp_path, federation={"eta": 1}, meta_test={"targets_m": [8, 2.5]})
@@ -164,17 +156,13 @@ class TestPreprocessCommand:
         path = small_config(tmp_path)
         raw = json.loads(path.read_text())
         raw["synthetic_envs"][2]["support_ratio"] = 0.5
-        raw["synthetic_envs"][2]["support_region"] = [0.0, 0.0, 20.0, 25.0]
         path.write_text(json.dumps(raw))
         config = experiments.load_experiment_config(path)
         experiments.cmd_preprocess(config)
-        from fedmetaloc.data import load_task_bundle
-
-        task = load_task_bundle(config.tasks_dir / "T02")
-        # support restricted to the coverage region, at half density
-        assert (task.support.coords[:, 0] <= 20.0).all()
-        assert task.support.n_samples < 30
-        assert task.support.n_samples + task.query.n_samples == 60
+        # T02 takes ceil(0.5 * 60) support rows, T00 and T01 the config's ceil(0.7 * 60)
+        for task_id, n_support in (("T00", 42), ("T01", 42), ("T02", 30)):
+            task = load_task_bundle(config.tasks_dir / task_id)
+            assert (task.support.n_samples, task.query.n_samples) == (n_support, 60 - n_support)
 
     def test_synthetic_envs_write_the_preprocess_marker(self, tmp_path):
         # the 318 cells below the sensitivity floor are imputed whatever the marker
@@ -219,14 +207,6 @@ class TestDatasetPreprocess:
         err = capsys.readouterr().err
         assert err.startswith("data error") and "partition by floor requires floor labels" in err
         assert not (tmp_path / "out").exists()
-
-    def test_support_region_on_one_coordinate_column_exits_3(self, tmp_path, capsys):
-        path = with_dataset(
-            tmp_path, '{"coord_columns": ["X"], "ap_columns": ["A", "B"]}', support_region=[0.0, 0.0, 2.0, 2.0]
-        )
-        assert cli.run(["preprocess", "--config", str(path)]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("data error") and "task D0: support_region needs x and y coordinates" in err
 
 
 class TestModelResolution:
@@ -736,7 +716,7 @@ class TestMalformedConfig:
             ("synthetic_env_sentinel", "sentinel"),
             ("entry_support_ratio_above_one", "synthetic_envs[2] (T02).support_ratio must be in (0, 1)"),
             ("config_support_ratio_of_one", "config: support_ratio must be in (0, 1) for task T00, got 1.0"),
-            ("region_support_ratio_of_zero", "synthetic_envs[2] (T02).support_ratio must be in (0, 1]"),
+            ("synthetic_env_support_region", "config.synthetic_envs[2] (T02): unknown key(s) ['support_region']"),
             ("unknown_partition", "config: unknown key(s) ['partition']"),
             ("unknown_dataset_partition", "config.datasets[0] (D0): partition must be one of ('none', "),
             ("zero_workers", "config: workers must be >= 1, got 0"),
@@ -780,14 +760,14 @@ class TestMalformedConfig:
             raw = json.loads(path.read_text())
             raw["synthetic_envs"][0]["sentinel"] = -110.0
             path.write_text(json.dumps(raw))
-        elif case in ("entry_support_ratio_above_one", "region_support_ratio_of_zero"):
-            # T00 and T01 are valid: nothing may be written before T02's split fails
+        elif case in ("entry_support_ratio_above_one", "synthetic_env_support_region"):
+            # T00 and T01 are valid: only T02's entry is malformed
             path = small_config(tmp_path)
             raw = json.loads(path.read_text())
             if case == "entry_support_ratio_above_one":
                 raw["synthetic_envs"][2]["support_ratio"] = 1.5
             else:
-                raw["synthetic_envs"][2].update(support_ratio=0.0, support_region=[0.0, 0.0, 20.0, 25.0])
+                raw["synthetic_envs"][2]["support_region"] = [0.0, 0.0, 20.0, 25.0]
             path.write_text(json.dumps(raw))
         elif case == "config_support_ratio_of_one":
             path = small_config(tmp_path, support_ratio=1.0)
@@ -910,7 +890,6 @@ VALID_LISTS = {
     "test_tasks": ["T02"],
     "coord_columns": ["X", "Y"],
     "ap_columns": ["A", "B"],
-    "support_region": [0.0, 0.0, 20.0, 25.0],
 }
 WRONG_TYPE = {int: "1", float: "1.0", str: 1}
 
@@ -1423,11 +1402,10 @@ def bad_csv_dataset(tmp_path: Path) -> dict:
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestPhaseOwnsItsDirectory:
-    """Each of preprocess, meta-train, meta-test and report removes its output
-    directory once its inputs are loaded and checked, then writes: a rerun
-    leaves no file of an earlier run, a failed run leaves only its own partial
-    outputs, which the next phase refuses, and an error at load leaves every
-    earlier output as it was."""
+    """Each phase removes its output directory once its inputs are loaded and
+    checked, then writes: a rerun leaves no file of an earlier run, a failed
+    run leaves only its own partial outputs, which the next phase refuses, and
+    an error at load leaves every earlier output as it was."""
 
     def test_preprocess_rerun_without_an_environment_drops_its_bundle(self, tmp_path):
         path = small_config(tmp_path)
@@ -1484,6 +1462,19 @@ class TestPhaseOwnsItsDirectory:
 
         assert "theory/probe_report.json" in upstream(after) and upstream(after) == upstream(before)
         assert not experiments.run_dir(config, "T02", "MI", 1).exists()
+
+    def test_theory_probe_rerun_empties_only_theory(self, tmp_path):
+        # a probe killed between writing its temporary file and renaming it leaves that file
+        path = small_config(tmp_path)
+        for phase in ("preprocess", "meta-train", "meta-test", "report", "theory-probe"):
+            assert cli.run([phase, "--config", str(path)]) == 0
+        config = experiments.load_experiment_config(path)
+        before = tree_digest(config.experiment_dir)
+        stray = config.experiment_dir / "theory" / ".probe_report.json.0123456789ab.tmp"
+        stray.write_text('{"task": "T02"')
+        assert cli.run(["theory-probe", "--config", str(path)]) == 0
+        assert sorted(p.name for p in (config.experiment_dir / "theory").iterdir()) == ["probe_report.json"]
+        assert tree_digest(config.experiment_dir) == before
 
     def test_report_holds_only_the_current_test_tasks_cdfs(self, tmp_path):
         path = small_config(tmp_path, train_tasks=["T00"], test_tasks=["T01", "T02"])

@@ -315,34 +315,6 @@ class TestSplit:
             split_support_query(ds, 1.0, seed=0)
 
 
-class TestCoverageSplit:
-    def region_dataset(self):
-        rng = np.random.default_rng(5)
-        coords = rng.uniform((0, 0), (40, 20), size=(60, 2))
-        return FingerprintDataset(
-            rssi=rng.uniform(-90, -40, size=(60, 3)),
-            coords=coords,
-            ap_names=["A", "B", "C"],
-        )
-
-    def test_support_confined_to_region(self):
-        from fedmetaloc.data import split_support_query_by_region
-
-        ds = self.region_dataset()
-        support, query = split_support_query_by_region(ds, (0, 0, 20, 20), 0.8, seed=1)
-        assert (support.coords[:, 0] <= 20).all()
-        assert support.n_samples + query.n_samples == ds.n_samples
-        # query keeps everything else, including out-of-region points
-        assert (query.coords[:, 0] > 20).any()
-
-    def test_empty_region_rejected(self):
-        from fedmetaloc.data import split_support_query_by_region
-
-        ds = self.region_dataset()
-        with pytest.raises(DataError):
-            split_support_query_by_region(ds, (100, 100, 110, 110), 0.5, seed=0)
-
-
 class TestSyntheticEnvironment:
     def test_rssi_at_clamped_distance(self):
         # standing on top of an AP: distance clamps to 0.1 m
