@@ -110,6 +110,14 @@ class TestConfigLoading:
         assert source.schema == SchemaConfig(coord_columns=("X", "Y"), ap_columns=("A", "B"))
         assert opts == experiments.TaskOptions(id="D0", support_ratio=0.5)
 
+    def test_an_entry_support_ratio_overrides_the_configs(self, tmp_path):
+        path = small_config(tmp_path)
+        raw = json.loads(path.read_text())
+        raw["synthetic_envs"][2]["support_ratio"] = 0.5
+        path.write_text(json.dumps(raw))
+        config = experiments.load_experiment_config(path)
+        assert [config.split_ratio(opts) for _, opts in config.synthetic_envs] == [0.7, 0.7, 0.5]
+
     def test_an_integer_in_a_float_field_is_a_float(self, tmp_path):
         config = experiments.load_experiment_config(
             small_config(tmp_path, federation={"eta": 1}, meta_test={"targets_m": [8, 2.5]})
@@ -207,6 +215,13 @@ class TestDatasetPreprocess:
         err = capsys.readouterr().err
         assert err.startswith("data error") and "partition by floor requires floor labels" in err
         assert not (tmp_path / "out").exists()
+
+    def test_a_one_coordinate_dataset_takes_the_plain_split(self, tmp_path):
+        path = with_dataset(tmp_path, '{"coord_columns": ["X"], "ap_columns": ["A", "B"]}', support_ratio=0.5)
+        assert cli.run(["preprocess", "--config", str(path)]) == 0
+        task = load_task_bundle(experiments.load_experiment_config(path).tasks_dir / "D0")
+        assert (task.support.n_samples, task.query.n_samples) == (10, 10)
+        assert task.support.coords.shape == (10, 1)
 
 
 class TestModelResolution:
@@ -716,7 +731,10 @@ class TestMalformedConfig:
             ("synthetic_env_sentinel", "sentinel"),
             ("entry_support_ratio_above_one", "synthetic_envs[2] (T02).support_ratio must be in (0, 1)"),
             ("config_support_ratio_of_one", "config: support_ratio must be in (0, 1) for task T00, got 1.0"),
+            ("entry_support_ratio_of_zero", "synthetic_envs[2] (T02).support_ratio must be in (0, 1)"),
+            ("entry_support_ratio_of_one", "synthetic_envs[2] (T02).support_ratio must be in (0, 1)"),
             ("synthetic_env_support_region", "config.synthetic_envs[2] (T02): unknown key(s) ['support_region']"),
+            ("dataset_support_region", "config.datasets[0] (D0): unknown key(s) ['support_region']"),
             ("unknown_partition", "config: unknown key(s) ['partition']"),
             ("unknown_dataset_partition", "config.datasets[0] (D0): partition must be one of ('none', "),
             ("zero_workers", "config: workers must be >= 1, got 0"),
@@ -760,17 +778,26 @@ class TestMalformedConfig:
             raw = json.loads(path.read_text())
             raw["synthetic_envs"][0]["sentinel"] = -110.0
             path.write_text(json.dumps(raw))
-        elif case in ("entry_support_ratio_above_one", "synthetic_env_support_region"):
+        elif case in (
+            "entry_support_ratio_above_one", "entry_support_ratio_of_zero", "entry_support_ratio_of_one",
+            "synthetic_env_support_region",
+        ):
             # T00 and T01 are valid: only T02's entry is malformed
             path = small_config(tmp_path)
             raw = json.loads(path.read_text())
-            if case == "entry_support_ratio_above_one":
-                raw["synthetic_envs"][2]["support_ratio"] = 1.5
+            ratios = {"entry_support_ratio_above_one": 1.5, "entry_support_ratio_of_zero": 0.0}
+            if case in ratios:
+                raw["synthetic_envs"][2]["support_ratio"] = ratios[case]
+            elif case == "entry_support_ratio_of_one":
+                # the bound holds for every entry: none may take all its rows as support
+                raw["synthetic_envs"][2]["support_ratio"] = 1.0
             else:
                 raw["synthetic_envs"][2]["support_region"] = [0.0, 0.0, 20.0, 25.0]
             path.write_text(json.dumps(raw))
         elif case == "config_support_ratio_of_one":
             path = small_config(tmp_path, support_ratio=1.0)
+        elif case == "dataset_support_region":
+            path = with_dataset(tmp_path, SCHEMA, support_region=[0.0, 0.0, 2.0, 2.0])
         elif case == "unknown_partition":
             path = small_config(tmp_path, partition="bogus")
         elif case == "unknown_dataset_partition":

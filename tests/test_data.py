@@ -314,6 +314,23 @@ class TestSplit:
         with pytest.raises(ConfigError):
             split_support_query(ds, 1.0, seed=0)
 
+    def test_ratio_of_zero_rejected(self):
+        ds = grouped_dataset([1], rows_per_group=4)
+        with pytest.raises(ConfigError):
+            split_support_query(ds, 0.0, seed=0)
+
+    @pytest.mark.parametrize("ratio, n_support", [(0.01, 1), (0.5, 6), (0.9, 11)])
+    def test_support_takes_the_ceiling(self, ratio, n_support):
+        ds = grouped_dataset([1], rows_per_group=12)
+        support, query = split_support_query(ds, ratio, seed=3)
+        assert (support.n_samples, query.n_samples) == (n_support, 12 - n_support)
+
+    def test_rows_keep_their_coordinates(self):
+        ds = grouped_dataset([2], rows_per_group=5)
+        pairs = {tuple(r): tuple(c) for r, c in zip(ds.rssi, ds.coords)}
+        for part in split_support_query(ds, 0.6, seed=4):
+            assert all(pairs[tuple(r)] == tuple(c) for r, c in zip(part.rssi, part.coords))
+
 
 class TestSyntheticEnvironment:
     def test_rssi_at_clamped_distance(self):
@@ -471,6 +488,11 @@ class TestTasksAndBundles:
         round_trip = task.denormalize_coords(normalized)
         assert np.allclose(round_trip, task.support.coords, rtol=1e-12)
         assert np.abs(normalized).max() <= 1.0 + 1e-12
+
+    def test_a_split_that_leaves_no_query_row_is_a_data_error(self):
+        # ceil(0.9 * 2) = 2: every row goes to the support set
+        with pytest.raises(DataError, match="task T9: split ratio 0.9 left no query samples"):
+            make_task("T9", grouped_dataset([1], rows_per_group=2), 0.9, seed=0)
 
     def test_partition_then_split_never_duplicates(self, tmp_path):
         seen = set()
