@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the one check of the
-constraints that the config dataclasses declare next to their fields."""
+"""Exception types shared across the package, the one divergence check
+(:func:`checked`), and the one check of the constraints that the config
+dataclasses declare next to their fields."""
 
 import dataclasses
 import functools
@@ -18,6 +19,14 @@ class DataError(ValueError):
 
 class DivergenceError(RuntimeError):
     """A training loss became NaN or infinite."""
+
+
+def checked(value: float, what: str) -> float:
+    """``value``; a NaN or infinite one is a :class:`DivergenceError` that
+    says ``what`` the value is (the run and step that computed it, say)."""
+    if not finite(value):
+        raise DivergenceError(f"{what} is {value}")
+    return value
 
 
 def constrained(default=dataclasses.MISSING, **rules):

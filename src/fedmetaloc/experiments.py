@@ -4,10 +4,12 @@ One JSON config file describes an experiment end to end: data sources (CSV
 datasets, each with its partition, and/or synthetic environments), the
 train/test membership, preprocessing, model and federation hyperparameters,
 and the meta-test protocol, each JSON object (and schema sidecar) built at
-load by one parser, ``_section``. Every command is reproducible from (config,
-seed) alone; outputs land under ``out/{experiment}/{phase}/...``, which each
-phase empties, with every directory that depends on it, before its first
-write, and are written atomically (:mod:`fedmetaloc.fileio`).
+load by one parser, ``_section``. Preprocess writes one bundle per produced
+task under ``tasks/``; every later phase takes its tasks from the config's
+``train_tasks`` and ``test_tasks``. Every command is reproducible from
+(config, seed) alone; outputs land under ``out/{experiment}/{phase}/...``,
+which each phase empties, with every directory that depends on it, before
+its first write, and are written atomically (:mod:`fedmetaloc.fileio`).
 """
 
 from __future__ import annotations
@@ -261,60 +263,41 @@ def cmd_preprocess(config: ExperimentConfig) -> list[str]:
         if listed not in task_ids:
             raise ConfigError(f"task {listed!r} listed in config but not produced; have {task_ids}")
     _clear(config, "tasks")
-    (config.experiment_dir / "tasks_index.json").unlink(missing_ok=True)
     split_seeds = np.random.SeedSequence(config.split_seed).generate_state(len(envs))
     for (env_id, dataset, opts), split_seed in zip(envs, split_seeds):
         processed, report = preprocess_dataset(dataset, config.preprocess)
         task = make_task(env_id, processed, config.split_ratio(opts), int(split_seed))
         save_task_bundle(task, config.tasks_dir, extra={"preprocess": asdict(report)})
-
-    index = {
-        "all": task_ids,
-        "train": config.train_tasks or [t for t in task_ids if t not in set(config.test_tasks)],
-        "test": config.test_tasks,
-    }
-    write_json(config.experiment_dir / "tasks_index.json", index)
     return task_ids
 
 
-def _load_index(config: ExperimentConfig) -> dict:
-    """The task index that preprocess wrote; anything malformed is a :class:`DataError`
-    naming the file: text that is not JSON, a root that is not an object, or a
-    ``train`` or ``test`` entry that is missing or not a list of task ids."""
-    path = config.experiment_dir / "tasks_index.json"
-    if not path.exists():
-        raise DataError(f"no task bundles found; run preprocess first (missing {path})")
-    try:
-        index = json.loads(path.read_text())
-    except ValueError as exc:
-        raise DataError(f"malformed {path}: {type(exc).__name__}: {exc}") from exc
-    if not isinstance(index, dict):
-        raise DataError(f"malformed {path}: holds {type(index).__name__}, not a JSON object")
-    for key in ("train", "test"):
-        ids = index.get(key)
-        if not isinstance(ids, list) or not all(isinstance(task_id, str) for task_id in ids):
-            raise DataError(f"malformed {path}: {key!r} must be a list of task ids, got {ids!r}")
-    return index
+def _bundle_dir(config: ExperimentConfig, task_id: str) -> Path:
+    """The bundle directory of the listed task ``task_id``; a missing one is a
+    :class:`DataError` naming the task."""
+    directory = config.tasks_dir / task_id
+    if not directory.is_dir():
+        raise DataError(f"no task bundle for {task_id!r}; run preprocess first (missing {directory})")
+    return directory
 
 
 def _load_tasks(config: ExperimentConfig, ids: Sequence[str]) -> list[LocalizationTask]:
     """The bundles of ``ids``, each of which must have ``model.p`` coordinates."""
-    tasks = [load_task_bundle(config.tasks_dir / task_id) for task_id in ids]
+    tasks = [load_task_bundle(_bundle_dir(config, task_id)) for task_id in ids]
     for task in tasks:
         if task.p != config.model.p:
             raise ConfigError(f"model.p is {config.model.p}, but task {task.task_id} has {task.p} coordinates")
     return tasks
 
 
-def resolved_model_config(config: ExperimentConfig, index: dict) -> ModelConfig:
+def resolved_model_config(config: ExperimentConfig) -> ModelConfig:
     """The experiment's model config: ``config.model``, with the latent width
-    set under ``d_from_median`` from the median AP count that the index's
-    training bundles' ``meta.json`` give. Meta-train, meta-test and the theory
-    probe build their models from it; a checkpoint supplies only the trained
-    shared part."""
-    if not (config.d_from_median and index["train"]):
+    set under ``d_from_median`` from the median AP count that the
+    ``train_tasks`` bundles' ``meta.json`` give. Meta-train, meta-test and the
+    theory probe build their models from it; a checkpoint supplies only the
+    trained shared part."""
+    if not (config.d_from_median and config.train_tasks):
         return config.model
-    d = meta_signal_dim([read_bundle_meta(config.tasks_dir / task_id)["m"] for task_id in index["train"]])
+    d = meta_signal_dim([read_bundle_meta(_bundle_dir(config, task_id))["m"] for task_id in config.train_tasks])
     return replace(config.model, d=d)
 
 
@@ -334,11 +317,10 @@ def write_round_log(path: Path, reports: Sequence[federation.RoundReport]) -> No
 
 
 def cmd_meta_train(config: ExperimentConfig) -> tuple[MetaModel, list[federation.RoundReport]]:
-    index = _load_index(config)
-    train_tasks = _load_tasks(config, index["train"])
-    if not train_tasks:
-        raise DataError("no training tasks in the index")
-    model_config = resolved_model_config(config, index)
+    if not config.train_tasks:
+        raise ConfigError("config.train_tasks is empty; meta-train needs at least one training task")
+    train_tasks = _load_tasks(config, config.train_tasks)
+    model_config = resolved_model_config(config)
     fed = config.federation
     meta, clients = federation.server_init(train_tasks, model_config, fed)
     _clear(config, "train")
@@ -404,12 +386,11 @@ def _run_one_test(args) -> None:
 
 
 def cmd_meta_test(config: ExperimentConfig, checkpoint: str | Path | None = None) -> dict:
-    index = _load_index(config)
-    if not index["test"]:
-        raise DataError("no test tasks in the index")
-    model_config = resolved_model_config(config, index)
+    if not config.test_tasks:
+        raise ConfigError("config.test_tasks is empty; meta-test needs at least one test task")
+    model_config = resolved_model_config(config)
     theta = _trained_theta(checkpoint or config.checkpoint_path, model_config)
-    tasks = _load_tasks(config, index["test"])
+    tasks = _load_tasks(config, config.test_tasks)
     mt = config.meta_test
     _clear(config, "test")
 
@@ -508,11 +489,10 @@ def cmd_report(config: ExperimentConfig) -> dict:
     before any report file is written, so a missing or malformed one leaves
     the previous report whole.
     """
-    index = _load_index(config)
     mt = config.meta_test
     report: dict = {"batch_size": mt.batch_size, "tasks": {}}
     cdfs: dict[Path, list[tuple[float, float]]] = {}
-    for task_id in index["test"]:
+    for task_id in config.test_tasks:
         task_entry: dict = {}
         for mode in MODES:
             records = []
@@ -558,12 +538,11 @@ def cmd_report(config: ExperimentConfig) -> dict:
 
 
 def cmd_theory_probe(config: ExperimentConfig) -> dict:
-    index = _load_index(config)
-    probe_ids = index["test"] or index["train"]
+    probe_ids = config.test_tasks or config.train_tasks
     if not probe_ids:
-        raise DataError("no tasks available for the theory probe")
+        raise ConfigError("config.test_tasks and config.train_tasks are both empty; the theory probe needs a task")
     task = _load_tasks(config, probe_ids[:1])[0]
-    model_config = resolved_model_config(config, index)
+    model_config = resolved_model_config(config)
     theta = _trained_theta(config.checkpoint_path, model_config) if config.checkpoint_path.exists() else None
     _clear(config, "theory")
     payload = {"task": task.task_id, **metrics.run_theory_probe(task, model_config, theta, config.theory_probe)}

@@ -38,7 +38,6 @@ naming the round and client (meta-train) or the task, mode and seed
 from __future__ import annotations
 
 import json
-import math
 import zipfile
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -48,7 +47,7 @@ import numpy as np
 
 from . import nn
 from .data import LocalizationTask
-from .errors import ConfigError, DataError, DivergenceError, check_fields, constrained
+from .errors import ConfigError, DataError, DivergenceError, check_fields, checked, constrained
 from .fileio import atomic_write
 from .metrics import mde
 from .model import OPTIMIZERS, ClientModel, ModelConfig
@@ -272,9 +271,7 @@ def client_local_train(state: ClientState, theta_broadcast: np.ndarray, fed: Fed
     xs, ys = task.support.rssi, task.normalize_coords(task.support.coords)
     for step in range(1, fed.local_steps + 1):
         batch = state.batches.next()
-        loss = state.model.train_step(xs[batch], ys[batch])
-        if not math.isfinite(loss):
-            raise DivergenceError(f"client {state.client_id}: local step {step} loss is {loss}")
+        checked(state.model.train_step(xs[batch], ys[batch]), f"client {state.client_id}: local step {step} loss")
     # the shared part's optimizer moments live for this local phase only: the
     # next broadcast restarts them, so the next round's first step makes fresh
     # zero ones; encoder, decoder and mapper states persist
@@ -285,8 +282,7 @@ def client_local_train(state: ClientState, theta_broadcast: np.ndarray, fed: Fed
     query_loss, grads = state.model.composite_loss(
         task.query.rssi, task.normalize_coords(task.query.coords), ("meta",) if gradient else ()
     )
-    if not math.isfinite(query_loss):
-        raise DivergenceError(f"client {state.client_id}: query loss is {query_loss}")
+    checked(query_loss, f"client {state.client_id}: query loss")
     vector = grads["meta"] if gradient else _read_only(state.model.vectors["meta"])
     return ClientUpdate(state.client_id, vector, query_loss)
 
@@ -396,9 +392,7 @@ def meta_test(
     pred = None
     for step in range(1, mt.steps + 1):
         batch = batches.next()
-        loss = model.train_step(xs[batch], ys[batch])
-        if not math.isfinite(loss):
-            raise DivergenceError(f"task {task.task_id}, {mode} seed {seed}: step {step} loss is {loss}")
+        checked(model.train_step(xs[batch], ys[batch]), f"task {task.task_id}, {mode} seed {seed}: step {step} loss")
         pred = task.denormalize_coords(model.full_forward(xq))
         trace.support_loss.append(model.loss_value(xs, ys))
         trace.query_mde.append(mde(pred, yq_true))

@@ -39,9 +39,9 @@ one step's gradients; a steps-to-epsilon arm keeps one step's gradients.
 Every probe trains a model built from :func:`probe_config`: plain SGD at one
 rate on every part. A probe step whose loss is NaN or infinite stops the
 probe with a :class:`DivergenceError` naming the probe and the step
-(:func:`checked`); so does a NaN or infinite squared query-gradient norm in
-the steps-to-epsilon probe, which no later loss would catch after its last
-step.
+(:func:`errors.checked`); so does a NaN or infinite squared query-gradient
+norm in the steps-to-epsilon probe, which no later loss would catch after
+its last step.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ import numpy as np
 
 from . import nn
 from .data import LocalizationTask
-from .errors import ConfigError, DataError, DivergenceError, check_fields, constrained
+from .errors import ConfigError, DataError, check_fields, checked, constrained
 from .model import PART_NAMES, ClientModel, ModelConfig
 
 
@@ -155,14 +155,6 @@ def probe_config(config: ModelConfig, mu: float) -> ModelConfig:
     return replace(config, optimizer="sgd", mu_encoder=mu, mu_meta=mu, mu_mapper=mu)
 
 
-def checked(value: float, probe: str, what: str) -> float:
-    """``value``; a NaN or infinite one is a DivergenceError naming the probe
-    and ``what`` the value is (a step's loss, say)."""
-    if not math.isfinite(value):
-        raise DivergenceError(f"theory probe {probe}: {what} is {value}")
-    return value
-
-
 def flatten_parts(model: ClientModel, parts: Sequence[str]) -> np.ndarray:
     """A new vector holding the parts' parameter vectors one after another."""
     return np.concatenate([model.vectors[part] for part in parts])
@@ -230,8 +222,9 @@ def epsilon_accuracy_steps(
     probe = "random_init" if theta_init is None else "meta_init"
     trace: list[float] = []
     for step in range(1, params.max_steps + 1):
-        checked(model.train_step(xs, ys, parts=adapt_parts), probe, f"step {step} loss")
-        sq = checked(theta_grad_sq_norm(model, xq, yq), probe, f"step {step} squared query gradient norm")
+        what = f"theory probe {probe}: step {step}"
+        checked(model.train_step(xs, ys, parts=adapt_parts), f"{what} loss")
+        sq = checked(theta_grad_sq_norm(model, xq, yq), f"{what} squared query gradient norm")
         trace.append(sq)
         if sq < params.epsilon:
             return step, trace
@@ -273,7 +266,7 @@ def linearization_probe(
         residual = flatten_parts(model, parts)
         norm0 = np.linalg.norm(residual)
         loss, grads0 = model.composite_loss(xs, ys, parts)
-        checked(loss, probe, "step 1 loss")
+        checked(loss, f"theory probe {probe}: step 1 loss")
         # step 1 applies the gradients g0 is read from: one evaluation per state
         model.apply_gradients(grads0, parts)
         for part, span in spans:
@@ -281,7 +274,7 @@ def linearization_probe(
             np.subtract(residual[span], grads0[part], out=residual[span])
         del grads0
         for step in range(2, n_steps + 1):
-            checked(model.train_step(xs, ys, parts), probe, f"step {step} loss")
+            checked(model.train_step(xs, ys, parts), f"theory probe {probe}: step {step} loss")
         for part, span in spans:
             np.subtract(model.vectors[part], residual[span], out=residual[span])
         residuals[mu] = float(np.linalg.norm(residual) / norm0)
@@ -320,7 +313,7 @@ def estimate_delta1(task: LocalizationTask, config: ModelConfig, params: TheoryP
     state, grad, best = flatten_parts(model, PART_NAMES), None, 0.0
     for step in range(1, min(10, params.max_steps) + 1):
         loss, grads = model.composite_loss(xs, ys)
-        checked(loss, "smoothness", f"step {step} loss")
+        checked(loss, f"theory probe smoothness: step {step} loss")
         if grad is None:
             grad = flatten_grads(grads, PART_NAMES)
         else:

@@ -20,7 +20,6 @@ from fedmetaloc import cli, experiments, metrics
 from fedmetaloc.data import SchemaConfig, SyntheticEnvSpec, load_task_bundle
 from fedmetaloc.errors import ConfigError, DataError
 from fedmetaloc.federation import AdaptationTrace, FederationParams, MetaTestParams, load_checkpoint, meta_test
-from fedmetaloc.fileio import write_json
 from fedmetaloc.metrics import TheoryProbeParams
 from fedmetaloc.model import ModelConfig
 from fedmetaloc.preprocess import PreprocessConfig
@@ -132,7 +131,8 @@ class TestConfigLoading:
 
 
 class TestPreprocessCommand:
-    def test_writes_bundles_and_index(self, tmp_path):
+    def test_writes_bundles_and_no_index(self, tmp_path):
+        # the task lists live in the config alone: preprocess writes tasks/ and nothing else
         config = experiments.load_experiment_config(small_config(tmp_path))
         ids = experiments.cmd_preprocess(config)
         assert ids == ["T00", "T01", "T02"]
@@ -141,9 +141,8 @@ class TestPreprocessCommand:
             assert sorted(path.name for path in bundle.iterdir()) == ["meta.json", "query.npy", "support.npy"]
             meta = json.loads((bundle / "meta.json").read_text())
             assert "preprocess" in meta["extra"]
-        index = json.loads((config.experiment_dir / "tasks_index.json").read_text())
-        assert index["train"] == ["T00", "T01"]
-        assert index["test"] == ["T02"]
+        assert not (config.experiment_dir / "tasks_index.json").exists()
+        assert [p.name for p in config.experiment_dir.iterdir()] == ["tasks"]
 
     def test_rerun_is_idempotent(self, tmp_path):
         config = experiments.load_experiment_config(small_config(tmp_path))
@@ -230,8 +229,7 @@ class TestModelResolution:
             small_config(tmp_path, d_from_median=True)
         )
         experiments.cmd_preprocess(config)
-        index = json.loads((config.experiment_dir / "tasks_index.json").read_text())
-        resolved = experiments.resolved_model_config(config, index)
+        resolved = experiments.resolved_model_config(config)
         # training envs have 5 and 6 APs: median 5.5 rounds half away from zero
         assert resolved.d == 6
         assert config.model.d == 4  # base config untouched
@@ -259,6 +257,54 @@ class TestBundleLoadsPerPhase:
             loaded.clear()
             command(config)
             assert loaded == expected, command.__name__
+
+
+class TestTaskListsFromTheConfig:
+    """Every phase reads ``train_tasks`` and ``test_tasks`` from the config, so
+    editing them after preprocess needs no preprocess rerun."""
+
+    def test_edited_lists_train_and_test_the_listed_tasks(self, tmp_path):
+        path = small_config(tmp_path)
+        assert cli.run(["preprocess", "--config", str(path)]) == 0
+        small_config(tmp_path, train_tasks=["T00"], test_tasks=["T01", "T02"])
+        for phase in ("meta-train", "meta-test"):
+            assert cli.run([phase, "--config", str(path)]) == 0
+        config = experiments.load_experiment_config(path)
+        assert (config.train_dir / "round_log.csv").read_text().splitlines()[0] == "round,mean_query_loss,T00"
+        assert sorted(p.name for p in config.test_dir.iterdir()) == ["T01", "T02"]
+
+    @pytest.mark.parametrize(
+        "phase, lists, key",
+        [
+            ("meta-train", {"train_tasks": []}, "config.train_tasks is empty"),
+            ("meta-test", {"test_tasks": []}, "config.test_tasks is empty"),
+            ("theory-probe", {"train_tasks": [], "test_tasks": []}, "config.test_tasks and config.train_tasks"),
+        ],
+    )
+    def test_an_empty_list_exits_2_naming_the_key(self, tmp_path, capsys, phase, lists, key):
+        path = small_config(tmp_path)
+        for step in ("preprocess", "meta-train", "meta-test", "theory-probe"):
+            assert cli.run([step, "--config", str(path)]) == 0
+        before = tree_digest(tmp_path / "out")
+        small_config(tmp_path, **lists)
+        capsys.readouterr()
+        assert cli.run([phase, "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"configuration error: {key}")
+        assert tree_digest(tmp_path / "out") == before
+
+    @pytest.mark.parametrize("phase, task", [("meta-train", "T01"), ("meta-test", "T02"), ("theory-probe", "T02")])
+    def test_a_listed_task_with_no_bundle_exits_3_naming_it(self, tmp_path, capsys, phase, task):
+        path = small_config(tmp_path)
+        for step in ("preprocess", "meta-train"):
+            assert cli.run([step, "--config", str(path)]) == 0
+        config = experiments.load_experiment_config(path)
+        shutil.rmtree(config.tasks_dir / task)
+        before = tree_digest(tmp_path / "out")
+        capsys.readouterr()
+        assert cli.run([phase, "--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: no task bundle for {task!r}; run preprocess first")
+        assert tree_digest(tmp_path / "out") == before
 
 
 class TestMetaTrainCommand:
@@ -339,7 +385,6 @@ class TestReportFromHandWrittenTraces:
         seeds = sorted({seed for _, seed in series})
         mt = {"steps": 400, "targets_m": [5.0], "step_checkpoints": [50], "seeds": seeds, "batch_size": 32}
         config = experiments.load_experiment_config(small_config(tmp_path, meta_test={**mt, **meta_test}))
-        write_json(config.experiment_dir / "tasks_index.json", {"all": ["T02"], "train": [], "test": ["T02"]})
         for (mode, seed), query_mde in series.items():
             write_hand_trace(config, mode, seed, query_mde)
         return experiments.cmd_report(config)["tasks"]["T02"]
@@ -1052,7 +1097,7 @@ class TestPaperConfigOffline:
             out[command] = capsys.readouterr().out.splitlines()
 
         exp_dir = tmp_path / "out" / "uji_multi_floor"
-        expected = {"tasks_index.json", "train/round_log.csv", "train/meta_final.npz",
+        expected = {"train/round_log.csv", "train/meta_final.npz",
                     "train/checkpoints/meta_round_00001.npz", "report/metrics.json", "theory/probe_report.json"}
         expected |= {f"tasks/{t}/{name}" for t in tasks for name in ("meta.json", "support.npy", "query.npy")}
         for t in raw["test_tasks"]:
@@ -1060,7 +1105,6 @@ class TestPaperConfigOffline:
                 expected |= {f"test/{t}/{mode}/0/trace.csv", f"test/{t}/{mode}/0/errors_final.csv"}
                 expected.add(f"report/{t}_{mode}_cdf.csv")
         assert set(tree_digest(exp_dir)) == expected
-        assert json.loads((exp_dir / "tasks_index.json").read_text())["test"] == raw["test_tasks"]
         summaries = out["meta-test"][1:]
         assert [re.fullmatch(self.SUMMARY, line).group(1) for line in summaries] == ["5.0", "10.0", "15.0"]
         assert out["report"][1:] == summaries
@@ -1325,36 +1369,6 @@ class TestMalformedBundle:
         assert f"{bundle}{os.sep}" in err and message in err
 
 
-INDEX_FAULTS = {  # the text of tasks_index.json, and what the error names
-    "truncated": ('{"all": ["T00", "T01", "T02"], "train": ["T0', "JSONDecodeError"),
-    "no_train_key": ('{"all": []}', "'train' must be a list of task ids, got None"),
-    "root_is_a_list": ('["T00"]', "holds list, not a JSON object"),
-    "test_is_a_string": ('{"train": ["T00"], "test": "T02"}', "'test' must be a list of task ids, got 'T02'"),
-    "id_is_a_number": ('{"train": [0], "test": []}', "'train' must be a list of task ids, got [0]"),
-}
-
-
-class TestMalformedIndex:
-    """A malformed ``tasks_index.json`` is a data error for every command
-    that reads it: exit 3, the file named, and nothing written."""
-
-    @pytest.mark.parametrize("command", ["meta-train", "meta-test", "theory-probe", "report"])
-    @pytest.mark.parametrize("fault", sorted(INDEX_FAULTS))
-    def test_exits_3_and_writes_nothing(self, tmp_path, capsys, command, fault):
-        path = small_config(tmp_path)
-        assert cli.run(["preprocess", "--config", str(path)]) == 0
-        index = experiments.load_experiment_config(path).experiment_dir / "tasks_index.json"
-        text, message = INDEX_FAULTS[fault]
-        index.write_text(text)
-        before = sorted(tmp_path.rglob("*")), tree_digest(tmp_path)
-        capsys.readouterr()
-        assert cli.run([command, "--config", str(path)]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith(f"data error: malformed {index}: ")
-        assert message in err
-        assert (sorted(tmp_path.rglob("*")), tree_digest(tmp_path)) == before
-
-
 HUGE_RATES = {"mu_encoder": 1e300, "mu_meta": 1e300, "mu_mapper": 1e300}
 
 
@@ -1441,8 +1455,8 @@ class TestPhaseOwnsItsDirectory:
         path = small_config(tmp_path, synthetic_envs=envs[:2], test_tasks=[])
         assert cli.run(["preprocess", "--config", str(path)]) == 0
         config = experiments.load_experiment_config(path)
+        assert sorted(p.name for p in config.experiment_dir.iterdir()) == ["tasks"]
         assert sorted(p.name for p in config.tasks_dir.iterdir()) == ["T00", "T01"]
-        assert json.loads((config.experiment_dir / "tasks_index.json").read_text())["all"] == ["T00", "T01"]
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_meta_train_rerun_removes_every_output_of_the_old_checkpoint(self, tmp_path, capsys, workers):
@@ -1455,7 +1469,7 @@ class TestPhaseOwnsItsDirectory:
         assert cli.run(["meta-train", "--config", str(path)]) == 0
         assert config.checkpoint_path.read_bytes() != checkpoint
         assert tree_digest(config.tasks_dir) == tasks
-        assert sorted(p.name for p in config.experiment_dir.iterdir()) == ["tasks", "tasks_index.json", "train"]
+        assert sorted(p.name for p in config.experiment_dir.iterdir()) == ["tasks", "train"]
         capsys.readouterr()
         assert cli.run(["report", "--config", str(path)]) == 3
         assert capsys.readouterr().err.startswith("data error: missing trace for T02/MI/0")
@@ -1469,7 +1483,7 @@ class TestPhaseOwnsItsDirectory:
         tasks = tree_digest(config.tasks_dir)
         assert cli.run(["preprocess", "--config", str(path)]) == 0
         assert tree_digest(config.tasks_dir) == tasks
-        assert sorted(p.name for p in config.experiment_dir.iterdir()) == ["tasks", "tasks_index.json"]
+        assert sorted(p.name for p in config.experiment_dir.iterdir()) == ["tasks"]
         capsys.readouterr()
         assert cli.run(["meta-test", "--config", str(path)]) == 3
         assert capsys.readouterr().err.startswith("data error: checkpoint not found")
@@ -1514,8 +1528,8 @@ class TestPhaseOwnsItsDirectory:
                     experiments.write_trace(experiments.run_dir(config, task_id, mode, seed), trace, [0.0])
         experiments.cmd_report(config)
         assert len(list(config.report_dir.iterdir())) == 5
-        index = config.experiment_dir / "tasks_index.json"  # T01 is a training task now
-        write_json(index, {**json.loads(index.read_text()), "train": ["T00", "T01"], "test": ["T02"]})
+        # T01 is a training task now
+        config = experiments.load_experiment_config(small_config(tmp_path, train_tasks=["T00", "T01"]))
         experiments.cmd_report(config)
         assert sorted(p.name for p in config.report_dir.iterdir()) == [
             "T02_MI_cdf.csv", "T02_RI_cdf.csv", "metrics.json"
