@@ -55,8 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def print_paired_summaries(config: experiments.ExperimentConfig, report: dict) -> None:
     """One line per configured target: how often MI beats RI over the paired seeds."""
-    if not report["tasks"]:
-        return
     mt = config.meta_test
     for target in mt.targets_m:
         summary = experiments.paired_step_summary(report, target, mt.steps)

@@ -397,7 +397,7 @@ def read_bundle_meta(directory: str | Path) -> dict:
     directory = Path(directory)
     meta_path = directory / "meta.json"
     if not meta_path.exists():
-        raise DataError(f"not a task bundle (no meta.json): {directory}")
+        raise DataError(f"not a task bundle (no meta.json): {directory}; run preprocess first")
     try:
         raw = json.loads(meta_path.read_text())
         meta = {

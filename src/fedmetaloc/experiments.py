@@ -271,18 +271,9 @@ def cmd_preprocess(config: ExperimentConfig) -> list[str]:
     return task_ids
 
 
-def _bundle_dir(config: ExperimentConfig, task_id: str) -> Path:
-    """The bundle directory of the listed task ``task_id``; a missing one is a
-    :class:`DataError` naming the task."""
-    directory = config.tasks_dir / task_id
-    if not directory.is_dir():
-        raise DataError(f"no task bundle for {task_id!r}; run preprocess first (missing {directory})")
-    return directory
-
-
 def _load_tasks(config: ExperimentConfig, ids: Sequence[str]) -> list[LocalizationTask]:
     """The bundles of ``ids``, each of which must have ``model.p`` coordinates."""
-    tasks = [load_task_bundle(_bundle_dir(config, task_id)) for task_id in ids]
+    tasks = [load_task_bundle(config.tasks_dir / task_id) for task_id in ids]
     for task in tasks:
         if task.p != config.model.p:
             raise ConfigError(f"model.p is {config.model.p}, but task {task.task_id} has {task.p} coordinates")
@@ -297,7 +288,7 @@ def resolved_model_config(config: ExperimentConfig) -> ModelConfig:
     trained shared part."""
     if not (config.d_from_median and config.train_tasks):
         return config.model
-    d = meta_signal_dim([read_bundle_meta(_bundle_dir(config, task_id))["m"] for task_id in config.train_tasks])
+    d = meta_signal_dim([read_bundle_meta(config.tasks_dir / task_id)["m"] for task_id in config.train_tasks])
     return replace(config.model, d=d)
 
 
@@ -306,8 +297,9 @@ def resolved_model_config(config: ExperimentConfig) -> ModelConfig:
 # ---------------------------------------------------------------------------
 
 
-def write_round_log(path: Path, reports: Sequence[federation.RoundReport]) -> None:
-    client_ids = sorted(reports[0].client_losses) if reports else []
+def write_round_log(path: Path, train_ids: Sequence[str], reports: Sequence[federation.RoundReport]) -> None:
+    """One row of losses per round, under a header naming every client (sorted) even when no round ran."""
+    client_ids = sorted(train_ids)
     write_csv(
         path,
         ["round", "mean_query_loss", *client_ids],
@@ -330,7 +322,7 @@ def cmd_meta_train(config: ExperimentConfig) -> tuple[MetaModel, list[federation
             save_checkpoint(config.train_dir / "checkpoints" / f"meta_round_{report.round:05d}.npz", current)
 
     meta, reports = federation.meta_train(meta, clients, fed, on_round=on_round)
-    write_round_log(config.train_dir / "round_log.csv", reports)
+    write_round_log(config.train_dir / "round_log.csv", config.train_tasks, reports)
     save_checkpoint(config.checkpoint_path, meta)
     return meta, reports
 
@@ -340,10 +332,16 @@ def cmd_meta_train(config: ExperimentConfig) -> tuple[MetaModel, list[federation
 # ---------------------------------------------------------------------------
 
 
-def _trained_theta(checkpoint: str | Path, model_config: ModelConfig) -> np.ndarray:
+def _trained_theta(config: ExperimentConfig, checkpoint: str | Path, model_config: ModelConfig) -> np.ndarray:
     """The trained shared part in ``checkpoint``, whose layer widths must be
-    those of ``model_config``; no other setting of the checkpoint is read."""
+    those of ``model_config``; no other setting of the checkpoint is read.
+    It must have been meta-trained on ``config.train_tasks``, which the header
+    of ``train/round_log.csv`` records, so that no test task was trained on."""
     meta = load_checkpoint(checkpoint)
+    trained_on, listed = read_csv(config.train_dir / "round_log.csv")[0][2:], sorted(config.train_tasks)
+    if trained_on != listed:
+        msg = f"checkpoint {checkpoint} was meta-trained on {trained_on}, config.train_tasks lists {listed}"
+        raise DataError(f"{msg}; rerun meta-train")
     trained, expected = meta.widths, model_config.part_sizes("meta")
     if trained != expected:
         raise ConfigError(f"checkpoint {checkpoint}: shared-part widths {trained} differ from the config's {expected}")
@@ -389,7 +387,7 @@ def cmd_meta_test(config: ExperimentConfig, checkpoint: str | Path | None = None
     if not config.test_tasks:
         raise ConfigError("config.test_tasks is empty; meta-test needs at least one test task")
     model_config = resolved_model_config(config)
-    theta = _trained_theta(checkpoint or config.checkpoint_path, model_config)
+    theta = _trained_theta(config, checkpoint or config.checkpoint_path, model_config)
     tasks = _load_tasks(config, config.test_tasks)
     mt = config.meta_test
     _clear(config, "test")
@@ -489,6 +487,8 @@ def cmd_report(config: ExperimentConfig) -> dict:
     before any report file is written, so a missing or malformed one leaves
     the previous report whole.
     """
+    if not config.test_tasks:
+        raise ConfigError("config.test_tasks is empty; report needs at least one test task")
     mt = config.meta_test
     report: dict = {"batch_size": mt.batch_size, "tasks": {}}
     cdfs: dict[Path, list[tuple[float, float]]] = {}
@@ -543,7 +543,7 @@ def cmd_theory_probe(config: ExperimentConfig) -> dict:
         raise ConfigError("config.test_tasks and config.train_tasks are both empty; the theory probe needs a task")
     task = _load_tasks(config, probe_ids[:1])[0]
     model_config = resolved_model_config(config)
-    theta = _trained_theta(config.checkpoint_path, model_config) if config.checkpoint_path.exists() else None
+    theta = _trained_theta(config, config.checkpoint_path, model_config) if config.checkpoint_path.exists() else None
     _clear(config, "theory")
     payload = {"task": task.task_id, **metrics.run_theory_probe(task, model_config, theta, config.theory_probe)}
     write_json(config.experiment_dir / "theory" / "probe_report.json", payload)

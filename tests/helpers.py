@@ -4,6 +4,7 @@ deliberately independent of the vectorized code paths they check."""
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -381,3 +382,12 @@ def small_config(tmp_path: Path, **overrides) -> Path:
     path = tmp_path / "exp.json"
     path.write_text(json.dumps(raw, indent=2))
     return path
+
+
+def tree_digest(root: Path) -> dict[str, str]:
+    """The SHA-256 of every file under ``root``, keyed by its relative path."""
+    return {
+        str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(root.rglob("*"))
+        if p.is_file()
+    }

@@ -1,5 +1,4 @@
 import dataclasses
-import hashlib
 import importlib.util
 import json
 import os
@@ -24,7 +23,7 @@ from fedmetaloc.metrics import TheoryProbeParams
 from fedmetaloc.model import ModelConfig
 from fedmetaloc.preprocess import PreprocessConfig
 
-from helpers import reference_load_csv, small_config, write_uji_csv
+from helpers import reference_load_csv, small_config, tree_digest, write_uji_csv
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -39,14 +38,6 @@ def with_dataset(tmp_path: Path, schema_text: str, **entry) -> Path:
 
 
 SCHEMA = '{"coord_columns": ["X", "Y"], "ap_columns": ["A", "B"]}'
-
-
-def tree_digest(root: Path) -> dict[str, str]:
-    return {
-        str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
-        for p in sorted(root.rglob("*"))
-        if p.is_file()
-    }
 
 
 class TestConfigLoading:
@@ -279,11 +270,12 @@ class TestTaskListsFromTheConfig:
             ("meta-train", {"train_tasks": []}, "config.train_tasks is empty"),
             ("meta-test", {"test_tasks": []}, "config.test_tasks is empty"),
             ("theory-probe", {"train_tasks": [], "test_tasks": []}, "config.test_tasks and config.train_tasks"),
+            ("report", {"test_tasks": []}, "config.test_tasks is empty; report"),
         ],
     )
     def test_an_empty_list_exits_2_naming_the_key(self, tmp_path, capsys, phase, lists, key):
         path = small_config(tmp_path)
-        for step in ("preprocess", "meta-train", "meta-test", "theory-probe"):
+        for step in ("preprocess", "meta-train", "meta-test", "theory-probe", "report"):
             assert cli.run([step, "--config", str(path)]) == 0
         before = tree_digest(tmp_path / "out")
         small_config(tmp_path, **lists)
@@ -303,7 +295,37 @@ class TestTaskListsFromTheConfig:
         capsys.readouterr()
         assert cli.run([phase, "--config", str(path)]) == 3
         err = capsys.readouterr().err
-        assert err.startswith(f"data error: no task bundle for {task!r}; run preprocess first")
+        assert err.startswith("data error: not a task bundle (no meta.json): ")
+        assert err.endswith(f"{os.sep}tasks{os.sep}{task}; run preprocess first\n")
+        assert tree_digest(tmp_path / "out") == before
+
+    @pytest.mark.parametrize("phase", ["meta-test", "theory-probe"])
+    def test_lists_edited_after_meta_train_exit_3_until_meta_train_reruns(self, tmp_path, capsys, phase):
+        path = small_config(tmp_path)
+        for step in ("preprocess", "meta-train", "meta-test", "theory-probe"):
+            assert cli.run([step, "--config", str(path)]) == 0
+        before = tree_digest(tmp_path / "out")
+        small_config(tmp_path, train_tasks=["T00"], test_tasks=["T01", "T02"])
+        capsys.readouterr()
+        assert cli.run([phase, "--config", str(path)]) == 3
+        assert capsys.readouterr().err.startswith(
+            f"data error: checkpoint {experiments.load_experiment_config(path).checkpoint_path} was meta-trained on "
+            "['T00', 'T01'], config.train_tasks lists ['T00']; rerun meta-train"
+        )
+        assert tree_digest(tmp_path / "out") == before
+        assert cli.run(["meta-train", "--config", str(path)]) == 0
+        assert cli.run([phase, "--config", str(path)]) == 0
+
+    def test_a_checkpoint_without_its_round_log_exits_3(self, tmp_path, capsys):
+        path = small_config(tmp_path)
+        for step in ("preprocess", "meta-train"):
+            assert cli.run([step, "--config", str(path)]) == 0
+        (experiments.load_experiment_config(path).train_dir / "round_log.csv").unlink()
+        before = tree_digest(tmp_path / "out")
+        capsys.readouterr()
+        assert cli.run(["meta-test", "--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: missing file: ") and err.endswith(f"{os.sep}round_log.csv\n")
         assert tree_digest(tmp_path / "out") == before
 
 
@@ -317,6 +339,13 @@ class TestMetaTrainCommand:
         assert log[0].startswith("round,mean_query_loss")
         assert len(log) == 3
         assert config.checkpoint_path.exists()
+
+    def test_a_run_of_no_rounds_logs_its_clients_for_meta_test(self, tmp_path):
+        path = small_config(tmp_path, federation={"rounds": 0, "eta": 0.01, "seed": 3})
+        for step in ("preprocess", "meta-train", "meta-test"):
+            assert cli.run([step, "--config", str(path)]) == 0
+        log = experiments.load_experiment_config(path).train_dir / "round_log.csv"
+        assert log.read_text() == "round,mean_query_loss,T00,T01\n"
 
     def test_checkpoint_layout_is_pinned(self, tmp_path):
         # the benchmark's output checks and existing checkpoints read this layout
@@ -506,12 +535,13 @@ class TestMetaTestCommand:
         with pytest.raises(ConfigError, match=r"target 5\.0 m is not in meta_test\.targets_m \[8\.0\]"):
             experiments.paired_step_summary(experiments.cmd_report(config), 5.0, config.meta_test.steps)
 
-    def test_report_without_test_tasks_prints_no_summary(self, tmp_path, capsys):
+    def test_report_without_test_tasks_exits_2_and_prints_nothing(self, tmp_path, capsys):
         path = small_config(tmp_path, test_tasks=[])
         assert cli.run(["preprocess", "--config", str(path)]) == 0
         capsys.readouterr()
-        assert cli.run(["report", "--config", str(path)]) == 0
-        assert capsys.readouterr().out.splitlines() == [f"report written under {tmp_path / 'out' / 'smoke' / 'report'}"]
+        assert cli.run(["report", "--config", str(path)]) == 2
+        assert capsys.readouterr().out == ""
+        assert not (tmp_path / "out" / "smoke" / "report").exists()
 
     def test_report_command_prints_the_paired_summary_per_target(self, tmp_path, capsys):
         config = self.hand_traced(tmp_path)

@@ -19,7 +19,6 @@ phases before it left. Then:
 
 from __future__ import annotations
 
-import hashlib
 import os
 import re
 import shutil
@@ -29,7 +28,7 @@ import pytest
 
 from fedmetaloc import cli, experiments
 
-from helpers import small_config
+from helpers import small_config, tree_digest
 
 PHASES = ("preprocess", "meta-train", "meta-test", "theory-probe", "report")
 # os.replace calls of each phase on small_config: 3 bundles of 3 files; the round log
@@ -50,21 +49,13 @@ OWN_DIRS = {  # the directories each phase writes
     "report": ("report",),
 }
 TMP = re.compile(r"\.(?P<name>.+)\.[0-9a-f]{12}\.tmp")
-MISSING = ("run preprocess first", "no meta.json", "checkpoint not found", "missing trace", "missing file")
+MISSING = ("run preprocess first", "checkpoint not found", "missing trace", "missing file")
 KILLED = 137
 
 pytestmark = [
     pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork"),
     pytest.mark.filterwarnings("ignore::RuntimeWarning"),
 ]
-
-
-def digests(root: Path) -> dict[str, str]:
-    return {
-        str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
-        for p in sorted(root.rglob("*"))
-        if p.is_file()
-    }
 
 
 def in_dirs(digest: dict[str, str], dirs) -> dict[str, str]:
@@ -87,7 +78,7 @@ def pipeline(tmp_path_factory):
         counts[phase] = len(calls)
         after[phase] = root / "after" / phase
         shutil.copytree(config.experiment_dir, after[phase])
-    return counts, after, {phase: digests(directory) for phase, directory in after.items()}
+    return counts, after, {phase: tree_digest(directory) for phase, directory in after.items()}
 
 
 def killed_at(k: int, phase: str, config: experiments.ExperimentConfig) -> int:
@@ -133,7 +124,7 @@ def test_a_kill_at_each_write_point(tmp_path, capsys, pipeline, phase, k):
     assert killed_at(k, phase, config) == KILLED
 
     # 1. every named file is whole; the one temporary file holds its write's whole content
-    left = digests(config.experiment_dir)
+    left = tree_digest(config.experiment_dir)
     stray = [key for key in left if TMP.fullmatch(Path(key).name)]
     assert len(stray) == 1, stray
     (tmp,) = stray
@@ -145,20 +136,20 @@ def test_a_kill_at_each_write_point(tmp_path, capsys, pipeline, phase, k):
     later_out = tmp_path / "later"
     shutil.copytree(config.experiment_dir, later_out / config.name)
     for later in PHASES[PHASES.index(phase) + 1 :]:
-        before = digests(later_out)
+        before = tree_digest(later_out)
         capsys.readouterr()
         code = cli.run([later, "--config", str(path), "--out", str(later_out)])
         err = capsys.readouterr().err
         if code == 3:
             assert err.startswith("data error:") and any(text in err for text in MISSING), err
-            assert digests(later_out) == before
+            assert tree_digest(later_out) == before
             break
         assert code == 0, err
         own = OWN_DIRS[later]
-        assert in_dirs(digests(later_out / config.name), own) == in_dirs(reference[later], own)
+        assert in_dirs(tree_digest(later_out / config.name), own) == in_dirs(reference[later], own)
 
     # 3. a rerun leaves the bytes of an unkilled run and no temporary file
     capsys.readouterr()
     assert cli.run([phase, "--config", str(path)]) == 0, capsys.readouterr().err
-    assert digests(config.experiment_dir) == reference[phase]
+    assert tree_digest(config.experiment_dir) == reference[phase]
     assert not list((tmp_path / "out").rglob("*.tmp"))
