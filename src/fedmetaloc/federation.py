@@ -392,10 +392,11 @@ def meta_test(
     pred = None
     for step in range(1, mt.steps + 1):
         batch = batches.next()
-        checked(model.train_step(xs[batch], ys[batch]), f"task {task.task_id}, {mode} seed {seed}: step {step} loss")
+        where = f"task {task.task_id}, {mode} seed {seed}: step {step}"
+        checked(model.train_step(xs[batch], ys[batch]), f"{where} loss")
         pred = task.denormalize_coords(model.full_forward(xq))
-        trace.support_loss.append(model.loss_value(xs, ys))
-        trace.query_mde.append(mde(pred, yq_true))
+        trace.support_loss.append(checked(model.loss_value(xs, ys), f"{where} support loss"))
+        trace.query_mde.append(checked(mde(pred, yq_true), f"{where} query MDE"))
     if pred is None:
         pred = task.denormalize_coords(model.full_forward(xq))
     per_sample = np.linalg.norm(pred - yq_true, axis=1)

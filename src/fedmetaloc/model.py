@@ -24,8 +24,7 @@ backward pass per part):
   shared part, so the gradient of the composite loss with respect to it is
   that of the prediction loss, and the decoder, the largest stack, never runs,
 * ``loss_value(x, y)``: ``full_forward`` and a second encoder forward for
-  the reconstruction term, then the decoder forward: five forwards, or four
-  when ``lambda_recon`` is 0,
+  the reconstruction term, then the decoder forward: five forwards,
 * ``full_forward(x)``: three forwards.
 
 A backward pass computes the gradient with respect to its stack's input only
@@ -129,14 +128,6 @@ class ClientModel:
         self.parts = parts
         self.vectors = {part: nn.bind(layers) for part, layers in parts.items()}
         self.opt_states: dict[str, nn.AdamState | None] = {p: None for p in PART_NAMES}
-        enc, dec, meta, mapper = (parts[p] for p in PART_NAMES)
-        if enc[-1].out_size != meta[0].in_size or meta[-1].out_size != mapper[0].in_size:
-            raise ConfigError(
-                f"shape chain broken: encoder->d={enc[-1].out_size}, meta in={meta[0].in_size}, "
-                f"meta->n={meta[-1].out_size}, mapper in={mapper[0].in_size}"
-            )
-        if dec[0].in_size != enc[-1].out_size or dec[-1].out_size != enc[0].in_size:
-            raise ConfigError("decoder must invert the encoder's dimensions")
 
     @classmethod
     def build(cls, config: ModelConfig, m: int, seed: int | np.random.SeedSequence = 0) -> "ClientModel":
@@ -248,8 +239,6 @@ class ClientModel:
         pred = self.full_forward(x)
         latent = self._forward("encoder", x)[0]
         pred_loss, _ = nn.mse_loss(pred, np.asarray(y, dtype=np.float64))
-        if self.config.lambda_recon == 0:
-            return pred_loss
         recon_loss, _ = nn.mse_loss(self._forward("decoder", latent)[0], np.asarray(x, dtype=np.float64))
         return pred_loss + self.config.lambda_recon * recon_loss
 

@@ -8,6 +8,8 @@ in sorted-key order: ``layer0.biases``, ``layer0.weights``, ``layer1.biases``,
 vectors in the same layout, and so is everything the model, federation and
 metrics layers pass between them: gradients, client updates, probe overrides.
 
+Passes take 2-D batches, one sample per row.
+
 In-place contract. :func:`sgd_step` and :func:`adam_step` overwrite the
 parameter vector (and the moments) in place, so every layer view sees the new
 values without a copy. Write into a layer's arrays (``layer.biases[...] = b``);
@@ -36,7 +38,7 @@ consume them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
@@ -228,56 +230,39 @@ class Workspace:
 class ForwardCache:
     """Activation trace from one forward pass, consumed by :func:`backward`.
 
-    ``inputs[i]`` and ``outputs[i]`` are layer i's input and its output after
-    the activation (``outputs[i] is inputs[i + 1]``); all but the stack input
-    are views into ``workspace``, valid while its generation is ``generation``.
+    ``activations`` holds the stack input, then each layer's output after its
+    activation, so layer i reads ``activations[i]`` and writes
+    ``activations[i + 1]``; all but the input are views into ``workspace``,
+    valid while its generation is ``generation``.
     """
 
     layers: Sequence[DenseLayer]
     workspace: Workspace
     generation: int
-    inputs: list[np.ndarray] = field(default_factory=list)
-    outputs: list[np.ndarray] = field(default_factory=list)
-    squeeze: bool = False
-
-
-def _promote(x: np.ndarray) -> tuple[np.ndarray, bool]:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        return x[None, :], True
-    if x.ndim == 2:
-        return x, False
-    raise ConfigError(f"inputs must be 1-D or 2-D, got shape {x.shape}")
+    activations: list[np.ndarray]
 
 
 def forward(
     layers: Sequence[DenseLayer], x: np.ndarray, workspace: Workspace | None = None
 ) -> tuple[np.ndarray, ForwardCache]:
-    """Run the stack on a sample (1-D) or batch (2-D, rows are samples).
+    """Run the stack on a 2-D batch whose rows are samples.
 
     Layer outputs go into ``workspace`` (a private one when None): the
     returned output is a view into it, overwritten by its next forward.
     """
-    a, squeeze = _promote(x)
-    if a.shape[1] != layers[0].in_size:
-        raise ConfigError(f"input width {a.shape[1]} does not match layer input size {layers[0].in_size}")
+    a = np.asarray(x, dtype=np.float64)
+    if a.ndim != 2 or a.shape[1] != layers[0].in_size:
+        raise ConfigError(f"input must be a 2-D batch of width {layers[0].in_size}, got shape {a.shape}")
     workspace = workspace if workspace is not None else Workspace()
     workspace.generation += 1
-    cache = ForwardCache(layers=layers, workspace=workspace, generation=workspace.generation, squeeze=squeeze)
+    cache = ForwardCache(layers=layers, workspace=workspace, generation=workspace.generation, activations=[a])
     for i, layer in enumerate(layers):
-        if a.shape[1] != layer.in_size:
-            raise ConfigError(
-                f"stack mismatch: activation width {a.shape[1]} feeding layer of input size {layer.in_size}"
-            )
-        cache.inputs.append(a)
-        z = np.matmul(a, layer.weights.T, out=workspace.take("output", i, (a.shape[0], layer.out_size)))
-        z += layer.biases
+        a = np.matmul(a, layer.weights.T, out=workspace.take("output", i, (a.shape[0], layer.out_size)))
+        a += layer.biases
         if layer.activation == RELU:
-            np.maximum(z, 0.0, out=z)
-        cache.outputs.append(z)
-        a = z
-    y = a[0] if squeeze else a
-    return y, cache
+            np.maximum(a, 0.0, out=a)
+        cache.activations.append(a)
+    return a, cache
 
 
 def backward(
@@ -293,15 +278,13 @@ def backward(
     between alternate between two workspace slots.
     """
     da = np.asarray(upstream_grad, dtype=np.float64)
-    if cache.squeeze and da.ndim == 1:
-        da = da[None, :]
     workspace = cache.workspace
     if workspace.generation != cache.generation:
         raise RuntimeError(
             f"stale cache: its workspace has run {workspace.generation - cache.generation} forward(s) since"
         )
     last = cache.layers[-1]
-    batch = cache.inputs[0].shape[0]
+    batch = cache.activations[0].shape[0]
     if da.shape != (batch, last.out_size):
         raise RuntimeError(
             f"upstream gradient shape {da.shape} does not match cached pass "
@@ -316,18 +299,17 @@ def backward(
         layer = cache.layers[i]
         if layer.activation == RELU:
             # a ReLU output is positive exactly where its pre-activation is
-            mask = np.greater(cache.outputs[i], 0.0, out=workspace.take("mask", 0, da.shape, np.bool_))
+            mask = np.greater(cache.activations[i + 1], 0.0, out=workspace.take("mask", 0, da.shape, np.bool_))
             dz = np.multiply(da, mask, out=workspace.take("grad", slot, da.shape))
         else:
             dz = da
-        np.matmul(dz.T, cache.inputs[i], out=views[f"layer{i}.weights"])
+        np.matmul(dz.T, cache.activations[i], out=views[f"layer{i}.weights"])
         dz.sum(axis=0, out=views[f"layer{i}.biases"])
         if i:
             slot = 1 - slot
             da = np.matmul(dz, layer.weights, out=workspace.take("grad", slot, (batch, layer.in_size)))
         elif input_grad:
             dx = dz @ layer.weights
-            dx = dx[0] if cache.squeeze else dx
     return vector, dx
 
 

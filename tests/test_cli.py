@@ -1420,8 +1420,23 @@ class TestDivergence:
         small_config(tmp_path, model={**json.loads(path.read_text())["model"], **HUGE_RATES})
         config = experiments.load_experiment_config(path)
         assert cli.run(["meta-test", "--config", str(path)]) == 4
-        assert "DivergenceError: task T02, MI seed 0: step 2 loss is" in capsys.readouterr().err
+        # step 1's update overflows, and its support loss is the first value checked after it
+        assert "DivergenceError: task T02, MI seed 0: step 1 support loss is" in capsys.readouterr().err
         assert not list(config.test_dir.rglob("trace.csv"))
+
+    def test_meta_test_divergence_at_the_last_step_exits_4_and_writes_no_trace(self, tmp_path, capsys):
+        # the only step's pre-update loss is finite; its support loss and query MDE are not
+        path = small_config(tmp_path)
+        assert cli.run(["preprocess", "--config", str(path)]) == 0
+        assert cli.run(["meta-train", "--config", str(path)]) == 0
+        raw = json.loads(path.read_text())
+        small_config(tmp_path, model={**raw["model"], **HUGE_RATES},
+                     meta_test={**raw["meta_test"], "steps": 1, "step_checkpoints": [1]})
+        config = experiments.load_experiment_config(path)
+        assert cli.run(["meta-test", "--config", str(path)]) == 4
+        assert "DivergenceError: task T02, MI seed 0: step 1 " in capsys.readouterr().err
+        assert not list(config.test_dir.rglob("trace.csv"))
+        assert not config.report_dir.exists()
 
     def test_theory_probe_overflow_exits_4_and_writes_no_report(self, tmp_path, capsys):
         probe = {"epsilon": 1e-4, "mu": 50, "max_steps": 30, "linearization_steps": 3,

@@ -84,19 +84,19 @@ class TestShapes:
     def test_shape_chain_holds(self):
         cfg = tiny_model_config()
         model = ClientModel.build(cfg, m=7, seed=0)
-        x = np.random.default_rng(0).uniform(size=7)
+        x = np.random.default_rng(0).uniform(size=(3, 7))
         latent, _ = nn.forward(model.parts["encoder"], x)
         feats, _ = nn.forward(model.parts["meta"], latent)
         out = model.full_forward(x)
-        assert latent.shape == (cfg.d,)
-        assert feats.shape == (cfg.n,)
-        assert out.shape == (cfg.p,)
-        assert nn.forward(model.parts["decoder"], latent)[0].shape == (7,)
+        assert latent.shape == (3, cfg.d)
+        assert feats.shape == (3, cfg.n)
+        assert out.shape == (3, cfg.p)
+        assert nn.forward(model.parts["decoder"], latent)[0].shape == (3, 7)
 
     def test_encoder_input_must_match_task_width(self):
         model = ClientModel.build(tiny_model_config(), m=7, seed=0)
         with pytest.raises(ConfigError):
-            model.full_forward(np.zeros(9))
+            model.full_forward(np.zeros((3, 9)))
         with pytest.raises(ConfigError):
             model.composite_loss(np.zeros((3, 9)), np.zeros((3, 2)))
 
@@ -142,20 +142,20 @@ class TestEncodeDecode:
     def test_zero_encoder_maps_everything_to_zero(self):
         model = ClientModel.build(tiny_model_config(), m=5, seed=0)
         model.set_part_params("encoder", np.zeros_like(model.vectors["encoder"]))
-        assert np.all(nn.forward(model.parts["encoder"], np.random.default_rng(1).uniform(size=5))[0] == 0)
+        assert np.all(nn.forward(model.parts["encoder"], np.random.default_rng(1).uniform(size=(3, 5)))[0] == 0)
 
     def test_identity_single_layer_encoder_is_identity(self):
         cfg = tiny_model_config(d=4, encoder_hidden=(), decoder_hidden=())
         model = ClientModel.build(cfg, m=4, seed=0)
         nn.assign_params(model.parts["encoder"], identity_params(4))
-        x = np.random.default_rng(2).uniform(size=4)
+        x = np.random.default_rng(2).uniform(size=(3, 4))
         assert np.array_equal(nn.forward(model.parts["encoder"], x)[0], x)
 
     def test_seeded_encoder_matches_naive_matmul(self):
         model = ClientModel.build(tiny_model_config(), m=6, seed=3)
-        x = np.random.default_rng(3).uniform(size=6)
+        x = np.random.default_rng(3).uniform(size=(1, 6))
         encoder = model.parts["encoder"]
-        assert rel_err(nn.forward(encoder, x)[0], naive_stack_forward(encoder, x)) < 1e-12
+        assert rel_err(nn.forward(encoder, x)[0][0], naive_stack_forward(encoder, x[0])) < 1e-12
 
     def test_zero_latent_zero_bias_decoder_reconstructs_zero(self):
         model = ClientModel.build(tiny_model_config(), m=5, seed=1)
@@ -164,7 +164,7 @@ class TestEncodeDecode:
             if key.endswith("biases"):
                 zero_bias[key] = np.zeros_like(zero_bias[key])
         nn.assign_params(model.parts["decoder"], zero_bias)
-        out, _ = nn.forward(model.parts["decoder"], np.zeros(4))
+        out, _ = nn.forward(model.parts["decoder"], np.zeros((3, 4)))
         # relu(0)=0 through the hidden layer, then a zero-bias linear output
         assert np.all(out == 0)
 
@@ -193,25 +193,24 @@ class TestFullForward:
         model = ClientModel.build(tiny_model_config(), m=5, seed=0)
         for part in PART_NAMES:
             model.set_part_params(part, np.zeros_like(model.vectors[part]))
-        assert np.all(model.full_forward(np.random.default_rng(0).uniform(size=5)) == 0)
+        assert np.all(model.full_forward(np.random.default_rng(0).uniform(size=(3, 5))) == 0)
 
     def test_composition_equals_staged_calls_bitwise(self):
         model = ClientModel.build(tiny_model_config(), m=6, seed=7)
         xs = np.random.default_rng(7).uniform(size=(100, 6))
-        for x in xs:
-            staged = nn.forward(
-                model.parts["mapper"],
-                nn.forward(model.parts["meta"], nn.forward(model.parts["encoder"], x)[0])[0],
-            )[0]
-            assert np.array_equal(model.full_forward(x), staged)
+        staged = nn.forward(
+            model.parts["mapper"],
+            nn.forward(model.parts["meta"], nn.forward(model.parts["encoder"], xs)[0])[0],
+        )[0]
+        assert np.array_equal(model.full_forward(xs), staged)
 
     def test_matches_composed_naive_matmul_oracle(self):
         model = ClientModel.build(tiny_model_config(), m=6, seed=11)
-        x = np.random.default_rng(11).uniform(size=6)
+        x = np.random.default_rng(11).uniform(size=(1, 6))
         oracle = naive_stack_forward(
-            [*model.parts["encoder"], *model.parts["meta"], *model.parts["mapper"]], x
+            [*model.parts["encoder"], *model.parts["meta"], *model.parts["mapper"]], x[0]
         )
-        assert rel_err(model.full_forward(x), oracle) < 1e-12
+        assert rel_err(model.full_forward(x)[0], oracle) < 1e-12
 
 
 class TestCompositeLoss:
@@ -221,7 +220,7 @@ class TestCompositeLoss:
         nn.assign_params(model.parts["encoder"], identity_params(4))
         nn.assign_params(model.parts["decoder"], identity_params(4))
         x = np.random.default_rng(1).uniform(size=(6, 4))
-        y = np.vstack([model.full_forward(row) for row in x])
+        y = model.full_forward(x)
         loss, _ = model.composite_loss(x, y)
         assert loss == pytest.approx(0.0, abs=1e-24)
 
@@ -232,7 +231,7 @@ class TestCompositeLoss:
         x = rng.uniform(size=(8, 5))
         y = rng.normal(size=(8, 2))
         loss, _ = model.composite_loss(x, y)
-        preds = np.vstack([model.full_forward(row) for row in x])
+        preds = model.full_forward(x)
         assert loss == pytest.approx(nn.mse_loss(preds, y)[0], rel=1e-12)
 
     def test_lambda_zero_gives_decoder_exactly_zero_gradient(self):
@@ -314,6 +313,14 @@ class TestPartSelectiveGradients:
     def test_loss_value_equals_the_gradient_free_composite_loss_bitwise(self, lam):
         model, x, y = self.batch(lam)
         assert model.loss_value(x, y) == model.composite_loss(x, y, ())[0]
+
+    @pytest.mark.parametrize("lam", [0.0, 0.3])
+    def test_loss_value_runs_five_forwards_and_no_backward(self, monkeypatch, lam):
+        # full_forward's three, a second encoder forward and the decoder's
+        model, x, y = self.batch(lam)
+        counts = count_passes(monkeypatch)
+        model.loss_value(x, y)
+        assert counts == {"forward": 5, "backward": 0}
 
     def test_shared_gradient_skips_the_decoder(self, monkeypatch):
         model, x, y = self.batch(0.3)

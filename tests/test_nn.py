@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,55 +23,56 @@ def identity_layer(size: int) -> nn.DenseLayer:
 
 class TestForward:
     def test_identity_layer_passes_input_through(self):
-        y, _ = nn.forward([identity_layer(2)], np.array([1.0, 2.0]))
-        assert np.array_equal(y, [1.0, 2.0])
+        y, _ = nn.forward([identity_layer(2)], np.array([[1.0, 2.0]]))
+        assert np.array_equal(y, [[1.0, 2.0]])
 
     def test_relu_splits_sign(self):
         layer = nn.DenseLayer(np.array([[1.0], [-1.0]]), np.zeros(2), nn.RELU)
-        y, _ = nn.forward([layer], np.array([3.0]))
-        assert np.array_equal(y, [3.0, 0.0])
+        y, _ = nn.forward([layer], np.array([[3.0]]))
+        assert np.array_equal(y, [[3.0, 0.0]])
 
     def test_two_layer_net_matches_naive_matmul_oracle(self):
         layers = nn.build_stack([4, 5, 3], seed=7)
-        x = np.random.default_rng(7).uniform(-1, 1, 4)
+        x = np.random.default_rng(7).uniform(-1, 1, (1, 4))
         y, _ = nn.forward(layers, x)
-        assert rel_err(y, naive_stack_forward(layers, x)) < 1e-12
+        assert rel_err(y[0], naive_stack_forward(layers, x[0])) < 1e-12
 
     def test_deterministic_given_seed_and_input(self):
-        x = np.random.default_rng(0).normal(size=6)
+        x = np.random.default_rng(0).normal(size=(1, 6))
         y1, _ = nn.forward(nn.build_stack([6, 8, 2], seed=11), x)
         y2, _ = nn.forward(nn.build_stack([6, 8, 2], seed=11), x)
         assert np.array_equal(y1, y2)
 
     def test_batch_rows_equal_per_sample_calls(self):
-        # batched matmul and single-row matvec may differ in the last ulp
+        # a batched matmul and a one-row one may differ in the last ulp
         layers = nn.build_stack([3, 4, 2], seed=5)
         xb = np.random.default_rng(2).normal(size=(6, 3))
         yb, _ = nn.forward(layers, xb)
         for i in range(6):
-            yi, _ = nn.forward(layers, xb[i])
-            assert np.allclose(yb[i], yi, rtol=1e-12, atol=1e-15)
+            yi, _ = nn.forward(layers, xb[i : i + 1])
+            assert np.allclose(yb[i : i + 1], yi, rtol=1e-12, atol=1e-15)
 
-    def test_dimension_mismatch_raises(self):
-        with pytest.raises(ConfigError):
-            nn.forward([identity_layer(3)], np.zeros(4))
+    @pytest.mark.parametrize("shape", [(2, 4), (3,), (2, 1, 3)], ids=["width", "1-D", "3-D"])
+    def test_dimension_mismatch_raises(self, shape):
+        with pytest.raises(ConfigError, match=re.escape(f"width 3, got shape {shape}")):
+            nn.forward([identity_layer(3)], np.zeros(shape))
 
 
 class TestBackward:
     def test_scalar_chain_hand_differentiated(self):
         # y = w*x + b with w=2, b=0, x=1; loss = y^2/2 so dL/dy = y = 2
         layer = nn.DenseLayer(np.array([[2.0]]), np.zeros(1), nn.IDENTITY)
-        y, cache = nn.forward([layer], np.array([1.0]))
-        grad, dx = nn.backward(cache, np.array([y[0]]))
+        y, cache = nn.forward([layer], np.array([[1.0]]))
+        grad, dx = nn.backward(cache, y.copy())
         grads = nn.unflatten(grad, [1, 1])
         assert grads["layer0.weights"][0, 0] == pytest.approx(2.0)
         assert grads["layer0.biases"][0] == pytest.approx(2.0)
-        assert dx[0] == pytest.approx(4.0)
+        assert dx[0, 0] == pytest.approx(4.0)
 
     def test_zero_upstream_gives_zero_gradients(self):
         layers = nn.build_stack([3, 5, 2], seed=0)
-        _, cache = nn.forward(layers, np.random.default_rng(1).normal(size=3))
-        grad, dx = nn.backward(cache, np.zeros(2))
+        _, cache = nn.forward(layers, np.random.default_rng(1).normal(size=(1, 3)))
+        grad, dx = nn.backward(cache, np.zeros((1, 2)))
         assert np.all(grad == 0)
         assert np.all(dx == 0)
 
@@ -99,9 +102,9 @@ class TestBackward:
 
     def test_stale_cache_rejected(self):
         layers = nn.build_stack([3, 2], seed=0)
-        _, cache = nn.forward(layers, np.zeros(3))
+        _, cache = nn.forward(layers, np.zeros((1, 3)))
         with pytest.raises(RuntimeError):
-            nn.backward(cache, np.zeros(5))
+            nn.backward(cache, np.zeros((1, 5)))
 
     def test_a_later_forward_through_the_workspace_makes_the_cache_stale(self):
         # same shape, so the upstream-gradient shape check cannot see it
@@ -114,15 +117,14 @@ class TestBackward:
             nn.backward(first, np.ones((5, 2)))
         nn.backward(second, np.ones((5, 2)))
 
-    @pytest.mark.parametrize("x_shape", [(7, 4), (4,)])
-    def test_skipping_the_input_gradient_keeps_the_parameter_gradient_bitwise(self, x_shape):
+    def test_skipping_the_input_gradient_keeps_the_parameter_gradient_bitwise(self):
         layers = nn.build_stack([4, 6, 5, 3], seed=3)
         rng = np.random.default_rng(3)
-        y, cache = nn.forward(layers, rng.normal(size=x_shape))
+        y, cache = nn.forward(layers, rng.normal(size=(7, 4)))
         upstream = rng.normal(size=y.shape)
         full, dx = nn.backward(cache, upstream)
         skipped, none = nn.backward(cache, upstream, input_grad=False)
-        assert dx.shape == x_shape and none is None
+        assert dx.shape == (7, 4) and none is None
         assert full.tobytes() == skipped.tobytes()
 
     def test_shared_workspace_gives_the_private_results_bitwise(self):
@@ -350,5 +352,5 @@ class TestFlatLayout:
         assert grad.shape == vector.shape
         # the identity output layer's gradient sits at its keys in the parameter layout
         grads = nn.unflatten(grad, [4, 6, 3])
-        assert np.array_equal(grads["layer1.weights"], y.T @ cache.inputs[1])
+        assert np.array_equal(grads["layer1.weights"], y.T @ cache.activations[1])
         assert np.array_equal(grads["layer1.biases"], y.sum(axis=0))
