@@ -43,16 +43,6 @@ class FingerprintDataset:
     def __post_init__(self) -> None:
         self.rssi = np.asarray(self.rssi, dtype=np.float64)
         self.coords = np.asarray(self.coords, dtype=np.float64)
-        if self.rssi.ndim != 2 or self.coords.ndim != 2:
-            raise DataError("rssi and coords must both be 2-D arrays")
-        if self.rssi.shape[0] != self.coords.shape[0]:
-            raise DataError(
-                f"{self.rssi.shape[0]} RSSI rows but {self.coords.shape[0]} coordinate rows"
-            )
-        if len(self.ap_names) != self.rssi.shape[1]:
-            raise DataError(f"{len(self.ap_names)} AP names for {self.rssi.shape[1]} columns")
-        if len(self.coord_names) != self.coords.shape[1]:
-            raise DataError("coordinate names do not match coordinate columns")
 
     @property
     def n_samples(self) -> int:
@@ -111,8 +101,6 @@ def load_csv(
     ascending label order, each keeping its rows in file order. Missing-AP
     markers are kept for preprocessing to impute; every group label the
     schema names is read, truncated toward zero."""
-    if partition not in PARTITIONS:
-        raise ConfigError(f"unknown partition rule {partition!r}")
     rules = [] if partition == "none" else partition.split("_")  # building_floor: building, then floor
     named = (("building", schema.building_col), ("floor", schema.floor_col))
     label_cols = {rule: col for rule, col in named if col is not None}
@@ -122,6 +110,9 @@ def load_csv(
     header, values = read_csv(path)
     header = [name.strip() for name in header]
     ap_names = list(schema.ap_columns or (name for name in header if name.startswith(schema.ap_prefix)))
+    both = sorted(set(ap_names) & {*schema.coord_columns, *label_cols.values()})
+    if both:
+        raise DataError(f"{path}: column(s) {both} would be read both as APs and as coordinates or labels")
     cols = column_indices(path, header, [*ap_names, *schema.coord_columns, *label_cols.values()])
     if not ap_names:
         raise DataError(f"{path}: no AP columns match prefix {schema.ap_prefix!r}")
@@ -152,9 +143,8 @@ def load_csv(
 def split_support_query(
     dataset: FingerprintDataset, ratio: float, seed: int
 ) -> tuple[FingerprintDataset, FingerprintDataset]:
-    """Seeded uniform shuffle; the first ceil(ratio * S) rows become the support set."""
-    if not 0.0 < ratio < 1.0:
-        raise ConfigError(f"split ratio must be in (0, 1), got {ratio}")
+    """Seeded uniform shuffle; the first ceil(ratio * S) rows, 0 < ratio < 1,
+    become the support set."""
     if dataset.n_samples < 2:
         raise DataError(f"need at least 2 samples to split, got {dataset.n_samples}")
     perm = np.random.default_rng(seed).permutation(dataset.n_samples)
@@ -179,10 +169,6 @@ class LocalizationTask:
     label_scale: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.support.n_aps != self.query.n_aps:
-            raise DataError("support and query must share the AP columns")
-        if self.support.ap_names != self.query.ap_names:
-            raise DataError("support and query AP names differ")
         if self.support.n_samples == 0 or self.query.n_samples == 0:
             raise DataError(f"task {self.task_id}: empty support or query set")
 
@@ -391,7 +377,7 @@ def _read_split(path: Path, rows: int, ap_names: list[str], coord_names: list[st
 def read_bundle_meta(directory: str | Path) -> dict:
     """The parsed ``meta.json`` of a bundle written by :func:`save_task_bundle`;
     anything malformed is a :class:`DataError`. Its ``task_id`` must be the
-    bundle directory's name, ``m`` the number of AP names, and the label
+    bundle directory's name, ``m`` >= 1 the number of AP names, and the label
     scaling ``p`` finite centers and ``p`` finite scales > 0, ``p`` being the
     number of coordinate names."""
     directory = Path(directory)
@@ -416,6 +402,8 @@ def read_bundle_meta(directory: str | Path) -> dict:
         raise DataError(
             f"malformed {meta_path}: task_id {meta['task_id']!r} differs from the bundle directory's {directory.name!r}"
         )
+    if meta["m"] < 1:
+        raise DataError(f"malformed {meta_path}: m must be >= 1, got {meta['m']}")
     if len(meta["ap_names"]) != meta["m"]:
         raise DataError(f"malformed {meta_path}: {len(meta['ap_names'])} AP names for m = {meta['m']}")
     p = len(meta["coord_names"])

@@ -98,7 +98,7 @@ class ExperimentConfig:
             raise ConfigError(f"train and test task lists overlap: {sorted(overlap)}")
         if not self.datasets and not self.synthetic_envs:
             raise ConfigError("no data source: set datasets or synthetic_envs")
-        for key in ("datasets", "synthetic_envs"):  # the ranges make_task's split will check
+        for key in ("datasets", "synthetic_envs"):  # the one check of each entry's split ratio
             for i, (_, opts) in enumerate(getattr(self, key)):
                 ratio = self.split_ratio(opts)
                 if not 0.0 < ratio < 1.0:
@@ -543,7 +543,8 @@ def cmd_theory_probe(config: ExperimentConfig) -> dict:
         raise ConfigError("config.test_tasks and config.train_tasks are both empty; the theory probe needs a task")
     task = _load_tasks(config, probe_ids[:1])[0]
     model_config = resolved_model_config(config)
-    theta = _trained_theta(config, config.checkpoint_path, model_config) if config.checkpoint_path.exists() else None
+    # a train/ without its checkpoint is a meta-train that did not finish, which _trained_theta refuses
+    theta = _trained_theta(config, config.checkpoint_path, model_config) if config.train_dir.exists() else None
     _clear(config, "theory")
     payload = {"task": task.task_id, **metrics.run_theory_probe(task, model_config, theta, config.theory_probe)}
     write_json(config.experiment_dir / "theory" / "probe_report.json", payload)

@@ -47,7 +47,7 @@ import numpy as np
 
 from . import nn
 from .data import LocalizationTask
-from .errors import ConfigError, DataError, DivergenceError, check_fields, checked, constrained
+from .errors import DataError, DivergenceError, check_fields, checked, constrained
 from .fileio import atomic_write
 from .metrics import mde
 from .model import OPTIMIZERS, ClientModel, ModelConfig
@@ -227,10 +227,6 @@ class RoundReport:
 def contribution_factors(query_sizes: Sequence[int]) -> np.ndarray:
     """Weights proportional to query sizes, summing to one."""
     sizes = np.asarray(query_sizes, dtype=np.float64)
-    if sizes.size == 0:
-        raise ConfigError("cannot weight an empty cohort")
-    if (sizes <= 0).any():
-        raise ConfigError("every client needs a nonempty query set")
     return sizes / sizes.sum()
 
 
@@ -239,8 +235,6 @@ def server_init(
 ) -> tuple[MetaModel, list[ClientState]]:
     """Seed the shared part from ``fed.seed``, then assemble every client as
     (alpha_k, theta^0, beta_k), each drawing batches of ``fed.batch_size``."""
-    if not tasks:
-        raise ConfigError("need at least one training task")
     root = np.random.SeedSequence(fed.seed)
     theta_seed, clients_seed = root.spawn(2)
     widths = config.part_sizes("meta")
@@ -299,15 +293,9 @@ def server_aggregate(
     optimizer progress round over round; useful at small round budgets where
     the gradient step alone barely moves the shared part.
     """
-    if not updates:
-        raise ConfigError("cannot aggregate an empty round")
     acc = np.zeros_like(meta.params)
     term = np.empty_like(meta.params)
     for update in sorted(updates, key=lambda u: u.client_id):
-        if update.vector.shape != acc.shape:
-            raise ConfigError(
-                f"client {update.client_id} sent {update.vector.shape} values, server expects {acc.shape}"
-            )
         np.multiply(update.vector, rho[update.client_id], out=term)
         acc += term
     if fed.aggregation == "gradient":

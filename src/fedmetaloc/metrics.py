@@ -54,18 +54,13 @@ import numpy as np
 
 from . import nn
 from .data import LocalizationTask
-from .errors import ConfigError, DataError, check_fields, checked, constrained
+from .errors import DataError, check_fields, checked, constrained
 from .model import PART_NAMES, ClientModel, ModelConfig
 
 
 def mde(pred: np.ndarray, truth: np.ndarray) -> float:
-    """Mean Euclidean distance between predicted and true coordinates."""
-    pred = np.asarray(pred, dtype=np.float64)
-    truth = np.asarray(truth, dtype=np.float64)
-    if pred.shape != truth.shape or pred.ndim != 2:
-        raise ConfigError(f"coordinate arrays must share a 2-D shape, got {pred.shape} vs {truth.shape}")
-    if pred.shape[0] == 0:
-        raise ConfigError("cannot average over zero points")
+    """Mean Euclidean distance between predicted and true coordinates, two
+    same-shape ``[points, p]`` arrays with at least one point."""
     return float(np.mean(np.linalg.norm(pred - truth, axis=1)))
 
 
@@ -80,31 +75,23 @@ def steps_to_accuracy(series: Sequence[float], target: float) -> int | None:
 
 def accuracy_speed_from_steps(n: int, batch_size: int) -> float:
     """Accuracy-based adaptation speed for a known step count: ``1 / (b * n)``."""
-    if n < 1 or batch_size < 1:
-        raise ConfigError(f"step count and batch size must be >= 1, got n={n}, b={batch_size}")
     return 1.0 / (batch_size * n)
 
 
 def step_speed_from_mde(mde_value: float, batch_size: int) -> float:
     """Step-based adaptation speed for a known accuracy: ``MDE / b``."""
-    if batch_size < 1:
-        raise ConfigError(f"batch size must be >= 1, got {batch_size}")
     return mde_value / batch_size
 
 
 def improvement_percent(mi_value: float, ri_value: float) -> float:
     """Relative improvement of meta init over random init, in percent:
     ``100 * (ri - mi) / ri``, for step counts to a target accuracy and for
-    MDEs at a fixed step budget alike."""
-    if ri_value <= 0:
-        raise ConfigError(f"baseline value must be > 0, got {ri_value}")
+    MDEs at a fixed step budget alike; ``ri_value`` is > 0."""
     return 100.0 * (ri_value - mi_value) / ri_value
 
 
 def cdf_curve(errors: Sequence[float]) -> list[tuple[float, float]]:
-    """Empirical CDF points: sorted errors with cumulative fraction i/N."""
-    if len(errors) == 0:
-        raise ConfigError("cannot build a CDF from zero errors")
+    """Empirical CDF points of a nonempty error list: sorted errors with cumulative fraction i/N."""
     ordered = sorted(float(e) for e in errors)
     n = len(ordered)
     return [(e, (i + 1) / n) for i, e in enumerate(ordered)]

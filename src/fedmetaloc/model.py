@@ -61,7 +61,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import nn
-from .errors import ConfigError, DataError, check_fields, constrained
+from .errors import ConfigError, check_fields, constrained
 
 PART_NAMES = ("encoder", "decoder", "meta", "mapper")
 OPTIMIZERS = ("adam", "sgd")
@@ -98,17 +98,13 @@ class ModelConfig:
             raise ConfigError("prefix_projection requires a single-layer (linear) encoder")
 
     def part_sizes(self, part: str, m: int | None = None) -> list[int]:
-        if part in ("encoder", "decoder") and m is None:
-            raise ConfigError("input width m is required to size the encoder/decoder")
-        if part == "encoder":
-            return [m, *self.encoder_hidden, self.d]
-        if part == "decoder":
-            return [self.d, *self.decoder_hidden, m]
-        if part == "meta":
-            return [self.d, *self.meta_hidden, self.n]
-        if part == "mapper":
-            return [self.n, *self.mapper_hidden, self.p]
-        raise ConfigError(f"unknown model part {part!r}")
+        """The widths of ``part``; the encoder and decoder take the task's input width ``m``."""
+        return {
+            "encoder": [m, *self.encoder_hidden, self.d],
+            "decoder": [self.d, *self.decoder_hidden, m],
+            "meta": [self.d, *self.meta_hidden, self.n],
+            "mapper": [self.n, *self.mapper_hidden, self.p],
+        }[part]
 
     def rates(self) -> dict[str, float]:
         return {
@@ -161,11 +157,8 @@ class ClientModel:
         return cls(config, parts)
 
     def set_part_params(self, part: str, vector: np.ndarray) -> None:
-        """Copy a flat parameter vector into the part."""
-        target = self.vectors[part]
-        if np.shape(vector) != target.shape:
-            raise ConfigError(f"{part} holds {target.size} parameters, got shape {np.shape(vector)}")
-        np.copyto(target, vector)
+        """Copy a flat parameter vector of the part's size into the part."""
+        np.copyto(self.vectors[part], vector)
 
     def _forward(self, part: str, x: np.ndarray) -> tuple[np.ndarray, nn.ForwardCache]:
         """One stack forward through the part's shared workspace; the output is a view into it."""
@@ -217,10 +210,6 @@ class ClientModel:
         Returns ``(latent, encoder cache, prediction loss, {part: gradient},
         d prediction loss / d latent or None)``.
         """
-        x = np.asarray(x, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        if x.ndim != 2 or x.shape[0] == 0:
-            raise DataError("the model loss needs a nonempty 2-D batch")
         latent, enc_cache = self._forward("encoder", x)
         feats, meta_cache = self._forward("meta", latent)
         pred, map_cache = self._forward("mapper", feats)

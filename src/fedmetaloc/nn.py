@@ -48,7 +48,6 @@ from .errors import ConfigError
 
 RELU = "relu"
 IDENTITY = "identity"
-_ACTIVATIONS = (RELU, IDENTITY)
 
 ParamDict = dict[str, np.ndarray]
 
@@ -64,18 +63,6 @@ class DenseLayer:
     weights: np.ndarray
     biases: np.ndarray
     activation: str = IDENTITY
-
-    def __post_init__(self) -> None:
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        self.biases = np.asarray(self.biases, dtype=np.float64)
-        if self.weights.ndim != 2:
-            raise ConfigError(f"layer weights must be 2-D, got shape {self.weights.shape}")
-        if self.biases.shape != (self.weights.shape[0],):
-            raise ConfigError(
-                f"bias shape {self.biases.shape} does not match {self.weights.shape[0]} outputs"
-            )
-        if self.activation not in _ACTIVATIONS:
-            raise ConfigError(f"unknown activation {self.activation!r}")
 
     @property
     def in_size(self) -> int:
@@ -93,8 +80,6 @@ def he_uniform_layer(
     activation: str = IDENTITY,
 ) -> DenseLayer:
     """He-style fan-in uniform initialization; biases start at zero."""
-    if in_size < 1 or out_size < 1:
-        raise ConfigError(f"layer sizes must be >= 1, got {in_size} -> {out_size}")
     limit = math.sqrt(6.0 / in_size)
     weights = rng.uniform(-limit, limit, size=(out_size, in_size))
     return DenseLayer(weights=weights, biases=np.zeros(out_size), activation=activation)
@@ -107,8 +92,6 @@ def build_stack(sizes: Sequence[int], seed: int | np.random.SeedSequence) -> lis
     Each layer draws from its own child of the seed sequence, so adding or
     removing layers never perturbs the others' initial weights.
     """
-    if len(sizes) < 2:
-        raise ConfigError("a stack needs at least an input and an output size")
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     children = ss.spawn(len(sizes) - 1)
     layers = []
@@ -150,16 +133,12 @@ def unflatten(vector: np.ndarray, sizes: Sequence[int]) -> ParamDict:
 
 
 def flatten(params: ParamDict, sizes: Sequence[int]) -> np.ndarray:
-    """Copy a parameter dictionary into a new flat vector, validating every key and shape."""
+    """Copy a parameter dictionary whose keys and shapes are those of the
+    stack ``sizes`` into a new flat vector."""
     layout = _layout(tuple(sizes))
-    if set(params) != {key for key, _, _, _ in layout}:
-        raise ConfigError(f"parameter keys {sorted(params)} do not match stack of {len(sizes) - 1} layers")
     vector = np.empty(layout[-1][2])
-    for key, start, stop, shape in layout:
-        tensor = np.asarray(params[key], dtype=np.float64)
-        if tensor.shape != shape:
-            raise ConfigError(f"{key} expects shape {shape}, got {tensor.shape}")
-        vector[start:stop] = tensor.ravel()
+    for key, start, stop, _ in layout:
+        vector[start:stop] = np.ravel(params[key])
     return vector
 
 
@@ -283,13 +262,7 @@ def backward(
         raise RuntimeError(
             f"stale cache: its workspace has run {workspace.generation - cache.generation} forward(s) since"
         )
-    last = cache.layers[-1]
     batch = cache.activations[0].shape[0]
-    if da.shape != (batch, last.out_size):
-        raise RuntimeError(
-            f"upstream gradient shape {da.shape} does not match cached pass "
-            f"({batch} samples, {last.out_size} outputs); stale cache?"
-        )
     layout = _layout(stack_sizes(cache.layers))
     vector = np.empty(layout[-1][2])
     views = {key: vector[start:stop].reshape(shape) for key, start, stop, shape in layout}
@@ -314,23 +287,13 @@ def backward(
 
 
 def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean squared error over all components; gradient is ``2 (pred - target) / size``."""
-    pred = np.asarray(pred, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    if pred.shape != target.shape:
-        raise ConfigError(f"prediction shape {pred.shape} does not match target shape {target.shape}")
+    """Mean squared error over all components of two same-shape arrays;
+    gradient is ``2 (pred - target) / size``."""
     diff = pred - target
     loss = float(np.mean(diff * diff))
     diff *= 2.0
     diff /= diff.size
     return loss, diff
-
-
-def _check_step(params: np.ndarray, grads: np.ndarray, mu: float) -> None:
-    if mu <= 0:
-        raise ConfigError(f"learning rate must be > 0, got {mu}")
-    if params.shape != grads.shape:
-        raise ConfigError(f"gradient shape {grads.shape} does not match parameter shape {params.shape}")
 
 
 @dataclass
@@ -359,7 +322,6 @@ _work = np.empty((2, _ADAM_BLOCK))
 def sgd_step(params: np.ndarray, grads: np.ndarray, mu: float) -> None:
     """Plain gradient step ``p <- p - mu * g``, in place on the flat vector,
     block by block through the shared work vector like :func:`adam_step`."""
-    _check_step(params, grads, mu)
     for start in range(0, params.size, _ADAM_BLOCK):
         block = slice(start, start + _ADAM_BLOCK)
         g = grads[block]
@@ -375,7 +337,6 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, mu: float
     ``v = b2 v + ((1 - b2) g) g`` and ``p = p - mu (m / bc1) / (sqrt(v / bc2) + eps)``
     in that order, so the result is bitwise that of the textbook expressions.
     """
-    _check_step(params, grads, mu)
     state.step_count += 1
     t = state.step_count
     b1, b2 = ADAM_BETA1, ADAM_BETA2

@@ -54,8 +54,6 @@ def select_aps(
     Returns the reduced dataset plus the kept column indices into the original
     AP ordering; kept columns preserve their relative order.
     """
-    if dataset.n_samples == 0:
-        raise DataError("cannot select APs on an empty dataset")
     missing_frac = np.mean(dataset.rssi == cfg.sentinel, axis=0)
     kept = np.flatnonzero((missing_frac < 1.0) & (missing_frac <= 1.0 - cfg.tau)).tolist()
     if not kept:
@@ -74,10 +72,7 @@ def impute_missing(
     missing = dataset.rssi == cfg.sentinel
     if not missing.any():
         return dataset, None
-    observed = dataset.rssi[~missing]
-    if observed.size == 0:
-        raise DataError("no observed RSSI values anywhere; cannot impute")
-    fill = float(observed.min()) - cfg.impute_offset
+    fill = float(dataset.rssi[~missing].min()) - cfg.impute_offset
     return replace(dataset, rssi=np.where(missing, fill, dataset.rssi)), fill
 
 
@@ -97,8 +92,6 @@ def meta_signal_dim(ap_counts: Sequence[int]) -> int:
     Even-length lists average the two middle values; a fractional result is
     rounded half away from zero because the result is a layer width.
     """
-    if len(ap_counts) == 0:
-        raise DataError("cannot take the median of an empty AP-count list")
     ordered = sorted(ap_counts)
     k = len(ordered)
     if k % 2 == 1:

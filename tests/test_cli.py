@@ -29,10 +29,11 @@ ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
 
 
-def with_dataset(tmp_path: Path, schema_text: str, **entry) -> Path:
-    """``small_config`` plus one CSV dataset (two APs, 20 rows) with the given schema file text."""
+def with_dataset(tmp_path: Path, schema_text: str, header: str = "A,B,X,Y", **entry) -> Path:
+    """``small_config`` plus one CSV dataset (two APs, then two coordinates, 20 rows)
+    with the given schema file text and column names."""
     rows = [f"{-40 - i},{-70 + i},{i % 5}.0,{i // 5}.0" for i in range(20)]
-    (tmp_path / "d0.csv").write_text("\n".join(["A,B,X,Y", *rows]) + "\n")
+    (tmp_path / "d0.csv").write_text("\n".join([header, *rows]) + "\n")
     (tmp_path / "d0_schema.json").write_text(schema_text)
     return small_config(tmp_path, datasets=[{"csv": "d0.csv", "schema": "d0_schema.json", "id": "D0", **entry}])
 
@@ -204,6 +205,14 @@ class TestDatasetPreprocess:
         assert cli.run(["preprocess", "--config", str(path)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("data error") and "partition by floor requires floor labels" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_coordinates_that_the_ap_prefix_matches_exit_3(self, tmp_path, capsys):
+        schema = '{"coord_columns": ["LAT", "LON"], "ap_prefix": "L"}'
+        path = with_dataset(tmp_path, schema, header="L1,L2,LAT,LON")
+        assert cli.run(["preprocess", "--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error") and "['LAT', 'LON'] would be read both as APs and as coordinates" in err
         assert not (tmp_path / "out").exists()
 
     def test_a_one_coordinate_dataset_takes_the_plain_split(self, tmp_path):
@@ -460,6 +469,10 @@ class TestReportFromHandWrittenTraces:
         assert entry["MI"]["im_steps"]["101"] is None
         assert entry["improvement"]["accuracy"] == {"50": 0.0, "100": 0.0, "101": None}
 
+    def test_a_zero_ri_mde_at_a_checkpoint_reports_no_accuracy_improvement(self, tmp_path):
+        entry = self.report(tmp_path, {("MI", 0): [1.0] * 50, ("RI", 0): [0.0] * 50})
+        assert entry["improvement"]["accuracy"] == {"50": None}
+
     def test_an_integer_target_writes_the_same_report_as_its_float(self, tmp_path):
         series = {("MI", 0): self.reaching(100), ("RI", 0): self.reaching(310)}
         written = []
@@ -659,6 +672,20 @@ class TestTheoryProbeCommand:
         after = experiments.cmd_theory_probe(config)
         assert after["grad_sq_trace_random_init"] == before["grad_sq_trace_random_init"]
         assert after["delta1_hat"] == before["delta1_hat"]
+
+    def test_a_meta_train_that_did_not_finish_exits_3_and_keeps_the_probe_report(self, tmp_path, capsys):
+        # train/ without meta_final.npz: a meta-train killed before its last write
+        path = small_config(tmp_path)
+        for phase in ("preprocess", "meta-train", "theory-probe"):
+            assert cli.run([phase, "--config", str(path)]) == 0
+        config = experiments.load_experiment_config(path)
+        config.checkpoint_path.unlink()
+        before = tree_digest(config.experiment_dir / "theory")
+        assert before
+        capsys.readouterr()
+        assert cli.run(["theory-probe", "--config", str(path)]) == 3
+        assert capsys.readouterr().err.startswith(f"data error: checkpoint not found: {config.checkpoint_path}")
+        assert tree_digest(config.experiment_dir / "theory") == before
 
     def test_checkpoint_that_does_not_fit_the_config_exits_2(self, tmp_path, capsys):
         path = small_config(tmp_path)
@@ -1297,6 +1324,13 @@ def _edit_meta(edit):
     return corrupt
 
 
+def _no_aps(bundle: Path) -> None:
+    """A bundle that is whole but for having no AP column: m = 0, the arrays hold the coordinates alone."""
+    _edit_meta(lambda meta: meta.update(m=0, ap_names=[]))(bundle)
+    for name in ("support.npy", "query.npy"):
+        _rewrite_array(name, lambda a: a[:, -2:])(bundle)
+
+
 BUNDLE_FAULTS = {  # T00 and T02 of small_config: m = 5, p = 2, 42 support and 18 query rows
     "truncated_array_data": (_truncate_support, "support.npy: not a .npy array: Failed to read all data"),
     "wrong_column_count": (
@@ -1322,6 +1356,7 @@ BUNDLE_FAULTS = {  # T00 and T02 of small_config: m = 5, p = 2, 42 support and 1
     "empty_file": (lambda b: (b / "query.npy").write_bytes(b""), "query.npy: not a .npy array"),
     "meta_not_json": (lambda b: (b / "meta.json").write_text("{not json"), "JSONDecodeError"),
     "meta_without_m": (_edit_meta(lambda meta: meta.pop("m")), "KeyError: 'm'"),
+    "no_aps": (_no_aps, "meta.json: m must be >= 1, got 0"),
     "nan_in_support": (
         _rewrite_array("support.npy", lambda a: np.where(np.arange(a.size).reshape(a.shape) == 8, np.nan, a)),
         "support.npy: non-finite value nan at row 1, column 1",
@@ -1348,6 +1383,17 @@ BUNDLE_FAULTS = {  # T00 and T02 of small_config: m = 5, p = 2, 42 support and 1
 
 @pytest.mark.filterwarnings("error::UserWarning")
 class TestMalformedBundle:
+    @pytest.mark.parametrize("split", ["support", "query"])
+    def test_an_empty_split_exits_3_naming_the_task(self, tmp_path, capsys, split):
+        # the one check that keeps an empty batch or query set from the model and the MDE
+        path = small_config(tmp_path)
+        assert cli.run(["preprocess", "--config", str(path)]) == 0
+        bundle = experiments.load_experiment_config(path).tasks_dir / "T00"
+        _edit_meta(lambda meta: meta.update({f"n_{split}": 0}))(bundle)
+        _rewrite_array(f"{split}.npy", lambda a: a[:0])(bundle)
+        assert cli.run(["meta-train", "--config", str(path)]) == 3
+        assert "data error: task T00: empty support or query set" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "fault, message",
         [

@@ -249,10 +249,6 @@ class TestPartition:
         building_only = replace(schema, building_col="BUILDINGID")
         assert [name for name, _ in load_csv(path, building_only, "building")] == ["B0"]
 
-    def test_unknown_rule_rejected(self, tmp_path):
-        with pytest.raises(ConfigError, match="unknown partition rule 'room'"):
-            load_csv(grouped_csv(tmp_path / "g.csv", [1]), UJI_SCHEMA, "room")
-
     def test_missing_label_column_rejected(self, tmp_path):
         path = write_csv(tmp_path / "g.csv", ["WAP001", "LONGITUDE", "LATITUDE", "BUILDINGID"], [[-50.0, 1.0, 2.0, 0]])
         with pytest.raises(DataError, match="missing columns"):
@@ -308,16 +304,6 @@ class TestSplit:
         ds = grouped_dataset([1], rows_per_group=1)
         with pytest.raises(DataError):
             split_support_query(ds, 0.5, seed=0)
-
-    def test_bad_ratio(self):
-        ds = grouped_dataset([1], rows_per_group=4)
-        with pytest.raises(ConfigError):
-            split_support_query(ds, 1.0, seed=0)
-
-    def test_ratio_of_zero_rejected(self):
-        ds = grouped_dataset([1], rows_per_group=4)
-        with pytest.raises(ConfigError):
-            split_support_query(ds, 0.0, seed=0)
 
     @pytest.mark.parametrize("ratio, n_support", [(0.01, 1), (0.5, 6), (0.9, 11)])
     def test_support_takes_the_ceiling(self, ratio, n_support):

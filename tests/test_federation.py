@@ -88,10 +88,6 @@ class TestServerInit:
         for client in clients:
             assert params_equal(client.model.vectors["meta"], meta.params)
 
-    def test_empty_cohort_rejected(self):
-        with pytest.raises(ConfigError):
-            server_init([], tiny_model_config(), FederationParams(eta=0.01, seed=0))
-
     @given(st.lists(st.integers(min_value=1, max_value=10_000), min_size=1, max_size=200))
     @settings(max_examples=100, deadline=None)
     def test_contribution_factors_sum_to_one(self, sizes):
@@ -268,14 +264,6 @@ class TestServerAggregate:
         sizes = cfg.part_sizes("meta")
         plain = reference_sgd_step(nn.unflatten(meta.params, sizes), nn.unflatten(update.vector, sizes), 0.05)
         assert params_equal(new.params, nn.flatten(plain, sizes))
-
-    def test_shape_mismatch_rejected(self):
-        tasks, cfg = small_cohort(1)
-        meta, clients = server_init(tasks, cfg, FederationParams(eta=0.05, seed=8))
-        update = client_local_train(clients[0], meta.broadcast(), FederationParams(local_steps=0))
-        update.vector = np.zeros(1)
-        with pytest.raises(ConfigError):
-            server_aggregate(meta, [update], {clients[0].client_id: 1.0}, FederationParams())
 
     def test_average_aggregation_keeps_weighted_local_parameters(self):
         tasks, cfg = small_cohort(2, samples=40)

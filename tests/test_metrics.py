@@ -11,7 +11,6 @@ from fedmetaloc.errors import ConfigError, DataError, DivergenceError
 from fedmetaloc.model import PART_NAMES, ClientModel
 from fedmetaloc.metrics import (
     TheoryProbeParams,
-    accuracy_speed_from_steps,
     cdf_curve,
     epsilon_accuracy_steps,
     estimate_delta1,
@@ -59,10 +58,6 @@ class TestMde:
         truth = np.zeros((2, 2))
         assert mde(pred, truth) == pytest.approx(2.5)
 
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ConfigError):
-            mde(np.zeros((2, 2)), np.zeros((3, 2)))
-
     @given(coords_strategy, st.randoms(use_true_random=False))
     @settings(max_examples=50, deadline=None)
     def test_permutation_invariant(self, points, rnd):
@@ -91,10 +86,6 @@ class TestImprovementPercent:
 
     def test_equal_values_give_zero(self):
         assert improvement_percent(4.2, 4.2) == 0.0
-
-    def test_zero_baseline_rejected(self):
-        with pytest.raises(ConfigError):
-            improvement_percent(1.0, 0.0)
 
 
 class TestCdf:
@@ -219,19 +210,6 @@ class TestEpsilonAccuracySteps:
             adapt_parts=("meta",), part_overrides=overrides,
         )
         assert steps is None and len(trace) == 15
-
-    def test_wrong_size_override_rejected(self):
-        task, cfg, overrides, theta0 = linear_probe_setup(seed=1)
-        with pytest.raises(ConfigError):
-            epsilon_accuracy_steps(
-                task, cfg, theta0, TheoryProbeParams(epsilon=1.0, max_steps=2, mu=0.1),
-                part_overrides={**overrides, "mapper": np.zeros(overrides["mapper"].size + 1)},
-            )
-        with pytest.raises(ConfigError):
-            linearization_probe(
-                task, cfg, TheoryProbeParams(linearization_mu_list=(0.1,), linearization_steps=1),
-                part_overrides={"meta": theta0[:-1]},
-            )
 
     def test_matches_closed_form_gradient_decay_oracle(self):
         task, cfg, overrides, theta0 = linear_probe_setup(m=3, out=2, n_support=24, n_query=16, seed=2)
@@ -427,9 +405,7 @@ class TestEstimators:
         assert expected > 0
         assert estimate_delta1(task, cfg, params) == expected
 
-    def test_speed_helpers_validate_inputs(self):
-        with pytest.raises(ConfigError):
-            accuracy_speed_from_steps(0, 32)
+    def test_first_step_reaching_the_target_and_zero_mde_speed(self):
         assert steps_to_accuracy([7.0, 4.0], 5.0) == 2
         assert step_speed_from_mde(0.0, 32) == 0.0
 
