@@ -24,7 +24,7 @@ from fedmetaloc.data import (
     synth_environment,
 )
 from fedmetaloc.errors import ConfigError, DataError
-from fedmetaloc.experiments import ExperimentConfig, TaskOptions, load_experiment_config
+from fedmetaloc.experiments import DatasetSource, ExperimentConfig, TaskOptions, load_experiment_config
 
 from helpers import reference_load_csv, reference_segment_crossings, synth_task
 
@@ -249,6 +249,11 @@ class TestPartition:
         building_only = replace(schema, building_col="BUILDINGID")
         assert [name for name, _ in load_csv(path, building_only, "building")] == ["B0"]
 
+    def test_unknown_rule_rejected(self, tmp_path):
+        # the rule is checked once, where a datasets entry is read
+        with pytest.raises(ConfigError, match="partition must be one of"):
+            DatasetSource(grouped_csv(tmp_path / "g.csv", [1]), UJI_SCHEMA, "room")
+
     def test_missing_label_column_rejected(self, tmp_path):
         path = write_csv(tmp_path / "g.csv", ["WAP001", "LONGITUDE", "LATITUDE", "BUILDINGID"], [[-50.0, 1.0, 2.0, 0]])
         with pytest.raises(DataError, match="missing columns"):
@@ -304,6 +309,18 @@ class TestSplit:
         ds = grouped_dataset([1], rows_per_group=1)
         with pytest.raises(DataError):
             split_support_query(ds, 0.5, seed=0)
+
+    # split_support_query takes the ratio as given: the config is the one
+    # place it is checked, for the config's own ratio and for an entry's
+    def test_bad_ratio(self, tmp_path):
+        envs = [(SyntheticEnvSpec(num_aps=2), TaskOptions("T00"))]
+        with pytest.raises(ConfigError, match=re.escape("support_ratio must be in (0, 1) for task T00, got 1.0")):
+            ExperimentConfig("x", tmp_path, synthetic_envs=envs, support_ratio=1.0)
+
+    def test_ratio_of_zero_rejected(self, tmp_path):
+        envs = [(SyntheticEnvSpec(num_aps=2), TaskOptions("T00", support_ratio=0.0))]
+        with pytest.raises(ConfigError, match=re.escape("synthetic_envs[0] (T00).support_ratio must be in (0, 1)")):
+            ExperimentConfig("x", tmp_path, synthetic_envs=envs)
 
     @pytest.mark.parametrize("ratio, n_support", [(0.01, 1), (0.5, 6), (0.9, 11)])
     def test_support_takes_the_ceiling(self, ratio, n_support):

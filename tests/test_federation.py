@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedmetaloc import nn
+from fedmetaloc.data import SyntheticEnvSpec
 from fedmetaloc.errors import ConfigError, DataError
+from fedmetaloc.experiments import ExperimentConfig, TaskOptions, cmd_meta_train
 from fedmetaloc.federation import (
     AdaptationTrace,
     BatchStream,
@@ -87,6 +89,14 @@ class TestServerInit:
         meta, clients = server_init(tasks, cfg, FederationParams(eta=0.01, seed=1))
         for client in clients:
             assert params_equal(client.model.vectors["meta"], meta.params)
+
+    def test_empty_cohort_rejected(self, tmp_path):
+        # meta-train rejects an empty train_tasks before a cohort is built
+        envs = [(SyntheticEnvSpec(num_aps=2), TaskOptions("T00"))]
+        config = ExperimentConfig("x", tmp_path, synthetic_envs=envs, test_tasks=["T00"])
+        with pytest.raises(ConfigError, match="train_tasks is empty"):
+            cmd_meta_train(config)
+        assert not any(tmp_path.iterdir())
 
     @given(st.lists(st.integers(min_value=1, max_value=10_000), min_size=1, max_size=200))
     @settings(max_examples=100, deadline=None)

@@ -1,12 +1,14 @@
 import re
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from itertools import combinations
 
 import numpy as np
 import pytest
 
 from fedmetaloc import metrics, model as model_module, nn
-from fedmetaloc.errors import ConfigError
+from fedmetaloc.data import SyntheticEnvSpec
+from fedmetaloc.errors import ConfigError, DataError
+from fedmetaloc.experiments import ExperimentConfig, TaskOptions, _trained_theta, write_round_log
 from fedmetaloc.federation import FederationParams, MetaModel, MetaTestParams, load_checkpoint, save_checkpoint
 from fedmetaloc.metrics import TheoryProbeParams
 from fedmetaloc.model import PART_NAMES, ClientModel, ModelConfig
@@ -21,6 +23,7 @@ from helpers import (
     reference_grad_sq_norm,
     reference_sgd_step,
     rel_err,
+    synth_task,
     tiny_model_config,
 )
 
@@ -259,6 +262,18 @@ class TestCompositeLoss:
             for key in live:
                 assert rel_err(keyed[key], fd[key]) <= 1e-4, (part, key)
 
+    def test_empty_batch_rejected(self):
+        # a batch is batch_size >= 1 rows of a nonempty support or query set,
+        # each checked where it enters
+        for params in (FederationParams, MetaTestParams):
+            with pytest.raises(ConfigError, match="batch_size must be >= 1"):
+                params(batch_size=0)
+        task = synth_task(num_aps=5, samples=20)
+        empty = task.support.select_rows(np.arange(0))
+        for split in ("support", "query"):
+            with pytest.raises(DataError, match="empty support or query set"):
+                replace(task, **{split: empty})
+
 
 def bits(vector: np.ndarray) -> bytes:
     return np.ascontiguousarray(vector, dtype=np.float64).tobytes()
@@ -400,6 +415,20 @@ class TestThetaSwap:
         assert not np.array_equal(model.vectors["meta"], original)
         model.set_part_params("meta", original)
         assert np.array_equal(model.vectors["meta"], original)
+
+    def test_wrong_length_rejected(self, tmp_path):
+        # theta reaches set_part_params from a checkpoint only through
+        # _trained_theta, which compares its widths with part_sizes("meta")
+        cfg = tiny_model_config()
+        config = ExperimentConfig(
+            "x", tmp_path, synthetic_envs=[(SyntheticEnvSpec(num_aps=5), TaskOptions("T00"))], train_tasks=["T00"]
+        )
+        write_round_log(config.train_dir / "round_log.csv", ["T00"], [])
+        widths = cfg.part_sizes("meta")
+        wider = [widths[0], widths[1] + 1, *widths[2:]]
+        save_checkpoint(config.checkpoint_path, MetaModel(params=nn.bind(nn.build_stack(wider, seed=4)), widths=wider))
+        with pytest.raises(ConfigError, match="shared-part widths"):
+            _trained_theta(config, config.checkpoint_path, cfg)
 
     def test_broadcast_copy_semantics(self):
         model = ClientModel.build(tiny_model_config(), m=5, seed=4)

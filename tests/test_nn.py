@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedmetaloc import nn
-from fedmetaloc.errors import ConfigError
+from fedmetaloc.errors import ConfigError, DataError
+from fedmetaloc.federation import load_checkpoint
 
 from helpers import (
     central_difference,
@@ -99,6 +100,15 @@ class TestBackward:
         fd = central_difference(loss_value, live, h=1e-5)
         for key in live:
             assert rel_err(grads[key], fd[key]) <= 1e-4
+
+    def test_stale_cache_rejected(self):
+        # a later forward of another batch size regrows the workspace buffers
+        layers = nn.build_stack([3, 2], seed=0)
+        workspace = nn.Workspace()
+        _, cache = nn.forward(layers, np.zeros((1, 3)), workspace)
+        nn.forward(layers, np.zeros((4, 3)), workspace)
+        with pytest.raises(RuntimeError, match=re.escape("stale cache: its workspace has run 1 forward(s)")):
+            nn.backward(cache, np.zeros((1, 2)))
 
     def test_a_later_forward_through_the_workspace_makes_the_cache_stale(self):
         # same shape: only the workspace generation tells the two passes apart
@@ -321,6 +331,18 @@ class TestFlatLayout:
         assert list(views) == list(exported)
         assert all(np.array_equal(views[k], exported[k]) for k in exported)
         assert vector.size == 3 * 4 + 4 + 4 * 2 + 2
+
+    def test_flatten_rejects_wrong_keys_and_shapes(self, tmp_path):
+        # flatten reads outside data only through load_checkpoint, which
+        # checks the members and shapes first
+        params = nn.export_params(nn.build_stack([3, 4, 2], seed=1))
+        missing = {k: v for k, v in params.items() if k != "layer1.biases"}
+        unchained = {**params, "layer0.weights": np.zeros((5, 3)), "layer0.biases": np.zeros(5)}
+        for tensors, message in ((missing, "are not meta/layer0..k-1"), (unchained, "takes 4 inputs")):
+            path = tmp_path / "ckpt.npz"
+            np.savez(path, __extra__=np.str_('{"round": 0}'), **{f"meta/{k}": v for k, v in tensors.items()})
+            with pytest.raises(DataError, match=re.escape(message)):
+                load_checkpoint(path)
 
     def test_backward_writes_one_flat_gradient_vector(self):
         layers = nn.build_stack([4, 6, 3], seed=2)

@@ -79,6 +79,12 @@ class TestImputeMissing:
         assert out is ds
         assert fill is None
 
+    def test_no_observed_values_is_an_error(self):
+        # select_aps, which runs first, keeps only columns with an observed value
+        ds = dataset_from([[SENTINEL], [SENTINEL]])
+        with pytest.raises(DataError, match="dropped every column"):
+            preprocess_dataset(ds, PreprocessConfig())
+
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=25, deadline=None)
     def test_idempotent_and_sentinel_free(self, seed):
