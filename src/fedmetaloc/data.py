@@ -63,13 +63,6 @@ class FingerprintDataset:
             ap_names=[self.ap_names[i] for i in cols],
         )
 
-    def validate_model_ready(self) -> None:
-        """Datasets entering training must be finite and nonempty."""
-        if self.n_samples == 0:
-            raise DataError("dataset has no samples")
-        if not np.isfinite(self.rssi).all() or not np.isfinite(self.coords).all():
-            raise DataError("dataset contains non-finite values")
-
 
 @dataclass(frozen=True)
 class SchemaConfig:
@@ -168,10 +161,6 @@ class LocalizationTask:
     label_center: np.ndarray
     label_scale: np.ndarray
 
-    def __post_init__(self) -> None:
-        if self.support.n_samples == 0 or self.query.n_samples == 0:
-            raise DataError(f"task {self.task_id}: empty support or query set")
-
     @property
     def m(self) -> int:
         return self.support.n_aps
@@ -193,9 +182,11 @@ def make_task(
     ratio: float = 0.7,
     seed: int = 0,
 ) -> LocalizationTask:
-    """Split a per-environment dataset and fit its label scaling."""
-    dataset.validate_model_ready()
-    support, query = split_support_query(dataset, ratio, seed)
+    """Split a per-environment dataset and fit its label scaling; a data error names the task."""
+    try:
+        support, query = split_support_query(dataset, ratio, seed)
+    except DataError as exc:  # fewer than 2 samples
+        raise DataError(f"task {task_id}: {exc}") from exc
     if query.n_samples == 0:
         raise DataError(f"task {task_id}: split ratio {ratio} left no query samples")
     center = dataset.coords.mean(axis=0)
@@ -377,9 +368,9 @@ def _read_split(path: Path, rows: int, ap_names: list[str], coord_names: list[st
 def read_bundle_meta(directory: str | Path) -> dict:
     """The parsed ``meta.json`` of a bundle written by :func:`save_task_bundle`;
     anything malformed is a :class:`DataError`. Its ``task_id`` must be the
-    bundle directory's name, ``m`` >= 1 the number of AP names, and the label
-    scaling ``p`` finite centers and ``p`` finite scales > 0, ``p`` being the
-    number of coordinate names."""
+    bundle directory's name, ``m`` >= 1 the number of AP names, ``n_support``
+    and ``n_query`` >= 1, and the label scaling ``p`` finite centers and ``p``
+    finite scales > 0, ``p`` being the number of coordinate names."""
     directory = Path(directory)
     meta_path = directory / "meta.json"
     if not meta_path.exists():
@@ -402,8 +393,9 @@ def read_bundle_meta(directory: str | Path) -> dict:
         raise DataError(
             f"malformed {meta_path}: task_id {meta['task_id']!r} differs from the bundle directory's {directory.name!r}"
         )
-    if meta["m"] < 1:
-        raise DataError(f"malformed {meta_path}: m must be >= 1, got {meta['m']}")
+    for key in ("m", "n_support", "n_query"):
+        if meta[key] < 1:
+            raise DataError(f"malformed {meta_path}: {key} must be >= 1, got {meta[key]}")
     if len(meta["ap_names"]) != meta["m"]:
         raise DataError(f"malformed {meta_path}: {len(meta['ap_names'])} AP names for m = {meta['m']}")
     p = len(meta["coord_names"])

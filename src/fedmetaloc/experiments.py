@@ -240,33 +240,44 @@ def _clear(config: ExperimentConfig, own: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _collect_environments(config: ExperimentConfig) -> list[tuple[str, FingerprintDataset, TaskOptions]]:
-    envs: list[tuple[str, FingerprintDataset, TaskOptions]] = []
-    for source, opts in config.datasets:
-        envs.extend((name or opts.id, ds, opts) for name, ds in load_csv(source.csv, source.schema, source.partition))
-    for spec, opts in config.synthetic_envs:
-        envs.append((opts.id, synth_environment(spec, config.preprocess.sentinel), opts))
-    seen = set()
-    for env_id, _, _ in envs:
-        if env_id in seen:
+def _collect_environments(config: ExperimentConfig) -> dict[str, tuple[FingerprintDataset, TaskOptions]]:
+    """Every environment of the config's sources by task id, each checked where
+    it enters: a new task id, and finite raw RSSI and coordinates (an error
+    names the CSV file or synthetic entry, the task and the column)."""
+    envs = [(source.csv, name or opts.id, dataset, opts) for source, opts in config.datasets
+            for name, dataset in load_csv(source.csv, source.schema, source.partition)]
+    envs += [(f"config.synthetic_envs[{i}]", opts.id, synth_environment(spec, config.preprocess.sentinel), opts)
+             for i, (spec, opts) in enumerate(config.synthetic_envs)]
+    checked: dict[str, tuple[FingerprintDataset, TaskOptions]] = {}
+    for where, env_id, dataset, opts in envs:
+        if env_id in checked:
             raise ConfigError(f"duplicate task id {env_id!r}")
-        seen.add(env_id)
-    return envs
+        for values, names in ((dataset.rssi, dataset.ap_names), (dataset.coords, dataset.coord_names)):
+            bad = ~np.isfinite(values).all(axis=0)
+            if bad.any():
+                raise DataError(f"{where}: task {env_id}: column {names[bad.argmax()]} holds a non-finite value")
+        checked[env_id] = dataset, opts
+    return checked
 
 
 def cmd_preprocess(config: ExperimentConfig) -> list[str]:
     """Build per-task bundles: preprocess each environment, split, and save.
-    A listed task that no source produces fails before ``tasks/`` is emptied."""
-    envs = sorted(_collect_environments(config), key=lambda e: e[0])
-    task_ids = [env_id for env_id, _, _ in envs]
+    Every task is built, and so every input checked, before ``tasks/`` is emptied."""
+    envs = sorted(_collect_environments(config).items())
+    task_ids = [env_id for env_id, _ in envs]
     for listed in (*config.train_tasks, *config.test_tasks):
         if listed not in task_ids:
             raise ConfigError(f"task {listed!r} listed in config but not produced; have {task_ids}")
+    built = []
+    for split_seed in np.random.SeedSequence(config.split_seed).generate_state(len(envs)):
+        env_id, (dataset, opts) = envs.pop(0)  # each raw dataset is released once its task is built
+        try:
+            processed, report = preprocess_dataset(dataset, config.preprocess)
+        except DataError as exc:  # AP selection or the powed range
+            raise DataError(f"task {env_id}: {exc}") from exc
+        built.append((make_task(env_id, processed, config.split_ratio(opts), int(split_seed)), report))
     _clear(config, "tasks")
-    split_seeds = np.random.SeedSequence(config.split_seed).generate_state(len(envs))
-    for (env_id, dataset, opts), split_seed in zip(envs, split_seeds):
-        processed, report = preprocess_dataset(dataset, config.preprocess)
-        task = make_task(env_id, processed, config.split_ratio(opts), int(split_seed))
+    for task, report in built:
         save_task_bundle(task, config.tasks_dir, extra={"preprocess": asdict(report)})
     return task_ids
 
@@ -441,7 +452,7 @@ def _aggregate_mode(records: list[dict], mt: MetaTestParams) -> dict:
     for target in map(str, mt.targets_m):
         steps = [r["steps_to_target"][target] for r in records]
         speeds = [0.0 if n is None else metrics.accuracy_speed_from_steps(n, mt.batch_size) for n in steps]
-        agg["im_accuracy"][target] = float(np.mean(speeds)) if speeds else 0.0
+        agg["im_accuracy"][target] = float(np.mean(speeds))
         agg["not_reached"][target] = steps.count(None)
     for n_star in map(str, mt.step_checkpoints):
         agg["im_steps"][n_star] = _mean(
@@ -510,13 +521,9 @@ def cmd_report(config: ExperimentConfig) -> dict:
         by_mode = [task_entry[mode]["records"] for mode in MODES]
         improvement: dict = {"steps": {}, "accuracy": {}}
         for target in map(str, mt.targets_m):
-            mean_steps = [
-                _mean_steps([r["steps_to_target"][target] for r in records], mt.steps)
-                for records in by_mode
-                if records
-            ]
             # each mode holds one record per seed, and a mean of steps is >= 1
-            improvement["steps"][target] = metrics.improvement_percent(*mean_steps) if mean_steps else None
+            mean_steps = [_mean_steps([r["steps_to_target"][target] for r in records], mt.steps) for records in by_mode]
+            improvement["steps"][target] = metrics.improvement_percent(*mean_steps)
         for n_star in map(str, mt.step_checkpoints):
             mi, ri = (_mean(_at_step(records, n_star)) for records in by_mode)
             improvement["accuracy"][n_star] = (

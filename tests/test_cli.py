@@ -8,6 +8,7 @@ import subprocess
 import sys
 import types
 import typing
+import warnings
 import zipfile
 from dataclasses import asdict
 from pathlib import Path
@@ -221,6 +222,82 @@ class TestDatasetPreprocess:
         task = load_task_bundle(experiments.load_experiment_config(path).tasks_dir / "D0")
         assert (task.support.n_samples, task.query.n_samples) == (10, 10)
         assert task.support.coords.shape == (10, 1)
+
+
+def _set_cells(rows, cols, value):
+    """An edit of d0.csv's values that sets the cells at ``rows``, ``cols`` to ``value``."""
+
+    def edit(values: np.ndarray) -> np.ndarray:
+        values[rows, cols] = value
+        return values
+
+    return edit
+
+
+PREPROCESS_FAULTS = {  # an edit of d0.csv's (A, B, X, Y) values, and the message; T03 is d0.csv's task
+    "nan_rssi": (_set_cells(3, 1, np.nan), "{csv}: task T03: column B holds a non-finite value"),
+    "inf_coordinate": (_set_cells(5, 3, np.inf), "{csv}: task T03: column Y holds a non-finite value"),
+    "every_ap_missing": (
+        _set_cells(slice(None), slice(0, 2), 100.0),
+        "task T03: AP selection dropped every column; signal space is empty",
+    ),
+    "one_sample": (lambda values: values[:1], "task T03: need at least 2 samples to split, got 1"),
+}
+
+
+class TestPreprocessChecksBeforeEmptying:
+    """Preprocess loads, checks and builds every task before it empties
+    ``tasks/``: an input it refuses leaves every earlier output as it was."""
+
+    def ran(self, path: Path) -> dict[str, str]:
+        """The output digest after all five phases ran on ``path``."""
+        for phase in ("preprocess", "meta-train", "meta-test", "theory-probe", "report"):
+            assert cli.run([phase, "--config", str(path)]) == 0, phase
+        return tree_digest(path.parent / "out")
+
+    @pytest.mark.parametrize("fault", sorted(PREPROCESS_FAULTS))
+    def test_a_bad_environment_exits_3_naming_its_task_and_keeps_every_output(self, tmp_path, capsys, fault):
+        # T03 sorts after the synthetic T00-T02, whose bundles a preprocess that emptied tasks/ first would rewrite
+        path = with_dataset(tmp_path, SCHEMA, id="T03")
+        before = self.ran(path)
+        edit, message = PREPROCESS_FAULTS[fault]
+        csv = tmp_path / "d0.csv"
+        values = edit(np.loadtxt(csv, delimiter=",", skiprows=1, ndmin=2))
+        np.savetxt(csv, values, delimiter=",", header="A,B,X,Y", comments="")
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.run(["preprocess", "--config", str(path)]) == 3
+        assert capsys.readouterr().err == f"data error: {message.format(csv=csv)}\n"
+        assert [str(w.message) for w in caught] == []
+        assert tree_digest(tmp_path / "out") == before
+
+    def test_no_ap_column_matching_the_prefix_exits_3(self, tmp_path, capsys):
+        path = with_dataset(tmp_path, SCHEMA, id="T03")
+        before = self.ran(path)
+        (tmp_path / "d0_schema.json").write_text('{"coord_columns": ["X", "Y"], "ap_prefix": "WAP"}')
+        capsys.readouterr()
+        assert cli.run(["preprocess", "--config", str(path)]) == 3
+        assert capsys.readouterr().err == f"data error: {tmp_path / 'd0.csv'}: no AP columns match prefix 'WAP'\n"
+        assert tree_digest(tmp_path / "out") == before
+
+    def test_a_config_without_a_data_source_exits_2(self, tmp_path, capsys):
+        path = small_config(tmp_path)
+        before = self.ran(path)
+        small_config(tmp_path, synthetic_envs=[])
+        capsys.readouterr()
+        assert cli.run(["preprocess", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == "configuration error: config: no data source: set datasets or synthetic_envs\n"
+        assert tree_digest(tmp_path / "out") == before
+
+    def test_a_duplicate_task_id_exits_2(self, tmp_path, capsys):
+        path = with_dataset(tmp_path, SCHEMA, id="T03")
+        before = self.ran(path)
+        with_dataset(tmp_path, SCHEMA, id="T01")
+        capsys.readouterr()
+        assert cli.run(["preprocess", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == "configuration error: duplicate task id 'T01'\n"
+        assert tree_digest(tmp_path / "out") == before
 
 
 class TestModelResolution:
@@ -1392,7 +1469,7 @@ class TestMalformedBundle:
         _edit_meta(lambda meta: meta.update({f"n_{split}": 0}))(bundle)
         _rewrite_array(f"{split}.npy", lambda a: a[:0])(bundle)
         assert cli.run(["meta-train", "--config", str(path)]) == 3
-        assert "data error: task T00: empty support or query set" in capsys.readouterr().err
+        assert f"data error: malformed {bundle / 'meta.json'}: n_{split} must be >= 1, got 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "fault, message",

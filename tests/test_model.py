@@ -1,12 +1,13 @@
+import json
 import re
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from itertools import combinations
 
 import numpy as np
 import pytest
 
 from fedmetaloc import metrics, model as model_module, nn
-from fedmetaloc.data import SyntheticEnvSpec
+from fedmetaloc.data import SyntheticEnvSpec, read_bundle_meta, save_task_bundle
 from fedmetaloc.errors import ConfigError, DataError
 from fedmetaloc.experiments import ExperimentConfig, TaskOptions, _trained_theta, write_round_log
 from fedmetaloc.federation import FederationParams, MetaModel, MetaTestParams, load_checkpoint, save_checkpoint
@@ -262,17 +263,18 @@ class TestCompositeLoss:
             for key in live:
                 assert rel_err(keyed[key], fd[key]) <= 1e-4, (part, key)
 
-    def test_empty_batch_rejected(self):
+    def test_empty_batch_rejected(self, tmp_path):
         # a batch is batch_size >= 1 rows of a nonempty support or query set,
-        # each checked where it enters
+        # each checked where it enters: the config, and a bundle's meta.json
         for params in (FederationParams, MetaTestParams):
             with pytest.raises(ConfigError, match="batch_size must be >= 1"):
                 params(batch_size=0)
-        task = synth_task(num_aps=5, samples=20)
-        empty = task.support.select_rows(np.arange(0))
+        bundle = save_task_bundle(synth_task(num_aps=5, samples=20, task_id="T00"), tmp_path)
+        meta = json.loads((bundle / "meta.json").read_text())
         for split in ("support", "query"):
-            with pytest.raises(DataError, match="empty support or query set"):
-                replace(task, **{split: empty})
+            (bundle / "meta.json").write_text(json.dumps({**meta, f"n_{split}": 0}))
+            with pytest.raises(DataError, match=re.escape(f"{bundle / 'meta.json'}: n_{split} must be >= 1, got 0")):
+                read_bundle_meta(bundle)
 
 
 def bits(vector: np.ndarray) -> bytes:
