@@ -49,13 +49,12 @@ SUMMARY_FILE = "sweep_summary.json"
 
 def run_arm(config_path: str, out: Path) -> None:
     """Child side: one full cohort run at this process's BLAS threads."""
-    config = experiments.load_experiment_config(config_path)
-    config.out_dir = out
+    config = dataclasses.replace(experiments.load_experiment_config(config_path), out_dir=out)
     experiments.cmd_preprocess(config)
     experiments.cmd_meta_train(config)
     results = []
     for seeds in (config.meta_test.seeds, *REPORT_ONLY_SEED_SETS):
-        config.meta_test = dataclasses.replace(config.meta_test, seeds=tuple(seeds))
+        config = dataclasses.replace(config, meta_test=dataclasses.replace(config.meta_test, seeds=tuple(seeds)))
         report = experiments.cmd_meta_test(config)
         summary = experiments.paired_step_summary(report, TARGET_M, config.meta_test.steps)
         results.append({"seed_set": list(seeds), **summary})

@@ -4,12 +4,14 @@ Subcommands mirror the experiment phases::
 
     fedmetaloc preprocess   --config exp.json
     fedmetaloc meta-train   --config exp.json
-    fedmetaloc meta-test    --config exp.json [--checkpoint path.npz]
+    fedmetaloc meta-test    --config exp.json
     fedmetaloc theory-probe --config exp.json
     fedmetaloc report       --config exp.json
 
-``meta-test`` and ``report`` end with one line per meta-test target: the
-paired MI/RI step comparison of :func:`experiments.paired_step_summary`.
+The config file is the only option: it names the output root (``out_dir``),
+and meta-test reads the checkpoint that the experiment's own meta-train
+wrote. ``meta-test`` and ``report`` end with one line per meta-test target:
+the paired MI/RI step comparison of :func:`experiments.paired_step_summary`.
 
 Exit codes: 0 ok, 2 configuration error, 3 data error, 4 runtime error
 (a diverging run's ``DivergenceError`` among them).
@@ -20,7 +22,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from . import experiments
 from .errors import ConfigError, DataError
@@ -38,16 +39,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
-        cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("--config", required=True, help="experiment JSON file")
-        cmd.add_argument("--out", help="override the output root directory")
-        return cmd
+    def add(name: str, help_text: str) -> None:
+        sub.add_parser(name, help=help_text).add_argument("--config", required=True, help="experiment JSON file")
 
     add("preprocess", "build preprocessed per-task bundles")
     add("meta-train", "run federated meta-training over the training tasks")
-    test = add("meta-test", "fine-tune on held-out tasks under MI and RI")
-    test.add_argument("--checkpoint", help="trained checkpoint (defaults to the experiment's)")
+    add("meta-test", "fine-tune on held-out tasks under MI and RI")
     add("theory-probe", "plain-SGD convergence probes and constant estimates")
     add("report", "rebuild metrics and CDF curves from traces on disk")
     return parser
@@ -68,8 +65,6 @@ def run(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = experiments.load_experiment_config(args.config)
-        if args.out:
-            config.out_dir = Path(args.out)
         if args.command == "preprocess":
             task_ids = experiments.cmd_preprocess(config)
             print(f"wrote {len(task_ids)} task bundles under {config.tasks_dir}")
@@ -81,7 +76,7 @@ def run(argv: list[str] | None = None) -> int:
                 f"checkpoint at {config.checkpoint_path}"
             )
         elif args.command == "meta-test":
-            report = experiments.cmd_meta_test(config, checkpoint=args.checkpoint)
+            report = experiments.cmd_meta_test(config)
             print(f"meta-test finished for {len(report['tasks'])} tasks; report under {config.report_dir}")
             print_paired_summaries(config, report)
         elif args.command == "theory-probe":

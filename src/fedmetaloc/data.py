@@ -189,8 +189,13 @@ def make_task(
         raise DataError(f"task {task_id}: {exc}") from exc
     if query.n_samples == 0:
         raise DataError(f"task {task_id}: split ratio {ratio} left no query samples")
-    center = dataset.coords.mean(axis=0)
-    span = dataset.coords.max(axis=0) - dataset.coords.min(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):  # a sum or span beyond a float64 is refused below
+        center = dataset.coords.mean(axis=0)
+        span = dataset.coords.max(axis=0) - dataset.coords.min(axis=0)
+    overflowed = ~np.isfinite(center) | ~np.isfinite(span)
+    if overflowed.any():
+        name = dataset.coord_names[overflowed.argmax()]
+        raise DataError(f"task {task_id}: coordinate column {name} has a mean or span beyond a float64")
     scale = np.where(span > 0, span, 1.0)
     return LocalizationTask(task_id, support, query, center, scale)
 

@@ -31,8 +31,8 @@ def checked(value: float, what: str) -> float:
 
 def constrained(default=dataclasses.MISSING, **rules):
     """A config field whose ``metadata`` holds its constraints, which
-    :func:`check_fields` enforces: ``ge``, ``gt`` and ``le`` bounds (on each
-    element of a tuple), ``one_of`` (allowed values), ``nonempty`` and
+    :func:`check_fields` enforces: ``ge``, ``gt``, ``le`` and ``lt`` bounds
+    (on each element of a tuple), ``one_of`` (allowed values), ``nonempty`` and
     ``unique`` (no entry twice). An unset (None) optional field is not checked."""
     return dataclasses.field(default=default, metadata=rules)
 
@@ -42,7 +42,7 @@ def finite(x) -> bool:
     return abs(x) <= sys.float_info.max
 
 
-_BOUNDS = {"ge": (operator.ge, ">="), "gt": (operator.gt, ">"), "le": (operator.le, "<=")}
+_BOUNDS = {"ge": (operator.ge, ">="), "gt": (operator.gt, ">"), "le": (operator.le, "<="), "lt": (operator.lt, "<")}
 field_types = functools.cache(typing.get_type_hints)  # a config class's field types, resolved once per class
 
 

@@ -6,10 +6,11 @@ train/test membership, preprocessing, model and federation hyperparameters,
 and the meta-test protocol, each JSON object (and schema sidecar) built at
 load by one parser, ``_section``. Preprocess writes one bundle per produced
 task under ``tasks/``; every later phase takes its tasks from the config's
-``train_tasks`` and ``test_tasks``. Every command is reproducible from
-(config, seed) alone; outputs land under ``out/{experiment}/{phase}/...``,
-which each phase empties, with every directory that depends on it, before
-its first write, and are written atomically (:mod:`fedmetaloc.fileio`).
+``train_tasks`` and ``test_tasks``. The file alone describes a run, and the
+parsed config is frozen: every command is reproducible from the file, whose
+seeds it holds, and writes under ``{out_dir}/{name}/{phase}/``, which it
+empties, with every directory that depends on it, before its first write.
+Every file is written atomically (:mod:`fedmetaloc.fileio`).
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ class TaskOptions:
     when a partition names the tasks) and its own support ratio over the config's."""
 
     id: str
-    support_ratio: float | None = None
+    support_ratio: float | None = constrained(None, gt=0, lt=1)
 
     __post_init__ = check_fields
 
@@ -72,7 +73,7 @@ class DatasetSource:
     __post_init__ = check_fields
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     name: str
     out_dir: Path
@@ -81,7 +82,7 @@ class ExperimentConfig:
     # a task listed twice would be trained or tested twice
     train_tasks: list[str] = field(default_factory=list, metadata={"unique": True})
     test_tasks: list[str] = field(default_factory=list, metadata={"unique": True})
-    support_ratio: float = 0.7
+    support_ratio: float = constrained(0.7, gt=0, lt=1)
     split_seed: int = constrained(0, ge=0)
     d_from_median: bool = False
     preprocess: PreprocessConfig = field(default_factory=PreprocessConfig)
@@ -98,12 +99,6 @@ class ExperimentConfig:
             raise ConfigError(f"train and test task lists overlap: {sorted(overlap)}")
         if not self.datasets and not self.synthetic_envs:
             raise ConfigError("no data source: set datasets or synthetic_envs")
-        for key in ("datasets", "synthetic_envs"):  # the one check of each entry's split ratio
-            for i, (_, opts) in enumerate(getattr(self, key)):
-                ratio = self.split_ratio(opts)
-                if not 0.0 < ratio < 1.0:
-                    own = "" if opts.support_ratio is None else f"{key}[{i}] ({opts.id})."
-                    raise ConfigError(f"{own}support_ratio must be in (0, 1) for task {opts.id}, got {ratio}")
 
     def split_ratio(self, opts: TaskOptions) -> float:
         """The support fraction of an entry's tasks: the entry's own, else the config's."""
@@ -343,11 +338,13 @@ def cmd_meta_train(config: ExperimentConfig) -> tuple[MetaModel, list[federation
 # ---------------------------------------------------------------------------
 
 
-def _trained_theta(config: ExperimentConfig, checkpoint: str | Path, model_config: ModelConfig) -> np.ndarray:
-    """The trained shared part in ``checkpoint``, whose layer widths must be
-    those of ``model_config``; no other setting of the checkpoint is read.
-    It must have been meta-trained on ``config.train_tasks``, which the header
-    of ``train/round_log.csv`` records, so that no test task was trained on."""
+def _trained_theta(config: ExperimentConfig, model_config: ModelConfig) -> np.ndarray:
+    """The trained shared part in the experiment's ``train/meta_final.npz``,
+    whose layer widths must be those of ``model_config``; no other setting of
+    the checkpoint is read. It must have been meta-trained on
+    ``config.train_tasks``, which the header of ``train/round_log.csv``, written
+    with it, records, so that no test task was trained on."""
+    checkpoint = config.checkpoint_path
     meta = load_checkpoint(checkpoint)
     trained_on, listed = read_csv(config.train_dir / "round_log.csv")[0][2:], sorted(config.train_tasks)
     if trained_on != listed:
@@ -379,8 +376,13 @@ def _csv_columns(path: Path, names: Sequence[str]) -> list[list[float]]:
     return [values[:, col].tolist() for col in column_indices(path, header, names)]
 
 
-def read_trace(directory: Path) -> AdaptationTrace:
-    return AdaptationTrace(*_csv_columns(directory / "trace.csv", ["support_loss", "query_mde"]))
+def read_trace(directory: Path, steps: int) -> AdaptationTrace:
+    """A run's trace, whose ``step`` column must be 1..``steps`` (``meta_test.steps``)."""
+    path = directory / "trace.csv"
+    step, support_loss, query_mde = _csv_columns(path, ["step", "support_loss", "query_mde"])
+    if step != list(range(1, steps + 1)):
+        raise DataError(f"{path}: {len(step)} steps, not the 1..{steps} of meta_test.steps; rerun meta-test")
+    return AdaptationTrace(support_loss, query_mde)
 
 
 def read_final_errors(directory: Path) -> list[float]:
@@ -394,11 +396,11 @@ def _run_one_test(args) -> None:
     write_trace(run_dir(config, task.task_id, mode, seed), trace, per_sample)
 
 
-def cmd_meta_test(config: ExperimentConfig, checkpoint: str | Path | None = None) -> dict:
+def cmd_meta_test(config: ExperimentConfig) -> dict:
     if not config.test_tasks:
         raise ConfigError("config.test_tasks is empty; meta-test needs at least one test task")
     model_config = resolved_model_config(config)
-    theta = _trained_theta(config, checkpoint or config.checkpoint_path, model_config)
+    theta = _trained_theta(config, model_config)
     tasks = _load_tasks(config, config.test_tasks)
     mt = config.meta_test
     _clear(config, "test")
@@ -512,7 +514,7 @@ def cmd_report(config: ExperimentConfig) -> dict:
                 directory = run_dir(config, task_id, mode, seed)
                 if not (directory / "trace.csv").exists():
                     raise DataError(f"missing trace for {task_id}/{mode}/{seed}; run meta-test first")
-                records.append(_run_record(seed, read_trace(directory).query_mde, mt))
+                records.append(_run_record(seed, read_trace(directory, mt.steps).query_mde, mt))
                 errors.extend(read_final_errors(directory))
             task_entry[mode] = _aggregate_mode(records, mt)
             if errors:
@@ -551,7 +553,7 @@ def cmd_theory_probe(config: ExperimentConfig) -> dict:
     task = _load_tasks(config, probe_ids[:1])[0]
     model_config = resolved_model_config(config)
     # a train/ without its checkpoint is a meta-train that did not finish, which _trained_theta refuses
-    theta = _trained_theta(config, config.checkpoint_path, model_config) if config.train_dir.exists() else None
+    theta = _trained_theta(config, model_config) if config.train_dir.exists() else None
     _clear(config, "theory")
     payload = {"task": task.task_id, **metrics.run_theory_probe(task, model_config, theta, config.theory_probe)}
     write_json(config.experiment_dir / "theory" / "probe_report.json", payload)

@@ -91,8 +91,6 @@ class ModelConfig:
     encoder_init: str = constrained("he", one_of=("he", "prefix_projection"))
 
     def __post_init__(self) -> None:
-        for key in ("encoder_hidden", "decoder_hidden", "meta_hidden", "mapper_hidden"):
-            object.__setattr__(self, key, tuple(getattr(self, key)))
         check_fields(self)
         if self.encoder_init == "prefix_projection" and self.encoder_hidden:
             raise ConfigError("prefix_projection requires a single-layer (linear) encoder")

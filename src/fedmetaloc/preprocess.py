@@ -80,24 +80,19 @@ def powed_transform(dataset: FingerprintDataset, cfg: PreprocessConfig) -> Finge
     """Monotone map of all values into [0, 1] via the powed representation."""
     lo = float(dataset.rssi.min())
     hi = float(dataset.rssi.max())
-    if hi == lo:
-        raise DataError(f"degenerate RSSI range: every value equals {lo}")
+    if not 0 < hi - lo < math.inf:  # every value equal, or a span beyond a float64
+        raise DataError(f"RSSI range [{lo}, {hi}] has no finite, positive span")
     scaled = (dataset.rssi - lo) / (hi - lo)
     return replace(dataset, rssi=scaled**cfg.beta_pow)
 
 
 def meta_signal_dim(ap_counts: Sequence[int]) -> int:
-    """Median AP count across tasks, the shared latent dimensionality.
-
-    Even-length lists average the two middle values; a fractional result is
-    rounded half away from zero because the result is a layer width.
-    """
+    """Median AP count across tasks, the shared latent dimensionality: the
+    mean of the two middle counts (one count twice, for an odd number of
+    tasks), a half rounded up because the result is a layer width."""
     ordered = sorted(ap_counts)
     k = len(ordered)
-    if k % 2 == 1:
-        return int(ordered[k // 2])
-    mid = (ordered[k // 2 - 1] + ordered[k // 2]) / 2.0
-    return int(math.floor(mid + 0.5)) if mid >= 0 else int(math.ceil(mid - 0.5))
+    return (ordered[(k - 1) // 2] + ordered[k // 2] + 1) // 2
 
 
 def preprocess_dataset(

@@ -5,6 +5,7 @@ lines and timings. The cohort experiment behind criterion 5 is the heavy part
 (a few minutes); everything else completes in seconds.
 """
 
+import dataclasses
 import os
 import time
 from contextlib import contextmanager
@@ -258,8 +259,9 @@ def cohort_run(tmp_path_factory):
     2 held-out tasks, 200 rounds, 5 local steps, batch 32, 10 paired seeds."""
     from fedmetaloc import experiments
 
-    config = experiments.load_experiment_config(COHORT_CONFIG)
-    config.out_dir = tmp_path_factory.mktemp("cohort")
+    config = dataclasses.replace(
+        experiments.load_experiment_config(COHORT_CONFIG), out_dir=tmp_path_factory.mktemp("cohort")
+    )
     assert config.federation.rounds == 200
     assert config.federation.local_steps == 5
     assert config.federation.batch_size == 32
@@ -284,7 +286,7 @@ def test_criterion_5_meta_init_beats_random_init(cohort_run):
             for mode in ("MI", "RI"):
                 steps = []
                 for task_id in config.test_tasks:
-                    trace = experiments.read_trace(experiments.run_dir(config, task_id, mode, seed))
+                    trace = experiments.read_trace(experiments.run_dir(config, task_id, mode, seed), budget)
                     steps.append(steps_to_accuracy(trace.query_mde, COHORT_TARGET_M) or budget + 1)
                 per_mode[mode] = float(np.mean(steps))
             wins += per_mode["MI"] < per_mode["RI"]

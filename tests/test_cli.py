@@ -49,6 +49,11 @@ class TestConfigLoading:
         assert [opts.id for _, opts in config.synthetic_envs] == ["T00", "T01", "T02"]
         assert config.model.d == 4
 
+    def test_a_loaded_config_is_frozen(self, tmp_path):
+        config = experiments.load_experiment_config(small_config(tmp_path))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.out_dir = tmp_path / "elsewhere"
+
     def test_overlapping_task_lists_rejected(self, tmp_path):
         path = small_config(tmp_path, train_tasks=["T00", "T02"], test_tasks=["T02"])
         with pytest.raises(ConfigError, match="overlap"):
@@ -242,7 +247,23 @@ PREPROCESS_FAULTS = {  # an edit of d0.csv's (A, B, X, Y) values, and the messag
         "task T03: AP selection dropped every column; signal space is empty",
     ),
     "one_sample": (lambda values: values[:1], "task T03: need at least 2 samples to split, got 1"),
+    "rssi_span_overflow": (
+        _set_cells([0, 1], 0, [1e308, -1e308]), "task T03: RSSI range [-1e+308, 1e+308] has no finite, positive span"
+    ),
+    "coordinate_span_overflow": (
+        _set_cells([0, 1], 2, [1e308, -1e308]),
+        "task T03: coordinate column X has a mean or span beyond a float64",
+    ),
+    "coordinate_mean_overflow": (  # a span of 0, but a sum of 20 rows beyond a float64
+        _set_cells(slice(None), 3, 1.5e308),
+        "task T03: coordinate column Y has a mean or span beyond a float64",
+    ),
+    # finite raw RSSI, but the fill, -1e308 less impute_offset, is not
+    "imputed_fill_overflow": (
+        _set_cells([0, 1], 0, [-1e308, 100.0]), "task T03: RSSI range [-inf, -42.0] has no finite, positive span"
+    ),
 }
+PREPROCESS_SECTIONS = {"imputed_fill_overflow": {"impute_offset": 1e308}}  # a config edit that comes with the fault
 
 
 class TestPreprocessChecksBeforeEmptying:
@@ -264,6 +285,8 @@ class TestPreprocessChecksBeforeEmptying:
         csv = tmp_path / "d0.csv"
         values = edit(np.loadtxt(csv, delimiter=",", skiprows=1, ndmin=2))
         np.savetxt(csv, values, delimiter=",", header="A,B,X,Y", comments="")
+        if fault in PREPROCESS_SECTIONS:
+            path.write_text(json.dumps({**json.loads(path.read_text()), "preprocess": PREPROCESS_SECTIONS[fault]}))
         capsys.readouterr()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -517,7 +540,7 @@ class TestReportFromHandWrittenTraces:
         assert entry["improvement"]["steps"]["5.0"] == pytest.approx(67.74, abs=0.005)
 
     def test_best_case_single_step(self, tmp_path):
-        entry = self.report(tmp_path, {("MI", 0): [4.0, 4.0], ("RI", 0): [4.0, 4.0]}, batch_size=1)
+        entry = self.report(tmp_path, {("MI", 0): [4.0, 4.0], ("RI", 0): [4.0, 4.0]}, steps=2, batch_size=1)
         assert entry["MI"]["im_accuracy"]["5.0"] == 1.0
 
     def test_accuracy_speed_is_the_mean_over_seeds(self, tmp_path):
@@ -528,8 +551,8 @@ class TestReportFromHandWrittenTraces:
         assert entry["MI"]["im_accuracy"]["5.0"] == pytest.approx((1 / 3200 + 1 / 1600) / 2)
 
     def test_never_reached_has_speed_zero_and_counts_as_not_reached(self, tmp_path):
-        series = {("MI", 0): [9.0, 8.0], ("MI", 1): self.reaching(100)}
-        series.update({("RI", 0): [9.0, 8.0], ("RI", 1): [9.0]})
+        series = {("MI", 0): [9.0, 8.0] * 200, ("MI", 1): self.reaching(100)}
+        series.update({("RI", 0): [9.0, 8.0] * 200, ("RI", 1): [9.0] * 400})
         entry = self.report(tmp_path, series)
         assert entry["RI"]["im_accuracy"]["5.0"] == 0.0 and entry["RI"]["not_reached"]["5.0"] == 2
         assert entry["MI"]["im_accuracy"]["5.0"] == pytest.approx((0.0 + 1 / 3200) / 2)
@@ -538,16 +561,18 @@ class TestReportFromHandWrittenTraces:
 
     def test_step_based_speed_is_mde_at_the_checkpoint_over_the_batch_size(self, tmp_path):
         series = [0.0] * 49 + [7.5] + [0.0] * 49 + [17.6]
-        entry = self.report(tmp_path, {("MI", 0): series, ("RI", 0): series}, step_checkpoints=[50, 100, 101])
+        entry = self.report(
+            tmp_path, {("MI", 0): series, ("RI", 0): series}, steps=100, step_checkpoints=[50, 100, 101]
+        )
         assert entry["MI"]["im_steps"]["50"] == pytest.approx(0.23, abs=0.005)
         assert entry["MI"]["im_steps"]["100"] == pytest.approx(0.55, abs=0.005)
         assert entry["MI"]["records"][0]["mde_at_step"] == {"50": 7.5, "100": 17.6, "101": None}
-        # no run reaches step 101: no speed and no improvement there
+        # step 101 lies past the budget: no speed and no improvement there
         assert entry["MI"]["im_steps"]["101"] is None
         assert entry["improvement"]["accuracy"] == {"50": 0.0, "100": 0.0, "101": None}
 
     def test_a_zero_ri_mde_at_a_checkpoint_reports_no_accuracy_improvement(self, tmp_path):
-        entry = self.report(tmp_path, {("MI", 0): [1.0] * 50, ("RI", 0): [0.0] * 50})
+        entry = self.report(tmp_path, {("MI", 0): [1.0] * 50, ("RI", 0): [0.0] * 50}, steps=50)
         assert entry["improvement"]["accuracy"] == {"50": None}
 
     def test_an_integer_target_writes_the_same_report_as_its_float(self, tmp_path):
@@ -665,6 +690,23 @@ class TestMetaTestCommand:
         assert sorted(config.report_dir.iterdir()) == files
         assert {path: (path.read_bytes(), path.stat().st_mtime_ns) for path in files} == before
 
+    @pytest.mark.parametrize("edit", ["trace_cut_short", "steps_raised"])
+    def test_report_refuses_a_trace_whose_steps_are_not_the_configs(self, tmp_path, capsys, edit):
+        config, _ = self.run_pipeline(tmp_path)
+        trace = experiments.run_dir(config, "T02", "MI", 0) / "trace.csv"
+        if edit == "trace_cut_short":  # 2 of its 6 steps
+            trace.write_bytes(b"".join(trace.read_bytes().splitlines(keepends=True)[:3]))
+            message = f"{trace}: 2 steps, not the 1..6 of meta_test.steps; rerun meta-test"
+        else:  # meta_test.steps edited after meta-test ran
+            mt = json.loads((tmp_path / "exp.json").read_text())["meta_test"]
+            small_config(tmp_path, meta_test={**mt, "steps": 8})
+            message = f"{trace}: 6 steps, not the 1..8 of meta_test.steps; rerun meta-test"
+        before = tree_digest(config.report_dir)
+        capsys.readouterr()
+        assert cli.run(["report", "--config", str(tmp_path / "exp.json")]) == 3
+        assert capsys.readouterr().err == f"data error: {message}\n"
+        assert tree_digest(config.report_dir) == before
+
     def test_report_command_rebuilds_identically(self, tmp_path):
         config, report = self.run_pipeline(tmp_path)
         rebuilt = experiments.cmd_report(config)
@@ -678,7 +720,7 @@ class TestMetaTestCommand:
                                           "mapper_hidden": [4]})
         )
         with pytest.raises(ConfigError, match=r"shared-part widths \[4, 8, 3\] differ from the config's \[5, 8, 3\]"):
-            experiments.cmd_meta_test(other, checkpoint=config.checkpoint_path)
+            experiments.cmd_meta_test(other)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_rerun_removes_the_earlier_runs_it_did_not_write(self, tmp_path, workers):
@@ -832,6 +874,13 @@ class TestCliEntryPoint:
         assert tested[1:] == reported[1:]
         assert cli.run(["theory-probe", "--config", str(path)]) == 0
 
+    @pytest.mark.parametrize("command", ["preprocess", "meta-train", "meta-test", "theory-probe", "report"])
+    def test_the_config_file_is_each_commands_only_option(self, capsys, command):
+        with pytest.raises(SystemExit) as exited:
+            cli.run([command, "--help"])
+        assert exited.value.code == 0
+        assert capsys.readouterr().out.splitlines()[0] == f"usage: fedmetaloc {command} [-h] --config CONFIG"
+
     def test_missing_config_is_a_config_error(self, tmp_path, capsys):
         assert cli.run(["preprocess", "--config", str(tmp_path / "nope.json")]) == 2
         assert "configuration error" in capsys.readouterr().err
@@ -853,14 +902,6 @@ class TestCliEntryPoint:
         err = capsys.readouterr().err
         assert "meta.json" in err and "'T09'" in err and "'T02'" in err
         assert not (config.test_dir / "T09").exists()
-
-    def test_out_flag_replaces_the_configs_output_root(self, tmp_path, capsys):
-        path = small_config(tmp_path)
-        assert cli.run(["preprocess", "--config", str(path), "--out", str(tmp_path / "elsewhere")]) == 0
-        assert f"under {tmp_path / 'elsewhere' / 'smoke' / 'tasks'}" in capsys.readouterr().out
-        for task_id in ("T00", "T01", "T02"):
-            assert (tmp_path / "elsewhere" / "smoke" / "tasks" / task_id / "meta.json").exists()
-        assert not (tmp_path / "out").exists()
 
     def test_overlap_is_a_config_error(self, tmp_path, capsys):
         path = small_config(tmp_path, train_tasks=["T00", "T02"], test_tasks=["T02"])
@@ -908,10 +949,10 @@ class TestMalformedConfig:
             ("schema_not_json", "datasets[0].schema"),
             ("unknown_schema_key", "coordinates"),
             ("synthetic_env_sentinel", "sentinel"),
-            ("entry_support_ratio_above_one", "synthetic_envs[2] (T02).support_ratio must be in (0, 1)"),
-            ("config_support_ratio_of_one", "config: support_ratio must be in (0, 1) for task T00, got 1.0"),
-            ("entry_support_ratio_of_zero", "synthetic_envs[2] (T02).support_ratio must be in (0, 1)"),
-            ("entry_support_ratio_of_one", "synthetic_envs[2] (T02).support_ratio must be in (0, 1)"),
+            ("entry_support_ratio_above_one", "config.synthetic_envs[2]: support_ratio must be < 1, got 1.5"),
+            ("config_support_ratio_of_one", "config: support_ratio must be < 1, got 1.0"),
+            ("entry_support_ratio_of_zero", "config.synthetic_envs[2]: support_ratio must be > 0, got 0.0"),
+            ("entry_support_ratio_of_one", "config.synthetic_envs[2]: support_ratio must be < 1, got 1.0"),
             ("synthetic_env_support_region", "config.synthetic_envs[2] (T02): unknown key(s) ['support_region']"),
             ("dataset_support_region", "config.datasets[0] (D0): unknown key(s) ['support_region']"),
             ("unknown_partition", "config: unknown key(s) ['partition']"),
@@ -1089,7 +1130,7 @@ SECTIONS = [
     (experiments.DatasetSource, "config.datasets[0] (D0)"),
     (SchemaConfig, "config.datasets[0].schema"),
 ]
-RULES = {"ge", "gt", "le", "one_of", "nonempty", "unique"}
+RULES = {"ge", "gt", "le", "lt", "one_of", "nonempty", "unique"}
 # a valid value of each list field that has no default to start from
 VALID_LISTS = {
     "train_tasks": ["T00", "T01"],
@@ -1111,6 +1152,8 @@ def malformed_elements(kind: type, rules) -> list[tuple[str, object]]:
         cases.append(("at_exclusive_min", rules["gt"]))
     if "le" in rules:
         cases.append(("above_max", rules["le"] + 1))
+    if "lt" in rules:
+        cases.append(("at_exclusive_max", rules["lt"]))
     if "one_of" in rules:
         cases.append(("not_one_of", "bogus"))
     return cases
@@ -1265,45 +1308,42 @@ class TestMalformedCheckpoint:
         assert cli.run(["meta-train", "--config", str(path)]) == 0
         return path, experiments.load_experiment_config(path).checkpoint_path
 
-    def meta_test_exit(self, path: Path, checkpoint: Path) -> int:
-        return cli.run(["meta-test", "--config", str(path), "--checkpoint", str(checkpoint)])
+    def meta_test_exit(self, path: Path) -> int:
+        return cli.run(["meta-test", "--config", str(path)])
 
-    def rewritten(self, checkpoint: Path, edit) -> Path:
-        """A copy of ``checkpoint`` whose members ``edit`` changed in place."""
+    def rewrite(self, checkpoint: Path, edit) -> None:
+        """Rewrite ``checkpoint`` in place with the members that ``edit`` changed."""
         with np.load(checkpoint) as archive:
             kept = {k: archive[k] for k in archive.files}
         edit(kept)
-        bad = checkpoint.parent / "bad.npz"
-        np.savez(bad, **kept)
-        return bad
+        np.savez(checkpoint, **kept)
 
     @pytest.mark.parametrize("missing", ["__extra__"])
     def test_missing_header_is_a_data_error(self, tmp_path, capsys, missing):
         path, checkpoint = self.trained(tmp_path)
-        bad = self.rewritten(checkpoint, lambda kept: kept.pop(missing))
-        assert self.meta_test_exit(path, bad) == 3
+        self.rewrite(checkpoint, lambda kept: kept.pop(missing))
+        assert self.meta_test_exit(path) == 3
         assert missing in capsys.readouterr().err
 
     def test_extra_header_that_is_not_an_object_is_a_data_error(self, tmp_path, capsys):
         path, checkpoint = self.trained(tmp_path)
-        bad = self.rewritten(checkpoint, lambda kept: kept.update(__extra__=np.str_("[]")))
-        assert self.meta_test_exit(path, bad) == 3
+        self.rewrite(checkpoint, lambda kept: kept.update(__extra__=np.str_("[]")))
+        assert self.meta_test_exit(path) == 3
         assert "__extra__ holds list" in capsys.readouterr().err
 
     @pytest.mark.parametrize("extra", [{}, {"eta": 0.01}])
     def test_extra_header_lacking_eta_or_round_is_a_data_error(self, tmp_path, capsys, extra):
         path, checkpoint = self.trained(tmp_path)
-        bad = self.rewritten(checkpoint, lambda kept: kept.update(__extra__=np.str_(json.dumps(extra))))
-        assert self.meta_test_exit(path, bad) == 3
+        self.rewrite(checkpoint, lambda kept: kept.update(__extra__=np.str_(json.dumps(extra))))
+        assert self.meta_test_exit(path) == 3
         assert "KeyError: 'round'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("content", ["truncated", "not_a_zip"])
     def test_truncated_or_foreign_file_is_a_data_error(self, tmp_path, capsys, content):
         path, checkpoint = self.trained(tmp_path)
         data = checkpoint.read_bytes()
-        bad = tmp_path / "bad.npz"
-        bad.write_bytes(data[: len(data) // 2] if content == "truncated" else b"round,loss\n1,0.5\n")
-        assert self.meta_test_exit(path, bad) == 3
+        checkpoint.write_bytes(data[: len(data) // 2] if content == "truncated" else b"round,loss\n1,0.5\n")
+        assert self.meta_test_exit(path) == 3
         assert "malformed checkpoint" in capsys.readouterr().err
 
     STACK_FAULTS = {  # the shared part's widths are [4, 8, 3]
@@ -1334,18 +1374,18 @@ class TestMalformedCheckpoint:
             else:
                 kept["encoder/layer0.weights"] = np.zeros((4, 5))
 
-        bad = self.rewritten(checkpoint, edit)
-        assert self.meta_test_exit(path, bad) == 3
+        self.rewrite(checkpoint, edit)
+        assert self.meta_test_exit(path) == 3
         assert self.STACK_FAULTS[fault] in capsys.readouterr().err
         assert not experiments.load_experiment_config(path).test_dir.exists()
 
     def test_well_formed_stack_of_other_widths_exits_2(self, tmp_path, capsys):
         path, checkpoint = self.trained(tmp_path)
         # layer0 narrowed to 3 inputs: an archive that chains, for another config
-        bad = self.rewritten(checkpoint, lambda kept: kept.update(
+        self.rewrite(checkpoint, lambda kept: kept.update(
             {"meta/layer0.weights": kept["meta/layer0.weights"][:, :-1]}
         ))
-        assert self.meta_test_exit(path, bad) == 2
+        assert self.meta_test_exit(path) == 2
         assert "shared-part widths [3, 8, 3] differ from the config's [4, 8, 3]" in capsys.readouterr().err
 
     def test_archive_in_the_earlier_format_loads_bit_exactly(self, tmp_path):
@@ -1360,18 +1400,18 @@ class TestMalformedCheckpoint:
             kept["__config__"] = np.str_(json.dumps({**asdict(config.model), "m": None}, sort_keys=True))
             kept["__extra__"] = np.str_(json.dumps({**extra, "eta": config.federation.eta}, sort_keys=True))
 
-        old = self.rewritten(checkpoint, earlier)
-        with zipfile.ZipFile(old) as archive:
-            assert archive.namelist()[-2:] == ["__config__.npy", "__extra__.npy"]
-        current, loaded = load_checkpoint(checkpoint), load_checkpoint(old)
+        current = load_checkpoint(checkpoint)
+        outputs = []
+        for rewritten in (False, True):
+            if rewritten:
+                self.rewrite(checkpoint, earlier)
+                with zipfile.ZipFile(checkpoint) as archive:
+                    assert archive.namelist()[-2:] == ["__config__.npy", "__extra__.npy"]
+            assert self.meta_test_exit(path) == 0  # each run empties test/ and report/ first
+            outputs.append({**tree_digest(config.test_dir), **tree_digest(config.report_dir)})
+        loaded = load_checkpoint(checkpoint)
         assert (loaded.widths, loaded.round) == (current.widths, current.round) == ([4, 8, 3], 2)
         assert loaded.params.tobytes() == current.params.tobytes()
-        outputs = []
-        for archive in (checkpoint, old):
-            assert self.meta_test_exit(path, archive) == 0
-            outputs.append({**tree_digest(config.test_dir), **tree_digest(config.report_dir)})
-            shutil.rmtree(config.test_dir)
-            shutil.rmtree(config.report_dir)
         assert outputs[0] == outputs[1] and len(outputs[0]) > 1
 
 
@@ -1739,25 +1779,25 @@ class TestPhaseOwnsItsDirectory:
         assert capsys.readouterr().err.startswith("data error: missing trace for T02/MI/0")
 
     @pytest.mark.parametrize(
-        "phase, workers, change, args, code, message",
+        "phase, workers, change, code, message",
         [
-            ("preprocess", 1, lambda tmp, raw: {"test_tasks": ["T09"]}, [], 2, "task 'T09' listed in config"),
-            ("preprocess", 1, lambda tmp, raw: {"datasets": [bad_csv_dataset(tmp)]}, [], 3, "d0.csv: line 2"),
-            ("meta-train", 1, lambda tmp, raw: {"model": {**raw["model"], "p": 3}}, [], 2, "model.p is 3, but task"),
+            ("preprocess", 1, lambda tmp, raw: {"test_tasks": ["T09"]}, 2, "task 'T09' listed in config"),
+            ("preprocess", 1, lambda tmp, raw: {"datasets": [bad_csv_dataset(tmp)]}, 3, "d0.csv: line 2"),
+            ("meta-train", 1, lambda tmp, raw: {"model": {**raw["model"], "p": 3}}, 2, "model.p is 3, but task"),
             *(
-                ("meta-test", workers, lambda tmp, raw: {"model": {**raw["model"], "d": 5}}, [], 2, "widths [4, 8, 3]")
+                ("meta-test", workers, lambda tmp, raw: {"model": {**raw["model"], "d": 5}}, 2, "widths [4, 8, 3]")
                 for workers in (1, 2)
             ),
-            *(
-                ("meta-test", workers, lambda tmp, raw: {}, ["--checkpoint", "missing.npz"], 3, "checkpoint not found")
+            *(  # the checkpoint was trained on T00 and T01
+                ("meta-test", workers, lambda tmp, raw: {"train_tasks": ["T00"]}, 3, "rerun meta-train")
                 for workers in (1, 2)
             ),
-            ("report", 1, lambda tmp, raw: {"meta_test": {**raw["meta_test"], "seeds": [0, 1, 2]}}, [], 3,
+            ("report", 1, lambda tmp, raw: {"meta_test": {**raw["meta_test"], "seeds": [0, 1, 2]}}, 3,
              "missing trace for T02/MI/2"),
         ],
     )
     def test_an_error_at_load_leaves_every_earlier_output(
-        self, tmp_path, capsys, phase, workers, change, args, code, message
+        self, tmp_path, capsys, phase, workers, change, code, message
     ):
         path = small_config(tmp_path, workers=workers)
         for step in ("preprocess", "meta-train", "meta-test", "theory-probe"):
@@ -1767,6 +1807,6 @@ class TestPhaseOwnsItsDirectory:
         assert "theory/probe_report.json" in before
         small_config(tmp_path, workers=workers, **change(tmp_path, json.loads(path.read_text())))
         capsys.readouterr()
-        assert cli.run([phase, "--config", str(path), *args]) == code
+        assert cli.run([phase, "--config", str(path)]) == code
         assert message in capsys.readouterr().err
         assert tree_digest(config.experiment_dir) == before

@@ -430,7 +430,7 @@ class TestThetaSwap:
         wider = [widths[0], widths[1] + 1, *widths[2:]]
         save_checkpoint(config.checkpoint_path, MetaModel(params=nn.bind(nn.build_stack(wider, seed=4)), widths=wider))
         with pytest.raises(ConfigError, match="shared-part widths"):
-            _trained_theta(config, config.checkpoint_path, cfg)
+            _trained_theta(config, cfg)
 
     def test_broadcast_copy_semantics(self):
         model = ClientModel.build(tiny_model_config(), m=5, seed=4)

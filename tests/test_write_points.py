@@ -132,21 +132,24 @@ def test_a_kill_at_each_write_point(tmp_path, capsys, pipeline, phase, k):
     assert left.pop(tmp) == reference[phase][target]
     assert all(reference[phase].get(key) == value for key, value in left.items())
 
-    # 2. each later phase refuses the partial state, or runs on whole inputs as an unkilled run does
-    later_out = tmp_path / "later"
-    shutil.copytree(config.experiment_dir, later_out / config.name)
+    # 2. each later phase refuses the partial state, or runs on whole inputs as an unkilled run does;
+    # it runs on a copy, the same experiment under a config whose out_dir is elsewhere
+    (tmp_path / "later").mkdir()
+    later_path = small_config(tmp_path / "later")
+    later_dir = experiments.load_experiment_config(later_path).experiment_dir
+    shutil.copytree(config.experiment_dir, later_dir)
     for later in PHASES[PHASES.index(phase) + 1 :]:
-        before = tree_digest(later_out)
+        before = tree_digest(later_dir)
         capsys.readouterr()
-        code = cli.run([later, "--config", str(path), "--out", str(later_out)])
+        code = cli.run([later, "--config", str(later_path)])
         err = capsys.readouterr().err
         if code == 3:
             assert err.startswith("data error:") and any(text in err for text in MISSING), err
-            assert tree_digest(later_out) == before
+            assert tree_digest(later_dir) == before
             break
         assert code == 0, err
         own = OWN_DIRS[later]
-        assert in_dirs(tree_digest(later_out / config.name), own) == in_dirs(reference[later], own)
+        assert in_dirs(tree_digest(later_dir), own) == in_dirs(reference[later], own)
 
     # 3. a rerun leaves the bytes of an unkilled run and no temporary file
     capsys.readouterr()
