@@ -77,11 +77,11 @@ class DatasetSource:
 class ExperimentConfig:
     name: str
     out_dir: Path
-    datasets: list[tuple[DatasetSource, TaskOptions]] = field(default_factory=list)
-    synthetic_envs: list[tuple[SyntheticEnvSpec, TaskOptions]] = field(default_factory=list)
+    datasets: tuple[tuple[DatasetSource, TaskOptions], ...] = ()
+    synthetic_envs: tuple[tuple[SyntheticEnvSpec, TaskOptions], ...] = ()
     # a task listed twice would be trained or tested twice
-    train_tasks: list[str] = field(default_factory=list, metadata={"unique": True})
-    test_tasks: list[str] = field(default_factory=list, metadata={"unique": True})
+    train_tasks: tuple[str, ...] = field(default=(), metadata={"unique": True})
+    test_tasks: tuple[str, ...] = field(default=(), metadata={"unique": True})
     support_ratio: float = constrained(0.7, gt=0, lt=1)
     split_seed: int = constrained(0, ge=0)
     d_from_median: bool = False
@@ -135,7 +135,7 @@ _SCALARS = {bool: (bool,), int: (int,), float: (int, float), str: (str,), dict: 
 
 def _typed(value, hint, where: str):
     """``value`` checked against the field type ``hint``: a section is built by
-    :func:`_section`, a JSON list becomes a tuple (or list), ``X | None`` admits
+    :func:`_section`, a JSON list becomes a tuple, ``X | None`` admits
     null, an integer in a float field becomes a float (one too large for a
     float stays an integer, which the field check rejects), and a bool is no
     number. Paths and entries are the caller's."""
@@ -146,11 +146,11 @@ def _typed(value, hint, where: str):
             return None
         (hint,) = [arg for arg in typing.get_args(hint) if arg is not type(None)]
     origin, args = typing.get_origin(hint), typing.get_args(hint)
-    if origin in (tuple, list):
-        fixed = origin is tuple and Ellipsis not in args
+    if origin is tuple:
+        fixed = Ellipsis not in args
         if not isinstance(value, list) or (fixed and len(value) != len(args)):
             raise ConfigError(f"{where} must be a list{f' of {len(args)}' if fixed else ''}, got {shown(value)}")
-        return origin(_typed(item, args[0], f"{where}[{i}]") for i, item in enumerate(value))
+        return tuple(_typed(item, args[0], f"{where}[{i}]") for i, item in enumerate(value))
     allowed = _SCALARS.get(hint)
     if allowed and (not isinstance(value, allowed) or (isinstance(value, bool) and hint is not bool)):
         raise ConfigError(f"{where} must be {'an object' if hint is dict else hint.__name__}, got {shown(value)}")
@@ -204,15 +204,15 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
     path = Path(path)
     raw = _typed(_read_json(path, "config"), dict, "config")
     base = path.parent.resolve()
-    entries = {k: _typed(raw.get(k, []), list[dict], f"config.{k}") for k in ("datasets", "synthetic_envs")}
+    entries = {k: _typed(raw.get(k, []), tuple[dict, ...], f"config.{k}") for k in ("datasets", "synthetic_envs")}
     out_dir = _typed(raw.get("out_dir"), str | None, "config.out_dir") or "out"
     return _section(
         ExperimentConfig, {"name": path.stem, **raw}, "config", out_dir=base / out_dir,
-        datasets=[_dataset(e, f"config.datasets[{i}]", base) for i, e in enumerate(entries["datasets"])],
-        synthetic_envs=[
+        datasets=tuple(_dataset(e, f"config.datasets[{i}]", base) for i, e in enumerate(entries["datasets"])),
+        synthetic_envs=tuple(
             _entry(e, f"config.synthetic_envs[{i}]", SyntheticEnvSpec, f"SYN{i:02d}")
             for i, e in enumerate(entries["synthetic_envs"])
-        ],
+        ),
     )
 
 

@@ -53,6 +53,9 @@ class TestConfigLoading:
         config = experiments.load_experiment_config(small_config(tmp_path))
         with pytest.raises(dataclasses.FrozenInstanceError):
             config.out_dir = tmp_path / "elsewhere"
+        # its lists are tuples: no task joins test_tasks past the overlap check
+        with pytest.raises(AttributeError):
+            config.test_tasks.append("T00")
 
     def test_overlapping_task_lists_rejected(self, tmp_path):
         path = small_config(tmp_path, train_tasks=["T00", "T02"], test_tasks=["T02"])
